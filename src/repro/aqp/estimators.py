@@ -20,6 +20,7 @@ conservative errors so downstream inference never divides by zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,12 +91,14 @@ def sum_estimate(avg: Estimate, count: Estimate) -> Estimate:
     return Estimate(value=value, error=math.sqrt(max(variance, 0.0)))
 
 
+@functools.lru_cache(maxsize=128)
 def confidence_multiplier(confidence: float) -> float:
     """Two-sided standard-normal quantile for a confidence level.
 
     ``confidence_multiplier(0.95)`` is about 1.96: a standard normal falls in
     ``(-1.96, 1.96)`` with probability 0.95.  This is the ``alpha_delta``
-    multiplier of Section 3.4.
+    multiplier of Section 3.4.  Memoised: model validation asks for the same
+    one or two confidence levels once per answer cell.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")

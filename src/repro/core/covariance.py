@@ -32,7 +32,12 @@ import numpy as np
 
 from repro.core import linalg
 from repro.core.kernel import se_average_factor
-from repro.core.regions import AttributeDomains, CategoricalConstraint, Region
+from repro.core.regions import (
+    AttributeDomains,
+    CategoricalConstraint,
+    NumericDomain,
+    NumericRange,
+)
 from repro.core.snippet import Snippet, SnippetKey
 from repro.errors import InferenceError
 
@@ -105,12 +110,92 @@ def _intersection_counts(
     return counts
 
 
+@dataclass(frozen=True)
+class _NumericColumn:
+    """Distinct ranges of one numeric attribute over a snippet list."""
+
+    slots: dict[tuple[float, float], int]  # range -> position in lows/highs
+    lows: np.ndarray  # (r,) distinct lower bounds, first-seen order
+    highs: np.ndarray  # (r,) distinct upper bounds
+    index: np.ndarray  # (size,) int64 slot of every snippet
+
+    def extended(self, ranges: Sequence[tuple[float, float]]) -> "_NumericColumn":
+        """This column followed by one row per range (``self`` is not modified)."""
+        slots = dict(self.slots)
+        index = np.fromiter(
+            (slots.setdefault(bounds, len(slots)) for bounds in ranges),
+            dtype=np.int64,
+            count=len(ranges),
+        )
+        added = np.array(list(slots)[len(self.slots) :], dtype=np.float64).reshape(-1, 2)
+        return _NumericColumn(
+            slots,
+            np.concatenate([self.lows, added[:, 0]]),
+            np.concatenate([self.highs, added[:, 1]]),
+            np.concatenate([self.index, index]),
+        )
+
+
+@dataclass(frozen=True)
+class _CategoricalColumn:
+    """Distinct value sets of one categorical attribute over a snippet list."""
+
+    slots: dict[frozenset | None, int]  # value set -> position in constraints
+    constraints: tuple[CategoricalConstraint, ...]  # distinct, first-seen order
+    index: np.ndarray  # (size,) int64 slot of every snippet
+
+    def extended(
+        self, constraints: Sequence[CategoricalConstraint]
+    ) -> "_CategoricalColumn":
+        """This column followed by one row per constraint (``self`` is not modified)."""
+        slots = dict(self.slots)
+        distinct = list(self.constraints)
+        index = np.empty(len(constraints), dtype=np.int64)
+        for position, constraint in enumerate(constraints):
+            slot = slots.setdefault(constraint.values, len(slots))
+            if slot == len(distinct):
+                distinct.append(constraint)
+            index[position] = slot
+        return _CategoricalColumn(
+            slots, tuple(distinct), np.concatenate([self.index, index])
+        )
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_EMPTY_NUMERIC = _NumericColumn({}, np.empty(0), np.empty(0), _NO_ROWS)
+_EMPTY_CATEGORICAL = _CategoricalColumn({}, (), _NO_ROWS)
+
+
+@dataclass(frozen=True)
+class RegionEncoding:
+    """Columnar, deduplicated encoding of a snippet list's predicate regions.
+
+    One column per domain attribute holds the attribute's *distinct*
+    constraints (unconstrained attributes spanning their full domain) and an
+    ``int64`` index mapping every snippet to its distinct entry.  Produced
+    by :meth:`SnippetCovariance.encode`; it depends on the attribute domains
+    only, not on the length scales, so it is built once per snippet list and
+    every factor computation afterwards is array work.
+    """
+
+    size: int
+    numeric: dict[str, _NumericColumn]  # in sorted attribute order
+    categorical: dict[str, _CategoricalColumn]  # in sorted attribute order
+
+
 class SnippetCovariance:
     """Computes normalised covariance factors between snippet regions.
 
     The factors returned by this class are *unit-variance* correlations (the
     product over attributes of per-attribute factors in ``[0, 1]``); callers
     multiply by the calibrated signal variance ``sigma_g^2``.
+
+    Every factor method takes either plain snippet lists or their
+    :class:`RegionEncoding`; passing the encoding of a list that is used
+    repeatedly (the past snippets of a prepared model) skips the per-snippet
+    Python work.  Factors are computed element-wise on the distinct
+    constraint pairs and scattered through the index arrays, so the values
+    do not depend on which form was passed.
     """
 
     def __init__(self, domains: AttributeDomains, model: AggregateModel):
@@ -119,8 +204,45 @@ class SnippetCovariance:
 
     # ------------------------------------------------------------------ public
 
+    def encode(
+        self,
+        snippets: Sequence[Snippet] | RegionEncoding,
+        base: RegionEncoding | None = None,
+    ) -> RegionEncoding:
+        """Encode ``snippets``; with ``base``, the encoding of ``base``'s
+        snippets followed by ``snippets`` (``base`` itself is not modified).
+
+        An encoding passed as ``snippets`` is returned as it is, which is
+        what lets the factor methods take either form.
+        """
+        if isinstance(snippets, RegionEncoding):
+            return snippets
+        numeric_rows = [snippet.region.numeric_by_name() for snippet in snippets]
+        categorical_rows = [snippet.region.categorical_by_name() for snippet in snippets]
+        numeric: dict[str, _NumericColumn] = {}
+        for name, domain in sorted(self.domains.numeric.items()):
+            column = _EMPTY_NUMERIC if base is None else base.numeric[name]
+            numeric[name] = column.extended(
+                [self._numeric_range(row.get(name), domain) for row in numeric_rows]
+            )
+        categorical: dict[str, _CategoricalColumn] = {}
+        for name, domain in sorted(self.domains.categorical.items()):
+            column = _EMPTY_CATEGORICAL if base is None else base.categorical[name]
+            # An unconstrained region spans the attribute's whole domain.
+            full = CategoricalConstraint(name=name, values=None, domain_size=domain.size)
+            categorical[name] = column.extended(
+                [row.get(name, full) for row in categorical_rows]
+            )
+        return RegionEncoding(
+            size=len(numeric_rows) + (0 if base is None else base.size),
+            numeric=numeric,
+            categorical=categorical,
+        )
+
     def factor_matrix(
-        self, rows: Sequence[Snippet], cols: Sequence[Snippet] | None = None
+        self,
+        rows: Sequence[Snippet] | RegionEncoding,
+        cols: Sequence[Snippet] | RegionEncoding | None = None,
     ) -> np.ndarray:
         """Pairwise factor matrix between two snippet lists.
 
@@ -128,47 +250,24 @@ class SnippetCovariance:
         ``rows`` against itself.
         """
         symmetric = cols is None
-        col_snippets = rows if cols is None else cols
-        result = np.ones((len(rows), len(col_snippets)), dtype=np.float64)
+        row_encoding = self.encode(rows)
+        col_encoding = row_encoding if symmetric else self.encode(cols)
+        result = np.ones((row_encoding.size, col_encoding.size), dtype=np.float64)
         if result.size == 0:
             return result
-
-        for name, domain in sorted(self.domains.numeric.items()):
-            length_scale = self.model.length_scale(name, self.domains)
-            row_ranges = [self._numeric_range(snippet.region, name) for snippet in rows]
-            col_ranges = (
-                row_ranges
-                if symmetric
-                else [self._numeric_range(snippet.region, name) for snippet in col_snippets]
-            )
-            result *= self._numeric_factor(row_ranges, col_ranges, length_scale)
-
-        for name, domain in sorted(self.domains.categorical.items()):
-            row_sets = [self._categorical_constraint(snippet.region, name) for snippet in rows]
-            col_sets = (
-                row_sets
-                if symmetric
-                else [
-                    self._categorical_constraint(snippet.region, name)
-                    for snippet in col_snippets
-                ]
-            )
-            result *= self._categorical_factor(row_sets, col_sets)
+        for name in row_encoding.numeric:
+            result *= self.numeric_factor(name, row_encoding, col_encoding)
+        for name in row_encoding.categorical:
+            result *= self.categorical_factor(name, row_encoding, col_encoding)
         if symmetric:
             # Exact symmetry for the factorisation downstream; the matrix is
             # symmetric by construction up to float accumulation order.
             result = linalg.symmetrize(result)
         return result
 
-    def factor_vector(self, rows: Sequence[Snippet], new: Snippet) -> np.ndarray:
-        """Factors between every past snippet and one new snippet."""
-        return self.factor_matrix(rows, [new]).ravel()
-
-    def self_factor(self, snippet: Snippet) -> float:
-        """The snippet's own (prior) factor -- the diagonal entry."""
-        return float(self.factor_diagonal([snippet])[0])
-
-    def factor_diagonal(self, snippets: Sequence[Snippet]) -> np.ndarray:
+    def factor_diagonal(
+        self, snippets: Sequence[Snippet] | RegionEncoding
+    ) -> np.ndarray:
         """Self-factors of every snippet, without forming the full matrix.
 
         This is the diagonal of ``factor_matrix(snippets)`` computed in
@@ -176,40 +275,85 @@ class SnippetCovariance:
         inference needs exactly the diagonal for the prior variances of the
         new snippets.
         """
-        result = np.ones(len(snippets), dtype=np.float64)
-        if len(snippets) == 0:
+        encoding = self.encode(snippets)
+        result = np.ones(encoding.size, dtype=np.float64)
+        if encoding.size == 0:
             return result
-
-        for name, _domain in sorted(self.domains.numeric.items()):
-            length_scale = self.model.length_scale(name, self.domains)
-            ranges = [self._numeric_range(snippet.region, name) for snippet in snippets]
-            distinct, index = self._dedup_ranges(ranges)
-            lows = np.array([bounds[0] for bounds in distinct], dtype=np.float64)
-            highs = np.array([bounds[1] for bounds in distinct], dtype=np.float64)
+        for name, column in encoding.numeric.items():
             base = np.asarray(
-                se_average_factor(lows, highs, lows, highs, length_scale),
+                se_average_factor(
+                    column.lows,
+                    column.highs,
+                    column.lows,
+                    column.highs,
+                    self.model.length_scale(name, self.domains),
+                ),
                 dtype=np.float64,
             )
-            result *= base[index]
-
-        for name, _domain in sorted(self.domains.categorical.items()):
-            sets = [self._categorical_constraint(snippet.region, name) for snippet in snippets]
-            constraints, index = self._dedup_constraints(sets)
+            result *= base[column.index]
+        for column in encoding.categorical.values():
             # A constraint's self-intersection is just its size, so the
             # normalised self-factor is size / max(size, 1)^2.
             sizes = np.array(
-                [constraint.size for constraint in constraints], dtype=np.float64
+                [constraint.size for constraint in column.constraints], dtype=np.float64
             )
             factors = sizes / np.square(np.maximum(sizes, 1.0))
-            result *= factors[index]
+            result *= factors[column.index]
         return result
 
     # ---------------------------------------------------------------- per-type
 
-    def _numeric_range(self, region: Region, name: str) -> tuple[float, float]:
-        constrained = region.numeric_by_name().get(name)
+    def numeric_factor(
+        self, name: str, rows: RegionEncoding, cols: RegionEncoding
+    ) -> np.ndarray:
+        """Normalised double-integral factors of one numeric attribute.
+
+        Snippets in a workload reuse a small number of distinct ranges per
+        attribute (most commonly the full domain), so factors are computed on
+        the distinct ranges and scattered back, keeping the cost independent
+        of the number of snippet pairs in the common case.  Rows and columns
+        keep *separate* distinct sets, so a rectangular block (the hot case:
+        an ``(n, k)`` cross block against a few appended or new snippets)
+        costs O(distinct_rows x distinct_cols) kernel evaluations rather
+        than the square of the union.
+        """
+        row, col = rows.numeric[name], cols.numeric[name]
+        base = se_average_factor(
+            row.lows[:, None],
+            row.highs[:, None],
+            col.lows[None, :],
+            col.highs[None, :],
+            self.model.length_scale(name, self.domains),
+        )
+        base = np.asarray(base, dtype=np.float64)
+        return base[np.ix_(row.index, col.index)]
+
+    def categorical_factor(
+        self, name: str, rows: RegionEncoding, cols: RegionEncoding
+    ) -> np.ndarray:
+        """Normalised intersection factors of one categorical attribute.
+
+        Pairwise intersection sizes between the distinct constraints are
+        computed as one membership-matrix product: with ``M`` the boolean
+        (constraint x distinct value) membership matrix, ``M @ M.T`` yields
+        every ``|F_i,k intersect F_j,k|`` at once.  Unconstrained entries
+        (``values is None``, the full domain) are patched afterwards: their
+        intersection with any value set is that set's size, and with another
+        unconstrained entry the domain size.
+        """
+        row, col = rows.categorical[name], cols.categorical[name]
+        base = _intersection_counts(row.constraints, col.constraints)
+        row_sizes = np.array([max(c.size, 1) for c in row.constraints], dtype=np.float64)
+        col_sizes = np.array([max(c.size, 1) for c in col.constraints], dtype=np.float64)
+        base /= row_sizes[:, None] * col_sizes[None, :]
+        return base[np.ix_(row.index, col.index)]
+
+    @staticmethod
+    def _numeric_range(
+        constrained: NumericRange | None, domain: NumericDomain
+    ) -> tuple[float, float]:
+        """The range a region spans on one attribute, clamped to its domain."""
         if constrained is not None:
-            domain = self.domains.numeric[name]
             low = max(constrained.low, domain.low - domain.width)
             high = min(constrained.high, domain.high + domain.width)
             if high - low < domain.resolution:
@@ -217,100 +361,4 @@ class SnippetCovariance:
                 low = center - 0.5 * domain.resolution
                 high = center + 0.5 * domain.resolution
             return (low, high)
-        domain = self.domains.numeric[name]
         return (domain.low, domain.high if domain.high > domain.low else domain.low + domain.resolution)
-
-    def _categorical_constraint(self, region: Region, name: str) -> CategoricalConstraint:
-        constrained = region.categorical_by_name().get(name)
-        if constrained is not None:
-            return constrained
-        domain = self.domains.categorical[name]
-        return CategoricalConstraint(name=name, values=None, domain_size=domain.size)
-
-    @staticmethod
-    def _dedup_ranges(
-        ranges: Sequence[tuple[float, float]],
-    ) -> tuple[list[tuple[float, float]], np.ndarray]:
-        distinct: dict[tuple[float, float], int] = {}
-        index = np.empty(len(ranges), dtype=np.int64)
-        for position, bounds in enumerate(ranges):
-            index[position] = distinct.setdefault(bounds, len(distinct))
-        return list(distinct), index
-
-    def _numeric_factor(
-        self,
-        row_ranges: Sequence[tuple[float, float]],
-        col_ranges: Sequence[tuple[float, float]],
-        length_scale: float,
-    ) -> np.ndarray:
-        """Normalised double-integral factors, deduplicated by distinct range.
-
-        Snippets in a workload reuse a small number of distinct ranges per
-        attribute (most commonly the full domain), so factors are computed on
-        the distinct ranges and scattered back, keeping the cost independent
-        of the number of snippet pairs in the common case.  Rows and columns
-        are deduplicated *separately*, so a rectangular block (the hot case:
-        an ``(n, k)`` cross block against a few appended or new snippets)
-        costs O(distinct_rows x distinct_cols) kernel evaluations rather
-        than the square of the union.
-        """
-        row_distinct, row_index = self._dedup_ranges(row_ranges)
-        if col_ranges is row_ranges:
-            col_distinct, col_index = row_distinct, row_index
-        else:
-            col_distinct, col_index = self._dedup_ranges(col_ranges)
-        row_lows = np.array([bounds[0] for bounds in row_distinct], dtype=np.float64)
-        row_highs = np.array([bounds[1] for bounds in row_distinct], dtype=np.float64)
-        col_lows = np.array([bounds[0] for bounds in col_distinct], dtype=np.float64)
-        col_highs = np.array([bounds[1] for bounds in col_distinct], dtype=np.float64)
-        base = se_average_factor(
-            row_lows[:, None],
-            row_highs[:, None],
-            col_lows[None, :],
-            col_highs[None, :],
-            length_scale,
-        )
-        base = np.asarray(base, dtype=np.float64)
-        return base[np.ix_(row_index, col_index)]
-
-    @staticmethod
-    def _dedup_constraints(
-        sets: Sequence[CategoricalConstraint],
-    ) -> tuple[list[CategoricalConstraint], np.ndarray]:
-        distinct: dict[frozenset | None, int] = {}
-        constraints: list[CategoricalConstraint] = []
-        index = np.empty(len(sets), dtype=np.int64)
-        for position, constraint in enumerate(sets):
-            identity = constraint.values
-            if identity not in distinct:
-                distinct[identity] = len(constraints)
-                constraints.append(constraint)
-            index[position] = distinct[identity]
-        return constraints, index
-
-    def _categorical_factor(
-        self,
-        row_sets: Sequence[CategoricalConstraint],
-        col_sets: Sequence[CategoricalConstraint],
-    ) -> np.ndarray:
-        """Normalised intersection factors, deduplicated by distinct value set.
-
-        Pairwise intersection sizes between the distinct constraints are
-        computed as one membership-matrix product: with ``M`` the boolean
-        (constraint x distinct value) membership matrix, ``M @ M.T`` yields
-        every ``|F_i,k intersect F_j,k|`` at once, replacing the former
-        O(r_1 x r_2) Python double loop over ``frozenset`` intersections.
-        Unconstrained entries (``values is None``, the full domain) are
-        patched afterwards: their intersection with any value set is that
-        set's size, and with another unconstrained entry the domain size.
-        """
-        row_constraints, row_index = self._dedup_constraints(row_sets)
-        if col_sets is row_sets:
-            col_constraints, col_index = row_constraints, row_index
-        else:
-            col_constraints, col_index = self._dedup_constraints(col_sets)
-        base = _intersection_counts(row_constraints, col_constraints)
-        row_sizes = np.array([max(c.size, 1) for c in row_constraints], dtype=np.float64)
-        col_sizes = np.array([max(c.size, 1) for c in col_constraints], dtype=np.float64)
-        base /= row_sizes[:, None] * col_sizes[None, :]
-        return base[np.ix_(row_index, col_index)]

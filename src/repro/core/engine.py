@@ -979,9 +979,7 @@ class VerdictEngine:
             inferred = self.inference.infer_batch(
                 prepared, [snippet for _, _, snippet in entries]
             )
-            self.synopsis.mark_used(
-                key, [past.snippet_id for past in prepared.snippets]
-            )
+            self.synopsis.mark_used(key, prepared.snippet_ids)
             for (index, role, snippet), result in zip(entries, inferred):
                 decision = validate_model_answer(
                     result,
@@ -1077,9 +1075,7 @@ class VerdictEngine:
             enabled=self.config.enable_model_validation,
             conservative=self.config.conservative_validation,
         )
-        self.synopsis.mark_used(
-            snippet.key, [past.snippet_id for past in prepared.snippets]
-        )
+        self.synopsis.mark_used(snippet.key, prepared.snippet_ids)
         improved = decision.accepted and decision.improved_error < snippet.raw_error
         return (
             decision.improved_answer,
@@ -1228,7 +1224,7 @@ def _prepared_state(prepared: PreparedInference) -> dict:
 
     return {
         "key": prepared.key.to_state(),
-        "snippet_ids": [snippet.snippet_id for snippet in prepared.snippets],
+        "snippet_ids": list(prepared.snippet_ids),
         "prior": {
             "mean": prepared.prior.mean,
             "variance": prepared.prior.variance,

@@ -23,15 +23,16 @@ answers converted to densities (see :mod:`repro.core.prior`).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.config import VerdictConfig
 from repro.core import linalg
-from repro.core.covariance import AggregateModel, SnippetCovariance
+from repro.core.covariance import AggregateModel, RegionEncoding, SnippetCovariance
 from repro.core.prior import (
     PriorEstimate,
     answer_from_observation,
@@ -40,10 +41,13 @@ from repro.core.prior import (
     observation_error,
     observation_value,
 )
-from repro.core.regions import AttributeDomains
+from repro.core.regions import AttributeDomains, Region
 from repro.core.snippet import Snippet, SnippetKey
 
 _MIN_VARIANCE = 1e-18
+# Regions whose GP posterior one PreparedInference remembers; the memo is
+# dropped wholesale beyond this, so a long-lived factor cannot grow unbounded.
+_POSTERIOR_MEMO_LIMIT = 4_096
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,15 @@ class PreparedInference:
     :func:`repro.core.linalg.extend_cholesky`, keeping ``sigma2`` and
     ``jitter`` frozen until the next full rebuild (see
     ``VerdictConfig.incremental_updates``).
+
+    Derived state (never serialised): ``encoding`` is the columnar
+    :class:`~repro.core.covariance.RegionEncoding` of ``snippets``, built by
+    ``prepare``, grown by ``extend`` and rebuilt on first use after a
+    restore; ``posterior_memo`` maps a new snippet's region to the GP
+    posterior ``(mean, gamma^2)`` there, which depends on the past evidence
+    only.  Every mutation of that evidence produces a *new*
+    ``PreparedInference`` whose memo starts empty, so the memo needs no
+    invalidation of its own.
     """
 
     key: SnippetKey
@@ -115,10 +128,26 @@ class PreparedInference:
     jitter: float = 0.0
     inverse_diagonal: np.ndarray | None = None
     base_size: int = 0
+    encoding: RegionEncoding | None = field(default=None, repr=False, compare=False)
+    posterior_memo: dict[Region, tuple[float, float]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
         return len(self.snippets)
+
+    @functools.cached_property
+    def snippet_ids(self) -> tuple[int, ...]:
+        """Synopsis ids of ``snippets``, in order (``snippets`` is never
+        mutated in place, so the tuple is built once)."""
+        return tuple(snippet.snippet_id for snippet in self.snippets)
+
+    def past_encoding(self) -> RegionEncoding:
+        """The region encoding of ``snippets`` (built once, then reused)."""
+        if self.encoding is None:
+            self.encoding = self.covariance.encode(self.snippets)
+        return self.encoding
 
     @property
     def appended_since_base(self) -> int:
@@ -155,7 +184,8 @@ class GaussianInference:
         covariance = SnippetCovariance(domains, model)
         prior = estimate_prior(past, domains)
 
-        factors = covariance.factor_matrix(past)
+        encoding = covariance.encode(past)
+        factors = covariance.factor_matrix(encoding)
         mean_diagonal = float(np.mean(np.diag(factors)))
         if mean_diagonal <= 0:
             mean_diagonal = 1.0
@@ -196,6 +226,7 @@ class GaussianInference:
             jitter=jitter,
             inverse_diagonal=inverse_diagonal,
             base_size=len(past),
+            encoding=encoding,
         )
 
     def extend(
@@ -236,10 +267,12 @@ class GaussianInference:
         if not fresh:
             return prepared
         domains = prepared.covariance.domains
+        past_encoding = prepared.past_encoding()
+        fresh_encoding = prepared.covariance.encode(fresh)
         cross = prepared.sigma2 * prepared.covariance.factor_matrix(
-            prepared.snippets, fresh
+            past_encoding, fresh_encoding
         )
-        corner_factors = prepared.covariance.factor_matrix(fresh)
+        corner_factors = prepared.covariance.factor_matrix(fresh_encoding)
         new_noise = np.array(
             [observation_error(snippet, domains) ** 2 for snippet in fresh],
             dtype=np.float64,
@@ -298,70 +331,32 @@ class GaussianInference:
             jitter=prepared.jitter,
             inverse_diagonal=inverse_diagonal,
             base_size=prepared.base_size,
+            encoding=prepared.covariance.encode(fresh, base=past_encoding),
         )
 
     # ------------------------------------------------------------------- infer
 
     def infer(self, prepared: PreparedInference | None, new_snippet: Snippet) -> InferenceResult:
-        """Equations (11) / (12): combine the GP prediction with the raw answer."""
-        raw_answer = new_snippet.raw_answer
-        raw_error = new_snippet.raw_error
-        if prepared is None or prepared.size == 0:
-            return InferenceResult(
-                model_answer=raw_answer,
-                model_error=raw_error,
-                gp_mean=raw_answer,
-                gp_error=raw_error,
-                raw_answer=raw_answer,
-                raw_error=raw_error,
-                past_snippets_used=0,
-            )
-
-        domains = prepared.covariance.domains
-        observed = observation_value(new_snippet, domains)
-        observed_error = observation_error(new_snippet, domains)
-        observed_variance = observed_error**2
-
-        cross = prepared.sigma2 * prepared.covariance.factor_vector(
-            prepared.snippets, new_snippet
-        )
-        kappa2 = prepared.sigma2 * prepared.covariance.self_factor(new_snippet)
-
-        gp_mean = prepared.prior.mean + float(cross @ prepared.alpha)
-        solved = linalg.solve_factored(prepared.cho, cross)
-        gamma2 = kappa2 - float(cross @ solved)
-        gamma2 = min(max(gamma2, _MIN_VARIANCE), max(kappa2, _MIN_VARIANCE))
-        # Leave-one-out variance calibration (see PreparedInference docstring).
-        gamma2 *= prepared.calibration
-
-        model_obs, model_var = _combine(gp_mean, gamma2, observed, observed_variance)
-        model_answer = answer_from_observation(model_obs, new_snippet, domains)
-        model_error = error_from_observation(math.sqrt(model_var), new_snippet, domains)
-        gp_answer = answer_from_observation(gp_mean, new_snippet, domains)
-        gp_error = error_from_observation(math.sqrt(gamma2), new_snippet, domains)
-        return InferenceResult(
-            model_answer=model_answer,
-            model_error=model_error,
-            gp_mean=gp_answer,
-            gp_error=gp_error,
-            raw_answer=raw_answer,
-            raw_error=raw_error,
-            past_snippets_used=prepared.size,
-        )
+        """Equations (11) / (12) for one snippet: a batch of one."""
+        return self.infer_batch(prepared, [new_snippet])[0]
 
     def infer_batch(
         self,
         prepared: PreparedInference | None,
         new_snippets: Sequence[Snippet],
     ) -> list[InferenceResult]:
-        """Batched Equations (11) / (12) for all cells of a group-by answer.
+        """Equations (11) / (12) for all cells of a group-by answer.
 
-        Numerically equivalent to calling :meth:`infer` once per snippet (the
-        property tests hold the two to 1e-8), but all ``m`` cells sharing one
-        aggregate function are conditioned with a single ``(n, m)`` blocked
-        solve on the prepared factor instead of ``m`` scalar solves -- one
-        BLAS call instead of a Python loop, which is what makes wide group-by
+        All ``m`` cells sharing one aggregate function are conditioned with a
+        single ``(n, m)`` blocked solve on the prepared factor -- one BLAS
+        call instead of a Python loop, which is what makes wide group-by
         queries cheap (see ``benchmarks/bench_batched_inference.py``).
+
+        The GP posterior ``(theta, gamma^2)`` of Equation (11) depends on the
+        past evidence and the cell's region only, so it is remembered per
+        region on ``prepared``: the later online-aggregation batches of one
+        query, which re-ask the same regions with tighter raw answers, pay
+        only for Equation (12)'s precision-weighted combine.
 
         Parameters
         ----------
@@ -392,32 +387,15 @@ class GaussianInference:
             ]
 
         domains = prepared.covariance.domains
-        observed = np.array(
-            [observation_value(snippet, domains) for snippet in news], dtype=np.float64
-        )
-        observed_errors = np.array(
-            [observation_error(snippet, domains) for snippet in news], dtype=np.float64
-        )
-        observed_variances = observed_errors**2
-
-        # (n, m) cross-covariance block and one blocked solve for all cells.
-        cross = prepared.sigma2 * prepared.covariance.factor_matrix(
-            prepared.snippets, news
-        )
-        kappa2 = prepared.sigma2 * prepared.covariance.factor_diagonal(news)
-        gp_means = prepared.prior.mean + cross.T @ prepared.alpha
-        solved = linalg.solve_factored(prepared.cho, cross)
-        gamma2 = kappa2 - np.einsum("ij,ij->j", cross, solved)
-        gamma2 = np.clip(gamma2, _MIN_VARIANCE, np.maximum(kappa2, _MIN_VARIANCE))
-        gamma2 *= prepared.calibration
-
+        posteriors = self._posteriors(prepared, news)
         results: list[InferenceResult] = []
-        for index, snippet in enumerate(news):
+        for snippet, (gp_mean, gamma2) in zip(news, posteriors):
+            observed_error = observation_error(snippet, domains)
             model_obs, model_var = _combine(
-                float(gp_means[index]),
-                float(gamma2[index]),
-                float(observed[index]),
-                float(observed_variances[index]),
+                gp_mean,
+                gamma2,
+                observation_value(snippet, domains),
+                observed_error * observed_error,
             )
             results.append(
                 InferenceResult(
@@ -425,11 +403,9 @@ class GaussianInference:
                     model_error=error_from_observation(
                         math.sqrt(model_var), snippet, domains
                     ),
-                    gp_mean=answer_from_observation(
-                        float(gp_means[index]), snippet, domains
-                    ),
+                    gp_mean=answer_from_observation(gp_mean, snippet, domains),
                     gp_error=error_from_observation(
-                        math.sqrt(float(gamma2[index])), snippet, domains
+                        math.sqrt(gamma2), snippet, domains
                     ),
                     raw_answer=snippet.raw_answer,
                     raw_error=snippet.raw_error,
@@ -437,6 +413,45 @@ class GaussianInference:
                 )
             )
         return results
+
+    @staticmethod
+    def _posteriors(
+        prepared: PreparedInference, news: Sequence[Snippet]
+    ) -> list[tuple[float, float]]:
+        """Equation (11) at every new snippet's region, through the memo.
+
+        Regions not seen before on this ``prepared`` share one ``(n, m)``
+        cross-covariance block and one blocked solve.
+        """
+        memo = prepared.posterior_memo
+        posteriors = [memo.get(snippet.region) for snippet in news]
+        if None in posteriors:
+            if len(memo) + posteriors.count(None) > _POSTERIOR_MEMO_LIMIT:
+                memo.clear()
+                posteriors = [None] * len(news)
+            unseen = list(
+                {
+                    snippet.region: snippet
+                    for snippet, known in zip(news, posteriors)
+                    if known is None
+                }.values()
+            )
+            covariance = prepared.covariance
+            encoding = covariance.encode(unseen)
+            cross = prepared.sigma2 * covariance.factor_matrix(
+                prepared.past_encoding(), encoding
+            )
+            kappa2 = prepared.sigma2 * covariance.factor_diagonal(encoding)
+            gp_means = prepared.prior.mean + cross.T @ prepared.alpha
+            solved = linalg.solve_factored(prepared.cho, cross)
+            gamma2 = kappa2 - np.einsum("ij,ij->j", cross, solved)
+            gamma2 = np.clip(gamma2, _MIN_VARIANCE, np.maximum(kappa2, _MIN_VARIANCE))
+            # Leave-one-out variance calibration (see PreparedInference).
+            gamma2 *= prepared.calibration
+            for snippet, mean, variance in zip(unseen, gp_means.tolist(), gamma2.tolist()):
+                memo[snippet.region] = (mean, variance)
+            posteriors = [memo[snippet.region] for snippet in news]
+        return posteriors
 
     def infer_direct(
         self,

@@ -238,34 +238,26 @@ class LikelihoodWorkspace:
         self._plan: list[np.ndarray | int] = []
         constant_product: np.ndarray | None = None
 
-        for name in sorted(domains.numeric):
-            ranges = [
-                covariance._numeric_range(snippet.region, name)
-                for snippet in self.snippets
-            ]
+        encoding = covariance.encode(self.snippets)
+        for name, column in encoding.numeric.items():
             if name in optimized:
-                distinct, index = covariance._dedup_ranges(ranges)
+                distinct = len(column.lows)
                 self._plan.append(optimized[name])
                 self._variable[optimized[name]] = _VariableAttribute(
                     name=name,
-                    lows=np.array([b[0] for b in distinct], dtype=np.float64),
-                    highs=np.array([b[1] for b in distinct], dtype=np.float64),
+                    lows=column.lows,
+                    highs=column.highs,
                     # base[np.ix_(index, index)] as one flat take: the
                     # (i, j) output entry reads block cell
                     # (index[i], index[j]).
-                    scatter=(index[:, None] * len(distinct) + index[None, :]).ravel(),
+                    scatter=(
+                        column.index[:, None] * distinct + column.index[None, :]
+                    ).ravel(),
                 )
             else:
-                factor = covariance._numeric_factor(
-                    ranges, ranges, covariance.model.length_scale(name, domains)
-                )
-                self._plan.append(np.asarray(factor, dtype=np.float64))
-        for name in sorted(domains.categorical):
-            sets = [
-                covariance._categorical_constraint(snippet.region, name)
-                for snippet in self.snippets
-            ]
-            self._plan.append(covariance._categorical_factor(sets, sets))
+                self._plan.append(covariance.numeric_factor(name, encoding, encoding))
+        for name in encoding.categorical:
+            self._plan.append(covariance.categorical_factor(name, encoding, encoding))
 
         # Collapsed product of every constant factor, used by the gradient
         # path (where bit-exact multiplication order does not matter).

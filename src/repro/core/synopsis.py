@@ -63,6 +63,10 @@ class QuerySynopsis:
             change_log_limit = max(4 * capacity_per_key, 1_024)
         self._log_limit = change_log_limit
         self._log_floor = 0
+        # Per key, the id tuple last verified to be the whole group in group
+        # order (see mark_used); dropped whenever that order or membership
+        # changes.  Derived state, never serialised.
+        self._whole_group: dict[SnippetKey, tuple[int, ...]] = {}
 
     # ----------------------------------------------------------------- content
 
@@ -72,6 +76,7 @@ class QuerySynopsis:
         Returns the stored snippet (with its assigned identifiers).
         """
         group = self._groups.setdefault(snippet.key, OrderedDict())
+        self._whole_group.pop(snippet.key, None)
         self._sequence += 1
         stored = snippet.with_identity(self._next_id, self._sequence)
         self._next_id += 1
@@ -103,6 +108,7 @@ class QuerySynopsis:
         if snippet.snippet_id < 0 or snippet.sequence < 0:
             raise SynopsisError("restore() requires a snippet with assigned identity")
         group = self._groups.setdefault(snippet.key, OrderedDict())
+        self._whole_group.pop(snippet.key, None)
         group[snippet.snippet_id] = snippet
         group.move_to_end(snippet.snippet_id)
         self._next_id = max(self._next_id, snippet.snippet_id + 1)
@@ -125,10 +131,31 @@ class QuerySynopsis:
         return list(group.values())
 
     def mark_used(self, key: SnippetKey, snippet_ids: Iterable[int]) -> None:
-        """Refresh the LRU position of the snippets that inference just used."""
+        """Refresh the LRU position of the snippets that inference just used.
+
+        Touching the whole group in its current order -- what the engine
+        does after every inference, since it conditions on every past
+        snippet of the key -- moves each snippet to the end in turn and so
+        leaves the eviction order as it was.  That case only advances the
+        sequence counter by what the per-snippet loop would have consumed
+        (later ``add`` calls get the same numbers either way) and keeps the
+        snippets' own, still correctly ordered, sequence stamps.  It is
+        recognised in constant time when the caller passes the same id
+        *tuple* again and the group has not changed in between; the first
+        touch after a change verifies the ids with one list comparison.
+        """
         group = self._groups.get(key)
         if not group:
             return
+        if not isinstance(snippet_ids, tuple):
+            snippet_ids = tuple(snippet_ids)
+        if snippet_ids is self._whole_group.get(key) or (
+            len(snippet_ids) == len(group) and snippet_ids == tuple(group)
+        ):
+            self._whole_group[key] = snippet_ids
+            self._sequence += len(group)
+            return
+        self._whole_group.pop(key, None)
         for snippet_id in snippet_ids:
             if snippet_id in group:
                 self._sequence += 1
@@ -150,8 +177,10 @@ class QuerySynopsis:
         affected = list(self._groups) if key is None else [key]
         if key is None:
             self._groups.clear()
+            self._whole_group.clear()
         else:
             self._groups.pop(key, None)
+            self._whole_group.pop(key, None)
         self._version += 1
         for dirty_key in affected:
             self._record(self._DIRTY, dirty_key)

@@ -1,8 +1,10 @@
 """Per-session JSONL audit log for the HTTP front door.
 
-Every served request appends exactly one JSON line recording who asked for
-what, which route answered it, how long it took, and how it terminated --
-the durable trace an operator greps when a tenant disputes an answer.  One
+Every served request appends one JSON line recording who asked for what,
+which route answered it, how long it took, and how it terminated -- the
+durable trace an operator greps when a tenant disputes an answer.  The line
+is written before the response goes out; if the send then fails, a
+follow-up line with ``client_gone`` and the same ``request_id`` says so.  One
 file per server session (named after the session id), append-only, so logs
 from successive restarts never interleave::
 

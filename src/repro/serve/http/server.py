@@ -48,7 +48,10 @@ leader must still ship its WAL.
 Every request is stamped with a request id -- adopted from a valid
 ``X-Request-Id`` header or minted -- echoed in the response header and
 payload, recorded on the audit line, and (with a tracer) keying the
-request's span tree in the trace ring and JSONL trace log.
+request's span tree in the trace ring and JSONL trace log.  Trace and audit
+line are both written *before* the response is sent, so a client holding its
+answer can always look either up; a send that then fails appends a second
+audit line with ``client_gone`` under the same request id.
 
 Execution model: connection-handler threads run the query themselves (the
 per-tenant service's worker pool is for in-process ``submit()`` callers),
@@ -257,23 +260,31 @@ class _Handler(BaseHTTPRequestHandler):
         if isinstance(payload, dict):
             payload = {**payload, "request_id": request_id}
         latency = time.perf_counter() - started
+        # The audit line is written before the response is sent, so a client
+        # holding its answer can always find the record of it.
+        audit = self.server.audit
+        if audit is not None:
+            replication = self.server.replication
+            identity = {
+                "endpoint": f"{method} {url.path}",
+                "status": status,
+                "request_id": request_id,
+                "role": replication.role,
+                "epoch": replication.epoch.number,
+            }
+            audit.record(latency_s=latency, **identity, **audit_fields)
         try:
             self._respond(
                 status, payload, retry_after_s=retry_after, request_id=request_id
             )
         except (BrokenPipeError, ConnectionResetError):
-            audit_fields["client_gone"] = True
-        if self.server.audit is not None:
-            replication = self.server.replication
-            self.server.audit.record(
-                endpoint=f"{method} {url.path}",
-                status=status,
-                latency_s=latency,
-                request_id=request_id,
-                role=replication.role,
-                epoch=replication.epoch.number,
-                **audit_fields,
-            )
+            if audit is not None:
+                audit.record(
+                    latency_s=time.perf_counter() - started,
+                    tenant=audit_fields.get("tenant"),
+                    client_gone=True,
+                    **identity,
+                )
         if self.server._kill_after_response:
             faults.hard_exit()
 

@@ -58,8 +58,11 @@ class TestBatchedEquivalence:
 
         batched = inference.infer_batch(prepared, news)
         assert len(batched) == len(news)
+        # A second factorisation, so the one-cell solves below are computed
+        # rather than read back from the first one's posterior memo.
+        scalar_prepared = inference.prepare(KEY, past, MODEL, DOMAINS)
         for new, batch_result in zip(news, batched):
-            scalar_result = inference.infer(prepared, new)
+            scalar_result = inference.infer(scalar_prepared, new)
             assert batch_result.model_answer == pytest.approx(
                 scalar_result.model_answer, rel=1e-8, abs=1e-10
             )
@@ -339,3 +342,103 @@ class TestEngineBatchedPath:
         for key in engine.synopsis.keys():
             prepared = engine._prepared_for(key)
             assert prepared.appended_since_base == 0
+
+
+class TestPosteriorReuseAcrossBatches:
+    """Batches 2..k of one query reuse the GP posterior of batch 1.
+
+    The posterior at a region depends on the past evidence only, so the
+    online-aggregation batches of one query -- same regions, tighter raw
+    answers -- must cost one cross/solve in total, and must still answer
+    exactly what an engine that never saw the earlier batches answers.
+    """
+
+    SQL = "SELECT region, SUM(revenue) FROM sales WHERE week >= 10 AND week <= 30 GROUP BY region"
+
+    @staticmethod
+    def trained_engine(sales_catalog, extra_recorded=()):
+        engine = build_engine(sales_catalog, VerdictConfig(learn_length_scales=False))
+        for sql in TRAINING_QUERIES:
+            engine.execute(sql, max_batches=2)
+        engine.train()
+        for parsed, raw in extra_recorded:
+            engine.record(parsed, raw)
+        return engine
+
+    @staticmethod
+    def assert_same_cells(answer, expected):
+        assert len(answer.rows) == len(expected.rows) > 0
+        for row, expected_row in zip(answer.rows, expected.rows):
+            assert row.group_values == expected_row.group_values
+            for name, cell in row.estimates.items():
+                other = expected_row.estimates[name]
+                assert cell.value == pytest.approx(other.value, rel=1e-12, abs=0.0)
+                assert cell.error == pytest.approx(other.error, rel=1e-12, abs=0.0)
+                assert cell.improved == other.improved
+                assert cell.validation_reason == other.validation_reason
+
+    def test_later_batches_skip_the_solve_and_answer_identically(
+        self, sales_catalog, monkeypatch
+    ):
+        from repro.core import inference as inference_module
+
+        engine = self.trained_engine(sales_catalog)
+        parsed, check = engine.check(self.SQL)
+        raws = list(engine.aqp.run(parsed))
+        assert len(raws) >= 3
+
+        solves = []
+        real_solve = linalg.solve_factored
+        monkeypatch.setattr(
+            inference_module.linalg,
+            "solve_factored",
+            lambda cho, rhs: solves.append(np.shape(rhs)) or real_solve(cho, rhs),
+        )
+        solves_per_batch = []
+        answers = []
+        for raw in raws:
+            solves.clear()
+            answers.append(engine.process_answer(parsed, raw, check))
+            solves_per_batch.append(len(solves))
+        # SUM conditions an AVG and a FREQ model: two blocked solves, once.
+        assert solves_per_batch[0] == 2
+        assert solves_per_batch[1:] == [0] * (len(raws) - 1)
+        memo_sizes = {
+            key: len(engine._prepared_for(key).posterior_memo)
+            for key in engine.synopsis.keys()
+        }
+        assert all(size == len(raws[-1].rows) for size in memo_sizes.values())
+        monkeypatch.undo()
+
+        assert any(cell.improved for row in answers[-1].rows for cell in row.estimates.values())
+        for raw, answer in zip(raws, answers):
+            fresh = self.trained_engine(sales_catalog)
+            self.assert_same_cells(answer, fresh.process_answer(parsed, raw))
+
+    def test_record_in_between_invalidates_the_memo(self, sales_catalog):
+        engine = self.trained_engine(sales_catalog)
+        parsed, check = engine.check(self.SQL)
+        raws = list(engine.aqp.run(parsed))
+        engine.process_answer(parsed, raws[0], check)
+        before = {key: engine._prepared_for(key) for key in engine.synopsis.keys()}
+        assert all(prepared.posterior_memo for prepared in before.values())
+
+        engine.record(parsed, raws[0])
+        answer = engine.process_answer(parsed, raws[1], check)
+        for key, stale in before.items():
+            current = engine._prepared_for(key)
+            assert current is not stale
+            assert current.size > stale.size
+            # Every remembered posterior was computed against the new evidence.
+            assert len(current.posterior_memo) == len(raws[1].rows)
+        fresh = self.trained_engine(sales_catalog, extra_recorded=[(parsed, raws[0])])
+        self.assert_same_cells(answer, fresh.process_answer(parsed, raws[1]))
+        # The recorded batch-0 answers are now evidence, so the result differs
+        # from what the stale posteriors would have produced.
+        stale_engine = self.trained_engine(sales_catalog)
+        stale_answer = stale_engine.process_answer(parsed, raws[1])
+        assert any(
+            cell.value != stale_row.estimates[name].value
+            for row, stale_row in zip(answer.rows, stale_answer.rows)
+            for name, cell in row.estimates.items()
+        )

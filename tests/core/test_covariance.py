@@ -66,10 +66,10 @@ class TestFactors:
         matrix = covariance.factor_matrix(snippets)
         np.testing.assert_allclose(matrix, matrix.T, rtol=1e-12)
         new = snippet(key, (3.0, 5.0))
-        vector = covariance.factor_vector(snippets, new)
+        vector = covariance.factor_matrix(snippets, [new]).ravel()
         full = covariance.factor_matrix(snippets + [new])
         np.testing.assert_allclose(vector, full[:-1, -1], rtol=1e-10)
-        assert covariance.self_factor(new) == pytest.approx(full[-1, -1])
+        assert covariance.factor_diagonal([new])[0] == pytest.approx(full[-1, -1])
 
     def test_matrix_positive_semidefinite(self, covariance, key, rng):
         snippets = []

@@ -85,6 +85,82 @@ class TestSynopsis:
         assert 1.0 not in answers
         assert len(answers) == 3
 
+    @staticmethod
+    def _rewrite_loop_touch(synopsis, key, snippet_ids):
+        """The per-snippet LRU touch, spelled out: the reference that the
+        whole-group shortcut of ``mark_used`` must be indistinguishable from."""
+        group = synopsis._groups[key]
+        for snippet_id in snippet_ids:
+            synopsis._sequence += 1
+            group[snippet_id] = group[snippet_id].with_identity(
+                snippet_id, synopsis._sequence
+            )
+            group.move_to_end(snippet_id)
+
+    def test_whole_group_touch_keeps_the_rewrite_loops_eviction_order(self, avg_key):
+        fast, reference = QuerySynopsis(capacity_per_key=4), QuerySynopsis(capacity_per_key=4)
+        for synopsis in (fast, reference):
+            for i in range(4):
+                synopsis.add(make_snippet(avg_key, i, i + 1, answer=i))
+            # A partial touch first, so group order differs from id order.
+            synopsis.mark_used(avg_key, [1])
+        whole_group = [s.snippet_id for s in fast.snippets_for(avg_key)]
+        assert whole_group == [0, 2, 3, 1]
+        before = fast.snippets_for(avg_key)
+        for _ in range(3):
+            fast.mark_used(avg_key, whole_group)
+            self._rewrite_loop_touch(reference, avg_key, whole_group)
+        # Constant time means exactly that: no snippet was rebuilt.
+        assert all(a is b for a, b in zip(fast.snippets_for(avg_key), before))
+        assert fast._sequence == reference._sequence
+
+        # Overflow the capacity: both evict the same victims in the same
+        # order, and hand the newcomers the same sequence numbers.
+        for i in range(10, 13):
+            added = [
+                synopsis.add(make_snippet(avg_key, i, i + 1, answer=i))
+                for synopsis in (fast, reference)
+            ]
+            assert added[0] == added[1]
+            assert [s.snippet_id for s in fast.snippets_for(avg_key)] == [
+                s.snippet_id for s in reference.snippets_for(avg_key)
+            ]
+        assert [s.raw_answer for s in fast.snippets_for(avg_key)] == [1.0, 10.0, 11.0, 12.0]
+
+    def test_reordered_or_partial_touch_still_reorders(self, avg_key):
+        synopsis = QuerySynopsis(capacity_per_key=3)
+        for i in range(3):
+            synopsis.add(make_snippet(avg_key, i, i + 1, answer=i))
+        # Same ids, different order: not the whole-group case.
+        synopsis.mark_used(avg_key, [2, 1, 0])
+        assert [s.snippet_id for s in synopsis.snippets_for(avg_key)] == [2, 1, 0]
+        assert [s.sequence for s in synopsis.snippets_for(avg_key)] == [4, 5, 6]
+        # A generator of a strict subset (plus an id that is long gone).
+        synopsis.mark_used(avg_key, (i for i in (2, 99)))
+        assert [s.snippet_id for s in synopsis.snippets_for(avg_key)] == [1, 0, 2]
+        synopsis.add(make_snippet(avg_key, 10, 11, answer=10))
+        assert [s.raw_answer for s in synopsis.snippets_for(avg_key)] == [0.0, 2.0, 10.0]
+
+    def test_remembered_whole_group_tuple_is_forgotten_when_the_group_changes(self, avg_key):
+        synopsis = QuerySynopsis(capacity_per_key=3)
+        for i in range(3):
+            synopsis.add(make_snippet(avg_key, i, i + 1, answer=i))
+        whole = (0, 1, 2)
+        synopsis.mark_used(avg_key, whole)
+        synopsis.mark_used(avg_key, whole)  # recognised by identity now
+        assert [s.sequence for s in synopsis.snippets_for(avg_key)] == [1, 2, 3]
+        # A partial touch reorders the group: the same tuple is no longer
+        # the group order and must go through the loop again.
+        synopsis.mark_used(avg_key, [0])
+        synopsis.mark_used(avg_key, whole)
+        assert [s.snippet_id for s in synopsis.snippets_for(avg_key)] == [0, 1, 2]
+        assert [s.sequence for s in synopsis.snippets_for(avg_key)] == [11, 12, 13]
+        # An eviction keeps the length but not the membership.
+        synopsis.mark_used(avg_key, whole)
+        synopsis.add(make_snippet(avg_key, 10, 11, answer=10))
+        synopsis.mark_used(avg_key, whole)
+        assert [s.snippet_id for s in synopsis.snippets_for(avg_key)] == [3, 1, 2]
+
     def test_capacity_validation(self):
         with pytest.raises(SynopsisError):
             QuerySynopsis(capacity_per_key=0)

@@ -85,7 +85,9 @@ def matrix_params():
         marks = []
         if not FULL_MATRIX and (point, action) not in SMOKE:
             marks.append(
-                pytest.mark.skip(reason="smoke subset; set CRASH_MATRIX=full")
+                pytest.mark.skip(
+                    reason="full matrix runs in the crash-matrix CI job; set CRASH_MATRIX=full"
+                )
             )
         yield pytest.param(point, action, id=f"{point}:{action}", marks=marks)
 

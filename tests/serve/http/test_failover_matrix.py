@@ -95,7 +95,9 @@ def matrix_params():
         marks = []
         if not FULL_MATRIX and (point, action) not in SMOKE:
             marks.append(
-                pytest.mark.skip(reason="smoke subset; set REPLICATION=full")
+                pytest.mark.skip(
+                    reason="full matrix runs in the replication-matrix CI job; set REPLICATION=full"
+                )
             )
         yield pytest.param(point, action, id=f"{point}:{action}", marks=marks)
 

@@ -12,6 +12,7 @@ from repro.serve.client import (
     BadRequestError,
     ConflictError,
     NotFoundError,
+    TransportError,
     VerdictClient,
 )
 from http_harness import sales_rows, start_server
@@ -222,6 +223,59 @@ class TestAudit:
         assert any(entry["status"] == 200 and entry["tenant"] == "acme" for entry in asks)
         assert any(entry.get("error") == "unknown_table" for entry in asks)
         assert all("latency_s" in entry for entry in entries)
+
+    @staticmethod
+    def _records_for(server, request_id):
+        return [
+            entry
+            for entry in map(json.loads, server.audit.path.read_text().splitlines())
+            if entry.get("request_id") == request_id
+        ]
+
+    def test_audit_line_exists_before_the_response_is_sent(
+        self, server, client, monkeypatch
+    ):
+        """A client holding its answer can always find the audit record."""
+        from repro.serve.http import server as server_module
+
+        seen_at_send = {}
+        real_respond = server_module._Handler._respond
+
+        def respond(handler, status, payload, **kwargs):
+            request_id = kwargs["request_id"]
+            seen_at_send[request_id] = self._records_for(server, request_id)
+            return real_respond(handler, status, payload, **kwargs)
+
+        monkeypatch.setattr(server_module._Handler, "_respond", respond)
+        client.ask("SELECT COUNT(*) FROM sales", request_id="audited-first-1")
+        (record,) = seen_at_send["audited-first-1"]
+        assert record["status"] == 200 and record["endpoint"] == "POST /v1/ask"
+
+    def test_failed_send_appends_a_client_gone_record(
+        self, server, client, monkeypatch
+    ):
+        from repro.serve.http import server as server_module
+
+        real_respond = server_module._Handler._respond
+        failed = []
+
+        def respond(handler, status, payload, **kwargs):
+            if kwargs["request_id"] == "vanishing-client-1" and not failed:
+                failed.append(True)
+                handler.close_connection = True
+                raise BrokenPipeError("client hung up")
+            return real_respond(handler, status, payload, **kwargs)
+
+        monkeypatch.setattr(server_module._Handler, "_respond", respond)
+        with VerdictClient(port=server.port, tenant="acme", max_retries=0) as doomed:
+            with pytest.raises(TransportError):
+                doomed.ask("SELECT COUNT(*) FROM sales", request_id="vanishing-client-1")
+        client.health()  # the server is still serving
+        first, follow_up = self._records_for(server, "vanishing-client-1")
+        assert first["status"] == 200 and "client_gone" not in first
+        assert follow_up["client_gone"] is True
+        assert follow_up["status"] == 200 and follow_up["tenant"] == "acme"
+        assert follow_up["seq"] > first["seq"]
 
 
 class TestTenantIsolation:

@@ -86,6 +86,45 @@ class TestSnapshotRoundTrip:
         assert store.flush(engine) == "snapshot"
         assert_identical_engines(engine, reload(store))
 
+    def test_derived_inference_state_stays_out_of_the_snapshot(self, tmp_path):
+        """The region encoding and the posterior memo are rebuilt, never
+        persisted: the state dict keeps its fields, and a restored engine
+        -- asked directly, and asked again after both sides record more --
+        still answers byte-identically."""
+        engine = build_engine()
+        for sql in TRAINING:
+            engine.execute(sql)
+        engine.train()
+        probe_results(engine)  # fills every encoding and memo
+        assert all(
+            p.encoding is not None and p.posterior_memo
+            for p in engine._prepared.values()
+        )
+        state = engine.state_dict()
+        assert state["prepared"]
+        for prepared_state in state["prepared"]:
+            assert sorted(prepared_state) == [
+                "alpha", "base_size", "calibration", "centered", "cho_lower",
+                "cho_matrix", "inverse_diagonal", "jitter", "key",
+                "noise_variances", "observations", "prior", "sigma2",
+                "snippet_ids", "synopsis_version",
+            ]
+
+        store = SynopsisStore(tmp_path)
+        assert store.flush(engine) == "snapshot"
+        restored = reload(store)
+        assert all(
+            p.encoding is None and not p.posterior_memo
+            for p in restored._prepared.values()
+        )
+        assert_identical_engines(engine, restored)
+        # Extending a restored factor grows an encoding it first has to
+        # rebuild; the result must not differ from the never-stopped one.
+        for side in (engine, restored):
+            side.execute("SELECT AVG(revenue), COUNT(*) FROM sales WHERE week >= 3 AND week <= 33")
+        assert_identical_engines(engine, restored)
+        assert all(p.appended_since_base > 0 for p in restored._prepared.values())
+
     def test_snapshot_rotation_is_atomic(self, tmp_path):
         engine = build_engine()
         for sql in TRAINING[:2]:
