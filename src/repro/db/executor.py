@@ -18,14 +18,13 @@ vectorized=False)`` restores the original per-row loop (one full-length
 boolean mask and one measure evaluation per group), which the property tests
 and the query-engine benchmark compare against.
 
-Scans run through the partitioned storage layer by default
-(``partitioned=True``): predicate evaluation is morsel-driven per partition
-with zone-map pruning (:mod:`repro.db.scan`), optionally on ``num_threads``
-worker threads, and measure expressions are evaluated only over the selected
-rows.  The merge discipline of the scan driver keeps every answer
-byte-identical to the single-threaded unpartitioned path;
-``partitioned=False`` restores the whole-table scan for comparison, and the
-scan benchmark (``benchmarks/bench_scan.py``) measures the difference.
+Vectorized scans run through the partitioned storage layer: zone maps prune
+partitions, the predicate is evaluated once per run of adjacent survivors
+(:mod:`repro.db.scan`), optionally on ``num_threads`` worker threads, and
+measure expressions are evaluated only over the selected rows.  The merge
+discipline of the scan driver keeps every answer byte-identical to a
+single-pass whole-table evaluation (with nothing pruned the scan *is* one
+whole-table run, cut only at the morsel cap).
 """
 
 from __future__ import annotations
@@ -207,25 +206,23 @@ class ExactExecutor:
     factorized kernel; ``vectorized=False`` keeps the original per-row loop
     for comparison benchmarks and equivalence tests.
 
-    ``partitioned=True`` (the default, vectorized only) evaluates predicates
-    morsel-by-morsel with zone-map pruning and restricts measure evaluation
-    to the selected rows; ``num_threads > 1`` scans surviving partitions on a
-    thread pool.  Results are byte-identical in every configuration.  Scan
-    accounting accumulates in :attr:`scan_counters`, and the report of the
-    most recent scan is kept in :attr:`last_scan_report`.
+    The vectorized path evaluates predicates morsel-by-morsel with zone-map
+    pruning and restricts measure evaluation to the selected rows;
+    ``num_threads > 1`` scans surviving morsels on a thread pool.  Results
+    are byte-identical in every configuration.  Scan accounting accumulates
+    in :attr:`scan_counters`, and the report of the most recent scan is kept
+    in :attr:`last_scan_report`.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         vectorized: bool = True,
-        partitioned: bool = True,
         num_threads: int = 1,
         scan_counters: ScanCounters | None = None,
     ):
         self.catalog = catalog
         self.vectorized = vectorized
-        self.partitioned = partitioned
         self.num_threads = max(1, int(num_threads))
         # Shareable so an owning service can aggregate all of its scans
         # (exact and sample-based) into one per-service accounting stream.
@@ -258,15 +255,11 @@ class ExactExecutor:
             # The scan driver returns the selected row indices directly:
             # zone maps skip partitions no row of which can match, and with
             # ``num_threads > 1`` surviving morsels are evaluated in
-            # parallel.  Merge order is partition order, so the selection is
+            # parallel.  Merge order is row order, so the selection is
             # identical to a whole-table evaluation.
-            if self.partitioned:
-                selected, report = scan_selected(
-                    table, query.where, self.num_threads, self.scan_counters
-                )
-                self.last_scan_report = report
-            else:
-                selected = np.flatnonzero(evaluate_predicate(query.where, table))
+            selected, self.last_scan_report = scan_selected(
+                table, query.where, self.num_threads, self.scan_counters
+            )
             num_selected = len(selected)
 
             # Each measure expression is evaluated once per query -- and only

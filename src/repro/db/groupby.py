@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -46,6 +47,11 @@ Value = Union[int, float, str]
 # past this bound the product of per-column cardinalities could overflow
 # int64, so the kernel falls back to hashing row tuples.
 _MAX_COMBINED_CODE = 2**62
+
+# NumPy's stable sort is an O(n) radix sort for integers of at most 16 bits
+# and a merge sort above (41.7 vs 7.1 ms for 1M codes, same permutation), so
+# combined codes are sorted through the narrowest unsigned view holding them.
+_RADIX_SORT_CODES = 2**16
 
 # Dense integer columns are encoded as ``value - min`` when their span is at
 # most this factor of the row count (beyond that the radix blow-up would
@@ -76,35 +82,43 @@ class GroupedSelection:
     ----------
     keys:
         Group key tuples in first-seen order (one per group).
-    sorted_indices:
-        The selected row indices reordered so each group's rows are
-        contiguous and in ascending row order (the same order a boolean mask
-        would select them in).
+    selected_indices:
+        The selected row indices in ascending row order.
+    order:
+        The stable permutation of the *selected* rows that makes each
+        group's rows contiguous while keeping ascending row order inside a
+        group.  Arrays aligned with the selected rows (e.g. measures
+        evaluated only over the selected subset of a pruned scan) are
+        gathered into segment order with it (:meth:`take_selected`).
     starts / ends:
-        Per-group segment bounds into ``sorted_indices``: group ``g`` owns
+        Per-group segment bounds into the permuted rows: group ``g`` owns
         ``sorted_indices[starts[g]:ends[g]]``.  Segments are laid out in
         combined-code order, so these arrays are *not* monotonic in group
         order.
     counts:
         Number of selected rows per group.
-    order:
-        The permutation of the *selected* rows that produced
-        ``sorted_indices``: ``sorted_indices = selected_indices[order]``.
-        Arrays aligned with the selected rows (e.g. measures evaluated only
-        over the selected subset of a pruned scan) are gathered into segment
-        order with it (:meth:`take_selected`).
     """
 
     keys: list[tuple[Value, ...]]
-    sorted_indices: np.ndarray
+    selected_indices: np.ndarray
+    order: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     counts: np.ndarray
-    order: np.ndarray | None = None
 
     @property
     def num_groups(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def sorted_indices(self) -> np.ndarray:
+        """``selected_indices[order]``: row indices in group-segment order.
+
+        The same order a boolean mask would select each group's rows in.
+        Gathered on first read -- the selected-rows path
+        (:meth:`take_selected`) never needs it.
+        """
+        return self.selected_indices[self.order]
 
     def group_indices(self, group: int) -> np.ndarray:
         """Selected row indices of one group, in ascending row order."""
@@ -133,7 +147,6 @@ class GroupedSelection:
         result is element-identical to :meth:`take` over the full-length
         array, so downstream reductions stay bit-identical.
         """
-        assert self.order is not None, "factorize() did not record the order"
         return values_selected[self.order]
 
 
@@ -234,11 +247,11 @@ def factorize(
     columns = [table.column(name) for name in group_columns]
 
     encoded = [_column_codes(table, name) for name in group_columns]
-    cardinality_product = 1
+    num_codes = 1
     for _, size in encoded:
-        cardinality_product *= max(size, 1)
-    if cardinality_product > _MAX_COMBINED_CODE:
-        combined, _ = _encode_hashed(
+        num_codes *= max(size, 1)
+    if num_codes > _MAX_COMBINED_CODE:
+        combined, num_codes = _encode_hashed(
             list(zip(*(column[selected_indices].tolist() for column in columns)))
         )
     else:
@@ -249,13 +262,23 @@ def factorize(
 
     # One stable sort groups equal codes into contiguous segments while
     # keeping ascending row order inside each segment (= boolean-mask order).
-    order = np.argsort(combined, kind="stable")
-    sorted_codes = combined[order]
-    change = np.empty(num_selected, dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=change[1:])
-    segment_starts = np.flatnonzero(change)
-    segment_ends = np.append(segment_starts[1:], num_selected)
+    if num_codes <= _RADIX_SORT_CODES:
+        narrow = np.uint8 if num_codes <= 2**8 else np.uint16
+        order = np.argsort(combined.astype(narrow), kind="stable")
+        # Segments are laid out in code order, so their sizes are the
+        # non-zero code counts -- no gather-and-diff of the sorted codes.
+        code_counts = np.bincount(combined)
+        segment_sizes = code_counts[code_counts > 0]
+        segment_ends = np.cumsum(segment_sizes)
+        segment_starts = segment_ends - segment_sizes
+    else:
+        order = np.argsort(combined, kind="stable")
+        sorted_codes = combined[order]
+        change = np.empty(num_selected, dtype=bool)
+        change[0] = True
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=change[1:])
+        segment_starts = np.flatnonzero(change)
+        segment_ends = np.append(segment_starts[1:], num_selected)
     # Stability makes the head of each segment its earliest selected
     # position; ranking segments by it yields first-seen group order.
     first_positions = order[segment_starts]
@@ -269,11 +292,11 @@ def factorize(
     ]
     return GroupedSelection(
         keys=keys,
-        sorted_indices=selected_indices[order],
+        selected_indices=selected_indices,
+        order=order,
         starts=starts,
         ends=ends,
         counts=ends - starts,
-        order=order,
     )
 
 

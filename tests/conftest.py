@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
 from repro.core.engine import VerdictEngine
+from repro.db import scan as scan_module
 from repro.db.catalog import Catalog
 from repro.db.executor import ExactExecutor
 from repro.db.schema import (
@@ -20,6 +24,31 @@ from repro.db.schema import (
 )
 from repro.db.table import Table
 from repro.workloads.synthetic import make_sales_table
+
+
+@pytest.fixture()
+def recorded_morsels():
+    """Context manager yielding the row count of every scan-driver evaluation.
+
+    One entry per morsel, appended just before the predicate is evaluated
+    over it; ``on_call`` (if given) runs at that moment too.
+    """
+
+    @contextmanager
+    def record(on_call=None):
+        sizes: list[int] = []
+        evaluate = scan_module.evaluate_predicate
+
+        def recording(predicate, morsel):
+            sizes.append(len(morsel))
+            if on_call is not None:
+                on_call()
+            return evaluate(predicate, morsel)
+
+        with mock.patch.object(scan_module, "evaluate_predicate", recording):
+            yield sizes
+
+    return record
 
 
 @pytest.fixture(scope="session")

@@ -229,3 +229,70 @@ class TestGroupedSelectionShape:
         assert isinstance(grouped, GroupedSelection)
         mask_a = grouped.group_mask(0, 3)
         assert list(mask_a) == [True, False, True]
+
+
+class TestSortWidthBoundaries:
+    """Combined cardinalities either side of the uint8 / uint16 sort widths.
+
+    ``factorize`` sorts the combined codes through the narrowest unsigned
+    dtype that holds them (a radix sort at <= 16 bits) and reads segment
+    bounds off a bincount; wider code spaces keep the int64 sort.  Every
+    width must produce the permutation, segments and keys of the plain int64
+    stable argsort spelled out here.
+    """
+
+    @staticmethod
+    def oracle(combined: np.ndarray):
+        """(order, starts, ends, first selected position) per first-seen group."""
+        order = np.argsort(combined, kind="stable")
+        ordered = combined[order]
+        heads = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        tails = np.r_[heads[1:], len(combined)]
+        first_seen = np.argsort(order[heads], kind="stable")
+        return order, heads[first_seen], tails[first_seen], order[heads][first_seen]
+
+    @staticmethod
+    def column(rng, cardinality: int, rows: int) -> np.ndarray:
+        """``rows`` ints spanning exactly ``[0, cardinality)``, shuffled."""
+        values = rng.integers(0, cardinality, size=rows)
+        values[:2] = (0, cardinality - 1)
+        rng.shuffle(values)
+        return values.astype(np.int64)
+
+    @pytest.mark.parametrize(
+        "radices",
+        [
+            (255,), (256,), (257,), (65_535,), (65_536,), (65_537,),
+            (15, 17), (16, 16), (257, 1), (255, 257), (256, 256), (65_537, 1),
+        ],
+        ids=lambda radices: "x".join(map(str, radices)),
+    )
+    def test_matches_int64_stable_argsort(self, radices):
+        rng = np.random.default_rng(sum(radices))
+        rows = 70_000
+        names = [f"g{i}" for i in range(len(radices))]
+        columns = {
+            name: self.column(rng, radix, rows) for name, radix in zip(names, radices)
+        }
+        table = make_table(**columns, m=rng.normal(size=rows))
+        selected = np.flatnonzero(rng.random(rows) < 0.8)
+
+        grouped = factorize(table, None, names, selected_indices=selected)
+
+        combined = np.zeros(len(selected), dtype=np.int64)
+        for name, radix in zip(names, radices):
+            combined = combined * radix + columns[name][selected]
+        order, starts, ends, first = self.oracle(combined)
+        assert np.array_equal(grouped.order, order)
+        assert np.array_equal(grouped.starts, starts)
+        assert np.array_equal(grouped.ends, ends)
+        assert np.array_equal(grouped.counts, ends - starts)
+        assert grouped.keys == [
+            tuple(int(columns[name][row]) for name in names) for row in selected[first]
+        ]
+        # Gathered lazily, on this first read.
+        assert np.array_equal(grouped.sorted_indices, selected[order])
+        assert np.array_equal(
+            grouped.take(table.column("m")),
+            grouped.take_selected(table.column("m")[selected]),
+        )

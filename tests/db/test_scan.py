@@ -10,7 +10,6 @@ from repro.db.scan import (
     ScanCounters,
     estimate_scan_rows,
     partition_maybe_mask,
-    scan_mask,
     scan_selected,
 )
 from repro.db.schema import (
@@ -146,11 +145,6 @@ class TestScanSelected:
         table_partitions(table, partition_rows=64)
         for condition in ("week >= 30", "region = 'r1' OR week < 4", "NOT week = 5"):
             self.assert_matches_legacy(table, condition, num_threads=4)
-
-    def test_scan_mask_variant(self):
-        table = clustered_table()
-        mask, _ = scan_mask(table, where("week >= 8"))
-        assert np.array_equal(mask, evaluate_predicate(where("week >= 8"), table))
 
     def test_private_counters_and_global_both_record(self):
         table = clustered_table()

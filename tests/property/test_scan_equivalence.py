@@ -6,9 +6,11 @@ The partitioned, pruned, (optionally) multi-threaded execution path must be
 * ``scan_selected`` == ``np.flatnonzero(evaluate_predicate(...))`` for every
   predicate shape, row count (including counts that do not divide the
   partition size), NaN placement, and append history;
-* ``ExactExecutor(partitioned=True, num_threads=k)`` == the legacy
-  ``vectorized=False`` row loop for whole query results (group order, key
-  tuples, aggregate floats);
+* ``ExactExecutor(num_threads=k)`` == the ``vectorized=False`` row loop for
+  whole query results (group order, key tuples, aggregate floats);
+* both hold for every *run shape* the morsel driver can produce: a pruned
+  partition splitting two runs, runs longer than the morsel cap, a partial
+  trailing partition after an append, 1 vs 4 scan threads;
 * dictionary-encoded categorical predicates == the retained per-row loops;
 * repeated multi-threaded scans of the same query are deterministic
   (the thread-pool hammer).
@@ -17,10 +19,12 @@ The partitioned, pruned, (optionally) multi-threaded execution path must be
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.db import scan as scan_module
 from repro.db.catalog import Catalog
 from repro.db.executor import ExactExecutor
 from repro.db.expressions import _comparison_mask, evaluate_predicate
@@ -140,10 +144,8 @@ class TestExecutorEquivalence:
         catalog = Catalog.of([table], fact_tables=["t"])
         query = parse_query(query_template.format(cond=condition))
 
-        partitioned = ExactExecutor(
-            catalog, vectorized=True, partitioned=True, num_threads=num_threads
-        )
-        legacy = ExactExecutor(catalog, vectorized=False, partitioned=False)
+        partitioned = ExactExecutor(catalog, num_threads=num_threads)
+        legacy = ExactExecutor(catalog, vectorized=False)
         assert_results_identical(partitioned.execute(query), legacy.execute(query))
 
     @given(data=table_inputs, condition=st.sampled_from(CONDITIONS))
@@ -154,13 +156,109 @@ class TestExecutorEquivalence:
         table_partitions(table, partition_rows=8)
         catalog = Catalog.of([table], fact_tables=["t"])
         query = parse_query(f"SELECT region, SUM(m), COUNT(*) FROM t WHERE {condition} GROUP BY region")
-        partitioned = ExactExecutor(catalog, partitioned=True)
-        legacy = ExactExecutor(catalog, vectorized=False, partitioned=False)
+        partitioned = ExactExecutor(catalog)
+        legacy = ExactExecutor(catalog, vectorized=False)
         assert_results_identical(partitioned.execute(query), legacy.execute(query))
         # Append (reusing prefix partitions) and compare again.
         delta = build_table(weeks[: len(weeks) // 2], regions[: len(weeks) // 2], measures[: len(weeks) // 2])
         catalog.append_rows("t", delta)
         assert_results_identical(partitioned.execute(query), legacy.execute(query))
+
+
+class TestRunShapes:
+    """Morsels are runs of adjacent survivors: every shape == the row loop."""
+
+    GROUPED = "SELECT region, SUM(m), COUNT(*) FROM t WHERE {cond} GROUP BY region"
+
+    def clustered(self, rows: int = 100, partition_rows: int = 10) -> Table:
+        """``week`` = row // 10, sorted: one week per 10-row partition."""
+        table = build_table(
+            [row // 10 for row in range(rows)],
+            [REGIONS[row % 3] for row in range(rows)],
+            [float(row % 7) for row in range(rows)],
+        )
+        table_partitions(table, partition_rows=partition_rows)
+        return table
+
+    def assert_scan_and_results_match(self, table, condition, num_threads):
+        predicate = parse_query(f"SELECT COUNT(*) FROM t WHERE {condition}").where
+        selected, report = scan_selected(table, predicate, num_threads=num_threads)
+        assert np.array_equal(
+            selected, np.flatnonzero(evaluate_predicate(predicate, table))
+        )
+        catalog = Catalog.of([table], fact_tables=["t"])
+        query = parse_query(self.GROUPED.format(cond=condition))
+        assert_results_identical(
+            ExactExecutor(catalog, num_threads=num_threads).execute(query),
+            ExactExecutor(catalog, vectorized=False).execute(query),
+        )
+        return report
+
+    def test_pruned_partition_splits_two_runs(self, recorded_morsels):
+        table = self.clustered()
+        with recorded_morsels() as sizes:
+            report = self.assert_scan_and_results_match(table, "week <> 4", 1)
+        # Partition 4 (rows 40..49) is pruned: one evaluation per side of
+        # it, per scan (the helper scans twice: selection, then executor).
+        assert sizes == [40, 50, 40, 50]
+        assert (report.partitions_scanned, report.partitions_pruned) == (9, 1)
+        assert report.rows_scanned == 90
+
+    def test_run_longer_than_the_cap_is_cut(self, recorded_morsels):
+        table = self.clustered()
+        with mock.patch.object(scan_module, "MORSEL_ROWS", 25), recorded_morsels() as sizes:
+            report = self.assert_scan_and_results_match(table, "week <> 4", 1)
+        assert sizes[:4] == [25, 15, 25, 25]
+        assert (report.partitions_scanned, report.rows_scanned) == (9, 90)
+
+    def test_threads_get_at_least_one_morsel_each(self, recorded_morsels):
+        table = self.clustered()
+        with recorded_morsels() as sizes:
+            self.assert_scan_and_results_match(table, "NOT week = 3", 4)
+        assert sorted(sizes[:4]) == [25, 25, 25, 25]
+        # ...but never a morsel smaller than a partition.
+        short = self.clustered(rows=30)
+        with recorded_morsels() as sizes:
+            self.assert_scan_and_results_match(short, "NOT week = 3", 4)
+        assert sorted(sizes[:3]) == [10, 10, 10]
+
+    def test_append_with_partial_trailing_partition(self):
+        table = self.clustered(rows=37, partition_rows=8)
+        catalog = Catalog.of([table], fact_tables=["t"])
+        catalog.append_rows("t", self.clustered(rows=13))
+        appended = catalog.table("t")
+        assert table_partitions(appended).bounds[-1] == (48, 50)
+        for num_threads in (1, 4):
+            for condition in ("week >= 1", "week <> 2", "region = 'west'"):
+                report = self.assert_scan_and_results_match(
+                    appended, condition, num_threads
+                )
+                assert report.rows_total == 50
+
+    @given(
+        data=table_inputs,
+        partition_rows=st.sampled_from([3, 7, 16]),
+        cap=st.sampled_from([1, 5, 16, 1000]),
+        num_threads=st.sampled_from([1, 4]),
+        condition=st.sampled_from(CONDITIONS),
+        append=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_run_shape_matches_row_loop(
+        self, data, partition_rows, cap, num_threads, condition, append
+    ):
+        weeks, regions, measures = data
+        table = build_table(weeks, regions, measures)
+        table_partitions(table, partition_rows=partition_rows)
+        if append:
+            half = len(weeks) // 2
+            catalog = Catalog.of([table], fact_tables=["t"])
+            catalog.append_rows(
+                "t", build_table(weeks[:half], regions[:half], measures[:half])
+            )
+            table = catalog.table("t")
+        with mock.patch.object(scan_module, "MORSEL_ROWS", cap):
+            self.assert_scan_and_results_match(table, condition, num_threads)
 
 
 class TestDictionaryPredicateEquivalence:
@@ -252,8 +350,8 @@ class TestThreadPoolDeterminism:
             "SELECT region, SUM(m), AVG(m), COUNT(*) FROM t "
             "WHERE week >= 4 AND region <> 'sd' GROUP BY region"
         )
-        reference = ExactExecutor(catalog, vectorized=False, partitioned=False).execute(query)
-        executor = ExactExecutor(catalog, partitioned=True, num_threads=4)
+        reference = ExactExecutor(catalog, vectorized=False).execute(query)
+        executor = ExactExecutor(catalog, num_threads=4)
         predicate = query.where
         first_selected, _ = scan_selected(table, predicate, num_threads=4)
         for _ in range(25):

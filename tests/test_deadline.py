@@ -7,6 +7,10 @@ import time
 
 import pytest
 
+from repro.db.partition import table_partitions
+from repro.db.scan import scan_selected
+from repro.db.schema import ColumnKind, Schema, measure, numeric_dimension
+from repro.db.table import Table
 from repro.deadline import (
     CancelToken,
     Deadline,
@@ -17,6 +21,7 @@ from repro.deadline import (
     deadline_scope,
 )
 from repro.errors import DeadlineExceeded, QueryCancelled
+from repro.sqlparser.parser import parse_query
 
 
 def expired_deadline(budget_s: float = 0.05) -> Deadline:
@@ -173,3 +178,40 @@ class TestAmbientCancelScope:
         with cancel_scope(token):
             with cancel_scope(None):
                 check_deadline("shielded")
+
+
+class TestScanCheckpoints:
+    """The exact scan polls deadline and token once per morsel, before it.
+
+    A morsel is a run of adjacent surviving partitions; the scan is
+    all-or-nothing, so an abort must surface as the typed error and never as
+    a partial selection.
+    """
+
+    def two_run_scan(self):
+        """A table and predicate whose scan has two runs (partition 2 pruned)."""
+        schema = Schema.of([numeric_dimension("week", ColumnKind.INT), measure("m")])
+        table = Table(
+            "t",
+            schema,
+            {"week": [row // 10 for row in range(50)], "m": [1.0] * 50},
+        )
+        table_partitions(table, partition_rows=10)
+        return table, parse_query("SELECT COUNT(*) FROM t WHERE week <> 2").where
+
+    def test_expired_deadline_raises_before_the_first_run(self, recorded_morsels):
+        table, predicate = self.two_run_scan()
+        with recorded_morsels() as calls, deadline_scope(expired_deadline()):
+            with pytest.raises(DeadlineExceeded, match="partitioned scan"):
+                scan_selected(table, predicate)
+        assert calls == []
+
+    def test_cancel_during_run_one_raises_before_run_two(self, recorded_morsels):
+        table, predicate = self.two_run_scan()
+        token = CancelToken()
+        with recorded_morsels(on_call=token.cancel) as calls, cancel_scope(token):
+            # The token is only polled before a morsel, so raising at all
+            # proves a second run was pending.
+            with pytest.raises(QueryCancelled):
+                scan_selected(table, predicate)
+        assert calls == [20], "run 2 must not be evaluated after the cancel"
