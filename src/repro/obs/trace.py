@@ -36,7 +36,6 @@ import os
 import re
 import threading
 import time
-import uuid
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterator
@@ -63,7 +62,7 @@ def valid_request_id(candidate: str) -> bool:
 
 def mint_request_id() -> str:
     """A fresh, unique, log-safe request id."""
-    return uuid.uuid4().hex
+    return os.urandom(16).hex()
 
 
 class Span:

@@ -9,7 +9,8 @@ to one :class:`ApiError` with a stable machine-readable ``code``:
 ========  ======================  ============================================
 status    code                    meaning
 ========  ======================  ============================================
-400       ``bad_request``         malformed JSON / schema violation
+400       ``bad_request``         malformed JSON / schema violation / malformed
+                                  request line or HTTP version
 400       ``invalid_sql``         the SQL text failed to parse
 400       ``bad_rows``            append rows do not match the table schema
 404       ``unknown_tenant``      tenant was never created
@@ -24,6 +25,9 @@ status    code                    meaning
                                   from ``/v1/replication/snapshot``
 409       ``replication_gap``     shipped records do not chain onto the
                                   follower's applied state
+414       ``uri_too_long``        the request line exceeds 65 536 bytes
+431       ``headers_too_large``   a header line exceeds 65 536 bytes, or the
+                                  head has more than 100 lines
 429       ``shed_load``           admission queue full / queue wait timed out /
                                   a tenant quota or concurrency cap was hit
                                   (the body's ``quota`` field carries the
@@ -40,6 +44,8 @@ status    code                    meaning
 504       ``deadline_exceeded``   the request's deadline expired with nothing
                                   to return (partial estimates come back 200,
                                   flagged ``degraded``)
+501       ``not_implemented``     a verb other than GET / POST
+505       ``unsupported_version`` the request line says HTTP/2 or later
 500       ``internal``            anything else
 ========  ======================  ============================================
 
@@ -109,6 +115,23 @@ def unknown_tenant(name: str) -> ApiError:
 
 def unknown_route(method: str, path: str) -> ApiError:
     return ApiError(404, "unknown_route", f"no route for {method} {path}")
+
+
+def uri_too_long() -> ApiError:
+    return ApiError(414, "uri_too_long", "request line too long")
+
+
+def headers_too_large(message: str) -> ApiError:
+    return ApiError(431, "headers_too_large", message)
+
+
+def not_implemented(method: str) -> ApiError:
+    return ApiError(501, "not_implemented", f"unsupported method {method!r}")
+
+
+def unsupported_version(number: tuple[int, int]) -> ApiError:
+    major, minor = number
+    return ApiError(505, "unsupported_version", f"unsupported HTTP version {major}.{minor}")
 
 
 def tenant_exists(name: str) -> ApiError:

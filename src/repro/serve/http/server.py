@@ -45,6 +45,14 @@ rejects them with a hard 409 ``epoch_fenced``.  ``ask`` is always served
 non-writable nodes.  Replication endpoints bypass admission: a saturated
 leader must still ship its WAL.
 
+The handler reads the request head itself (one pass over the header lines,
+same limits and status codes as ``http.server``) and writes each response
+as one buffer in one ``sendall``.  A request that fails before routing --
+malformed request line, unsupported HTTP version, oversized head, a verb
+with no ``do_*`` -- still takes the typed path below: JSON error envelope,
+request id, audit line; the connection then closes, because the rest of
+that request was never read.
+
 Every request is stamped with a request id -- adopted from a valid
 ``X-Request-Id`` header or minted -- echoed in the response header and
 payload, recorded on the audit line, and (with a tracer) keying the
@@ -71,13 +79,14 @@ response -- 200 if admitted before the close, 503 otherwise.
 from __future__ import annotations
 
 import json
+import re
 import select
 import socket
 import threading
 import time
 from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
 from repro import faults
 from repro.deadline import CancelToken, cancel_scope
@@ -102,12 +111,59 @@ from repro.sqlparser.parser import parse_query
 #: Cap on delta records per replication pull (the follower batches anyway).
 MAX_SHIP_RECORDS = 1024
 
+#: Request-head limits, the values ``http.client`` enforces for stdlib
+#: servers: bytes per line, and lines per head *including* the blank one.
+MAX_LINE_BYTES = 65536
+MAX_HEAD_LINES = 100
+
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+#: A header field line: visible-ASCII name (possibly empty), then a colon.
+_FIELD_RE = re.compile(r"[\x21-\x39\x3b-\x7e]*:")
+
 
 def _check_tables(catalog, parsed) -> None:
     """404 for any table the SQL names that the tenant's catalog lacks."""
     for name in (parsed.table, *(join.table for join in parsed.joins)):
         if not catalog.has_table(name):
             raise ApiError(404, "unknown_table", f"unknown table {name!r}")
+
+
+class _Headers:
+    """A request's header fields: the first value per case-insensitive name.
+
+    Built by the same rules as the ``email`` parser stdlib servers use (the
+    differential test in ``tests/serve/http/test_head_parse.py`` holds the
+    two equal): the field block ends at the first line that is neither a
+    field, a continuation, nor an mbox ``From `` envelope; obs-fold
+    continuation lines stay in the value; a field with an empty name and a
+    continuation with nothing to continue are dropped.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, lines: list[str]):
+        fields: dict[str, list[str]] = {}
+        parts: list[str] | None = None
+        for line in lines:
+            if line[0] in " \t":
+                if parts is not None:
+                    parts.append(line)
+                continue
+            parts = None
+            if line.startswith("From "):
+                continue
+            if _FIELD_RE.match(line) is None:
+                break
+            name, _, value = line.partition(":")
+            if name:
+                parts = [value.lstrip(" \t")]
+                fields.setdefault(name.lower(), parts)
+        self._fields = {
+            name: "".join(parts).rstrip("\r\n") for name, parts in fields.items()
+        }
+
+    def get(self, name: str, default: str | None = None) -> str | None:
+        return self._fields.get(name.lower(), default)
 
 
 class VerdictHTTPServer(ThreadingHTTPServer):
@@ -160,6 +216,10 @@ class VerdictHTTPServer(ThreadingHTTPServer):
         # whether a span tree is recorded against it.
         self.tracer = tracer
         self.started_ts = time.time()
+        # (epoch second, its Date-header rendering): _Handler._date() formats
+        # once per second.  The pair is swapped whole, so handler threads
+        # racing over a second boundary each store the same value.
+        self.date_cache: tuple[int, str] = (0, "")
         self._serve_thread: threading.Thread | None = None
         self._close_lock = threading.Lock()
         self._closed = False
@@ -215,15 +275,97 @@ class _Handler(BaseHTTPRequestHandler):
     # Idle keep-alive connections die on their own rather than pinning
     # handler threads forever.
     timeout = 60.0
-    # The response goes out as two writes (header block, then body) on an
-    # unbuffered socket; with Nagle on, the body write stalls behind the
-    # peer's delayed ACK (~40ms per request on localhost).
+    # A response is one write, but writes still come back to back -- the
+    # ``100 Continue`` interim line before the final response, the answers
+    # to pipelined requests -- and with Nagle on the second small segment
+    # waits out the peer's delayed ACK (~40ms on localhost).
     disable_nagle_algorithm = True
     server: VerdictHTTPServer
 
-    # Silence the default stderr access log; the audit log is the record.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
+    def handle_one_request(self) -> None:
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not self.raw_requestline:
+                self.close_connection = True
+                return
+            if not self.parse_request():
+                return
+            handler = getattr(self, "do_" + self.command, None)
+            if handler is None:
+                # The body, if any, was not read: the stream cannot be reused.
+                self.close_connection = True
+                self._dispatch(self.command, protocol.not_implemented(self.command))
+                return
+            handler()
+        except TimeoutError:
+            # A read or write timed out: discard the connection.
+            self.close_connection = True
+
+    def parse_request(self) -> bool:
+        """Split the head into command/path/version/headers.
+
+        ``False`` means the request is over: a blank request line closes
+        the connection silently (as ``http.server`` does); any other
+        malformed head was answered with its typed error and closes too.
+        """
+        try:
+            return self._split_head()
+        except ApiError as failure:
+            self.close_connection = True
+            self._dispatch(self.command or "-", failure)
+            return False
+
+    def _split_head(self) -> bool:
+        self.command, self.path, self.headers = None, "", _Headers([])
+        # Unknown until the request line says; only a two-word line is 0.9.
+        self.request_version = ""
+        self.close_connection = True
+        if len(self.raw_requestline) > MAX_LINE_BYTES:
+            raise protocol.uri_too_long()
+        words = str(self.raw_requestline, "iso-8859-1").split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _VERSION_RE.fullmatch(version)
+            if match is None:
+                raise protocol.bad_request("bad request version")
+            number = (int(match[1]), int(match[2]))
+            if number >= (2, 0):
+                raise protocol.unsupported_version(number)
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            raise protocol.bad_request("bad request syntax")
+        command, path = words[:2]
+        if len(words) == 2:
+            self.request_version = "HTTP/0.9"
+            if command != "GET":
+                raise protocol.bad_request("bad HTTP/0.9 request type")
+        # A path starting '//' would read as a scheme-less absolute URI.
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        lines: list[str] = []
+        while True:
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise protocol.headers_too_large("header line too long")
+            if len(lines) >= MAX_HEAD_LINES:
+                raise protocol.headers_too_large("too many header lines")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            lines.append(line.decode("iso-8859-1"))
+        self.headers = _Headers(lines)
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        expect = self.headers.get("Expect", "").lower()
+        if expect == "100-continue" and self.request_version >= "HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -233,9 +375,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ---------------------------------------------------------------- routing
 
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self, method: str, failure: ApiError | None = None) -> None:
+        """Answer one request; ``failure`` is a verdict reached before routing."""
         started = time.perf_counter()
-        url = urlparse(self.path)
+        # A fragment never reaches a server, so the target is path[?query].
+        path, _, query = self.path.partition("?")
         # Every request carries a request id end to end: adopted from a
         # valid X-Request-Id header, minted otherwise.  It is echoed in the
         # response header and payload, stamped on the audit record, and
@@ -248,11 +392,13 @@ class _Handler(BaseHTTPRequestHandler):
         audit_fields: dict = {}
         tracer = self.server.tracer
         if tracer is None:
-            status, payload, retry_after = self._handle(method, url, audit_fields)
+            status, payload, retry_after = self._handle(
+                method, path, query, audit_fields, failure
+            )
         else:
-            with tracer.request(request_id, name=f"{method} {url.path}") as root:
+            with tracer.request(request_id, name=f"{method} {path}") as root:
                 status, payload, retry_after = self._handle(
-                    method, url, audit_fields
+                    method, path, query, audit_fields, failure
                 )
                 root.set(status=status)
                 if "error" in audit_fields:
@@ -266,7 +412,7 @@ class _Handler(BaseHTTPRequestHandler):
         if audit is not None:
             replication = self.server.replication
             identity = {
-                "endpoint": f"{method} {url.path}",
+                "endpoint": f"{method} {path}",
                 "status": status,
                 "request_id": request_id,
                 "role": replication.role,
@@ -289,12 +435,19 @@ class _Handler(BaseHTTPRequestHandler):
             faults.hard_exit()
 
     def _handle(
-        self, method: str, url, audit_fields: dict
+        self,
+        method: str,
+        path: str,
+        query: str,
+        audit_fields: dict,
+        failure: ApiError | None,
     ) -> tuple[int, dict | str, float | None]:
         """Route one request, mapping every failure to a typed response."""
         try:
-            faults.inject("http.handler", method=method, path=url.path)
-            status, payload = self._route(method, url.path, url.query, audit_fields)
+            if failure is not None:
+                raise failure
+            faults.inject("http.handler", method=method, path=path)
+            status, payload = self._route(method, path, query, audit_fields)
             return status, payload, None
         except ApiError as error:
             audit_fields["error"] = error.code
@@ -958,6 +1111,14 @@ class _Handler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise protocol.bad_request(f"body is not valid JSON: {error}") from None
 
+    def _date(self) -> str:
+        now = int(time.time())
+        stamp, text = self.server.date_cache
+        if stamp != now:
+            text = self.date_time_string(now)
+            self.server.date_cache = (now, text)
+        return text
+
     def _respond(
         self,
         status: int,
@@ -972,13 +1133,24 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             body = json.dumps(payload).encode()
             content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # 0.9 has no status line and no headers
+            return
+        head = [
+            f"HTTP/1.1 {status} {self.responses.get(status, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self._date()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
         if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
+            head.append(f"X-Request-Id: {request_id}")
         if status == 429:
             hint = retry_after_s if retry_after_s is not None else 1
-            self.send_header("Retry-After", f"{hint:g}")
-        self.end_headers()
-        self.wfile.write(body)
+            head.append(f"Retry-After: {hint:g}")
+        if self.close_connection:
+            head.append("Connection: close")
+        if self.command == "HEAD":
+            body = b""  # the headers describe the body a GET would carry
+        # One buffer, one sendall (wfile is the unbuffered socket writer).
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)

@@ -10,11 +10,18 @@ they do not affect aggregate answers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Union
 
 from repro.errors import SQLSyntaxError
 from repro.sqlparser import ast
 from repro.sqlparser.lexer import Token, TokenKind, tokenize
+
+#: Bounds of the :func:`parse_query` memo: distinct texts retained, and the
+#: longest text worth retaining (a multi-megabyte statement is parsed each
+#: time rather than pinned in memory as a key).
+PARSE_MEMO_ENTRIES = 1024
+PARSE_MEMO_MAX_TEXT = 8192
 
 _AGGREGATE_KEYWORDS = {"SUM", "COUNT", "AVG", "MIN", "MAX", "FREQ"}
 _COMPARISON_OPS = {
@@ -453,12 +460,26 @@ class _Parser:
             self.expect_kind(TokenKind.NUMBER)
 
 
+@lru_cache(maxsize=PARSE_MEMO_ENTRIES)
+def _parse_memoised(text: str) -> ast.Query:
+    return _Parser(text).parse()
+
+
 def parse_query(text: str) -> ast.Query:
     """Parse a SQL string into a :class:`repro.sqlparser.ast.Query`.
+
+    Memoised on the text (least recently used of ``PARSE_MEMO_ENTRIES``
+    evicted; texts over ``PARSE_MEMO_MAX_TEXT`` characters bypass the memo):
+    every AST node is a frozen dataclass over tuples, so the front door's
+    pre-admission parse, the engine's check and EXPLAIN share one object
+    across threads.  A failed parse is never retained -- it raises afresh
+    on every call.
 
     Raises
     ------
     SQLSyntaxError
         If the text cannot be tokenised or parsed.
     """
-    return _Parser(text).parse()
+    if len(text) > PARSE_MEMO_MAX_TEXT:
+        return _Parser(text).parse()
+    return _parse_memoised(text)

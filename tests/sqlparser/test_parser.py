@@ -1,9 +1,12 @@
 """Unit tests for the SQL parser."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import SQLSyntaxError
-from repro.sqlparser import ast
+from repro.sqlparser import ast, parser
 from repro.sqlparser.parser import parse_query
 
 
@@ -188,3 +191,86 @@ class TestErrors:
         assert hash(first) == hash(second)
         different = parse_query("SELECT COUNT(*) FROM sales WHERE week = 2")
         assert first != different
+
+
+class TestMemo:
+    """``parse_query`` memoises on the text; the AST is frozen, so sharing is safe."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        parser._parse_memoised.cache_clear()
+        yield
+        parser._parse_memoised.cache_clear()
+
+    @staticmethod
+    def retained() -> int:
+        return parser._parse_memoised.cache_info().currsize
+
+    def test_same_text_returns_the_identical_object(self):
+        sql = "SELECT AVG(revenue) FROM sales WHERE week >= 3 AND week <= 31"
+        first = parse_query(sql)
+        assert parse_query(sql) is first
+        # The memo keys on the text, not on what it means.
+        respaced = parse_query(sql.replace(" ", "  "))
+        assert respaced == first and respaced is not first
+
+    def test_a_syntax_error_raises_every_time_and_is_not_retained(self):
+        for _ in range(3):
+            with pytest.raises(SQLSyntaxError):
+                parse_query("SELEC COUNT(*) FROM sales")
+        assert self.retained() == 0
+
+    def test_least_recently_used_text_is_evicted_at_the_bound(self):
+        def text(index):
+            return f"SELECT COUNT(*) FROM sales WHERE week = {index}"
+
+        oldest = parse_query(text(0))
+        second = parse_query(text(1))
+        for index in range(2, parser.PARSE_MEMO_ENTRIES):
+            parse_query(text(index))
+        assert self.retained() == parser.PARSE_MEMO_ENTRIES
+        assert parse_query(text(0)) is oldest  # a hit, and now the most recent
+        parse_query(text(parser.PARSE_MEMO_ENTRIES))  # one over: evicts text(1)
+        assert self.retained() == parser.PARSE_MEMO_ENTRIES
+        assert parse_query(text(0)) is oldest
+        reparsed = parse_query(text(1))
+        assert reparsed == second and reparsed is not second
+
+    def test_a_text_over_the_length_cap_parses_but_is_not_retained(self):
+        values = ", ".join(str(value) for value in range(2_000))
+        sql = f"SELECT COUNT(*) FROM sales WHERE week IN ({values})"
+        assert len(sql) > parser.PARSE_MEMO_MAX_TEXT
+        first, second = parse_query(sql), parse_query(sql)
+        assert first == second and first is not second
+        assert len(first.where.values) == 2_000
+        assert self.retained() == 0
+        at_cap = "SELECT COUNT(*) FROM sales".ljust(parser.PARSE_MEMO_MAX_TEXT)
+        assert parse_query(at_cap) is parse_query(at_cap)
+
+    def test_eight_threads_hammering_get_equal_asts(self):
+        texts = [f"SELECT SUM(revenue) FROM sales WHERE week <= {i}" for i in range(40)]
+        expected = [parser._Parser(text).parse() for text in texts]
+        failures: list[str] = []
+        start = threading.Barrier(8)
+
+        def hammer(offset: int) -> None:
+            start.wait(timeout=10)
+            for round_ in range(50):
+                for index in range(len(texts)):
+                    pick = (index + offset * 5 + round_) % len(texts)
+                    if parse_query(texts[pick]) != expected[pick]:
+                        failures.append(texts[pick])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert self.retained() == len(texts)
