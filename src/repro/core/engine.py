@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
+
+import numpy as np
 
 from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.aqp.time_bound import TimeBoundEngine
@@ -53,6 +56,10 @@ from repro.sqlparser.decompose import SnippetSpec, decompose_query
 from repro.sqlparser.parser import parse_query
 
 Value = Union[int, float, str]
+
+# Factor events the engine remembers for a persistent store to log; beyond
+# this the oldest are trimmed and a store that still needed them snapshots.
+_FACTOR_SCHEDULE_LIMIT = 1_024
 
 
 # --------------------------------------------------------------------------- #
@@ -233,12 +240,22 @@ class VerdictEngine:
         self.queries_improved = 0
         self.total_overhead_seconds = 0.0
         # Bumped on learned-state mutations the synopsis version alone cannot
-        # express: training, model overrides, and the materialisation or
-        # rank-k extension of a prepared factorisation.  The persistent store
-        # writes a full snapshot when it changes (a delta record could not
-        # reproduce the same floating-point factor bits), and appends cheap
-        # delta records when only the synopsis grew.
+        # express.  Each bump is either a *factor event* -- ``_prepared_for``
+        # materialised, rank-k extended, re-stamped or dropped one
+        # factorisation, a deterministic function of the snippets, the models
+        # and the synopsis version it ran at, so the persistent store logs
+        # ``(key, version)`` and replay re-runs it to the same floating-point
+        # bits -- or a *barrier* (training, model override, data-append
+        # adjustment, domain invalidation), which the log cannot replay and
+        # the store answers with a full snapshot.
         self.state_epoch = 0
+        # The factor schedule: (state epoch after the event, key, synopsis
+        # version) of every factor event since the last barrier, oldest
+        # first.  Bounded like the synopsis change log: events at or below
+        # the floor are gone and :meth:`factor_events_since` reports them as
+        # unknown.
+        self._factor_events: deque[tuple[int, SnippetKey, int]] = deque()
+        self._factor_floor = 0
         # Warm-start / skip bookkeeping for the offline step: the full
         # results of the last applied training round, and the (learn flag,
         # synopsis version, state epoch) stamp it is valid for.
@@ -291,7 +308,7 @@ class VerdictEngine:
         else:
             self._domains_cache.pop(fact_table, None)
         if self._prepared:
-            self.state_epoch += 1
+            self._factor_barrier()
         self._prepared.clear()
 
     # ------------------------------------------------------------------- query
@@ -706,7 +723,7 @@ class VerdictEngine:
             for key, factorised in outcome.prepared.items():
                 if key not in delta.dirty:
                     self._prepared[key] = factorised
-        self.state_epoch += 1
+        self._factor_barrier()
         self._last_training = dict(outcome.results)
         # Stamped with the *snapshot's* synopsis version: if the synopsis
         # advanced while compute ran, the next train() must not skip.
@@ -725,7 +742,7 @@ class VerdictEngine:
         """
         self._models[key] = model
         self._prepared.pop(key, None)
-        self.state_epoch += 1
+        self._factor_barrier()
         self.models_version += 1
 
     def model_for(self, key: SnippetKey) -> AggregateModel:
@@ -810,7 +827,7 @@ class VerdictEngine:
                 key, lambda snippet: apply_append_adjustment(snippet, adjustment)
             )
         self._prepared.clear()
-        self.state_epoch += 1
+        self._factor_barrier()
         return adjusted
 
     # ------------------------------------------------------------------ helpers
@@ -831,14 +848,17 @@ class VerdictEngine:
         if cached is not None and self.config.incremental_updates:
             extended = self._extend_prepared(key, cached, version)
             if extended is not None:
-                if extended is not cached:
-                    self.state_epoch += 1
+                # Also when only the version stamp moved (no appends for this
+                # key): a replayed factor must ask for its next delta from
+                # the same version, or the change log's floor could pass one
+                # and not the other.
+                self._note_factor_event(key, version)
                 self._prepared[key] = extended
                 return extended
         snippets = self.synopsis.snippets_for(key)
         if len(snippets) < self.config.min_past_snippets or not snippets:
             if self._prepared.pop(key, None) is not None:
-                self.state_epoch += 1
+                self._note_factor_event(key, version)
             return None
         prepared = self.inference.prepare(
             key,
@@ -849,7 +869,7 @@ class VerdictEngine:
         )
         if prepared is not None:
             self._prepared[key] = prepared
-            self.state_epoch += 1
+            self._note_factor_event(key, version)
         return prepared
 
     def _extend_prepared(
@@ -875,6 +895,69 @@ class VerdictEngine:
         if total_appended > self.config.incremental_rebuild_ratio * base:
             return None
         return self.inference.extend(cached, appended, synopsis_version=version)
+
+    # ---------------------------------------------------------- factor schedule
+
+    def _note_factor_event(self, key: SnippetKey, version: int) -> None:
+        """Log that ``_prepared_for(key)`` changed a factor at ``version``."""
+        self.state_epoch += 1
+        self._factor_events.append((self.state_epoch, key, version))
+        while len(self._factor_events) > _FACTOR_SCHEDULE_LIMIT:
+            self._factor_floor = self._factor_events.popleft()[0]
+
+    def _factor_barrier(self) -> None:
+        """A learned-state mutation the factor schedule cannot replay."""
+        self.state_epoch += 1
+        self._restart_factor_schedule()
+
+    def _restart_factor_schedule(self) -> None:
+        """Nothing before the current state epoch can be replayed from here."""
+        self._factor_events.clear()
+        self._factor_floor = self.state_epoch
+
+    def factor_events_since(self, epoch: int) -> list[tuple[SnippetKey, int]] | None:
+        """The ``(key, synopsis version)`` factor events after ``epoch``.
+
+        In order; re-running :meth:`replay_factor_event` for each, with the
+        synopsis at the event's version, takes the factors of an engine that
+        was at ``epoch`` to this engine's bit for bit.  ``None`` when that is
+        not enough: a barrier happened since ``epoch``, or the events were
+        trimmed or forgotten.
+        """
+        if epoch < self._factor_floor or epoch > self.state_epoch:
+            return None
+        return [
+            (key, version)
+            for stamp, key, version in self._factor_events
+            if stamp > epoch
+        ]
+
+    def forget_factor_events(self, epoch: int) -> None:
+        """Drop the events up to ``epoch`` (their consumer persisted them)."""
+        while self._factor_events and self._factor_events[0][0] <= epoch:
+            self._factor_events.popleft()
+        self._factor_floor = max(self._factor_floor, epoch)
+
+    def replay_factor_event(self, key: SnippetKey) -> None:
+        """Re-run a logged factor event; the synopsis is at its version."""
+        self._prepared_for(key)
+
+    def prepared_factors(self) -> dict[SnippetKey, PreparedInference]:
+        """The current factorisations (a copy of the mapping, not of them)."""
+        return dict(self._prepared)
+
+    def reset_factors(
+        self, factors: dict[SnippetKey, PreparedInference], epoch: int
+    ) -> None:
+        """Rewind to factorisations (and the state epoch) taken earlier.
+
+        A replication follower uses this to discard what its own asks grew
+        before it applies shipped factor events: those must extend the
+        factor the leader extended, and ``extend`` never mutates its input.
+        """
+        self._prepared = dict(factors)
+        self.state_epoch = epoch
+        self._restart_factor_schedule()
 
     def _build_cell_plans(
         self, query: ast.Query, raw: AQPAnswer, domains: AttributeDomains
@@ -1103,6 +1186,9 @@ class VerdictEngine:
         never stopped.  Factors prepared at an older synopsis version are
         kept too: the snapshot carries the synopsis change log, so a restored
         engine extends them incrementally exactly as the running one would.
+        Growth after the snapshot need not be snapshotted again: the same
+        base arrays extended by the same snippets at the same synopsis
+        versions (:meth:`factor_events_since`) give the same bits.
         """
         from repro.core.serialize import STATE_FORMAT_VERSION
 
@@ -1152,6 +1238,7 @@ class VerdictEngine:
         self.queries_improved = counters["queries_improved"]
         self.total_overhead_seconds = counters["total_overhead_seconds"]
         self.state_epoch = counters["state_epoch"]
+        self._restart_factor_schedule()
         # Warm-start / skip bookkeeping is process-local (not persisted): a
         # restored engine retrains from scratch on its first train().
         self._learned = {}
@@ -1195,7 +1282,12 @@ class VerdictEngine:
             observations=decode_array(state["observations"]),
             noise_variances=decode_array(state["noise_variances"]),
             centered=decode_array(state["centered"]),
-            cho=(decode_array(state["cho_matrix"]), state["cho_lower"]),
+            # Fortran order, as LAPACK made it: the triangular solves would
+            # otherwise copy the whole factor on every call.
+            cho=(
+                np.asfortranarray(decode_array(state["cho_matrix"])),
+                state["cho_lower"],
+            ),
             alpha=decode_array(state["alpha"]),
             calibration=state["calibration"],
             synopsis_version=state["synopsis_version"],

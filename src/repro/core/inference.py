@@ -280,7 +280,10 @@ class GaussianInference:
         corner = prepared.sigma2 * corner_factors + np.diag(new_noise)
         corner[np.diag_indices_from(corner)] += prepared.jitter
         try:
-            cho, schur = linalg.extend_cholesky(prepared.cho, cross, corner)
+            # A factor that was extended before has a zero upper triangle.
+            cho, schur = linalg.extend_cholesky(
+                prepared.cho, cross, corner, clean=prepared.appended_since_base > 0
+            )
         except np.linalg.LinAlgError:
             return None
 

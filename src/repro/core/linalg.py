@@ -152,7 +152,7 @@ def lower_triangle(cho: CholeskyFactor) -> np.ndarray:
 
 
 def extend_cholesky(
-    cho: CholeskyFactor, cross: np.ndarray, corner: np.ndarray
+    cho: CholeskyFactor, cross: np.ndarray, corner: np.ndarray, clean: bool = False
 ) -> tuple[CholeskyFactor, CholeskyFactor]:
     """Extend a factor of ``A`` to the factor of ``[[A, B], [B^T, C]]``.
 
@@ -167,6 +167,11 @@ def extend_cholesky(
     the rank-k *update* that lets the synopsis grow without re-running the
     O(n^3) factorisation (Section 3's offline step stays offline).
 
+    ``clean`` says the unused triangle of ``cho`` is already zero -- true of
+    every factor this function returned -- which saves the O(n^2) copy that
+    zeroes it.  The extended factor is Fortran-ordered like the ones LAPACK
+    makes, so the triangular solves take it without copying it first.
+
     Returns
     -------
     ``(extended, schur)`` -- the ``(n+k, n+k)`` factor and the ``k x k``
@@ -179,7 +184,7 @@ def extend_cholesky(
         If the Schur complement is not positive definite (callers fall back
         to a fresh factorisation).
     """
-    lower = lower_triangle(cho)
+    lower = cho[0] if clean and cho[1] else lower_triangle(cho)
     n = lower.shape[0]
     cross = np.asarray(cross, dtype=np.float64)
     corner = np.asarray(corner, dtype=np.float64)
@@ -189,7 +194,7 @@ def extend_cholesky(
     solved = solve_triangular(lower, cross, lower=True)
     schur = symmetrize(corner - solved.T @ solved)
     schur_lower = np.linalg.cholesky(schur)
-    extended = np.zeros((n + k, n + k), dtype=np.float64)
+    extended = np.zeros((n + k, n + k), dtype=np.float64, order="F")
     extended[:n, :n] = lower
     extended[n:, :n] = solved.T
     extended[n:, n:] = schur_lower
@@ -234,7 +239,8 @@ def extend_inverse_diagonal(
     """
     k = schur[0].shape[0]
     if half_solved is not None:
-        lower = lower_triangle(cho)
+        # The solve reads one triangle only: a lower factor goes in as it is.
+        lower = cho[0] if cho[1] else lower_triangle(cho)
         solved = solve_triangular(lower, half_solved, lower=True, trans="T")
     else:
         solved = solve_factored(cho, cross if cross.ndim == 2 else cross.reshape(-1, 1))

@@ -1104,7 +1104,12 @@ class VerdictService:
                 "counter",
                 "Synopsis-store recovery and maintenance events, by kind.",
             )
-            for name, count in sorted(self.store.counters.items()):
+            events = self.store.counters | {
+                "snapshots_written": self.store.snapshots_written,
+                "deltas_written": self.store.deltas_written,
+                "factor_events_written": self.store.factor_events_written,
+            }
+            for name, count in sorted(events.items()):
                 store_events.add(base | {"event": name}, count)
             quarantined = MetricFamily(
                 "verdict_store_quarantined",

@@ -18,12 +18,20 @@ Layout (all JSON, human-inspectable)::
 Write path
 ----------
 :meth:`SynopsisStore.flush` asks the synopsis for the delta since the last
-persisted version (reusing the engine's own ``changes_since`` change log):
+persisted version (reusing the engine's own ``changes_since`` change log)
+and the engine for its factor schedule since the last persisted state epoch
+(``factor_events_since``):
 
-* appends only           -> one checksummed JSONL record appended to
-  ``deltas.jsonl``;
-* anything else dirty    -> full snapshot (evictions, data-append
-  adjustments, and re-training all rewrite state a delta cannot express);
+* appends and/or factor growth -> one checksummed JSONL record appended to
+  ``deltas.jsonl``: ``"snippets"`` in append order plus ``"factors"``, the
+  ``[key, synopsis version]`` of every factorisation an ask materialised,
+  rank-k extended, re-stamped or dropped.  The factor arrays are not
+  written -- replay re-runs each event once the synopsis reaches its
+  version, and the same base arrays, snippets and chunk boundaries give
+  the same bits;
+* anything else          -> full snapshot (evictions, data-append
+  adjustments, model overrides and re-training are barriers: they rewrite
+  state a record cannot replay);
 * delta log too long     -> full snapshot (*compaction*: the log is folded
   into ``snapshot.json`` and truncated).
 
@@ -49,8 +57,9 @@ each corruption mode instead of crash-looping:
   trusted;
 * **corrupt current snapshot**: the file is moved to ``quarantine/`` and
   the retained previous generation is restored instead (stale deltas are
-  skipped by version; newer-than-snapshot deltas whose base does not match
-  are truncated);
+  skipped by sequence -- by version when they predate the replication
+  envelope; newer-than-snapshot deltas whose base does not match are
+  truncated);
 * **both generations corrupt/unreadable**: everything is quarantined and
   the store reports "empty" -- the service starts fresh (degraded, visible
   in ``/v1/healthz``) rather than refusing to start.
@@ -76,13 +85,18 @@ signature -- is rejected with a typed
 :class:`~repro.errors.EpochFencedError` instead of silently diverging.
 A store opened with ``replica=True`` refuses local WAL writes (its log is
 written only by the shipping path) and its snapshots do not advance the
-sequence -- they merely persist what was shipped.
+sequence -- they merely persist what was shipped.  A follower answers asks
+from its own engine, which grows factors on its own schedule; that growth
+is a cache, never state: before a shipped record is applied (and before a
+replica snapshot) the engine is put back on the factors of the last applied
+record, so shipped factor events extend what the leader extended.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from pathlib import Path
 
 from repro import faults
@@ -94,7 +108,8 @@ from repro.core.serialize import (
     encode_checked_record,
     encode_snapshot_document,
 )
-from repro.core.snippet import Snippet
+from repro.core.inference import PreparedInference
+from repro.core.snippet import Snippet, SnippetKey
 from repro.errors import (
     EpochFencedError,
     ReplicationError,
@@ -121,10 +136,11 @@ class SynopsisStore:
         Number of delta records after which the next flush folds the log
         into a fresh snapshot.
     include_factors:
-        Whether snapshots include the prepared covariance factorisations.
-        Including them (default) makes restarts byte-exact and avoids an
-        O(n^3) re-factorisation on first use, at the cost of larger
-        snapshot files (O(n^2) floats per aggregate function).
+        Whether snapshots include the prepared covariance factorisations
+        (and delta records the factor events that grow them).  Including
+        them (default) makes restarts byte-exact and avoids an O(n^3)
+        re-factorisation on first use, at the cost of larger snapshot
+        files (O(n^2) floats per aggregate function).
     replica:
         Opened on a replication follower: local WAL writes are refused
         (shipped records are the only writers of the delta log) and
@@ -147,9 +163,11 @@ class SynopsisStore:
         self.replica = replica
         self.snapshots_written = 0
         self.deltas_written = 0
+        self.factor_events_written = 0
         #: Recovery accounting, surfaced through the serving metrics.
         self.counters: dict[str, int] = {
             "deltas_replayed": 0,
+            "factor_events_replayed": 0,
             "deltas_truncated": 0,
             "tail_recoveries": 0,
             "snapshots_quarantined": 0,
@@ -163,6 +181,8 @@ class SynopsisStore:
         self.recovery_notes: list[str] = []
         self._persisted_version: int | None = None
         self._persisted_epoch: int | None = None
+        #: On a replica, the factors as of the last applied record.
+        self._shipped_factors: dict[SnippetKey, PreparedInference] | None = None
         self._delta_records = self._count_delta_records()
         #: Shipping sequence: the seq of the last durable WAL event, and the
         #: seq the current snapshot covers.  Everything in ``(snapshot
@@ -251,8 +271,7 @@ class SynopsisStore:
             self.snapshot_shippable = False
         self.sequence = self.snapshot_sequence
         self._replay_deltas(engine)
-        self._persisted_version = engine.synopsis.version
-        self._persisted_epoch = engine.state_epoch
+        self._mark_persisted(engine)
         return True
 
     def _load_snapshot_payload(self) -> dict | None:
@@ -337,7 +356,14 @@ class SynopsisStore:
                 truncated_from = f"record {line_number} is torn or corrupt"
                 break
             current = engine.synopsis.version
-            if record.get("version", -1) <= current:
+            seq = record.get("seq")
+            # A record that carries factor events only does not move the
+            # version, so a sequenced record is placed by its sequence.
+            if (
+                seq <= self.sequence
+                if isinstance(seq, int)
+                else record.get("version", -1) <= current
+            ):
                 valid_lines.append(line)
                 records += 1
                 continue  # already folded into the snapshot
@@ -348,9 +374,7 @@ class SynopsisStore:
                     f"is at {current}"
                 )
                 break
-            for snippet_state in record["snippets"]:
-                engine.synopsis.restore(Snippet.from_state(snippet_state))
-            seq = record.get("seq")
+            self._apply_record(engine, record)
             self.sequence = seq if isinstance(seq, int) else self.sequence + 1
             valid_lines.append(line)
             records += 1
@@ -371,32 +395,79 @@ class SynopsisStore:
             )
         self._delta_records = records
 
+    def _apply_record(self, engine: VerdictEngine, record: dict) -> None:
+        """Apply one delta record to an engine at the record's base version.
+
+        Shared by restart replay and the follower apply path.  Snippets are
+        restored in order; each factor event runs once the synopsis reaches
+        the version it was logged at, which makes the engine take the same
+        extend / rebuild / drop decision, over the same snippets, as the
+        engine that wrote the record.
+        """
+        pending = deque(record.get("factors", ()) if self.include_factors else ())
+        replayed = len(pending)
+
+        def run_due_events() -> None:
+            while pending and pending[0][1] <= engine.synopsis.version:
+                key_state, _ = pending.popleft()
+                engine.replay_factor_event(SnippetKey.from_state(key_state))
+
+        run_due_events()
+        for snippet_state in record["snippets"]:
+            engine.synopsis.restore(Snippet.from_state(snippet_state))
+            run_due_events()
+        self.counters["factor_events_replayed"] += replayed - len(pending)
+
+    def _mark_persisted(self, engine: VerdictEngine) -> None:
+        """Note that the engine's current learned state is what is on disk."""
+        self._persisted_version = engine.synopsis.version
+        self._persisted_epoch = engine.state_epoch
+        engine.forget_factor_events(engine.state_epoch)
+        self._shipped_factors = engine.prepared_factors() if self.replica else None
+
+    def _rewind_replica(self, engine: VerdictEngine) -> None:
+        """Discard the factor growth of a follower's own asks."""
+        if self.replica and self._shipped_factors is not None:
+            engine.reset_factors(self._shipped_factors, self._persisted_epoch)
+
     # ------------------------------------------------------------------- write
 
     def flush(self, engine: VerdictEngine) -> str:
         """Persist everything that changed since the last flush.
 
-        Returns ``"noop"`` (nothing changed), ``"delta"`` (appended-only
-        changes went to the delta log), or ``"snapshot"`` (a full snapshot
-        was written -- first flush, non-append mutations, training, or
-        compaction).
+        Returns ``"noop"`` (nothing changed), ``"delta"`` (appended snippets
+        and the factor growth of the asks in between went to the delta log
+        as one record), or ``"snapshot"`` (a full snapshot was written --
+        first flush, a barrier such as training or a data append, a
+        non-append synopsis mutation, or compaction).
         """
         version = engine.synopsis.version
         epoch = engine.state_epoch
-        if self._persisted_version is None or self._persisted_epoch != epoch:
+        if self._persisted_version is None:
             return self.save_snapshot(engine)
-        if version == self._persisted_version:
-            return "noop"
         if self.replica:
             # A follower's learned state may only change through the
             # shipping path; a dirty local engine here means something
-            # mutated a read-only replica.
-            raise StoreError("replica store is read-only: writes arrive via replication")
+            # mutated a read-only replica.  (Its epoch does move, with the
+            # factor growth of its own asks -- which is never persisted.)
+            if version != self._persisted_version:
+                raise StoreError(
+                    "replica store is read-only: writes arrive via replication"
+                )
+            return "noop"
+        if version == self._persisted_version and epoch == self._persisted_epoch:
+            return "noop"
+        events = engine.factor_events_since(self._persisted_epoch)
         delta = engine.synopsis.changes_since(self._persisted_version)
-        if delta is None or delta.dirty:
+        if events is None or delta is None or delta.dirty:
             return self.save_snapshot(engine)
         if self._delta_records >= self.compact_after:
             return self.save_snapshot(engine)
+        if not self.include_factors:
+            events = []  # the snapshots hold no factors for them to grow
+        if version == self._persisted_version and not events:
+            self._mark_persisted(engine)
+            return "noop"
 
         appended = [
             snippet for snippets in delta.appended.values() for snippet in snippets
@@ -412,6 +483,8 @@ class SynopsisStore:
             "lineage": self.fencing_lineage,
             "snippets": [snippet.to_state() for snippet in appended],
         }
+        if events:
+            record["factors"] = [[key.to_state(), at] for key, at in events]
         line = encode_checked_record(record) + "\n"
         self.directory.mkdir(parents=True, exist_ok=True)
         directive = faults.inject("store.delta.append", version=version)
@@ -428,10 +501,11 @@ class SynopsisStore:
             handle.flush()
             faults.inject("store.delta.fsync", version=version)
             os.fsync(handle.fileno())
-        self._persisted_version = version
+        self._mark_persisted(engine)
         self.sequence += 1
         self._delta_records += 1
         self.deltas_written += 1
+        self.factor_events_written += len(events)
         return "delta"
 
     def save_snapshot(self, engine: VerdictEngine) -> str:
@@ -443,6 +517,7 @@ class SynopsisStore:
         publish the new snapshot via rename; truncate the delta log.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._rewind_replica(engine)
         # A leader snapshot is itself a WAL event (it may fold non-delta
         # mutations -- training, evictions -- that were never shipped), so
         # it advances the shipping sequence; a replica snapshot merely
@@ -483,8 +558,7 @@ class SynopsisStore:
         # without this a power loss can resurrect the previous generation
         # even though the publish rename "succeeded".
         self._fsync_directory(self.directory)
-        self._persisted_version = engine.synopsis.version
-        self._persisted_epoch = engine.state_epoch
+        self._mark_persisted(engine)
         self._delta_records = 0
         self.sequence = sequence
         self.snapshot_sequence = sequence
@@ -565,10 +639,13 @@ class SynopsisStore:
 
         Fence-checks the record's epoch, chain-checks its sequence and base
         version against the applied state, appends the *exact* shipped line
-        durably, and only then applies the snippets -- so a follower's WAL
-        is byte-identical to the leader's and a crash mid-apply replays to
-        the same state.  Raises :class:`ReplicationGapError` when the
-        record does not follow on (the follower re-bootstraps).
+        durably, and only then applies it the way a restart would -- so a
+        follower's WAL is byte-identical to the leader's and a crash
+        mid-apply replays to the same state.  The record's factor events
+        run on the factors of the last applied record, not on what the
+        follower's own asks grew since.  Raises
+        :class:`ReplicationGapError` when the record does not follow on
+        (the follower re-bootstraps).
         """
         record = decode_checked_record(line)
         if not isinstance(record, dict):
@@ -596,11 +673,10 @@ class SynopsisStore:
             handle.write(line.rstrip("\n") + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        for snippet_state in record["snippets"]:
-            engine.synopsis.restore(Snippet.from_state(snippet_state))
+        self._rewind_replica(engine)
+        self._apply_record(engine, record)
         self.sequence = seq
-        self._persisted_version = engine.synopsis.version
-        self._persisted_epoch = engine.state_epoch
+        self._mark_persisted(engine)
         self._delta_records += 1
         self.deltas_written += 1
         return record
@@ -642,8 +718,7 @@ class SynopsisStore:
         self.sequence = int(replication.get("seq", 0))
         self.snapshot_sequence = self.sequence
         self.snapshot_shippable = True
-        self._persisted_version = engine.synopsis.version
-        self._persisted_epoch = engine.state_epoch
+        self._mark_persisted(engine)
         self._delta_records = 0
         self.snapshots_written += 1
         self.quarantined = False
@@ -721,6 +796,7 @@ class SynopsisStore:
         return {
             "snapshots_written": self.snapshots_written,
             "deltas_written": self.deltas_written,
+            "factor_events_written": self.factor_events_written,
             "delta_log_length": self._delta_records,
             "quarantined": self.quarantined,
             "recovery_notes": list(self.recovery_notes),

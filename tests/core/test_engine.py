@@ -286,6 +286,69 @@ class TestTrainingFastPath:
         assert not verdict.training_current(False)
 
 
+class TestFactorSchedule:
+    """The log of lazy factor growth a persistent store turns into deltas."""
+
+    def test_events_are_logged_in_order_and_barriers_clear_them(self, verdict_setup):
+        _, _, verdict, _ = verdict_setup
+        train_verdict(verdict, TRAINING_QUERIES[:3])
+        verdict.train(learn_length_scales_flag=False)
+        epoch = verdict.state_epoch
+        assert verdict.factor_events_since(epoch) == []
+        parsed, _ = verdict.check(TRAINING_QUERIES[3])
+        verdict.record(parsed, verdict.aqp.final_answer(parsed))
+        assert verdict.factor_events_since(epoch) == []  # recording grows nothing
+        verdict.execute(TRAINING_QUERIES[4], record=False)
+        (event,) = verdict.factor_events_since(epoch)
+        assert event == (parsed_key(verdict, AggregateKind.AVG), verdict.synopsis.version)
+        assert verdict.state_epoch == epoch + 1
+        verdict.execute(TRAINING_QUERIES[4], record=False)  # factor is current
+        assert len(verdict.factor_events_since(epoch)) == 1
+        assert verdict.factor_events_since(verdict.state_epoch + 1) is None
+        verdict.forget_factor_events(verdict.state_epoch)
+        assert verdict.factor_events_since(epoch) is None
+        assert verdict.factor_events_since(verdict.state_epoch) == []
+        verdict.train(learn_length_scales_flag=True)  # a barrier
+        assert verdict.factor_events_since(epoch + 1) is None
+
+    def test_schedule_is_bounded_without_a_consumer(self, verdict_setup):
+        from repro.core import engine as engine_module
+
+        _, _, verdict, _ = verdict_setup
+        train_verdict(verdict, TRAINING_QUERIES[:2])
+        key = parsed_key(verdict, AggregateKind.AVG)
+        start = verdict.state_epoch
+        for version in range(10_000):
+            verdict._note_factor_event(key, version)
+        assert verdict.state_epoch == start + 10_000
+        assert len(verdict._factor_events) == engine_module._FACTOR_SCHEDULE_LIMIT
+        assert verdict.factor_events_since(start) is None  # trimmed: snapshot
+        recent = verdict.state_epoch - 10
+        assert verdict.factor_events_since(recent) == [
+            (key, version) for version in range(9_990, 10_000)
+        ]
+
+    def test_real_growth_never_outgrows_the_bound(self, verdict_setup, monkeypatch):
+        from repro.core import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_FACTOR_SCHEDULE_LIMIT", 4)
+        _, _, verdict, _ = verdict_setup
+        start = verdict.state_epoch
+        for low in range(1, 13):
+            verdict.execute(
+                f"SELECT AVG(revenue) FROM sales WHERE week >= {low} AND week <= {low + 9}",
+                max_batches=1,
+            )
+        assert verdict.state_epoch >= start + 10
+        assert len(verdict._factor_events) == 4
+        assert verdict.factor_events_since(start) is None
+
+
+def parsed_key(verdict, kind):
+    (key,) = [key for key in verdict.synopsis.keys() if key.kind is kind]
+    return key
+
+
 class TestTimeBound:
     def test_time_bound_requires_engine(self, verdict_setup):
         _, _, verdict, _ = verdict_setup

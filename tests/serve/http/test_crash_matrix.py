@@ -77,11 +77,20 @@ SMOKE = {
     ("store.snapshot.rename", "kill"),
 }
 
+#: The delta-log points again, this time with a record that carries factor
+#: events (an ask grew a factor before the record was flushed): being
+#: written torn, written but not fsynced, and being replayed.
+FACTOR_MATRIX = [
+    ("store.replay.record", "kill"),
+    ("store.delta.append", "torn"),
+    ("store.delta.fsync", "kill"),
+]
+
 FULL_MATRIX = os.environ.get("CRASH_MATRIX", "").lower() == "full"
 
 
-def matrix_params():
-    for point, action in MATRIX:
+def matrix_params(matrix=MATRIX):
+    for point, action in matrix:
         marks = []
         if not FULL_MATRIX and (point, action) not in SMOKE:
             marks.append(
@@ -184,13 +193,41 @@ def seeded_root(tmp_path_factory) -> Path:
     return root
 
 
-def crash_at(root: Path, point: str, action: str) -> None:
-    """Drive a fault-armed server through ``point`` until it dies with 86."""
+def delta_records(root: Path) -> list[dict]:
+    log = root / "tenants" / TENANT / "store" / "deltas.jsonl"
+    return [json.loads(line)["record"] for line in log.read_text().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def seeded_factor_root(seeded_root, tmp_path_factory) -> Path:
+    """The seeded root plus an ask and a record: its log ends in a record
+    with ``factors``, hard-killed like the seed so nothing folds it away."""
+    root = tmp_path_factory.mktemp("crash-matrix-factors") / "root"
+    shutil.copytree(seeded_root, root)
+    server = ServerProcess(root)
+    try:
+        with VerdictClient(port=server.port, tenant=TENANT, timeout_s=120.0) as client:
+            client.ask(TRACE_SQL[1], record=False)
+            assert client.record("SELECT AVG(revenue) FROM sales WHERE week >= 15 AND week <= 33")
+    finally:
+        server.kill()
+    assert delta_records(root)[-1].get("factors"), "seed needs a factor-bearing record"
+    return root
+
+
+def crash_at(root: Path, point: str, action: str, ask_first: bool = False) -> None:
+    """Drive a fault-armed server through ``point`` until it dies with 86.
+
+    With ``ask_first`` an ask grows a factor before the first record, so the
+    delta record the crash interrupts carries a factor event.
+    """
     plan = {"rules": [{"point": point, "action": action}]}
     server = ServerProcess(root, fault_plan=plan)
     try:
         with VerdictClient(port=server.port, tenant=TENANT, timeout_s=120.0) as client:
             with pytest.raises(ClientError):
+                if ask_first:
+                    client.ask(TRACE_SQL[2], record=False)
                 # Mutations walk the store through every fault point:
                 # loading the tenant replays the seed deltas
                 # (store.replay.record), each record flushes one delta
@@ -308,6 +345,38 @@ def test_crash_at_store_fault_point_recovers_and_replays_identically(
         restarted.kill()  # hard again: replays must not depend on shutdown
 
     # Second restart over the recovered root: byte-identical replay.
+    again = ServerProcess(root)
+    try:
+        second = replay_fingerprints(again.port)
+    finally:
+        again.terminate()
+    assert second == first, f"replay diverged across restarts after {point}"
+
+
+@pytest.mark.parametrize("point, action", matrix_params(FACTOR_MATRIX))
+def test_crash_around_a_factor_bearing_record_replays_identically(
+    seeded_factor_root, tmp_path, point, action
+):
+    root = tmp_path / "root"
+    shutil.copytree(seeded_factor_root, root)
+    seeded_events = sum(len(r.get("factors", ())) for r in delta_records(root))
+
+    crash_at(root, point, action, ask_first=True)
+    if point == "store.delta.fsync":
+        # The record was written whole before the kill: it must replay.
+        assert len(delta_records(root)[-1]["factors"]) >= 1
+
+    restarted = ServerProcess(root)
+    try:
+        first = replay_fingerprints(restarted.port)
+        with VerdictClient(port=restarted.port, tenant=TENANT, timeout_s=120.0) as client:
+            store = client.metrics()["metrics"]["store"]
+        # Restart re-ran the logged extensions instead of loading them.
+        assert store["factor_events_replayed"] >= seeded_events
+        assert store["deltas_truncated"] == (1 if action == "torn" else 0)
+    finally:
+        restarted.kill()
+
     again = ServerProcess(root)
     try:
         second = replay_fingerprints(again.port)

@@ -10,11 +10,14 @@ flush point.
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.config import SamplingConfig, VerdictConfig
 from repro.core.engine import VerdictEngine
+from repro.core.serialize import decode_checked_record
 from repro.core.synopsis import QuerySynopsis
 from repro.db.catalog import Catalog
 from repro.serve.store import SynopsisStore
@@ -68,6 +71,31 @@ def assert_identical_engines(original: VerdictEngine, restored: VerdictEngine) -
     assert len(restored.synopsis) == len(original.synopsis)
     assert restored.synopsis.version == original.synopsis.version
     assert probe_results(restored) == probe_results(original)
+
+
+def factor_bytes(engine: VerdictEngine) -> dict:
+    """Every prepared factorisation's arrays, byte for byte."""
+    return {
+        key: (
+            prepared.synopsis_version,
+            prepared.snippet_ids,
+            prepared.base_size,
+            prepared.cho[0].tobytes(),
+            prepared.alpha.tobytes(),
+            prepared.centered.tobytes(),
+            None
+            if prepared.inverse_diagonal is None
+            else prepared.inverse_diagonal.tobytes(),
+        )
+        for key, prepared in engine.prepared_factors().items()
+    }
+
+
+def delta_records(store: SynopsisStore) -> list[dict]:
+    return [
+        decode_checked_record(line)
+        for line in store.delta_path.read_text().splitlines()
+    ]
 
 
 def reload(store: SynopsisStore, append_seeds: tuple[int, ...] = ()) -> VerdictEngine:
@@ -222,17 +250,111 @@ class TestDeltaLog:
         assert store.delta_log_length == 1
         assert_identical_engines(engine, reload(store))
 
-    def test_inference_since_flush_forces_snapshot(self, tmp_path):
+    def test_inference_since_flush_is_a_delta(self, tmp_path):
         engine = build_engine()
         for sql in TRAINING[:3]:
             engine.execute(sql)
         store = SynopsisStore(tmp_path)
         store.flush(engine)
         # An AVG query whose aggregate function already has a prepared factor:
-        # processing extends it (rank-k), which a delta cannot express.
+        # processing extends it (rank-k); the record logs *that* it grew and
+        # at which synopsis version, and replay grows it again.
         engine.execute("SELECT AVG(revenue) FROM sales WHERE week >= 18 AND week <= 42")
-        assert store.flush(engine) == "snapshot"
-        assert_identical_engines(engine, reload(store))
+        assert store.flush(engine) == "delta"
+        record = delta_records(store)[-1]
+        assert record["factors"]
+        assert all(
+            record["base_version"] <= at <= record["version"]
+            for _, at in record["factors"]
+        )
+        assert store.state_snapshot()["factor_events_written"] == len(record["factors"])
+        reloaded_store = SynopsisStore(tmp_path)
+        restored = build_engine()
+        assert reloaded_store.load_into(restored)
+        assert reloaded_store.counters["factor_events_replayed"] == len(record["factors"])
+        assert factor_bytes(restored) == factor_bytes(engine)
+        assert_identical_engines(engine, restored)
+
+    def test_record_without_factors_still_replays(self, tmp_path):
+        """The log format before factor events: snippets only, no ``seq``."""
+        engine = build_engine()
+        for sql in TRAINING[:3]:
+            engine.execute(sql)
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        parsed, _ = engine.check(TRAINING[3])
+        engine.record(parsed, engine.aqp.final_answer(parsed))
+        assert store.flush(engine) == "delta"
+        (record,) = delta_records(store)
+        assert "factors" not in record
+        for field in ("seq", "epoch", "lineage"):
+            del record[field]
+        store.delta_path.write_text(json.dumps(record) + "\n")  # bare, pre-CRC
+        reloaded_store = SynopsisStore(tmp_path)
+        restored = build_engine()
+        assert reloaded_store.load_into(restored)
+        assert reloaded_store.counters["deltas_replayed"] == 1
+        assert factor_bytes(restored) == factor_bytes(engine)
+        assert_identical_engines(engine, restored)
+
+    def test_factor_only_flush_is_a_record_of_its_own(self, tmp_path):
+        engine = build_engine()
+        for sql in TRAINING[:3]:
+            engine.execute(sql)
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        parsed, _ = engine.check(TRAINING[1])
+        engine.record(parsed, engine.aqp.final_answer(parsed))
+        assert store.flush(engine) == "delta"
+        engine.execute(PROBES[0], record=False)  # grows the AVG factor, adds nothing
+        assert store.flush(engine) == "delta"
+        assert store.flush(engine) == "noop"
+        record = delta_records(store)[-1]
+        assert record["snippets"] == [] and len(record["factors"]) == 1
+        assert record["base_version"] == record["version"] == engine.synopsis.version
+        restored = reload(store)
+        assert factor_bytes(restored) == factor_bytes(engine)
+        assert_identical_engines(engine, restored)
+
+    def test_store_without_factors_writes_no_factor_events(self, tmp_path):
+        engine = build_engine()
+        for sql in TRAINING[:3]:
+            engine.execute(sql)
+        store = SynopsisStore(tmp_path, include_factors=False)
+        store.flush(engine)
+        engine.execute(PROBES[0], record=False)
+        assert store.flush(engine) == "noop"  # growth only: nothing to persist
+        engine.execute(TRAINING[1])
+        assert store.flush(engine) == "delta"
+        assert all("factors" not in record for record in delta_records(store))
+        assert store.state_snapshot()["factor_events_written"] == 0
+        reloaded_store = SynopsisStore(tmp_path, include_factors=False)
+        restored = build_engine()
+        assert reloaded_store.load_into(restored)
+        assert reloaded_store.counters["factor_events_replayed"] == 0
+        assert restored.prepared_factors() == {}
+        assert_identical_engines(engine, restored)
+
+    def test_barriers_still_snapshot(self, tmp_path):
+        engine = build_engine()
+        for sql in TRAINING[:3]:
+            engine.execute(sql)
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        key = engine.synopsis.keys()[0]
+        barriers = {
+            "train": lambda: engine.train(),
+            "set_model": lambda: engine.set_model(key, engine.model_for(key)),
+            "append": lambda: engine.register_append(
+                "sales", make_sales_table(num_rows=200, num_weeks=52, seed=31)
+            ),
+        }
+        for name, barrier in barriers.items():
+            engine.execute(TRAINING[3])
+            assert store.flush(engine) == "delta", name
+            barrier()
+            assert engine.factor_events_since(0) is None, name
+            assert store.flush(engine) == "snapshot", name
 
     def test_compaction_folds_log_into_snapshot(self, tmp_path):
         engine = build_engine()
