@@ -2,10 +2,10 @@
 conditioning (Eq. 4/5), and the analytic kernel integral vs numeric
 quadrature.
 
-These back the design choices called out in DESIGN.md: the block form is the
-one Verdict uses at query time; the direct form is the reference.  The two
-produce the same answers; the block form with a prepared factorisation is
-much faster per query.
+These back a design choice listed under "Deviations from the paper" in
+docs/ARCHITECTURE.md: the block form is the one Verdict uses at query time;
+the direct form is the reference.  The two produce the same answers; the
+block form with a prepared factorisation is much faster per query.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 Buckets Verdict's reported 95% error bounds by size and reports the 5th /
 50th / 95th percentile of the actual errors in each bucket, plus the overall
 bound-violation rate.  In the paper the 95th percentile stays below the bound
-everywhere; at reproduction scale (tens of training queries instead of
-thousands) coverage is lower -- see EXPERIMENTS.md for the discussion.
+everywhere; here coverage is lower because every ask reads the same offline
+sample, so raw errors of overlapping snippets are correlated while the model
+treats them as independent -- see "Deviations from the paper" in
+docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations

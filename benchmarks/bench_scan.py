@@ -10,21 +10,20 @@ selective-predicate group-by over a 100k+-row fact table:
   column evaluates once per distinct value and gathers through int64 codes,
   replacing the pre-dictionary per-row Python loop (the retained reference
   path, re-enabled here via ``set_dictionary_predicates(False)``);
-* **morsel-driven parallel scan** -- runs of adjacent surviving partitions
-  are evaluated on a thread pool (1 / 2 / 4 workers) and merged in row
-  order.  The selective queries above prune all but one partition, so the
-  pool has nothing to spread; the **full-scan** level (a predicate over an
-  unclustered column, which no zone map can prune) is the one measurement
-  where morsel threads have work.
+* **morsel-driven scan** -- runs of adjacent surviving partitions are
+  evaluated one morsel at a time on the calling thread and concatenated in
+  row order.  The **full-scan** level (a predicate over an unclustered
+  column, which no zone map can prune) measures the fixed cost of the
+  zone-map mask and run detection when nothing is pruned.
 
 The baseline is built here, not kept in ``src/``: the executor with its scan
 driver swapped for one whole-table ``evaluate_predicate`` pass.
 
 Every timed pair asserts that both paths return *identical* answers (group
 order and aggregate floats) before anything is reported, so the benchmark
-doubles as an equivalence smoke test.  The headline number (``combined.speedup_threads_4``)
-is pruning + dictionary codes + 4 scan threads against the legacy scan, and
-the acceptance gate requires it to be >= 3x.
+doubles as an equivalence smoke test.  The headline number (``combined.speedup``)
+is pruning + dictionary codes against the legacy scan, and the acceptance
+gate requires it to be >= 3x.
 
 Run as a script to (re)generate the committed JSON artifacts::
 
@@ -79,17 +78,16 @@ DICTIONARY_QUERY = (
     "SELECT region, SUM(revenue), COUNT(*) "
     "FROM sales WHERE status = 'gold' OR status = 'vip' GROUP BY region"
 )
-#: The headline: pruning + dictionary codes + parallel morsels vs the
-#: pre-partition whole-table scan with per-row string comparisons.
+#: The headline: pruning + dictionary codes vs the pre-partition
+#: whole-table scan with per-row string comparisons.
 COMBINED_QUERY = (
     "SELECT region, SUM(revenue), AVG(discount), COUNT(*) "
     "FROM sales WHERE week >= {week_cut} AND status = 'gold' GROUP BY region"
 )
 #: ``discount`` is uniform and independent of row position: every partition
-#: spans the cut, nothing prunes, and the scan is one whole-table run that
-#: only the thread count splits.
+#: spans the cut, nothing prunes, and the scan is one whole-table run cut
+#: only at the morsel cap.
 FULL_SCAN_QUERY = "SELECT SUM(revenue), COUNT(*) FROM sales WHERE discount >= 0.5"
-THREAD_COUNTS = (1, 2, 4)
 
 
 def make_workload(num_rows: int, num_weeks: int, num_regions: int, seed: int = 7):
@@ -137,8 +135,8 @@ def assert_identical_results(partitioned, legacy) -> None:
         assert new_row.aggregates == old_row.aggregates, "aggregate values diverged"
 
 
-def _whole_table_selected(table, predicate, num_threads=1, counters=None):
-    """Stand-in for ``scan_selected``: no partitions, no pruning, no pool."""
+def _whole_table_selected(table, predicate, counters=None):
+    """Stand-in for ``scan_selected``: no partitions, no pruning."""
     return np.flatnonzero(evaluate_predicate(predicate, table)), None
 
 
@@ -181,26 +179,24 @@ def run_benchmark(num_rows: int, num_weeks: int, num_regions: int, repeats: int)
     full_scan_query = parse_query(FULL_SCAN_QUERY)
 
     legacy = ExactExecutor(catalog)
-    by_threads = {
-        threads: ExactExecutor(catalog, num_threads=threads) for threads in THREAD_COUNTS
-    }
+    partitioned = ExactExecutor(catalog)
 
     # Warm derived state (partitions, zone maps, dictionaries, group codes)
     # once: steady-state latency is what the scan layer optimises.
     table_partitions(sales)
-    by_threads[1].execute(pruning_query)
-    by_threads[1].execute(combined_query)
-    by_threads[1].execute(dictionary_query)
+    partitioned.execute(pruning_query)
+    partitioned.execute(combined_query)
+    partitioned.execute(dictionary_query)
 
     # -- zone-map pruning (numeric clustered predicate) ----------------------
     pruning = {}
     legacy_seconds, partitioned_seconds = time_pair(
-        legacy, by_threads[1].execute, pruning_query, repeats
+        legacy, partitioned.execute, pruning_query, repeats
     )
     pruning["unpartitioned_seconds"] = legacy_seconds
     pruning["partitioned_seconds"] = partitioned_seconds
     pruning["speedup"] = legacy_seconds / max(partitioned_seconds, 1e-12)
-    report = by_threads[1].last_scan_report
+    report = partitioned.last_scan_report
     pruning["partitions_total"] = report.partitions_total
     pruning["partitions_pruned"] = report.partitions_pruned
     pruning["rows_scanned"] = report.rows_scanned
@@ -208,42 +204,34 @@ def run_benchmark(num_rows: int, num_weeks: int, num_regions: int, repeats: int)
     # -- dictionary-encoded string predicates (no pruning possible) ----------
     dictionary = {}
     legacy_seconds, new_seconds = time_pair(
-        legacy, by_threads[1].execute, dictionary_query, repeats
+        legacy, partitioned.execute, dictionary_query, repeats
     )
     dictionary["per_row_seconds"] = legacy_seconds
     dictionary["dictionary_seconds"] = new_seconds
     dictionary["speedup"] = legacy_seconds / max(new_seconds, 1e-12)
 
-    # -- combined headline: pruning + dictionary + 1/2/4 scan threads --------
+    # -- combined headline: pruning + dictionary codes ----------------------
     combined = {}
-    legacy_seconds, legacy_result = time_legacy(legacy, combined_query, repeats)
-    for threads, executor in by_threads.items():
-        assert_identical_results(executor.execute(combined_query), legacy_result)
+    legacy_seconds, new_seconds = time_pair(
+        legacy, partitioned.execute, combined_query, repeats
+    )
     combined["legacy_seconds"] = legacy_seconds
-    for threads, executor in by_threads.items():
-        seconds, _ = best_of(repeats, executor.execute, combined_query)
-        combined[f"partitioned_seconds_threads_{threads}"] = seconds
-        combined[f"speedup_threads_{threads}"] = legacy_seconds / max(seconds, 1e-12)
-    report = by_threads[4].last_scan_report
+    combined["partitioned_seconds"] = new_seconds
+    combined["speedup"] = legacy_seconds / max(new_seconds, 1e-12)
+    report = partitioned.last_scan_report
     combined["partitions_total"] = report.partitions_total
     combined["partitions_pruned"] = report.partitions_pruned
     combined["rows_scanned"] = report.rows_scanned
     combined["rows_total"] = report.rows_total
 
-    # -- full scan: nothing prunes, so the thread count is all that varies ---
+    # -- full scan: nothing prunes, only the mask and run detection differ --
     full_scan = {}
-    seconds, legacy_result = time_legacy(legacy, full_scan_query, repeats)
-    for threads, executor in by_threads.items():
-        assert_identical_results(executor.execute(full_scan_query), legacy_result)
-    full_scan["unpartitioned_seconds"] = seconds
-    for threads, executor in by_threads.items():
-        seconds, _ = best_of(repeats, executor.execute, full_scan_query)
-        full_scan[f"seconds_threads_{threads}"] = seconds
-    for threads in THREAD_COUNTS[1:]:
-        full_scan[f"speedup_threads_{threads}_over_1"] = full_scan[
-            "seconds_threads_1"
-        ] / max(full_scan[f"seconds_threads_{threads}"], 1e-12)
-    report = by_threads[4].last_scan_report
+    legacy_seconds, new_seconds = time_pair(
+        legacy, partitioned.execute, full_scan_query, repeats
+    )
+    full_scan["unpartitioned_seconds"] = legacy_seconds
+    full_scan["partitioned_seconds"] = new_seconds
+    report = partitioned.last_scan_report
     full_scan["partitions_total"] = report.partitions_total
     full_scan["partitions_pruned"] = report.partitions_pruned
     full_scan["rows_scanned"] = report.rows_scanned
@@ -252,9 +240,9 @@ def run_benchmark(num_rows: int, num_weeks: int, num_regions: int, repeats: int)
         "benchmark": "scan",
         "description": (
             "Partitioned scan subsystem (zone-map pruning, dictionary-encoded "
-            "string predicates, morsel-parallel scan driver) against the "
-            "legacy whole-table scan with per-row string comparisons, plus a "
-            "full-scan level (nothing prunes) at 1/2/4 morsel threads.  All "
+            "string predicates, morsel scan driver) against the legacy "
+            "whole-table scan with per-row string comparisons, plus a "
+            "full-scan level where nothing prunes.  All "
             "paths are asserted to produce identical answers before timings "
             "are reported."
         ),
@@ -276,7 +264,7 @@ def run_benchmark(num_rows: int, num_weeks: int, num_regions: int, repeats: int)
 def test_scan_smoke():
     """Pytest entry: partitioned scan must not be slower than legacy."""
     payload = run_benchmark(num_rows=20_000, num_weeks=60, num_regions=10, repeats=3)
-    assert payload["combined"]["speedup_threads_1"] > 1.0
+    assert payload["combined"]["speedup"] > 1.0
     assert payload["dictionary_predicates"]["speedup"] > 1.0
 
 
@@ -297,8 +285,8 @@ def main() -> int:
         payload = run_benchmark(num_rows=20_000, num_weeks=60, num_regions=10, repeats=3)
         print(json.dumps(payload, indent=2))
         failures = []
-        if payload["combined"]["speedup_threads_1"] <= 1.0:
-            failures.append("combined (1 thread) slower than the legacy scan")
+        if payload["combined"]["speedup"] <= 1.0:
+            failures.append("combined slower than the legacy scan")
         if payload["dictionary_predicates"]["speedup"] <= 1.0:
             failures.append("dictionary predicates slower than per-row loops")
         if failures:
@@ -306,7 +294,7 @@ def main() -> int:
             return 1
         print(
             "smoke OK: partitioned scan faster than the legacy path; "
-            "full scan identical at 1/2/4 threads"
+            "full scan identical to it"
         )
         return 0
 
@@ -322,11 +310,11 @@ def main() -> int:
     (REPO_ROOT / "BENCH_scan.json").write_text(text)
     print(text)
     print(f"wrote {RESULTS_DIR / 'scan.json'} and {REPO_ROOT / 'BENCH_scan.json'}")
-    headline = payload["combined"]["speedup_threads_4"]
+    headline = payload["combined"]["speedup"]
     if headline < 3.0:
         print(f"WARNING: headline speedup {headline:.2f}x is below the 3x acceptance bar")
         return 1
-    print(f"headline: {headline:.1f}x (pruning + dictionary + 4 threads vs legacy scan)")
+    print(f"headline: {headline:.1f}x (pruning + dictionary vs legacy scan)")
     return 0
 
 

@@ -530,9 +530,11 @@ class VerdictEngine:
                 if snippet is not None:
                     self.synopsis.add(snippet)
                     added += 1
-        if added and not self.config.incremental_updates:
+        if added and not self.config.incremental_updates and self._prepared:
             # Legacy behaviour: prepared factorisations are dropped wholesale
-            # and rebuilt from scratch on the next query.
+            # and rebuilt from scratch on the next query.  The store cannot
+            # replay a drop from the factor log, so it is a barrier.
+            self._factor_barrier()
             self._prepared.clear()
         return added
 

@@ -424,7 +424,8 @@ class GaussianInference:
         """Equation (11) at every new snippet's region, through the memo.
 
         Regions not seen before on this ``prepared`` share one ``(n, m)``
-        cross-covariance block and one blocked solve.
+        cross-covariance block and one triangular solve: with ``A = L L^T``,
+        ``gamma^2 = kappa^2 - c^T A^{-1} c = kappa^2 - ||L^{-1} c||^2``.
         """
         memo = prepared.posterior_memo
         posteriors = [memo.get(snippet.region) for snippet in news]
@@ -446,8 +447,8 @@ class GaussianInference:
             )
             kappa2 = prepared.sigma2 * covariance.factor_diagonal(encoding)
             gp_means = prepared.prior.mean + cross.T @ prepared.alpha
-            solved = linalg.solve_factored(prepared.cho, cross)
-            gamma2 = kappa2 - np.einsum("ij,ij->j", cross, solved)
+            half_solved = linalg.solve_lower(prepared.cho, cross)
+            gamma2 = kappa2 - np.einsum("ij,ij->j", half_solved, half_solved)
             gamma2 = np.clip(gamma2, _MIN_VARIANCE, np.maximum(kappa2, _MIN_VARIANCE))
             # Leave-one-out variance calibration (see PreparedInference).
             gamma2 *= prepared.calibration

@@ -15,6 +15,8 @@ recorded query.  This module collects those primitives so that
   ``(n, m)`` right-hand side solves all ``m`` systems in one BLAS call, which
   is what makes batched group-by inference one matrix solve instead of a
   Python loop of vector solves;
+* :func:`solve_lower` -- the forward half alone, ``L^{-1} rhs``, which is all
+  a quadratic form ``rhs^T A^{-1} rhs`` needs;
 * :func:`extend_cholesky` / :func:`extend_inverse_diagonal` -- rank-k factor
   *extension* when k new snippets are appended to the synopsis: O(n^2 k)
   instead of the O(n^3) of a fresh factorisation;
@@ -25,11 +27,21 @@ recorded query.  This module collects those primitives so that
 
 All factors use the ``(matrix, lower)`` convention of
 :func:`scipy.linalg.cho_factor` so they interoperate with existing callers.
+
+One thread per query: importing this module pins every OpenBLAS the process
+has mapped (NumPy's and SciPy's) to one thread.  A second BLAS thread buys no
+throughput on these O(n^2 k) calls -- concurrency comes from concurrent
+queries -- but doubles their CPU, and LAPACK's blocking depends on the thread
+count, so factors would differ in their last bits between a 1-core and a
+2-core replica replaying the same commands.  :func:`blas_threads` reports the
+pinned count (0 where no OpenBLAS was found).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -37,6 +49,63 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from repro.errors import InferenceError
 
 CholeskyFactor = tuple[np.ndarray, bool]
+
+# ------------------------------------------------------------- BLAS threading
+
+# (set, get) thread-count entry points of the OpenBLAS builds NumPy and SciPy
+# wheels ship: NumPy's ILP64 ``libscipy_openblas64_`` and SciPy's LP64
+# ``libscipy_openblas``.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple[Callable[[int], None], Callable[[], int]]]:
+    """``(set, get)`` of every OpenBLAS mapped into this process (Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+            )
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, setter) and hasattr(library, getter):
+                set_threads, get_threads = getattr(library, setter), getattr(library, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+    return controls
+
+
+_BLAS_THREAD_CONTROLS = _openblas_thread_controls()
+for _set_threads, _get_threads in _BLAS_THREAD_CONTROLS:
+    _set_threads(1)
+
+
+def blas_threads() -> int:
+    """Threads the process's OpenBLAS uses per call; 0 if none was found."""
+    return max((get() for _, get in _BLAS_THREAD_CONTROLS), default=0)
+
+
+def _require_finite(array: np.ndarray) -> np.ndarray:
+    """``array`` as float64, raising like SciPy's ``check_finite`` would.
+
+    The solves below skip SciPy's scan of the n x n factor -- a factor this
+    module made from finite input -- so the O(n k) right-hand side is the
+    one operand still checked: a NaN raises where it always did.
+    """
+    array = np.asarray(array, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return array
 
 
 # --------------------------------------------------------------------- jitter
@@ -132,9 +201,28 @@ def solve_factored(cho: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
 
     ``rhs`` may be a vector or an ``(n, m)`` block; the block form performs
     all ``m`` solves in one pair of triangular BLAS calls, which is the
-    primitive behind batched group-by inference.
+    primitive behind batched group-by inference.  Only ``rhs`` is checked
+    for NaN / inf (see :func:`_require_finite`).
     """
-    return cho_solve(cho, rhs)
+    return cho_solve(cho, _require_finite(rhs), check_finite=False)
+
+
+def solve_lower(cho: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
+    """``L^{-1} rhs`` for the lower factor ``L`` of ``A = L L^T``.
+
+    One triangular solve -- half of :func:`solve_factored` -- which is all a
+    quadratic form needs: ``rhs^T A^{-1} rhs = ||L^{-1} rhs||^2``.  The solve
+    reads the lower triangle only, so a ``cho_factor`` factor goes in as it
+    is, junk upper triangle and all.
+    """
+    matrix, lower = cho
+    return solve_triangular(
+        matrix,
+        _require_finite(rhs),
+        lower=lower,
+        trans="N" if lower else "T",
+        check_finite=False,
+    )
 
 
 def lower_triangle(cho: CholeskyFactor) -> np.ndarray:
@@ -186,12 +274,12 @@ def extend_cholesky(
     """
     lower = cho[0] if clean and cho[1] else lower_triangle(cho)
     n = lower.shape[0]
-    cross = np.asarray(cross, dtype=np.float64)
-    corner = np.asarray(corner, dtype=np.float64)
+    cross = _require_finite(cross)
+    corner = _require_finite(corner)
     if cross.ndim == 1:
         cross = cross.reshape(n, 1)
     k = corner.shape[0]
-    solved = solve_triangular(lower, cross, lower=True)
+    solved = solve_triangular(lower, cross, lower=True, check_finite=False)
     schur = symmetrize(corner - solved.T @ solved)
     schur_lower = np.linalg.cholesky(schur)
     extended = np.zeros((n + k, n + k), dtype=np.float64, order="F")
@@ -241,7 +329,9 @@ def extend_inverse_diagonal(
     if half_solved is not None:
         # The solve reads one triangle only: a lower factor goes in as it is.
         lower = cho[0] if cho[1] else lower_triangle(cho)
-        solved = solve_triangular(lower, half_solved, lower=True, trans="T")
+        solved = solve_triangular(
+            lower, half_solved, lower=True, trans="T", check_finite=False
+        )
     else:
         solved = solve_factored(cho, cross if cross.ndim == 2 else cross.reshape(-1, 1))
     schur_inverse = solve_factored(schur, np.eye(k))

@@ -68,7 +68,8 @@ def validate_model_answer(
         exceeds the raw error, so Theorem 1 is untouched; it only prevents the
         engine from pairing an answer that moved far from the raw answer with
         an error bound much smaller than that move.  This is a conservative
-        extension of the Appendix B validation (documented in DESIGN.md).
+        extension of the Appendix B validation (see "Deviations from the
+        paper" in docs/ARCHITECTURE.md).
     """
     multiplier = confidence_multiplier(validation_confidence)
     halfwidth = multiplier * result.raw_error

@@ -20,8 +20,7 @@ and the query-engine benchmark compare against.
 
 Vectorized scans run through the partitioned storage layer: zone maps prune
 partitions, the predicate is evaluated once per run of adjacent survivors
-(:mod:`repro.db.scan`), optionally on ``num_threads`` worker threads, and
-measure expressions are evaluated only over the selected rows.  The merge
+(:mod:`repro.db.scan`) on the calling thread, and measure expressions are evaluated only over the selected rows.  The merge
 discipline of the scan driver keeps every answer byte-identical to a
 single-pass whole-table evaluation (with nothing pruned the scan *is* one
 whole-table run, cut only at the morsel cap).
@@ -207,9 +206,8 @@ class ExactExecutor:
     for comparison benchmarks and equivalence tests.
 
     The vectorized path evaluates predicates morsel-by-morsel with zone-map
-    pruning and restricts measure evaluation to the selected rows;
-    ``num_threads > 1`` scans surviving morsels on a thread pool.  Results
-    are byte-identical in every configuration.  Scan accounting accumulates
+    pruning and restricts measure evaluation to the selected rows.  Results
+    are byte-identical in both configurations.  Scan accounting accumulates
     in :attr:`scan_counters`, and the report of the most recent scan is kept
     in :attr:`last_scan_report`.
     """
@@ -218,12 +216,10 @@ class ExactExecutor:
         self,
         catalog: Catalog,
         vectorized: bool = True,
-        num_threads: int = 1,
         scan_counters: ScanCounters | None = None,
     ):
         self.catalog = catalog
         self.vectorized = vectorized
-        self.num_threads = max(1, int(num_threads))
         # Shareable so an owning service can aggregate all of its scans
         # (exact and sample-based) into one per-service accounting stream.
         self.scan_counters = scan_counters if scan_counters is not None else ScanCounters()
@@ -253,12 +249,11 @@ class ExactExecutor:
         result = QueryResult(group_columns=group_columns, aggregate_names=aggregate_names)
         if self.vectorized:
             # The scan driver returns the selected row indices directly:
-            # zone maps skip partitions no row of which can match, and with
-            # ``num_threads > 1`` surviving morsels are evaluated in
-            # parallel.  Merge order is row order, so the selection is
-            # identical to a whole-table evaluation.
+            # zone maps skip partitions no row of which can match.  Merge
+            # order is row order, so the selection is identical to a
+            # whole-table evaluation.
             selected, self.last_scan_report = scan_selected(
-                table, query.where, self.num_threads, self.scan_counters
+                table, query.where, self.scan_counters
             )
             num_selected = len(selected)
 

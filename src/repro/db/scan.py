@@ -8,11 +8,11 @@ execution engines.  Given a table and a predicate it:
    clustered data skip most partitions without touching their arrays;
 2. coalesces the surviving partitions into *morsels* -- runs of adjacent
    survivors, at most :data:`MORSEL_ROWS` rows each -- and evaluates the
-   predicate once per morsel over a zero-copy row slice, optionally on a
-   thread pool (NumPy kernels release the GIL);
-3. merges the per-morsel selected row indices **in row order**, so the
+   predicate once per morsel over a zero-copy row slice, on the calling
+   thread (one thread per query: concurrency comes from concurrent queries);
+3. concatenates the per-morsel selected row indices **in row order**, so the
    selection is byte-identical to evaluating the predicate over the whole
-   table in one pass, regardless of thread scheduling.
+   table in one pass.
 
 Partitions are the pruning granule and the unit every :class:`ScanReport`
 counts; morsels are only the evaluation granule.  Pruning is conservative: a
@@ -25,7 +25,6 @@ scan is accounted in (thread-safe) scan counters exposed through
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,21 +283,6 @@ def partition_maybe_mask(
 #: take.
 MORSEL_ROWS = 64 * DEFAULT_PARTITION_ROWS
 
-_pool_lock = threading.Lock()
-_pools: dict[int, ThreadPoolExecutor] = {}
-
-
-def _pool_for(num_threads: int) -> ThreadPoolExecutor:
-    """A shared thread pool per parallelism degree (created once, reused)."""
-    with _pool_lock:
-        pool = _pools.get(num_threads)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=num_threads, thread_name_prefix=f"scan{num_threads}"
-            )
-            _pools[num_threads] = pool
-        return pool
-
 
 def estimate_scan_rows(table: Table, predicate: ast.Predicate | None) -> int:
     """Zone-map-only estimate of the rows a pruned scan must touch.
@@ -336,17 +320,13 @@ def _surviving_runs(
 def scan_selected(
     table: Table,
     predicate: ast.Predicate | None,
-    num_threads: int = 1,
     counters: ScanCounters | None = None,
 ) -> tuple[np.ndarray, ScanReport]:
-    """Selected row indices of ``predicate`` over ``table``, pruned + parallel.
+    """Selected row indices of ``predicate`` over ``table``, zone-map pruned.
 
     Returns the ascending row indices satisfying the predicate -- exactly
     ``np.flatnonzero(evaluate_predicate(predicate, table))``, computed by
-    evaluating only the partitions whose zone maps may match.  Morsels run on
-    a shared thread pool when ``num_threads > 1``; partial results are merged
-    in row order, so the output (and everything downstream) is
-    byte-identical to the single-threaded path.
+    evaluating only the partitions whose zone maps may match.
 
     Scans are accounted twice: into ``counters`` when the caller attributes
     them to a component (an executor, a service) and always into the
@@ -354,7 +334,7 @@ def scan_selected(
     trace each scan also contributes a ``scan`` span carrying the report.
     """
     with obs_span("scan", table=table.name) as scan_span:
-        selected, report = _scan_selected(table, predicate, num_threads)
+        selected, report = _scan_selected(table, predicate)
         (counters or GLOBAL_SCAN_COUNTERS).record(report)
         if counters is not None:
             GLOBAL_SCAN_COUNTERS.record(report)
@@ -365,7 +345,6 @@ def scan_selected(
                 partitions_pruned=report.partitions_pruned,
                 rows_total=report.rows_total,
                 rows_scanned=report.rows_scanned,
-                num_threads=num_threads,
             )
         return selected, report
 
@@ -373,7 +352,6 @@ def scan_selected(
 def _scan_selected(
     table: Table,
     predicate: ast.Predicate | None,
-    num_threads: int,
 ) -> tuple[np.ndarray, ScanReport]:
     partitions = table_partitions(table)
     if len(table) == 0:
@@ -392,43 +370,27 @@ def _scan_selected(
     partitions_scanned = int(np.count_nonzero(maybe))
     rows_scanned = sum(end - start for start, end in runs)
 
-    # A run is cut every MORSEL_ROWS rows; with threads finer still -- but
-    # never below one partition -- so the pool has at least ``num_threads``
-    # morsels to spread.
-    cap = MORSEL_ROWS
-    if num_threads > 1:
-        cap = min(cap, max(partitions.partition_rows, rows_scanned // num_threads))
-    morsels = [
-        (start, min(start + cap, run_end))
-        for run_start, run_end in runs
-        for start in range(run_start, run_end, cap)
-    ]
-
-    # Cooperative cancellation: the exact scan is all-or-nothing, so an
-    # expired request deadline or an armed cancel token aborts it
-    # (DeadlineExceeded / QueryCancelled) rather than returning a partial
-    # result.  Both are polled once per morsel and captured *by value*
-    # here -- pool worker threads never see the request thread's ambient
-    # thread-local state.
+    # A run is cut every MORSEL_ROWS rows.  Cooperative cancellation: the
+    # exact scan is all-or-nothing, so an expired request deadline or an
+    # armed cancel token aborts it (DeadlineExceeded / QueryCancelled)
+    # rather than returning a partial result; both are polled once per
+    # morsel.
     deadline = current_deadline()
     cancel = current_cancel()
-
-    def scan_one(bounds: tuple[int, int]) -> np.ndarray:
-        if cancel is not None:
-            cancel.check("partitioned scan")
-        if deadline is not None:
-            deadline.check("partitioned scan")
-        start, end = bounds
-        mask = evaluate_predicate(predicate, table.slice_rows(start, end))
-        local = np.flatnonzero(mask)
-        if start:
-            local += start
-        return local
-
-    if num_threads > 1 and len(morsels) > 1:
-        parts = list(_pool_for(num_threads).map(scan_one, morsels))
-    else:
-        parts = [scan_one(bounds) for bounds in morsels]
+    parts: list[np.ndarray] = []
+    for run_start, run_end in runs:
+        for start in range(run_start, run_end, MORSEL_ROWS):
+            if cancel is not None:
+                cancel.check("partitioned scan")
+            if deadline is not None:
+                deadline.check("partitioned scan")
+            end = min(start + MORSEL_ROWS, run_end)
+            local = np.flatnonzero(
+                evaluate_predicate(predicate, table.slice_rows(start, end))
+            )
+            if start:
+                local += start
+            parts.append(local)
     if len(parts) == 1:
         selected = parts[0]
     elif parts:

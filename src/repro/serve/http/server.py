@@ -89,6 +89,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from repro import faults
+from repro.core.linalg import blas_threads
 from repro.deadline import CancelToken, cancel_scope
 from repro.errors import QueryCancelled
 from repro.obs.metrics import MetricFamily, merge_families, render_prometheus
@@ -812,6 +813,8 @@ class _Handler(BaseHTTPRequestHandler):
         if tenant_name is None:
             state = {
                 "uptime_s": time.time() - server.started_ts,
+                # Replay determinism assumes one BLAS thread (0: no OpenBLAS).
+                "blas_threads": blas_threads(),
                 "admission": server.admission.snapshot(),
                 "governor": server.governor.snapshot(),
                 "tenants": server.tenants.stats(),
@@ -857,7 +860,12 @@ class _Handler(BaseHTTPRequestHandler):
         families = [
             MetricFamily(
                 "verdict_uptime_seconds", "gauge", "Seconds since server start."
-            ).add({}, time.time() - server.started_ts)
+            ).add({}, time.time() - server.started_ts),
+            MetricFamily(
+                "verdict_blas_threads",
+                "gauge",
+                "Threads per BLAS call (1 = pinned; 0 = no OpenBLAS found).",
+            ).add({}, blas_threads()),
         ]
         families += server.admission.metric_families()
         # Governor families carry per-tenant labels; merge_families below

@@ -1,7 +1,7 @@
 """Data and query-trace generators for the experiments.
 
 Each generator stands in for a dataset or workload the paper uses but that is
-not available offline (see DESIGN.md for the substitution table):
+not available offline (see "Deviations from the paper" in docs/ARCHITECTURE.md):
 
 * :mod:`repro.workloads.synthetic` -- controlled synthetic tables (uniform /
   Gaussian / skewed measures, smooth dependence on dimensions) used by the

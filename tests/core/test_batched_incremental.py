@@ -388,10 +388,10 @@ class TestPosteriorReuseAcrossBatches:
         assert len(raws) >= 3
 
         solves = []
-        real_solve = linalg.solve_factored
+        real_solve = linalg.solve_lower
         monkeypatch.setattr(
             inference_module.linalg,
-            "solve_factored",
+            "solve_lower",
             lambda cho, rhs: solves.append(np.shape(rhs)) or real_solve(cho, rhs),
         )
         solves_per_batch = []
@@ -400,7 +400,8 @@ class TestPosteriorReuseAcrossBatches:
             solves.clear()
             answers.append(engine.process_answer(parsed, raw, check))
             solves_per_batch.append(len(solves))
-        # SUM conditions an AVG and a FREQ model: two blocked solves, once.
+        # SUM conditions an AVG and a FREQ model: one blocked triangular
+        # solve each (gamma^2 = kappa^2 - ||L^-1 c||^2), on the first batch.
         assert solves_per_batch[0] == 2
         assert solves_per_batch[1:] == [0] * (len(raws) - 1)
         memo_sizes = {

@@ -170,3 +170,69 @@ class TestHelpers:
         cho, _ = linalg.robust_cholesky(matrix)
         _sign, expected = np.linalg.slogdet(matrix)
         assert linalg.log_determinant(cho) == pytest.approx(expected, rel=1e-10)
+
+
+class TestSolveLower:
+    def test_half_solve_gives_the_quadratic_form(self):
+        matrix = random_spd(9, seed=41)
+        cho, _ = linalg.robust_cholesky(matrix)
+        rhs = np.random.default_rng(42).normal(size=(9, 4))
+        half = linalg.solve_lower(cho, rhs)
+        np.testing.assert_allclose(half, np.linalg.solve(np.linalg.cholesky(matrix), rhs))
+        np.testing.assert_allclose(
+            np.einsum("ij,ij->j", half, half),
+            np.einsum("ij,ij->j", rhs, np.linalg.solve(matrix, rhs)),
+            rtol=1e-10,
+        )
+
+    def test_reads_only_the_lower_triangle(self):
+        matrix = random_spd(6, seed=43)
+        (factor, lower), _ = linalg.robust_cholesky(matrix)
+        clean = np.asfortranarray(np.tril(factor))
+        junk = clean.copy(order="F")
+        junk[np.triu_indices(6, 1)] = np.nan
+        rhs = np.arange(6.0)
+        assert np.array_equal(
+            linalg.solve_lower((junk, lower), rhs), linalg.solve_lower((clean, lower), rhs)
+        )
+
+
+class TestFiniteChecks:
+    """The solves skip SciPy's scan of the factor; a NaN operand still raises."""
+
+    def setup_method(self):
+        self.cho, _ = linalg.robust_cholesky(random_spd(5, seed=51))
+        self.rhs = np.ones((5, 2))
+        self.rhs[3, 1] = np.nan
+
+    def test_solve_factored_rejects_nan_rhs(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.solve_factored(self.cho, self.rhs)
+
+    def test_solve_lower_rejects_nan_rhs(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.solve_lower(self.cho, self.rhs)
+
+    def test_extend_rejects_nan_cross_and_corner(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.extend_cholesky(self.cho, self.rhs, np.eye(2))
+        corner = np.eye(2)
+        corner[0, 0] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.extend_cholesky(self.cho, np.ones((5, 2)), corner)
+
+    def test_prepare_rejects_a_nan_answer(self):
+        from repro.config import VerdictConfig
+        from repro.core.covariance import AggregateModel
+        from repro.core.inference import GaussianInference
+        from repro.core.snippet import Snippet
+        from repro.workloads.synthetic import make_gp_snippets
+
+        snippets, domains, key = make_gp_snippets(num_snippets=8, true_length_scale=1.0, seed=3)
+        snippets[4] = Snippet(
+            key=key, region=snippets[4].region, raw_answer=float("nan"), raw_error=0.2
+        )
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            GaussianInference(VerdictConfig()).prepare(
+                key, snippets, AggregateModel(key=key), domains
+            )

@@ -87,9 +87,9 @@ class TestPruning:
 
 
 class TestScanSelected:
-    def assert_matches_legacy(self, table: Table, condition: str, num_threads: int = 1):
+    def assert_matches_legacy(self, table: Table, condition: str):
         predicate = where(condition)
-        selected, report = scan_selected(table, predicate, num_threads=num_threads)
+        selected, report = scan_selected(table, predicate)
         expected = np.flatnonzero(evaluate_predicate(predicate, table))
         assert np.array_equal(selected, expected)
         assert selected.dtype == np.int64
@@ -139,12 +139,6 @@ class TestScanSelected:
         selected, report = scan_selected(table, where("week > 1"))
         assert len(selected) == 0
         assert report.partitions_total == 0
-
-    def test_multithreaded_identical(self):
-        table = clustered_table(997)
-        table_partitions(table, partition_rows=64)
-        for condition in ("week >= 30", "region = 'r1' OR week < 4", "NOT week = 5"):
-            self.assert_matches_legacy(table, condition, num_threads=4)
 
     def test_private_counters_and_global_both_record(self):
         table = clustered_table()

@@ -1,24 +1,25 @@
 """Property-based equivalence of the partitioned scan layer.
 
-The partitioned, pruned, (optionally) multi-threaded execution path must be
-**byte-identical** to the retained legacy paths:
+The partitioned, pruned execution path must be **byte-identical** to the
+retained legacy paths:
 
 * ``scan_selected`` == ``np.flatnonzero(evaluate_predicate(...))`` for every
   predicate shape, row count (including counts that do not divide the
   partition size), NaN placement, and append history;
-* ``ExactExecutor(num_threads=k)`` == the ``vectorized=False`` row loop for
-  whole query results (group order, key tuples, aggregate floats);
+* ``ExactExecutor()`` == the ``vectorized=False`` row loop for whole query
+  results (group order, key tuples, aggregate floats);
 * both hold for every *run shape* the morsel driver can produce: a pruned
   partition splitting two runs, runs longer than the morsel cap, a partial
-  trailing partition after an append, 1 vs 4 scan threads;
+  trailing partition after an append;
 * dictionary-encoded categorical predicates == the retained per-row loops;
-* repeated multi-threaded scans of the same query are deterministic
-  (the thread-pool hammer).
+* the same query scanned by several threads at once (one thread per query)
+  is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -132,11 +133,10 @@ class TestExecutorEquivalence:
         partition_rows=st.sampled_from([4, 9, 32]),
         condition=st.sampled_from(CONDITIONS),
         query_template=st.sampled_from(QUERIES),
-        num_threads=st.sampled_from([1, 4]),
     )
     @settings(max_examples=120, deadline=None)
     def test_partitioned_equals_legacy_row_loop(
-        self, data, partition_rows, condition, query_template, num_threads
+        self, data, partition_rows, condition, query_template
     ):
         weeks, regions, measures = data
         table = build_table(weeks, regions, measures)
@@ -144,7 +144,7 @@ class TestExecutorEquivalence:
         catalog = Catalog.of([table], fact_tables=["t"])
         query = parse_query(query_template.format(cond=condition))
 
-        partitioned = ExactExecutor(catalog, num_threads=num_threads)
+        partitioned = ExactExecutor(catalog)
         legacy = ExactExecutor(catalog, vectorized=False)
         assert_results_identical(partitioned.execute(query), legacy.execute(query))
 
@@ -180,16 +180,16 @@ class TestRunShapes:
         table_partitions(table, partition_rows=partition_rows)
         return table
 
-    def assert_scan_and_results_match(self, table, condition, num_threads):
+    def assert_scan_and_results_match(self, table, condition):
         predicate = parse_query(f"SELECT COUNT(*) FROM t WHERE {condition}").where
-        selected, report = scan_selected(table, predicate, num_threads=num_threads)
+        selected, report = scan_selected(table, predicate)
         assert np.array_equal(
             selected, np.flatnonzero(evaluate_predicate(predicate, table))
         )
         catalog = Catalog.of([table], fact_tables=["t"])
         query = parse_query(self.GROUPED.format(cond=condition))
         assert_results_identical(
-            ExactExecutor(catalog, num_threads=num_threads).execute(query),
+            ExactExecutor(catalog).execute(query),
             ExactExecutor(catalog, vectorized=False).execute(query),
         )
         return report
@@ -197,7 +197,7 @@ class TestRunShapes:
     def test_pruned_partition_splits_two_runs(self, recorded_morsels):
         table = self.clustered()
         with recorded_morsels() as sizes:
-            report = self.assert_scan_and_results_match(table, "week <> 4", 1)
+            report = self.assert_scan_and_results_match(table, "week <> 4")
         # Partition 4 (rows 40..49) is pruned: one evaluation per side of
         # it, per scan (the helper scans twice: selection, then executor).
         assert sizes == [40, 50, 40, 50]
@@ -207,20 +207,9 @@ class TestRunShapes:
     def test_run_longer_than_the_cap_is_cut(self, recorded_morsels):
         table = self.clustered()
         with mock.patch.object(scan_module, "MORSEL_ROWS", 25), recorded_morsels() as sizes:
-            report = self.assert_scan_and_results_match(table, "week <> 4", 1)
+            report = self.assert_scan_and_results_match(table, "week <> 4")
         assert sizes[:4] == [25, 15, 25, 25]
         assert (report.partitions_scanned, report.rows_scanned) == (9, 90)
-
-    def test_threads_get_at_least_one_morsel_each(self, recorded_morsels):
-        table = self.clustered()
-        with recorded_morsels() as sizes:
-            self.assert_scan_and_results_match(table, "NOT week = 3", 4)
-        assert sorted(sizes[:4]) == [25, 25, 25, 25]
-        # ...but never a morsel smaller than a partition.
-        short = self.clustered(rows=30)
-        with recorded_morsels() as sizes:
-            self.assert_scan_and_results_match(short, "NOT week = 3", 4)
-        assert sorted(sizes[:3]) == [10, 10, 10]
 
     def test_append_with_partial_trailing_partition(self):
         table = self.clustered(rows=37, partition_rows=8)
@@ -228,24 +217,20 @@ class TestRunShapes:
         catalog.append_rows("t", self.clustered(rows=13))
         appended = catalog.table("t")
         assert table_partitions(appended).bounds[-1] == (48, 50)
-        for num_threads in (1, 4):
-            for condition in ("week >= 1", "week <> 2", "region = 'west'"):
-                report = self.assert_scan_and_results_match(
-                    appended, condition, num_threads
-                )
-                assert report.rows_total == 50
+        for condition in ("week >= 1", "week <> 2", "region = 'west'"):
+            report = self.assert_scan_and_results_match(appended, condition)
+            assert report.rows_total == 50
 
     @given(
         data=table_inputs,
         partition_rows=st.sampled_from([3, 7, 16]),
         cap=st.sampled_from([1, 5, 16, 1000]),
-        num_threads=st.sampled_from([1, 4]),
         condition=st.sampled_from(CONDITIONS),
         append=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_every_run_shape_matches_row_loop(
-        self, data, partition_rows, cap, num_threads, condition, append
+        self, data, partition_rows, cap, condition, append
     ):
         weeks, regions, measures = data
         table = build_table(weeks, regions, measures)
@@ -258,7 +243,7 @@ class TestRunShapes:
             )
             table = catalog.table("t")
         with mock.patch.object(scan_module, "MORSEL_ROWS", cap):
-            self.assert_scan_and_results_match(table, condition, num_threads)
+            self.assert_scan_and_results_match(table, condition)
 
 
 class TestDictionaryPredicateEquivalence:
@@ -335,8 +320,8 @@ class TestDictionaryPredicateEquivalence:
         assert np.array_equal(evaluate_predicate(predicate, table), legacy)
 
 
-class TestThreadPoolDeterminism:
-    def test_hammer_repeated_parallel_scans_identical(self):
+class TestConcurrentQueryDeterminism:
+    def test_hammer_concurrent_scans(self):
         rng = np.random.default_rng(3)
         rows = 5000
         table = build_table(
@@ -351,10 +336,24 @@ class TestThreadPoolDeterminism:
             "WHERE week >= 4 AND region <> 'sd' GROUP BY region"
         )
         reference = ExactExecutor(catalog, vectorized=False).execute(query)
-        executor = ExactExecutor(catalog, num_threads=4)
-        predicate = query.where
-        first_selected, _ = scan_selected(table, predicate, num_threads=4)
-        for _ in range(25):
-            selected, _ = scan_selected(table, predicate, num_threads=4)
-            assert np.array_equal(selected, first_selected)
-            assert_results_identical(executor.execute(query), reference)
+        expected = np.flatnonzero(evaluate_predicate(query.where, table))
+        failures: list[str] = []
+
+        def hammer() -> None:
+            executor = ExactExecutor(catalog)
+            for _ in range(10):
+                selected, _ = scan_selected(table, query.where)
+                if not np.array_equal(selected, expected):
+                    failures.append("selection diverged")
+                try:
+                    assert_results_identical(executor.execute(query), reference)
+                except AssertionError as error:
+                    failures.append(repr(error))
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert failures == []

@@ -198,6 +198,15 @@ class TestPrometheusEndpoint:
         )
         assert any(key.startswith("verdict_traces_finished_total") for key in series)
 
+    def test_blas_thread_gauge_in_both_views(self, client):
+        from repro.core.linalg import blas_threads
+
+        series = check_exposition(client.metrics_prometheus(tenant=""))
+        assert series["verdict_blas_threads{}"] == blas_threads()
+        assert client.metrics(tenant="")["blas_threads"] == blas_threads()
+        # Pinned at import wherever an OpenBLAS is mapped.
+        assert blas_threads() in (0, 1)
+
     def test_tenant_scoped_exposition(self, client):
         client.ask("SELECT COUNT(*) FROM sales")
         series = check_exposition(client.metrics_prometheus(tenant="acme"))

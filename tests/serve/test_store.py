@@ -37,7 +37,12 @@ PROBES = [
 ]
 
 
-def build_engine(num_rows: int = 3_000, seed: int = 9, append_seeds: tuple[int, ...] = ()) -> VerdictEngine:
+def build_engine(
+    num_rows: int = 3_000,
+    seed: int = 9,
+    append_seeds: tuple[int, ...] = (),
+    config: VerdictConfig | None = None,
+) -> VerdictEngine:
     """An engine over the deterministic sales table.
 
     ``append_seeds`` replays data appends into the base table: the store
@@ -53,7 +58,9 @@ def build_engine(num_rows: int = 3_000, seed: int = 9, append_seeds: tuple[int, 
     aqp = OnlineAggregationEngine(
         catalog, sampling=SamplingConfig(sample_ratio=0.25, num_batches=4, seed=2)
     )
-    return VerdictEngine(catalog, aqp, config=VerdictConfig(learn_length_scales=False))
+    return VerdictEngine(
+        catalog, aqp, config=config or VerdictConfig(learn_length_scales=False)
+    )
 
 
 def probe_results(engine: VerdictEngine) -> list[tuple[float, float]]:
@@ -355,6 +362,27 @@ class TestDeltaLog:
             barrier()
             assert engine.factor_events_since(0) is None, name
             assert store.flush(engine) == "snapshot", name
+
+    def test_non_incremental_record_drop_is_a_barrier(self, tmp_path):
+        """``incremental_updates=False`` drops every factor on record.  The
+        factor log cannot replay a drop, so the next flush is a snapshot and
+        a reopened store holds no factor the live engine dropped."""
+        config = VerdictConfig(learn_length_scales=False, incremental_updates=False)
+        engine = build_engine(config=config)
+        for sql in TRAINING[:3]:
+            engine.execute(sql)
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        engine.execute(PROBES[0], record=False)  # materialises the AVG factor
+        assert engine.prepared_factors()
+        parsed, _ = engine.check(TRAINING[3])
+        engine.record(parsed, engine.aqp.final_answer(parsed))
+        assert engine.prepared_factors() == {}
+        assert store.flush(engine) == "snapshot"
+        restored = build_engine(config=config)
+        assert SynopsisStore(tmp_path).load_into(restored)
+        assert restored.prepared_factors().keys() == engine.prepared_factors().keys()
+        assert_identical_engines(engine, restored)
 
     def test_compaction_folds_log_into_snapshot(self, tmp_path):
         engine = build_engine()
