@@ -5,10 +5,10 @@ answer sharing one aggregate function are conditioned in a single blocked
 matrix solve (``inference.batched``), and recording new snippets extends the
 prepared Cholesky factor in O(n^2 k) instead of re-running the O(n^3)
 factorisation.  The measured speedups across synopsis sizes are emitted as
-JSON under ``benchmarks/results/batched_inference.txt`` via
+JSON under ``benchmarks/results/inference_batching.txt`` via
 :func:`benchmarks.common.emit`.
 
-Run with:  pytest benchmarks/bench_batched_inference.py -q
+Run with:  pytest benchmarks/bench_inference_batching.py -q
 """
 
 from __future__ import annotations
@@ -121,16 +121,16 @@ def test_batched_vs_scalar_and_incremental_vs_full():
         )
 
     payload = {
-        "benchmark": "batched_inference",
+        "benchmark": "inference_batching",
         "description": (
             "Batched group-by inference (one blocked cho_solve for all cells) vs "
-            "the legacy per-cell scalar path, and rank-k Cholesky extension vs a "
+            "per-cell `infer`, and rank-k Cholesky extension vs a "
             "from-scratch refactorisation when snippets are appended."
         ),
         "batched_vs_scalar": batched_rows,
         "incremental_vs_full": incremental_rows,
     }
-    emit("batched_inference", json.dumps(payload, indent=2))
+    emit("inference_batching", json.dumps(payload, indent=2))
 
     # The acceptance bar: batched inference must be measurably faster than the
     # scalar loop on a >= 64-cell group-by workload.

@@ -7,7 +7,7 @@ otherwise the query runs through plain online aggregation.  Unlike Verdict,
 the cache cannot benefit *novel* queries.
 
 Cache misses run through the wrapped engine and therefore through the
-vectorized execution kernel (:mod:`repro.db.groupby`) and the catalog's
+factorized group-by kernel (:mod:`repro.db.groupby`) and the catalog's
 denormalization cache, so even a 0%-hit-rate workload executes at kernel
 speed.
 """
@@ -89,11 +89,6 @@ class CachingEngine:
     @property
     def catalog(self):
         return self.inner.catalog
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether misses execute on the vectorized kernel (see inner engine)."""
-        return self.inner.vectorized
 
 
 def _mean_error(answer: AQPAnswer) -> float:

@@ -6,11 +6,10 @@ predicate and group-by over the scanned (and dimension-joined) sample prefix,
 then form CLT estimates for every (group, aggregate) cell.  This module holds
 that shared logic.
 
-Grouping runs through the factorized kernel of :mod:`repro.db.groupby`
-(``vectorized=False`` restores the original per-group boolean-mask loop for
-comparison): the group partition is computed once, each measure array is
-gathered into segment order once, and every cell's estimate is formed from
-its contiguous slice.
+Grouping runs through the factorized kernel of :mod:`repro.db.groupby`: the
+group partition is computed once, each measure array is gathered into
+segment order once, and every cell's estimate is formed from its contiguous
+slice.
 
 Predicate evaluation over the scanned prefix runs through the partitioned
 scan driver (:mod:`repro.db.scan`): sample prefixes are zero-copy slice
@@ -31,23 +30,12 @@ from repro.aqp.estimators import (
     sum_estimate,
 )
 from repro.aqp.types import AggregateEstimate, AQPAnswer, AQPRow, InternalEstimates
-from repro.db.expressions import evaluate_expression, evaluate_predicate
-from repro.db.groupby import factorize, iter_groups_legacy
+from repro.db.expressions import evaluate_expression
+from repro.db.groupby import factorize
 from repro.db.having import compile_row_predicate
 from repro.db.scan import ScanCounters, scan_selected
 from repro.db.table import Table
 from repro.sqlparser import ast
-
-
-def _iter_group_masks(table: Table, mask: np.ndarray, group_columns: tuple[str, ...]):
-    """Yield (group values, group mask) pairs, in first-seen order.
-
-    The retained legacy path: one full-length boolean mask per group.
-    """
-    if not group_columns:
-        yield (), mask
-        return
-    yield from iter_groups_legacy(table, mask, group_columns)
 
 
 def _estimate_cell(
@@ -126,7 +114,6 @@ def estimate_answer(
     population_size: int,
     elapsed_seconds: float,
     batches_processed: int = 0,
-    vectorized: bool = True,
     counters: ScanCounters | None = None,
 ) -> AQPAnswer:
     """Build an :class:`AQPAnswer` from an already-joined sample prefix.
@@ -147,9 +134,6 @@ def estimate_answer(
         Cumulative model time charged so far for this query.
     batches_processed:
         How many online-aggregation batches the prefix covers.
-    vectorized:
-        Route grouping through the factorized kernel (default); ``False``
-        keeps the per-group boolean-mask loop for equivalence benchmarks.
     """
     aggregate_items = [item for item in query.select if item.is_aggregate]
     aggregate_names = tuple(item.output_name for item in aggregate_items)
@@ -190,52 +174,38 @@ def estimate_answer(
             )
         return AQPRow(group_values=group_values, estimates=estimates)
 
-    if vectorized:
-        # Partitioned, pruned scan over the (slice-view) prefix; the merge
-        # order of the scan driver keeps the selection identical to a
-        # whole-prefix evaluation.
-        selected, _ = scan_selected(scanned_table, query.where, counters=counters)
-        if group_columns:
-            grouped = factorize(
-                scanned_table, None, group_columns, selected_indices=selected
-            )
-            if grouped is not None:
-                # Gather each measure into group-segment order once per answer.
-                taken = {
-                    name: None if values is None else grouped.take(values)
-                    for name, (values, _) in measures.items()
-                }
-                starts, ends = grouped.starts, grouped.ends
-                for group, key in enumerate(grouped.keys):
-                    begin, end = starts[group], ends[group]
-                    rows.append(
-                        build_row(
-                            key,
-                            int(grouped.counts[group]),
-                            lambda name, begin=begin, end=end: taken[name][begin:end],
-                        )
+    # Partitioned, pruned scan over the (slice-view) prefix; the merge
+    # order of the scan driver keeps the selection identical to a
+    # whole-prefix evaluation.
+    selected, _ = scan_selected(scanned_table, query.where, counters=counters)
+    if group_columns:
+        grouped = factorize(
+            scanned_table, None, group_columns, selected_indices=selected
+        )
+        if grouped is not None:
+            # Gather each measure into group-segment order once per answer.
+            taken = {
+                name: None if values is None else grouped.take(values)
+                for name, (values, _) in measures.items()
+            }
+            starts, ends = grouped.starts, grouped.ends
+            for group, key in enumerate(grouped.keys):
+                begin, end = starts[group], ends[group]
+                rows.append(
+                    build_row(
+                        key,
+                        int(grouped.counts[group]),
+                        lambda name, begin=begin, end=end: taken[name][begin:end],
                     )
-        else:
-            rows.append(
-                build_row(
-                    (),
-                    len(selected),
-                    lambda name, selected=selected: measures[name][0][selected],
                 )
-            )
     else:
-        mask = evaluate_predicate(query.where, scanned_table)
-        for group_values, group_mask in _iter_group_masks(
-            scanned_table, mask, group_columns
-        ):
-            selected = int(group_mask.sum())
-            rows.append(
-                build_row(
-                    group_values,
-                    selected,
-                    lambda name, group_mask=group_mask: measures[name][0][group_mask],
-                )
+        rows.append(
+            build_row(
+                (),
+                len(selected),
+                lambda name, selected=selected: measures[name][0][selected],
             )
+        )
 
     if query.having is not None:
         matches = compile_row_predicate(query.having, query)

@@ -58,14 +58,12 @@ class OnlineAggregationEngine:
         sampling: SamplingConfig | None = None,
         cost_model: CostModelConfig | None = None,
         sample_store: SampleStore | None = None,
-        vectorized: bool = True,
         scan_counters: ScanCounters | None = None,
     ):
         self.catalog = catalog
         self.sampling = sampling or SamplingConfig()
         self.samples = sample_store or SampleStore(catalog, self.sampling)
         self.io = IOSimulator(cost_model)
-        self.vectorized = vectorized
         # Per-owner scan attribution: the owning service passes its shared
         # counters so sample scans are booked to that service, not only to
         # the process-wide totals.
@@ -138,7 +136,6 @@ class OnlineAggregationEngine:
                 population_size=population_size,
                 elapsed_seconds=elapsed,
                 batches_processed=batch_number,
-                vectorized=self.vectorized,
                 counters=self.scan_counters,
             )
 

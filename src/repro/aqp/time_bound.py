@@ -33,14 +33,12 @@ class TimeBoundEngine:
         sampling: SamplingConfig | None = None,
         cost_model: CostModelConfig | None = None,
         sample_store: SampleStore | None = None,
-        vectorized: bool = True,
         scan_counters: ScanCounters | None = None,
     ):
         self.catalog = catalog
         self.sampling = sampling or SamplingConfig()
         self.samples = sample_store or SampleStore(catalog, self.sampling)
         self.io = IOSimulator(cost_model)
-        self.vectorized = vectorized
         self.scan_counters = scan_counters
 
     def execute(self, query: ast.Query, time_budget_s: float) -> AQPAnswer:
@@ -76,7 +74,6 @@ class TimeBoundEngine:
             population_size=population_size,
             elapsed_seconds=report.total_seconds,
             batches_processed=1,
-            vectorized=self.vectorized,
             counters=self.scan_counters,
         )
 

@@ -45,27 +45,15 @@ class VerdictConfig:
     min_past_snippets:
         Inference is skipped (raw answers are passed through) until the
         synopsis holds at least this many snippets for the aggregate function.
-    batched_inference:
-        The ``inference.batched`` flag.  When True (default) all cells of a
-        group-by answer that share an aggregate function are conditioned in a
-        single blocked matrix solve (one ``cho_solve`` on an ``(n, m)``
-        cross-covariance block) instead of a Python loop of per-cell scalar
-        solves.  Turning it off restores the legacy scalar path; the two are
-        numerically equivalent (property-tested to 1e-8) so the flag exists
-        for debugging and for the ablation benchmark
-        ``benchmarks/bench_batched_inference.py``.
-    incremental_updates:
-        When True (default) the prepared Cholesky factorisation of each
-        aggregate function is *extended* in O(n^2 k) when k snippets are
-        appended to the synopsis (rank-k factor update, see
-        :mod:`repro.core.linalg`) instead of being rebuilt from scratch in
-        O(n^3).  Evictions, data-append adjustments and re-training still
-        trigger a full refactorisation.  The signal variance ``sigma_g^2``
-        and the diagonal jitter are frozen at their last full-factorisation
-        values between rebuilds (the prior mean is refreshed on every
-        extension).
     incremental_rebuild_ratio:
-        A full refactorisation is forced once the snippets appended since the
+        The prepared Cholesky factorisation of each aggregate function is
+        *extended* in O(n^2 k) when k snippets are appended to the synopsis
+        (rank-k factor update, see :mod:`repro.core.linalg`); evictions,
+        data-append adjustments and re-training trigger a full O(n^3)
+        refactorisation.  The signal variance ``sigma_g^2`` and the diagonal
+        jitter are frozen at their last full-factorisation values between
+        rebuilds (the prior mean is refreshed on every extension).  A full
+        refactorisation is also forced once the snippets appended since the
         last full factorisation exceed this fraction of its size, so the
         frozen ``sigma_g^2`` never drifts far from the analytic estimate.
     jitter:
@@ -86,17 +74,6 @@ class VerdictConfig:
         (keeps the offline step cheap).
     learning_restarts:
         Number of random restarts for the non-convex likelihood maximisation.
-    learning_fast_path:
-        When True (default) length-scale learning evaluates the likelihood
-        through a precomputed :class:`repro.core.learning.LikelihoodWorkspace`
-        (length-scale-independent covariance pieces built once, per-attribute
-        factors recomputed on distinct ranges only) and hands L-BFGS-B the
-        analytic gradient, so each optimiser step costs one factorisation
-        instead of ``d + 1`` finite-difference objective evaluations.  The
-        workspace value is bit-identical to the reference
-        :func:`repro.core.learning.negative_log_likelihood`; the flag exists
-        for debugging and as the baseline of
-        ``benchmarks/bench_learning.py``.
     """
 
     max_snippets_per_query: int = 1_000
@@ -106,15 +83,12 @@ class VerdictConfig:
     enable_model_validation: bool = True
     conservative_validation: bool = True
     min_past_snippets: int = 1
-    batched_inference: bool = True
-    incremental_updates: bool = True
     incremental_rebuild_ratio: float = 0.5
     jitter: float = 1e-9
     calibrate_model_variance: bool = True
     learn_length_scales: bool = True
     max_learning_snippets: int = 200
     learning_restarts: int = 2
-    learning_fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.max_snippets_per_query <= 0:

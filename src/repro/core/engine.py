@@ -457,26 +457,16 @@ class VerdictEngine:
             improved_rows: list[dict[str, ImprovedEstimate]] = [
                 {} for _ in range(len(raw.rows))
             ]
-            if self.config.batched_inference:
-                batched = self._improve_snippets_batched(plans)
-                for index, plan in enumerate(plans):
-                    improved_rows[plan.row_index][plan.name] = self._assemble_cell(
-                        plan,
-                        raw,
-                        batched.get((index, "avg")),
-                        batched.get((index, "freq")),
-                    )
-            else:
-                for plan in plans:
-                    improved_rows[plan.row_index][plan.name] = self._improve_cell(
-                        plan, raw
-                    )
-            if inference_span is not None:
-                inference_span.set(
-                    cells=len(plans),
-                    batched=self.config.batched_inference,
-                    synopsis_size=self.synopsis_size(),
+            inferred = self._infer_snippets(plans)
+            for index, plan in enumerate(plans):
+                improved_rows[plan.row_index][plan.name] = self._assemble_cell(
+                    plan,
+                    raw,
+                    inferred.get((index, "avg")),
+                    inferred.get((index, "freq")),
                 )
+            if inference_span is not None:
+                inference_span.set(cells=len(plans), synopsis_size=self.synopsis_size())
 
         rows: list[VerdictRow] = []
         for row_index, raw_row in enumerate(raw.rows):
@@ -505,11 +495,11 @@ class VerdictEngine:
         should be recorded (Section 2.2: the class of queries that can be
         improved is the class that can improve others).
 
-        With incremental updates enabled (the default), recording does not
-        discard the prepared covariance factorisations: the next
-        :meth:`process_answer` extends each affected factor with just the
-        appended snippets (O(n^2 k)), so the system gets *faster* as it
-        learns rather than re-paying the O(n^3) factorisation per query.
+        Recording does not discard the prepared covariance factorisations:
+        the next :meth:`process_answer` extends each affected factor with
+        just the appended snippets (O(n^2 k)), so the system gets *faster*
+        as it learns rather than re-paying the O(n^3) factorisation per
+        query.
 
         Parameters
         ----------
@@ -530,12 +520,6 @@ class VerdictEngine:
                 if snippet is not None:
                     self.synopsis.add(snippet)
                     added += 1
-        if added and not self.config.incremental_updates and self._prepared:
-            # Legacy behaviour: prepared factorisations are dropped wholesale
-            # and rebuilt from scratch on the next query.  The store cannot
-            # replay a drop from the factor log, so it is a barrier.
-            self._factor_barrier()
-            self._prepared.clear()
         return added
 
     # ---------------------------------------------------------------- training
@@ -847,7 +831,7 @@ class VerdictEngine:
         cached = self._prepared.get(key)
         if cached is not None and cached.synopsis_version == version:
             return cached
-        if cached is not None and self.config.incremental_updates:
+        if cached is not None:
             extended = self._extend_prepared(key, cached, version)
             if extended is not None:
                 # Also when only the version stamp moved (no appends for this
@@ -1031,7 +1015,7 @@ class VerdictEngine:
                 raw_error=float(internal.freq_error),
             )
 
-    def _improve_snippets_batched(
+    def _infer_snippets(
         self, plans: list[_CellPlan]
     ) -> dict[tuple[int, str], tuple[float, float, bool, str]]:
         """Improve every snippet of every cell plan, batched per aggregate key.
@@ -1081,15 +1065,6 @@ class VerdictEngine:
                     decision.reason,
                 )
         return results
-
-    def _improve_cell(self, plan: _CellPlan, raw: AQPAnswer) -> ImprovedEstimate:
-        """Legacy scalar path: improve one cell's snippets one at a time."""
-        return self._assemble_cell(
-            plan,
-            raw,
-            self._improve_snippet(plan.avg_snippet),
-            self._improve_snippet(plan.freq_snippet),
-        )
 
     def _assemble_cell(
         self,
@@ -1141,32 +1116,6 @@ class VerdictEngine:
             raw_error=plan.raw.error,
             improved=improved,
             validation_reason=reason,
-        )
-
-    def _improve_snippet(
-        self, snippet: Snippet | None
-    ) -> tuple[float, float, bool, str] | None:
-        """Return (value, error, improved, reason) for one internal snippet."""
-        if snippet is None:
-            return None
-        prepared = self._prepared_for(snippet.key)
-        if prepared is None:
-            return (snippet.raw_answer, snippet.raw_error, False, "empty synopsis")
-        result = self.inference.infer(prepared, snippet)
-        decision = validate_model_answer(
-            result,
-            snippet.key.kind,
-            validation_confidence=self.config.validation_confidence,
-            enabled=self.config.enable_model_validation,
-            conservative=self.config.conservative_validation,
-        )
-        self.synopsis.mark_used(snippet.key, prepared.snippet_ids)
-        improved = decision.accepted and decision.improved_error < snippet.raw_error
-        return (
-            decision.improved_answer,
-            decision.improved_error,
-            improved,
-            decision.reason,
         )
 
     def _passthrough_row(self, row: AQPRow) -> VerdictRow:

@@ -101,7 +101,7 @@ class PreparedInference:
     appends rows/columns to ``cho`` in O(n^2 k) via
     :func:`repro.core.linalg.extend_cholesky`, keeping ``sigma2`` and
     ``jitter`` frozen until the next full rebuild (see
-    ``VerdictConfig.incremental_updates``).
+    ``VerdictConfig.incremental_rebuild_ratio``).
 
     Derived state (never serialised): ``encoding`` is the columnar
     :class:`~repro.core.covariance.RegionEncoding` of ``snippets``, built by
@@ -353,7 +353,7 @@ class GaussianInference:
         All ``m`` cells sharing one aggregate function are conditioned with a
         single ``(n, m)`` blocked solve on the prepared factor -- one BLAS
         call instead of a Python loop, which is what makes wide group-by
-        queries cheap (see ``benchmarks/bench_batched_inference.py``).
+        queries cheap (see ``benchmarks/bench_inference_batching.py``).
 
         The GP posterior ``(theta, gamma^2)`` of Equation (11) depends on the
         past evidence and the cell's region only, so it is remembered per

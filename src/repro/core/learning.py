@@ -23,10 +23,10 @@ random restarts since the likelihood is not convex.
 Two implementations of the objective coexist:
 
 * :func:`negative_log_likelihood` -- the straightforward reference: rebuild
-  the full covariance from the snippet list on every call.  Kept for tests,
-  for the Figure 7 benchmark, and as the ``learning_fast_path=False``
-  baseline of ``benchmarks/bench_learning.py``.
-* :class:`LikelihoodWorkspace` -- the fast path (default).  Everything the
+  the full covariance from the snippet list on every call.  Used for the
+  lazy no-learn diagnostic, by the Figure 7 benchmark, and by the tests as
+  the oracle the workspace must match bit for bit.
+* :class:`LikelihoodWorkspace` -- what the optimiser runs on.  Everything the
   objective needs that does *not* depend on the candidate length scales is
   computed once per :func:`learn_length_scales` call: deduplicated
   per-attribute distinct-range arrays with their scatter indices, the
@@ -521,10 +521,7 @@ def learn_length_scales(
     key, snippets, domains:
         The aggregate function, its past snippets, and the attribute domains.
     config:
-        ``learning_fast_path`` selects between the workspace objective with
-        analytic gradients (default) and the reference finite-difference
-        path; ``learning_restarts`` / ``max_learning_snippets`` bound the
-        work as before.
+        ``learning_restarts`` / ``max_learning_snippets`` bound the work.
     seed:
         Seed for the random restart starting points.
     warm_start:
@@ -559,22 +556,7 @@ def learn_length_scales(
     lower = np.log(widths * 1e-3)
     upper = np.log(widths * 10.0)
 
-    if config.learning_fast_path:
-        workspace = LikelihoodWorkspace(
-            key, past, domains, attributes, jitter=config.jitter
-        )
-        objective = workspace.nll_and_grad
-        jacobian = True
-    else:
-
-        def objective(log_scales: np.ndarray) -> float:
-            scales = dict(defaults)
-            scales.update(
-                {name: float(np.exp(value)) for name, value in zip(attributes, log_scales)}
-            )
-            return negative_log_likelihood(scales, key, past, domains, jitter=config.jitter)
-
-        jacobian = False
+    workspace = LikelihoodWorkspace(key, past, domains, attributes, jitter=config.jitter)
 
     rng = np.random.default_rng(seed)
     best_value = float("inf")
@@ -594,10 +576,10 @@ def learn_length_scales(
     for start in starts:
         try:
             outcome = minimize(
-                objective,
+                workspace.nll_and_grad,
                 start,
                 method="L-BFGS-B",
-                jac=jacobian,
+                jac=True,
                 bounds=list(zip(lower, upper)),
                 options={"maxiter": 60},
             )

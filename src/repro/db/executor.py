@@ -11,47 +11,37 @@ attributes, the aggregates SUM / COUNT / AVG / MIN / MAX / FREQ, and HAVING
 clauses expressed over output column names.
 
 Group-by execution runs through the factorized kernel of
-:mod:`repro.db.groupby` by default: every measure expression is evaluated
-once per query and all (group, aggregate) cells are computed by segment
-reductions in one pass over the selected rows.  ``ExactExecutor(catalog,
-vectorized=False)`` restores the original per-row loop (one full-length
-boolean mask and one measure evaluation per group), which the property tests
-and the query-engine benchmark compare against.
+:mod:`repro.db.groupby`: every measure expression is evaluated once per query
+and all (group, aggregate) cells are computed by segment reductions in one
+pass over the selected rows.
 
-Vectorized scans run through the partitioned storage layer: zone maps prune
-partitions, the predicate is evaluated once per run of adjacent survivors
-(:mod:`repro.db.scan`) on the calling thread, and measure expressions are evaluated only over the selected rows.  The merge
-discipline of the scan driver keeps every answer byte-identical to a
-single-pass whole-table evaluation (with nothing pruned the scan *is* one
-whole-table run, cut only at the morsel cap).
+Scans run through the partitioned storage layer: zone maps prune partitions,
+the predicate is evaluated once per run of adjacent survivors
+(:mod:`repro.db.scan`) on the calling thread, and measure expressions are
+evaluated only over the selected rows.  The merge discipline of the scan
+driver keeps every answer byte-identical to a single-pass whole-table
+evaluation (with nothing pruned the scan *is* one whole-table run, cut only
+at the morsel cap); ``tests/oracles.py`` holds the row-loop reference the
+property tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from repro.db.catalog import Catalog
-from repro.db.expressions import (
-    evaluate_expression,
-    evaluate_expression_at,
-    evaluate_predicate,
-)
-from repro.db.groupby import factorize, iter_groups_legacy, normalize_value, segment_aggregate
-from repro.db.having import compile_row_predicate, evaluate_row_predicate
+from repro.db.expressions import evaluate_expression_at
+from repro.db.groupby import factorize, segment_aggregate
+from repro.db.having import compile_row_predicate
 from repro.db.scan import ScanCounters, ScanReport, scan_selected
 from repro.db.table import Table
 from repro.errors import ExpressionError
 from repro.sqlparser import ast
 
 Value = Union[int, float, str]
-
-# Backwards-compatible aliases: these helpers historically lived here and are
-# now shared via repro.db.groupby / repro.db.having.
-_normalize_value = normalize_value
-_evaluate_row_predicate = evaluate_row_predicate
 
 
 @dataclass(frozen=True)
@@ -100,39 +90,18 @@ class QueryResult:
 _COUNTING_FUNCTIONS = (ast.AggregateFunction.COUNT, ast.AggregateFunction.FREQ)
 
 
-def compute_aggregate(
-    aggregate: ast.Aggregate,
-    table: Table,
-    mask: np.ndarray,
-    total_rows: int,
-) -> float:
-    """Compute one aggregate over the rows of ``table`` selected by ``mask``.
-
-    ``total_rows`` is the cardinality used to normalise FREQ(*) (the paper's
-    internal aggregate: the fraction of the table's tuples that satisfy the
-    predicate).
-    """
-    selected = int(mask.sum())
-    values = None
-    if (
-        selected > 0
-        and not aggregate.is_star
-        and aggregate.function not in _COUNTING_FUNCTIONS
-    ):
-        values = np.asarray(
-            evaluate_expression(aggregate.argument, table), dtype=np.float64
-        )
-    return _scalar_aggregate(aggregate.function, values, mask, selected, total_rows)
-
-
 def _scalar_aggregate(
     function: ast.AggregateFunction,
-    values: np.ndarray | None,
-    mask: np.ndarray,
+    values_selected: np.ndarray | None,
     selected: int,
     total_rows: int,
 ) -> float:
-    """The no-GROUP-BY cell of one aggregate, from a pre-evaluated measure."""
+    """The no-GROUP-BY cell of one aggregate from selected-row measures.
+
+    ``values_selected`` is the measure evaluated at the selected rows in
+    ascending row order -- element-identical to ``values[mask]`` over the
+    whole-table measure, so the reductions are bit-identical to it.
+    """
     if function is ast.AggregateFunction.COUNT:
         return float(selected)
     if function is ast.AggregateFunction.FREQ:
@@ -142,44 +111,6 @@ def _scalar_aggregate(
     if selected == 0:
         # SQL semantics: SUM/AVG/MIN/MAX over an empty set is NULL; the
         # experiments treat it as 0 so error metrics stay well defined.
-        return 0.0
-    if function in (
-        ast.AggregateFunction.SUM,
-        ast.AggregateFunction.AVG,
-        ast.AggregateFunction.MIN,
-        ast.AggregateFunction.MAX,
-    ):
-        assert values is not None
-        chosen = values[mask]
-        if function is ast.AggregateFunction.SUM:
-            return float(chosen.sum())
-        if function is ast.AggregateFunction.AVG:
-            return float(chosen.mean())
-        if function is ast.AggregateFunction.MIN:
-            return float(chosen.min())
-        return float(chosen.max())
-    raise ExpressionError(f"unknown aggregate function {function}")
-
-
-def _scalar_aggregate_selected(
-    function: ast.AggregateFunction,
-    values_selected: np.ndarray | None,
-    selected: int,
-    total_rows: int,
-) -> float:
-    """The no-GROUP-BY cell of one aggregate from selected-row measures.
-
-    ``values_selected`` is the measure evaluated at the selected rows in
-    ascending row order -- element-identical to ``values[mask]`` of
-    :func:`_scalar_aggregate`, so the reductions are bit-identical.
-    """
-    if function is ast.AggregateFunction.COUNT:
-        return float(selected)
-    if function is ast.AggregateFunction.FREQ:
-        if total_rows <= 0:
-            return 0.0
-        return float(selected) / float(total_rows)
-    if selected == 0:
         return 0.0
     if function in (
         ast.AggregateFunction.SUM,
@@ -201,25 +132,19 @@ def _scalar_aggregate_selected(
 class ExactExecutor:
     """Executes queries exactly against a catalog (or a single wide table).
 
-    ``vectorized=True`` (the default) routes group-by aggregation through the
-    factorized kernel; ``vectorized=False`` keeps the original per-row loop
-    for comparison benchmarks and equivalence tests.
-
-    The vectorized path evaluates predicates morsel-by-morsel with zone-map
-    pruning and restricts measure evaluation to the selected rows.  Results
-    are byte-identical in both configurations.  Scan accounting accumulates
-    in :attr:`scan_counters`, and the report of the most recent scan is kept
-    in :attr:`last_scan_report`.
+    Predicates are evaluated once per run of adjacent partitions that
+    survive zone-map pruning, and measure evaluation is restricted to the
+    selected rows.  Scan accounting accumulates in :attr:`scan_counters`,
+    and the report of the most recent scan is kept in
+    :attr:`last_scan_report`.
     """
 
     def __init__(
         self,
         catalog: Catalog,
-        vectorized: bool = True,
         scan_counters: ScanCounters | None = None,
     ):
         self.catalog = catalog
-        self.vectorized = vectorized
         # Shareable so an owning service can aggregate all of its scans
         # (exact and sample-based) into one per-service accounting stream.
         self.scan_counters = scan_counters if scan_counters is not None else ScanCounters()
@@ -247,80 +172,60 @@ class ExactExecutor:
         group_columns = tuple(column.name for column in query.group_by)
 
         result = QueryResult(group_columns=group_columns, aggregate_names=aggregate_names)
-        if self.vectorized:
-            # The scan driver returns the selected row indices directly:
-            # zone maps skip partitions no row of which can match.  Merge
-            # order is row order, so the selection is identical to a
-            # whole-table evaluation.
-            selected, self.last_scan_report = scan_selected(
-                table, query.where, self.scan_counters
+        # The scan driver returns the selected row indices directly:
+        # zone maps skip partitions no row of which can match.  Merge
+        # order is row order, so the selection is identical to a
+        # whole-table evaluation.
+        selected, self.last_scan_report = scan_selected(
+            table, query.where, self.scan_counters
+        )
+        num_selected = len(selected)
+
+        # Each measure expression is evaluated once per query -- and only
+        # at the selected rows, so measure work is proportional to what
+        # the pruned scan kept.  Evaluation is deferred until a non-empty
+        # selection needs it (COUNT/FREQ never touch their argument;
+        # SUM/AVG/MIN/MAX over an empty selection return 0.0 without
+        # evaluating).
+        def measure_for(item: ast.SelectItem) -> np.ndarray | None:
+            expression = item.expression
+            if expression.is_star or expression.function in _COUNTING_FUNCTIONS:
+                return None
+            return np.asarray(
+                evaluate_expression_at(expression.argument, table, selected),
+                dtype=np.float64,
             )
-            num_selected = len(selected)
 
-            # Each measure expression is evaluated once per query -- and only
-            # at the selected rows, so measure work is proportional to what
-            # the pruned scan kept.  Evaluation is deferred until a non-empty
-            # selection needs it, matching the legacy path (COUNT/FREQ never
-            # touch their argument; SUM/AVG/MIN/MAX over an empty selection
-            # return 0.0 without evaluating).
-            def measure_for(item: ast.SelectItem) -> np.ndarray | None:
-                expression = item.expression
-                if expression.is_star or expression.function in _COUNTING_FUNCTIONS:
-                    return None
-                return np.asarray(
-                    evaluate_expression_at(expression.argument, table, selected),
-                    dtype=np.float64,
+        if not group_columns:
+            aggregates = {
+                item.output_name: _scalar_aggregate(
+                    item.expression.function,
+                    measure_for(item) if num_selected else None,
+                    num_selected,
+                    total,
                 )
-
-            if not group_columns:
-                aggregates = {
-                    item.output_name: _scalar_aggregate_selected(
+                for item in aggregate_items
+            }
+            result.rows.append(ResultRow(group_values=(), aggregates=aggregates))
+        else:
+            grouped = factorize(table, None, group_columns, selected_indices=selected)
+            if grouped is not None:
+                cells = {
+                    item.output_name: segment_aggregate(
                         item.expression.function,
-                        measure_for(item) if num_selected else None,
-                        num_selected,
+                        grouped,
+                        measure_for(item),
                         total,
+                        values_are_selected=True,
                     )
                     for item in aggregate_items
                 }
-                result.rows.append(ResultRow(group_values=(), aggregates=aggregates))
-            else:
-                grouped = factorize(table, None, group_columns, selected_indices=selected)
-                if grouped is not None:
-                    cells = {
-                        item.output_name: segment_aggregate(
-                            item.expression.function,
-                            grouped,
-                            measure_for(item),
-                            total,
-                            values_are_selected=True,
-                        )
-                        for item in aggregate_items
-                    }
-                    for group, key in enumerate(grouped.keys):
-                        aggregates = {
-                            name: float(values[group]) for name, values in cells.items()
-                        }
-                        result.rows.append(
-                            ResultRow(group_values=key, aggregates=aggregates)
-                        )
-        else:
-            mask = evaluate_predicate(query.where, table)
-            if not group_columns:
-                aggregates = {
-                    item.output_name: compute_aggregate(item.expression, table, mask, total)
-                    for item in aggregate_items
-                }
-                result.rows.append(ResultRow(group_values=(), aggregates=aggregates))
-            else:
-                for group_values, group_mask in self._iter_groups(table, mask, group_columns):
+                for group, key in enumerate(grouped.keys):
                     aggregates = {
-                        item.output_name: compute_aggregate(
-                            item.expression, table, group_mask, total
-                        )
-                        for item in aggregate_items
+                        name: float(values[group]) for name, values in cells.items()
                     }
                     result.rows.append(
-                        ResultRow(group_values=group_values, aggregates=aggregates)
+                        ResultRow(group_values=key, aggregates=aggregates)
                     )
         if query.having is not None:
             matches = compile_row_predicate(query.having, query)
@@ -328,14 +233,3 @@ class ExactExecutor:
                 row for row in result.rows if matches(row.group_values, row.aggregates)
             ]
         return result
-
-    # ----------------------------------------------------------------- helpers
-
-    def _iter_groups(
-        self, table: Table, mask: np.ndarray, group_columns: Sequence[str]
-    ):
-        """Yield (group value tuple, boolean mask) pairs in first-seen order.
-
-        The retained legacy grouping loop (see :mod:`repro.db.groupby`).
-        """
-        yield from iter_groups_legacy(table, mask, group_columns)

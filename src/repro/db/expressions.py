@@ -8,11 +8,10 @@ sampling-based AQP engines, which apply the same predicates to sample rows.
 Predicates over categorical (object-dtype) columns evaluate through the
 table's dictionary encoding (:mod:`repro.db.partition`): the predicate is
 applied once per *distinct value* (memoised per table and predicate leaf)
-and the per-distinct booleans are gathered through the int64 code array --
-replacing the historical per-row Python list comprehensions.  The per-row
-loops are retained as ``_comparison_mask`` / ``_in_mask_legacy`` /
-``_between_mask_legacy``: they remain the fallback for non-column operands
-and the reference implementations the property tests compare against.
+and the per-distinct booleans are gathered through the int64 code array;
+the property tests compare them with per-row loops (``tests/oracles.py``).
+An ordered comparison between strings and numbers raises
+:class:`~repro.errors.ExpressionError`.
 """
 
 from __future__ import annotations
@@ -100,26 +99,23 @@ def evaluate_expression_at(
 
 
 def _comparison_mask(
-    column_values: np.ndarray, op: ast.ComparisonOp, literal: Union[int, float, str]
+    values: np.ndarray, op: ast.ComparisonOp, literal: Union[int, float, str]
 ) -> np.ndarray:
-    """Boolean mask for ``column <op> literal`` handling numeric/categorical types."""
-    if isinstance(literal, str) or column_values.dtype == object:
-        values = column_values.astype(object)
+    """Boolean mask for ``values <op> literal`` over numeric values.
+
+    ``values`` is a numeric column or an evaluated expression (categorical
+    columns go through :func:`_categorical_leaf_mask`).  A string literal
+    never equals a number, and ordering numbers against it is a query error.
+    """
+    if isinstance(literal, str):
         if op is ast.ComparisonOp.EQ:
-            return np.asarray([v == literal for v in values], dtype=bool)
+            return np.zeros(len(values), dtype=bool)
         if op is ast.ComparisonOp.NE:
-            return np.asarray([v != literal for v in values], dtype=bool)
-        # Ordered comparisons on strings compare lexicographically.
-        if op is ast.ComparisonOp.LT:
-            return np.asarray([v < literal for v in values], dtype=bool)
-        if op is ast.ComparisonOp.LE:
-            return np.asarray([v <= literal for v in values], dtype=bool)
-        if op is ast.ComparisonOp.GT:
-            return np.asarray([v > literal for v in values], dtype=bool)
-        if op is ast.ComparisonOp.GE:
-            return np.asarray([v >= literal for v in values], dtype=bool)
-        raise ExpressionError(f"unknown comparison operator {op}")
-    values = np.asarray(column_values, dtype=np.float64)
+            return np.ones(len(values), dtype=bool)
+        raise ExpressionError(
+            f"cannot compare numeric values with string {literal!r} using {op.value}"
+        )
+    values = np.asarray(values, dtype=np.float64)
     literal_value = float(literal)
     if op is ast.ComparisonOp.EQ:
         return values == literal_value
@@ -142,7 +138,7 @@ def _comparison_mask(
 
 
 def _scalar_comparison(op: ast.ComparisonOp, literal: object) -> Callable[[object], bool]:
-    """Per-value semantics of ``value <op> literal`` (legacy row semantics)."""
+    """Per-value semantics of ``value <op> literal``."""
     if op is ast.ComparisonOp.EQ:
         return lambda v: v == literal
     if op is ast.ComparisonOp.NE:
@@ -201,8 +197,8 @@ def distinct_match_mask(dictionary: ColumnDictionary, leaf: ast.Predicate) -> np
     """Boolean mask over the dictionary's distinct values satisfying ``leaf``.
 
     Memoised in the dictionary's ``match_cache`` (shared by every slice view
-    of the same table), so a morsel-parallel scan pays the per-distinct
-    evaluation once per table and query, not once per partition.
+    of the same table), so a scan cut into several runs pays the
+    per-distinct evaluation once per table and query, not once per run.
     """
     key = leaf_match_key(leaf)
     if key is not None:
@@ -210,11 +206,15 @@ def distinct_match_mask(dictionary: ColumnDictionary, leaf: ast.Predicate) -> np
         if cached is not None:
             return cached
     match = _leaf_match_function(leaf)
-    mask = np.fromiter(
-        (bool(match(value)) for value in dictionary.values),
-        dtype=bool,
-        count=len(dictionary.values),
-    )
+    try:
+        mask = np.fromiter(
+            (bool(match(value)) for value in dictionary.values),
+            dtype=bool,
+            count=len(dictionary.values),
+        )
+    except TypeError as error:
+        # An ordered comparison (or BETWEEN) of strings against numbers.
+        raise ExpressionError(f"cannot evaluate {type(leaf).__name__}: {error}") from None
     if key is not None:
         dictionary.match_cache[key] = mask
     return mask
@@ -226,25 +226,6 @@ def _categorical_leaf_mask(table: Table, name: str, leaf: ast.Predicate) -> np.n
     if dictionary.num_distinct == 0:
         return np.zeros(len(table), dtype=bool)
     return distinct_match_mask(dictionary, leaf)[dictionary.codes]
-
-
-# Ablation switch for the retained per-row reference paths: the scan
-# benchmark times the pre-dictionary per-row loops through the same executor
-# by flipping this off.  Not thread-safe; only flip it in single-threaded
-# benchmark/test code.
-_dictionary_predicates_enabled = True
-
-
-def set_dictionary_predicates(enabled: bool) -> bool:
-    """Toggle dictionary-encoded categorical predicates; returns the old value."""
-    global _dictionary_predicates_enabled
-    previous = _dictionary_predicates_enabled
-    _dictionary_predicates_enabled = enabled
-    return previous
-
-
-def _use_dictionary(column: np.ndarray) -> bool:
-    return column.dtype == object and _dictionary_predicates_enabled
 
 
 def evaluate_predicate(predicate: ast.Predicate | None, table: Table) -> np.ndarray:
@@ -271,35 +252,30 @@ def evaluate_predicate(predicate: ast.Predicate | None, table: Table) -> np.ndar
         return _evaluate_comparison(predicate, table)
     if isinstance(predicate, ast.InPredicate):
         column = table.column(predicate.column.name)
-        if _use_dictionary(column):
-            # Dictionary path: membership decided once per distinct value
-            # (negation folded into the per-value function), gathered via codes.
-            return _categorical_leaf_mask(table, predicate.column.name, predicate)
         if column.dtype == object:
-            # Retained per-row reference path (pre-dictionary).
-            allowed = set(predicate.values)
-            mask = np.asarray([v in allowed for v in column], dtype=bool)
-        else:
-            numeric_allowed = np.asarray(
-                [v for v in predicate.values if isinstance(v, (int, float))],
-                dtype=np.float64,
-            )
-            mask = np.isin(np.asarray(column, dtype=np.float64), numeric_allowed)
+            # Membership decided once per distinct value (negation folded
+            # into the per-value function), gathered via the codes.
+            return _categorical_leaf_mask(table, predicate.column.name, predicate)
+        numeric_allowed = np.asarray(
+            [v for v in predicate.values if isinstance(v, (int, float))],
+            dtype=np.float64,
+        )
+        mask = np.isin(np.asarray(column, dtype=np.float64), numeric_allowed)
         return ~mask if predicate.negated else mask
     if isinstance(predicate, ast.BetweenPredicate):
         column = table.column(predicate.column.name)
-        if _use_dictionary(column):
-            return _categorical_leaf_mask(table, predicate.column.name, predicate)
         if column.dtype == object:
-            values = column.astype(object)
-            return np.asarray(
-                [predicate.low <= v <= predicate.high for v in values], dtype=bool
+            return _categorical_leaf_mask(table, predicate.column.name, predicate)
+        if isinstance(predicate.low, str) or isinstance(predicate.high, str):
+            raise ExpressionError(
+                f"cannot compare numeric column {predicate.column.name!r} "
+                "with string BETWEEN bounds"
             )
         values = np.asarray(column, dtype=np.float64)
         return (values >= float(predicate.low)) & (values <= float(predicate.high))
     if isinstance(predicate, ast.LikePredicate):
         column = table.column(predicate.column.name)
-        if _use_dictionary(column):
+        if column.dtype == object:
             # LIKE columns are categorical: matching the few distinct values
             # (memoised per table + pattern) and scattering back through the
             # dictionary codes beats running the regex once per row.
@@ -341,10 +317,10 @@ def _evaluate_comparison(predicate: ast.Comparison, table: Table) -> np.ndarray:
     if isinstance(right, ast.Literal):
         if isinstance(left, ast.ColumnRef):
             column = table.column(left.name)
-            if _use_dictionary(column):
-                # Dictionary path: the comparison runs once per distinct
-                # value instead of once per row (the normalised leaf keeps
-                # the original literal, so semantics match the legacy loop).
+            if column.dtype == object:
+                # The comparison runs once per distinct value instead of
+                # once per row (the normalised leaf keeps the original
+                # literal, so semantics match a per-row comparison).
                 normalised = ast.Comparison(left=left, op=op, right=right)
                 return _categorical_leaf_mask(table, left.name, normalised)
             return _comparison_mask(column, op, right.value)

@@ -15,8 +15,8 @@ table factorizes with pure C-level gathers.  Integer columns are encoded by
 offset when their value span is dense, floats by ``np.unique``, and
 object/NaN columns by a first-seen hash encoding.
 
-Semantics are kept byte-identical to the retained legacy path
-(:func:`iter_groups_legacy`, the original per-row Python loop):
+Semantics are byte-identical to a per-row Python loop that collects group
+keys in a dict (the oracle in ``tests/oracles.py``):
 
 * groups appear in **first-seen order** of the selected rows;
 * group keys are tuples of :func:`normalize_value` applied to the *first*
@@ -25,7 +25,7 @@ Semantics are kept byte-identical to the retained legacy path
   the same value sequence (ascending row order within a group), so pairwise
   summation produces bit-identical floats;
 * float group columns containing NaN use the hash encoding, where -- exactly
-  like the legacy tuple keys -- every NaN row forms its own group.
+  like dict keys of row tuples -- every NaN row forms its own group.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -125,7 +125,7 @@ class GroupedSelection:
         return self.sorted_indices[self.starts[group] : self.ends[group]]
 
     def group_mask(self, group: int, num_rows: int) -> np.ndarray:
-        """Full-length boolean mask of one group (legacy-shaped interface)."""
+        """Full-length boolean mask of one group."""
         mask = np.zeros(num_rows, dtype=bool)
         mask[self.group_indices(group)] = True
         return mask
@@ -153,8 +153,8 @@ class GroupedSelection:
 def _encode_hashed(values) -> tuple[np.ndarray, int]:
     """Dict-based first-seen integer encoding (object dtype / NaN fallback).
 
-    Matches the legacy dict-of-keys behaviour exactly, including NaN keys:
-    NaN != NaN, so every NaN occurrence receives a fresh code.
+    Matches dict-of-keys grouping exactly, including NaN keys: NaN != NaN,
+    so every NaN occurrence receives a fresh code.
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()
@@ -171,16 +171,16 @@ def _encode_hashed(values) -> tuple[np.ndarray, int]:
 def _encode_column(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Encode one whole group column into dense integer codes.
 
-    The encoding is injective with respect to the legacy group-key equality
-    (dict key equality of the normalised values), so grouping by codes
-    partitions rows exactly as grouping by values does.
+    The encoding is injective with respect to group-key equality (dict key
+    equality of the normalised values), so grouping by codes partitions
+    rows exactly as grouping by values does.
     """
     if values.dtype == object:
         return _encode_hashed(values)
     if np.issubdtype(values.dtype, np.floating):
         if np.isnan(values).any():
-            # np.unique collapses NaNs while the legacy dict keys keep each
-            # NaN distinct; the hashed path reproduces the legacy grouping.
+            # np.unique collapses NaNs while dict keys keep each NaN
+            # distinct; the hashed path reproduces the dict grouping.
             return _encode_hashed(values)
         uniques, inverse = np.unique(values, return_inverse=True)
         return inverse.reshape(-1).astype(np.int64, copy=False), len(uniques)
@@ -229,9 +229,9 @@ def factorize(
 ) -> GroupedSelection | None:
     """Factorize the rows of ``table`` selected by ``mask`` into groups.
 
-    Returns ``None`` when no rows are selected (no groups -- the legacy
-    iterator yielded nothing in that case).  ``group_columns`` must be
-    non-empty; the scalar (no GROUP BY) case never reaches the kernel.
+    Returns ``None`` when no rows are selected (no groups).
+    ``group_columns`` must be non-empty; the scalar (no GROUP BY) case never
+    reaches the kernel.
 
     ``selected_indices`` (ascending row indices) may be passed instead of a
     mask -- the partitioned scan driver already has them, and skipping the
@@ -312,8 +312,8 @@ def segment_aggregate(
     ``values`` is the measure expression evaluated over the *whole* table
     (``None`` for ``*`` aggregates); it is gathered into segment order once
     and each group's reduction runs over its contiguous slice -- the same
-    NumPy reduction over the same operand sequence as the legacy per-group
-    ``values[mask]`` calls, so results are bit-identical.
+    NumPy reduction over the same operand sequence as a per-group
+    ``values[mask]`` call, so results are bit-identical.
 
     With ``values_are_selected`` the measure was evaluated only over the
     selected rows (ascending row order) -- the partitioned executor does this
@@ -351,31 +351,3 @@ def segment_aggregate(
         raise ExpressionError(f"unknown aggregate function {function}")
     return out
 
-
-def iter_groups_legacy(
-    table: Table, mask: np.ndarray, group_columns: Sequence[str]
-) -> Iterator[tuple[tuple[Value, ...], np.ndarray]]:
-    """The pre-kernel per-row grouping loop: (key tuple, boolean mask) pairs.
-
-    Retained as the reference implementation: the property tests assert the
-    factorized kernel reproduces it byte-for-byte, and the benchmark measures
-    the kernel's speedup against it.
-    """
-    selected_indices = np.flatnonzero(mask)
-    if len(selected_indices) == 0:
-        return
-    columns = [table.column(name) for name in group_columns]
-    groups: dict[tuple[Value, ...], list[int]] = {}
-    order: list[tuple[Value, ...]] = []
-    for index in selected_indices:
-        key = tuple(normalize_value(column[index]) for column in columns)
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [int(index)]
-            order.append(key)
-        else:
-            bucket.append(int(index))
-    for key in order:
-        group_mask = np.zeros(len(table), dtype=bool)
-        group_mask[np.asarray(groups[key], dtype=np.int64)] = True
-        yield key, group_mask

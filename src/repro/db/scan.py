@@ -145,7 +145,7 @@ def _leaf_maybe_vec(
         stats = partitions.numeric_stats(name)
         if stats is None or isinstance(literal, str):
             # Unknown column or string literal vs numeric column: the
-            # evaluator falls back to per-row object comparisons; no pruning.
+            # evaluator decides (nothing equals it; ordering is an error).
             return maybe_all
         lows, highs, has_nan = stats
         value = float(literal)

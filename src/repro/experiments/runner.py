@@ -72,23 +72,21 @@ class ExperimentRunner:
         cost_model: CostModelConfig | None = None,
         config: VerdictConfig | None = None,
         confidence: float = 0.95,
-        vectorized: bool = True,
     ):
         self.catalog = catalog
         self.aqp = OnlineAggregationEngine(
-            catalog, sampling=sampling, cost_model=cost_model, vectorized=vectorized
+            catalog, sampling=sampling, cost_model=cost_model
         )
         self.time_bound_engine = TimeBoundEngine(
             catalog,
             sampling=sampling,
             cost_model=cost_model,
             sample_store=self.aqp.samples,
-            vectorized=vectorized,
         )
         self.verdict = VerdictEngine(
             catalog, self.aqp, config=config, time_bound_engine=self.time_bound_engine
         )
-        self.exact = ExactExecutor(catalog, vectorized=vectorized)
+        self.exact = ExactExecutor(catalog)
         self.confidence = confidence
         self.multiplier = confidence_multiplier(confidence)
         self._exact_cache: dict[ast.Query, QueryResult] = {}

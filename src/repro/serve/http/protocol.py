@@ -12,6 +12,9 @@ status    code                    meaning
 400       ``bad_request``         malformed JSON / schema violation / malformed
                                   request line or HTTP version
 400       ``invalid_sql``         the SQL text failed to parse
+400       ``unknown_column``      the SQL names a column its table lacks
+400       ``invalid_expression``  a predicate or expression cannot be
+                                  evaluated (e.g. ``week < 'abc'``)
 400       ``bad_rows``            append rows do not match the table schema
 404       ``unknown_tenant``      tenant was never created
 404       ``unknown_table``       SQL or append references an unknown table
@@ -487,9 +490,11 @@ def map_exception(error: Exception) -> ApiError:
         CatalogError,
         DeadlineExceeded,
         EpochFencedError,
+        ExpressionError,
         QueryCancelled,
         ReadOnlyFollowerError,
         ReplicationGapError,
+        SchemaError,
         ServiceError,
         SQLSyntaxError,
         TableError,
@@ -524,6 +529,10 @@ def map_exception(error: Exception) -> ApiError:
         # online-agg route handles them); reaching here means a route
         # explicitly refused, which is the client's query class problem.
         return bad_request(str(error), "unsupported_query")
+    if isinstance(error, SchemaError):
+        return bad_request(str(error), "unknown_column")
+    if isinstance(error, ExpressionError):
+        return bad_request(str(error), "invalid_expression")
     if isinstance(error, CatalogError):
         return ApiError(404, "unknown_table", str(error))
     if isinstance(error, TableError):

@@ -70,7 +70,14 @@ from repro.db.executor import ExactExecutor
 from repro.db.scan import ScanCounters
 from repro.db.table import Table
 from repro.deadline import Deadline, current_deadline, deadline_scope
-from repro.errors import DeadlineExceeded, QueryCancelled, ReproError, ServiceError
+from repro.errors import (
+    DeadlineExceeded,
+    ExpressionError,
+    QueryCancelled,
+    ReproError,
+    SchemaError,
+    ServiceError,
+)
 from repro.obs.metrics import MetricFamily
 from repro.obs.trace import Tracer, current_trace, set_attrs
 from repro.obs.trace import event as trace_event
@@ -275,7 +282,6 @@ class VerdictService:
         record_queries: bool = True,
         flush_every: int = 8,
         cache_capacity: int = 1_024,
-        vectorized: bool = True,
         auto_train_every: int | None = None,
         breaker_window: int = 8,
         breaker_failure_threshold: float = 0.5,
@@ -301,7 +307,6 @@ class VerdictService:
             catalog,
             sampling=sampling,
             cost_model=cost_model,
-            vectorized=vectorized,
             scan_counters=self.scan_counters,
         )
         self.time_bound = TimeBoundEngine(
@@ -309,15 +314,12 @@ class VerdictService:
             sampling=sampling,
             cost_model=cost_model,
             sample_store=self.aqp.samples,
-            vectorized=vectorized,
             scan_counters=self.scan_counters,
         )
         self.engine = VerdictEngine(
             catalog, self.aqp, config=config, time_bound_engine=self.time_bound
         )
-        self.exact = ExactExecutor(
-            catalog, vectorized=vectorized, scan_counters=self.scan_counters
-        )
+        self.exact = ExactExecutor(catalog, scan_counters=self.scan_counters)
         self.planner = QueryPlanner(self.engine, confidence=confidence)
         self.metrics = ServiceMetrics(scan_counters=self.scan_counters)
         self.tracer = tracer
@@ -665,6 +667,13 @@ class VerdictService:
                 # Never degrade to a partial: nobody is listening.  The
                 # abort happens before _record/_cache_store, so the answer
                 # cache, store, and metrics stay consistent.
+                raise
+            except (SchemaError, ExpressionError):
+                if breaker is not None:
+                    # A missing column or a string-vs-number ordering is the
+                    # client's query, which every route would fail alike:
+                    # release the attempt unrecorded and do not fall back.
+                    breaker.cancel()
                 raise
             except ReproError:
                 if breaker is not None:

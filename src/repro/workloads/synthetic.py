@@ -275,8 +275,8 @@ def make_gp_snippets_multi(
     depend on the length scales, so the learning workspace precomputes
     them).  Exact answers are drawn from the separable product-kernel
     covariance with the *known* per-attribute length scales, so parameter
-    learning has a ground truth to recover.  This is the workload of
-    ``benchmarks/bench_learning.py``.
+    learning has a ground truth to recover (``tests/core/test_learning.py``,
+    ``tests/property/test_learning_gradients.py``).
     """
     from repro.core.covariance import AggregateModel, SnippetCovariance
     from repro.core.regions import CategoricalConstraint, CategoricalDomain

@@ -3,6 +3,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import repro.core.learning as learning_module
 from repro.config import VerdictConfig
@@ -105,15 +106,29 @@ class TestFastPath:
             seed=13,
             noise_std=0.15,
         )
-        fast_config = VerdictConfig(learning_restarts=2, max_learning_snippets=60)
-        fast = learn_length_scales(key, snippets, domains, fast_config)
-        legacy = learn_length_scales(
-            key, snippets, domains, fast_config.with_options(learning_fast_path=False)
-        )
-        for name in fast.optimized_attributes:
-            assert fast.length_scales[name] == pytest.approx(
-                legacy.length_scales[name], rel=0.01
-            )
+        config = VerdictConfig(learning_restarts=2, max_learning_snippets=60)
+        fast = learn_length_scales(key, snippets, domains, config)
+        # Oracle: L-BFGS-B with finite differences on the reference NLL,
+        # from the same starts (domain widths, then seed-0 random restarts).
+        names = constrained_numeric_attributes(snippets, domains)
+        defaults = domains.default_length_scales()
+        widths = np.array([defaults[name] for name in names])
+
+        def objective(log_scales):
+            scales = dict(defaults, **dict(zip(names, np.exp(log_scales))))
+            return negative_log_likelihood(scales, key, snippets, domains)
+
+        rng = np.random.default_rng(0)
+        starts = [np.log(widths), np.log(widths) + rng.uniform(-2.0, 1.0, len(widths))]
+        bounds = list(zip(np.log(widths * 1e-3), np.log(widths * 10.0)))
+        outcomes = [
+            minimize(objective, start, method="L-BFGS-B", bounds=bounds, options={"maxiter": 60})
+            for start in starts
+        ]
+        best = min(outcomes, key=lambda outcome: outcome.fun)
+        assert fast.optimized_attributes == tuple(names)
+        for name, log_scale in zip(names, best.x):
+            assert fast.length_scales[name] == pytest.approx(np.exp(log_scale), rel=0.01)
 
     def test_workspace_handles_fewer_than_two_snippets(self):
         snippets, domains, key = make_gp_snippets(

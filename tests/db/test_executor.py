@@ -5,6 +5,7 @@ import pytest
 
 from repro.db.executor import ExactExecutor
 from repro.sqlparser.parser import parse_query
+from tests import oracles
 
 
 @pytest.fixture()
@@ -148,29 +149,28 @@ class TestJoinsAndScalars:
 class TestVectorizedLegacyParity:
     def test_count_of_categorical_column(self, tiny_catalog):
         # COUNT never evaluates its argument, so counting a non-numeric
-        # column must work on both paths (regression: the vectorized path
-        # once float64-cast every aggregate argument eagerly).
+        # column must work (regression: the factorized path once
+        # float64-cast every aggregate argument eagerly).
         query = parse_query("SELECT week, COUNT(region) FROM tiny GROUP BY week")
         from repro.db.executor import ExactExecutor
 
-        vectorized = ExactExecutor(tiny_catalog, vectorized=True).execute(query)
-        legacy = ExactExecutor(tiny_catalog, vectorized=False).execute(query)
-        assert [r.group_values for r in vectorized.rows] == [
-            r.group_values for r in legacy.rows
+        result = ExactExecutor(tiny_catalog).execute(query)
+        expected = oracles.execute(tiny_catalog, query)
+        assert [r.group_values for r in result.rows] == [
+            r.group_values for r in expected.rows
         ]
-        for new_row, old_row in zip(vectorized.rows, legacy.rows):
+        for new_row, old_row in zip(result.rows, expected.rows):
             assert new_row.aggregates == old_row.aggregates
 
     def test_empty_selection_never_evaluates_measure(self, tiny_catalog):
-        # Legacy returns 0.0 for SUM/AVG over an empty selection *without*
-        # evaluating the argument, so even a non-numeric argument must not
-        # crash; the vectorized path must defer evaluation the same way.
+        # SUM/AVG over an empty selection is 0.0 *without* evaluating the
+        # argument, so even a non-numeric argument must not crash.
         from repro.db.executor import ExactExecutor
 
         query = parse_query("SELECT SUM(region) FROM tiny WHERE week = 99")
-        for vectorized in (True, False):
-            result = ExactExecutor(tiny_catalog, vectorized=vectorized).execute(query)
-            assert result.rows[0].aggregates["sum_region"] == 0.0
+        result = ExactExecutor(tiny_catalog).execute(query)
+        assert result.rows[0].aggregates["sum_region"] == 0.0
+        assert oracles.execute(tiny_catalog, query).rows == result.rows
 
     def test_empty_selection_group_by_non_numeric_measure(self, tiny_catalog):
         from repro.db.executor import ExactExecutor
@@ -178,6 +178,5 @@ class TestVectorizedLegacyParity:
         query = parse_query(
             "SELECT week, AVG(region) FROM tiny WHERE week = 99 GROUP BY week"
         )
-        for vectorized in (True, False):
-            result = ExactExecutor(tiny_catalog, vectorized=vectorized).execute(query)
-            assert result.rows == []
+        assert ExactExecutor(tiny_catalog).execute(query).rows == []
+        assert oracles.execute(tiny_catalog, query).rows == []

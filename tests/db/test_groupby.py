@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized group-by kernel and the shared HAVING
+"""Unit tests for the factorized group-by kernel and the shared HAVING
 row-predicate evaluator."""
 
 import numpy as np
@@ -7,7 +7,6 @@ import pytest
 from repro.db.groupby import (
     GroupedSelection,
     factorize,
-    iter_groups_legacy,
     normalize_value,
     segment_aggregate,
 )
@@ -17,6 +16,7 @@ from repro.db.table import Table
 from repro.errors import ExpressionError
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_query
+from tests import oracles
 
 
 def make_table(**columns) -> Table:
@@ -32,7 +32,7 @@ def make_table(**columns) -> Table:
 
 
 def kernel_as_mask_pairs(table, mask, group_columns):
-    """Render a factorization in the legacy (key, boolean mask) shape."""
+    """Render a factorization in the oracle's (key, boolean mask) shape."""
     grouped = factorize(table, mask, group_columns)
     if grouped is None:
         return []
@@ -50,16 +50,16 @@ class TestFactorize:
             revenue=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
         )
         mask = np.ones(6, dtype=bool)
-        legacy = list(iter_groups_legacy(table, mask, ["region", "week"]))
+        expected = oracles.iter_groups(table, mask, ["region", "week"])
         new = kernel_as_mask_pairs(table, mask, ["region", "week"])
-        assert [k for k, _ in legacy] == [k for k, _ in new]
-        for (_, a), (_, b) in zip(legacy, new):
+        assert [k for k, _ in expected] == [k for k, _ in new]
+        for (_, a), (_, b) in zip(expected, new):
             assert np.array_equal(a, b)
 
     def test_empty_selection_returns_none(self):
         table = make_table(region=["a", "b"], revenue=[1.0, 2.0])
         assert factorize(table, np.zeros(2, dtype=bool), ["region"]) is None
-        assert list(iter_groups_legacy(table, np.zeros(2, dtype=bool), ["region"])) == []
+        assert oracles.iter_groups(table, np.zeros(2, dtype=bool), ["region"]) == []
 
     def test_single_group(self):
         table = make_table(region=["a", "a", "a"], revenue=[1.0, 2.0, 3.0])
@@ -91,14 +91,14 @@ class TestFactorize:
         assert list(grouped.group_indices(1)) == [1, 3]
 
     def test_nan_group_values_match_legacy(self):
-        # Legacy dict keys keep every NaN distinct (NaN != NaN): one group
-        # per NaN row.  The kernel must reproduce that.
+        # Dict keys keep every NaN distinct (NaN != NaN): one group per NaN
+        # row.  The kernel must reproduce that.
         table = make_table(x=[1.0, float("nan"), 1.0, float("nan")], revenue=[1.0] * 4)
         mask = np.ones(4, dtype=bool)
-        legacy = list(iter_groups_legacy(table, mask, ["x"]))
+        expected = oracles.iter_groups(table, mask, ["x"])
         new = kernel_as_mask_pairs(table, mask, ["x"])
-        assert len(legacy) == len(new) == 3
-        for (_, a), (_, b) in zip(legacy, new):
+        assert len(expected) == len(new) == 3
+        for (_, a), (_, b) in zip(expected, new):
             assert np.array_equal(a, b)
 
     def test_sparse_int_column_falls_back_to_unique(self):

@@ -1,12 +1,11 @@
-"""Vectorized kernel vs legacy row-loop: identical answers end to end.
+"""Factorized kernel vs the row-loop oracle: identical answers end to end.
 
 Runs the workload query traces (Customer1-like and TPC-H-like, the latter
 with fact-dimension joins and HAVING) through the exact executor and the AQP
-estimation twice -- once on the factorized kernel, once on the retained
-legacy path -- and asserts the answers are identical: same group order, same
-group keys, same aggregate floats, same CLT errors.  Also covers the
-append scenario: after ``replace_table`` the denormalization cache must
-serve the *new* contents.
+estimation, and through the row-loop oracle of ``tests/oracles.py``, and
+asserts the answers are identical: same group order, same group keys, same
+aggregate floats, same CLT errors.  Also covers the append scenario: after
+``replace_table`` the denormalization cache must serve the *new* contents.
 """
 
 import numpy as np
@@ -19,23 +18,22 @@ from repro.db.executor import ExactExecutor
 from repro.sqlparser.parser import parse_query
 from repro.workloads.customer1 import Customer1Workload
 from repro.workloads.tpch import TPCHWorkload
+from tests import oracles
 
 
-def assert_exact_results_identical(vectorized, legacy):
-    assert vectorized.group_columns == legacy.group_columns
-    assert vectorized.aggregate_names == legacy.aggregate_names
-    assert [r.group_values for r in vectorized.rows] == [
-        r.group_values for r in legacy.rows
+def assert_exact_results_identical(result, expected):
+    assert result.group_columns == expected.group_columns
+    assert result.aggregate_names == expected.aggregate_names
+    assert [r.group_values for r in result.rows] == [
+        r.group_values for r in expected.rows
     ]
-    for new_row, old_row in zip(vectorized.rows, legacy.rows):
+    for new_row, old_row in zip(result.rows, expected.rows):
         assert new_row.aggregates == old_row.aggregates
 
 
-def assert_answers_identical(vectorized, legacy):
-    assert [r.group_values for r in vectorized.rows] == [
-        r.group_values for r in legacy.rows
-    ]
-    for new_row, old_row in zip(vectorized.rows, legacy.rows):
+def assert_answers_identical(rows, expected_rows):
+    assert [r.group_values for r in rows] == [r.group_values for r in expected_rows]
+    for new_row, old_row in zip(rows, expected_rows):
         assert new_row.estimates.keys() == old_row.estimates.keys()
         for name in new_row.estimates:
             assert new_row.estimates[name].value == old_row.estimates[name].value
@@ -68,24 +66,22 @@ def tpch():
 class TestExactExecutorEquivalence:
     def test_customer1_trace(self, customer1):
         catalog, trace = customer1
-        vectorized = ExactExecutor(catalog, vectorized=True)
-        legacy = ExactExecutor(catalog, vectorized=False)
+        executor = ExactExecutor(catalog)
         for sql in trace:
             query = parse_query(sql)
             assert_exact_results_identical(
-                vectorized.execute(query), legacy.execute(query)
+                executor.execute(query), oracles.execute(catalog, query)
             )
 
     def test_tpch_trace_with_joins_and_having(self, tpch):
         catalog, queries = tpch
-        vectorized = ExactExecutor(catalog, vectorized=True)
-        legacy = ExactExecutor(catalog, vectorized=False)
+        executor = ExactExecutor(catalog)
         for sql in queries:
             query = parse_query(sql)
             if query.has_subquery:
                 continue
             assert_exact_results_identical(
-                vectorized.execute(query), legacy.execute(query)
+                executor.execute(query), oracles.execute(catalog, query)
             )
 
 
@@ -96,27 +92,27 @@ class TestAQPEquivalence:
             query = parse_query(sql)
             table = catalog.denormalize(query)
             rows = len(table)
-            vectorized = estimate_answer(
-                query, table, rows, rows, rows, 0.0, vectorized=True
-            )
-            legacy = estimate_answer(
-                query, table, rows, rows, rows, 0.0, vectorized=False
-            )
-            assert_answers_identical(vectorized, legacy)
+            answer = estimate_answer(query, table, rows, rows, rows, 0.0)
+            assert_answers_identical(answer.rows, oracles.estimate(query, table, rows, rows))
 
     def test_online_aggregation_engines_agree(self, tpch):
         catalog, queries = tpch
         sampling = SamplingConfig(sample_ratio=0.3, num_batches=3, seed=5)
-        fast = OnlineAggregationEngine(catalog, sampling=sampling, vectorized=True)
-        slow = OnlineAggregationEngine(
-            catalog, sampling=sampling, sample_store=fast.samples, vectorized=False
-        )
+        engine = OnlineAggregationEngine(catalog, sampling=sampling)
+        checked = 0
         for sql in queries[:4]:
             query = parse_query(sql)
             if query.has_subquery:
                 continue
-            for fast_answer, slow_answer in zip(fast.run(query), slow.run(query)):
-                assert_answers_identical(fast_answer, slow_answer)
+            prefixes = engine.samples.sample_for(query.table).iter_batch_prefixes()
+            for answer, (_, prefix) in zip(engine.run(query), prefixes):
+                joined = catalog.join_all(prefix, query.joins)
+                expected = oracles.estimate(
+                    query, joined, answer.rows_scanned, answer.population_size
+                )
+                assert_answers_identical(answer.rows, expected)
+                checked += 1
+        assert checked
 
 
 class TestAppendScenario:
@@ -128,14 +124,13 @@ class TestAppendScenario:
             "JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment"
         )
         query = parse_query(sql)
-        vectorized = ExactExecutor(catalog, vectorized=True)
-        before = vectorized.execute(query)
+        executor = ExactExecutor(catalog)
+        before = executor.execute(query)
         # Warm the cache, then append: double the fact table.
         lineitem = catalog.table("lineitem")
         catalog.replace_table(lineitem.append(lineitem))
-        after = vectorized.execute(query)
-        legacy_after = ExactExecutor(catalog, vectorized=False).execute(query)
-        assert_exact_results_identical(after, legacy_after)
+        after = executor.execute(query)
+        assert_exact_results_identical(after, oracles.execute(catalog, query))
         total_before = sum(r.aggregates["count_star"] for r in before.rows)
         total_after = sum(r.aggregates["count_star"] for r in after.rows)
         assert total_after == 2 * total_before
@@ -166,7 +161,7 @@ def test_numpy_join_drops_unmatched_like_legacy(tpch):
     catalog, _ = tpch
     lineitem = catalog.table("lineitem")
     keys = np.asarray(lineitem.column("l_orderkey"))
-    # Sanity: the vectorized FK match keeps row order and drops nothing when
+    # Sanity: the NumPy FK match keeps row order and drops nothing when
     # every key resolves.
     query = parse_query(
         "SELECT COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey"

@@ -1,9 +1,9 @@
-"""Property-based equivalence of the vectorized group-by kernel.
+"""Property-based equivalence of the factorized group-by kernel.
 
 The factorized kernel (`repro.db.groupby.factorize` + segment aggregation)
-must reproduce the retained legacy path (`iter_groups_legacy`, the original
-per-row loop) *byte for byte*: same group order, same key tuples (including
-Python value types), same aggregate floats.  The strategies sweep int, float,
+must reproduce the per-row oracle (`tests/oracles.py`: a dict of first-seen
+keys and one boolean mask per group) *byte for byte*: same group order, same
+key tuples (including Python value types), same aggregate floats.  The strategies sweep int, float,
 and object group columns, empty selections, single-group and all-distinct
 extremes, and multi-column keys.
 """
@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.db.executor import ExactExecutor
 from repro.db.catalog import Catalog
-from repro.db.groupby import factorize, iter_groups_legacy
+from repro.db.groupby import factorize
 from repro.db.schema import ColumnKind, Schema, categorical_dimension, measure, numeric_dimension
 from repro.db.table import Table
 from repro.sqlparser.parser import parse_query
+from tests import oracles
 
 def build_table(ints, floats, objects, measures):
     rows = len(measures)
@@ -60,7 +61,7 @@ table_inputs = st.integers(min_value=0, max_value=40).flatmap(
         st.lists(st.integers(min_value=-3, max_value=3), min_size=rows, max_size=rows),
         st.lists(
             # NaN exercises the hashed-encoding fallback, where every NaN row
-            # must form its own group exactly like the legacy dict keys.
+            # must form its own group exactly like the oracle's dict keys.
             st.sampled_from([0.0, -0.5, 1.25, 7.5, 100.0, float("nan")]),
             min_size=rows,
             max_size=rows,
@@ -87,19 +88,19 @@ def test_factorize_matches_legacy_bytewise(inputs, group_columns):
     table = build_table(ints, floats, objects, measures)
     mask = np.asarray(mask_bits, dtype=bool)
 
-    legacy = list(iter_groups_legacy(table, mask, group_columns))
+    expected = oracles.iter_groups(table, mask, group_columns)
     grouped = factorize(table, mask, group_columns)
 
     if grouped is None:
-        assert legacy == []
+        assert expected == []
         return
 
-    assert grouped.num_groups == len(legacy)
-    for group, (legacy_key, legacy_mask) in enumerate(legacy):
+    assert grouped.num_groups == len(expected)
+    for group, (expected_key, expected_mask) in enumerate(expected):
         # keys_match also checks Python value types (int vs float matters).
-        assert keys_match(grouped.keys[group], legacy_key)
-        assert np.array_equal(grouped.group_mask(group, len(table)), legacy_mask)
-        assert list(grouped.group_indices(group)) == list(np.flatnonzero(legacy_mask))
+        assert keys_match(grouped.keys[group], expected_key)
+        assert np.array_equal(grouped.group_mask(group, len(table)), expected_mask)
+        assert list(grouped.group_indices(group)) == list(np.flatnonzero(expected_mask))
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,11 +115,11 @@ def test_executor_vectorized_equals_legacy_bytewise(inputs, group_columns):
         f"{group_by}, SUM(m), AVG(m), COUNT(*), MIN(m), MAX(m), FREQ(*) "
         f"FROM t GROUP BY {group_by}"
     )
-    vectorized = ExactExecutor(catalog, vectorized=True).execute(query)
-    legacy = ExactExecutor(catalog, vectorized=False).execute(query)
+    result = ExactExecutor(catalog).execute(query)
+    expected = oracles.execute(catalog, query)
 
-    assert len(vectorized.rows) == len(legacy.rows)
-    for new_row, old_row in zip(vectorized.rows, legacy.rows):
+    assert len(result.rows) == len(expected.rows)
+    for new_row, old_row in zip(result.rows, expected.rows):
         assert keys_match(new_row.group_values, old_row.group_values)
         assert new_row.aggregates.keys() == old_row.aggregates.keys()
         for name in new_row.aggregates:

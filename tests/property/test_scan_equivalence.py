@@ -1,17 +1,17 @@
 """Property-based equivalence of the partitioned scan layer.
 
 The partitioned, pruned execution path must be **byte-identical** to the
-retained legacy paths:
+whole-table references:
 
 * ``scan_selected`` == ``np.flatnonzero(evaluate_predicate(...))`` for every
   predicate shape, row count (including counts that do not divide the
   partition size), NaN placement, and append history;
-* ``ExactExecutor()`` == the ``vectorized=False`` row loop for whole query
-  results (group order, key tuples, aggregate floats);
+* ``ExactExecutor()`` == the row-loop oracle (``tests/oracles.py``) for whole
+  query results (group order, key tuples, aggregate floats);
 * both hold for every *run shape* the morsel driver can produce: a pruned
   partition splitting two runs, runs longer than the morsel cap, a partial
   trailing partition after an append;
-* dictionary-encoded categorical predicates == the retained per-row loops;
+* dictionary-encoded categorical predicates == per-row Python loops;
 * the same query scanned by several threads at once (one thread per query)
   is deterministic.
 """
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.db import scan as scan_module
 from repro.db.catalog import Catalog
 from repro.db.executor import ExactExecutor
-from repro.db.expressions import _comparison_mask, evaluate_predicate
+from repro.db.expressions import evaluate_predicate
 from repro.db.partition import table_partitions
 from repro.db.scan import scan_selected
 from repro.db.schema import (
@@ -41,6 +41,7 @@ from repro.db.schema import (
 from repro.db.table import Table
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_query
+from tests import oracles
 
 REGIONS = ["east", "west", "north", "sd"]
 
@@ -145,8 +146,7 @@ class TestExecutorEquivalence:
         query = parse_query(query_template.format(cond=condition))
 
         partitioned = ExactExecutor(catalog)
-        legacy = ExactExecutor(catalog, vectorized=False)
-        assert_results_identical(partitioned.execute(query), legacy.execute(query))
+        assert_results_identical(partitioned.execute(query), oracles.execute(catalog, query))
 
     @given(data=table_inputs, condition=st.sampled_from(CONDITIONS))
     @settings(max_examples=40, deadline=None)
@@ -157,12 +157,11 @@ class TestExecutorEquivalence:
         catalog = Catalog.of([table], fact_tables=["t"])
         query = parse_query(f"SELECT region, SUM(m), COUNT(*) FROM t WHERE {condition} GROUP BY region")
         partitioned = ExactExecutor(catalog)
-        legacy = ExactExecutor(catalog, vectorized=False)
-        assert_results_identical(partitioned.execute(query), legacy.execute(query))
+        assert_results_identical(partitioned.execute(query), oracles.execute(catalog, query))
         # Append (reusing prefix partitions) and compare again.
         delta = build_table(weeks[: len(weeks) // 2], regions[: len(weeks) // 2], measures[: len(weeks) // 2])
         catalog.append_rows("t", delta)
-        assert_results_identical(partitioned.execute(query), legacy.execute(query))
+        assert_results_identical(partitioned.execute(query), oracles.execute(catalog, query))
 
 
 class TestRunShapes:
@@ -189,8 +188,7 @@ class TestRunShapes:
         catalog = Catalog.of([table], fact_tables=["t"])
         query = parse_query(self.GROUPED.format(cond=condition))
         assert_results_identical(
-            ExactExecutor(catalog).execute(query),
-            ExactExecutor(catalog, vectorized=False).execute(query),
+            ExactExecutor(catalog).execute(query), oracles.execute(catalog, query)
         )
         return report
 
@@ -247,7 +245,7 @@ class TestRunShapes:
 
 
 class TestDictionaryPredicateEquivalence:
-    """Satellite: dictionary-code comparisons == the retained per-row loops."""
+    """Dictionary-code comparisons == per-row Python loops."""
 
     object_columns = st.lists(
         st.sampled_from(["east", "west", "", "e", 3, 7.5, None, float("nan")]),
@@ -262,12 +260,12 @@ class TestDictionaryPredicateEquivalence:
         table = Table("t", schema, {"c": values})
         column = table.column("c")
         for op in (ast.ComparisonOp.EQ, ast.ComparisonOp.NE):
-            legacy = _comparison_mask(column, op, literal)
+            expected = oracles.object_comparison_mask(column, op, literal)
             predicate = ast.Comparison(
                 left=ast.ColumnRef(name="c"), op=op, right=ast.Literal(value=literal)
             )
             new = evaluate_predicate(predicate, table)
-            assert np.array_equal(new, legacy)
+            assert np.array_equal(new, expected)
 
     @given(values=object_columns)
     @settings(max_examples=60, deadline=None)
@@ -276,13 +274,13 @@ class TestDictionaryPredicateEquivalence:
         table = Table("t", schema, {"c": values})
         allowed = ("east", 3, "")
         for negated in (False, True):
-            legacy = np.asarray([v in set(allowed) for v in table.column("c")], dtype=bool)
+            expected = np.asarray([v in set(allowed) for v in table.column("c")], dtype=bool)
             if negated:
-                legacy = ~legacy
+                expected = ~expected
             predicate = ast.InPredicate(
                 column=ast.ColumnRef(name="c"), values=allowed, negated=negated
             )
-            assert np.array_equal(evaluate_predicate(predicate, table), legacy)
+            assert np.array_equal(evaluate_predicate(predicate, table), expected)
 
     @given(
         values=st.lists(st.sampled_from(REGIONS + ["zz", "aaa"]), max_size=60),
@@ -293,9 +291,9 @@ class TestDictionaryPredicateEquivalence:
     def test_between_mask_identical(self, values, low, high):
         schema = Schema.of([categorical_dimension("c")])
         table = Table("t", schema, {"c": values})
-        legacy = np.asarray([low <= v <= high for v in table.column("c")], dtype=bool)
+        expected = np.asarray([low <= v <= high for v in table.column("c")], dtype=bool)
         predicate = ast.BetweenPredicate(column=ast.ColumnRef(name="c"), low=low, high=high)
-        assert np.array_equal(evaluate_predicate(predicate, table), legacy)
+        assert np.array_equal(evaluate_predicate(predicate, table), expected)
 
     @given(
         values=st.lists(st.sampled_from(REGIONS + ["", "easter"]), max_size=60),
@@ -309,15 +307,15 @@ class TestDictionaryPredicateEquivalence:
         schema = Schema.of([categorical_dimension("c")])
         table = Table("t", schema, {"c": values})
         regex = _like_regex(pattern)
-        legacy = np.asarray(
+        expected = np.asarray(
             [regex.fullmatch(str(v)) is not None for v in table.column("c")], dtype=bool
         )
         if negated:
-            legacy = ~legacy
+            expected = ~expected
         predicate = ast.LikePredicate(
             column=ast.ColumnRef(name="c"), pattern=pattern, negated=negated
         )
-        assert np.array_equal(evaluate_predicate(predicate, table), legacy)
+        assert np.array_equal(evaluate_predicate(predicate, table), expected)
 
 
 class TestConcurrentQueryDeterminism:
@@ -335,7 +333,7 @@ class TestConcurrentQueryDeterminism:
             "SELECT region, SUM(m), AVG(m), COUNT(*) FROM t "
             "WHERE week >= 4 AND region <> 'sd' GROUP BY region"
         )
-        reference = ExactExecutor(catalog, vectorized=False).execute(query)
+        reference = oracles.execute(catalog, query)
         expected = np.flatnonzero(evaluate_predicate(query.where, table))
         failures: list[str] = []
 

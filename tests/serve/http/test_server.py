@@ -60,6 +60,26 @@ class TestAsk:
             client.ask("SELEC COUNT(*) FROM sales")
         assert excinfo.value.code == "invalid_sql"
 
+    @pytest.mark.parametrize(
+        "sql, code",
+        [
+            ("SELECT AVG(revenue) FROM sales WHERE nosuch < 3", "unknown_column"),
+            ("SELECT AVG(revenue) FROM sales WHERE week < 'abc'", "invalid_expression"),
+            ("SELECT AVG(revenue) FROM sales WHERE region < 3", "invalid_expression"),
+        ],
+    )
+    def test_bad_column_or_comparison_is_400(self, server, client, sql, code):
+        with pytest.raises(BadRequestError) as excinfo:
+            client.ask(sql)
+        assert excinfo.value.code == code
+        request_id = client.last_request_id
+        records = [
+            entry
+            for entry in map(json.loads, server.audit.path.read_text().splitlines())
+            if entry["request_id"] == request_id
+        ]
+        assert [(entry["status"], entry["error"]) for entry in records] == [(400, code)]
+
     def test_unknown_table_is_404(self, client):
         with pytest.raises(NotFoundError) as excinfo:
             client.ask("SELECT COUNT(*) FROM missing")

@@ -22,7 +22,7 @@ import pytest
 
 from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
-from repro.errors import ServiceError
+from repro.errors import ExpressionError, SchemaError, ServiceError
 from repro.serve import ReadWriteLock, ServiceBudget, SynopsisStore, VerdictService
 from repro.serve.planner import Route
 from repro.workloads.customer1 import Customer1Workload
@@ -113,6 +113,46 @@ class TestBasicServing:
             )
             assert not answer.supported
             assert answer.rows
+
+
+class TestClientQueryErrors:
+    BAD = [
+        "SELECT AVG(revenue) FROM sales WHERE nosuch < 3",
+        "SELECT AVG(revenue) FROM sales WHERE week < 'abc'",
+        "SELECT AVG(revenue) FROM sales WHERE region < 3",
+        "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 'a' AND 'b'",
+    ]
+
+    def test_bad_queries_leave_the_breakers_closed(self):
+        # A missing column or a string/number ordering is the client's
+        # error: it must neither count against a route's breaker nor fall
+        # back to another route, or eight such asks open both breakers and
+        # every tenant's next well-formed ask goes exact.
+        with build_service() as service:
+            service.record_answer(
+                "SELECT AVG(revenue) FROM sales WHERE week >= 1 AND week <= 20"
+            )
+            for index in range(8):
+                with pytest.raises((SchemaError, ExpressionError)):
+                    service.query(self.BAD[index % len(self.BAD)])
+            states = service.observability()["breakers"]
+            assert {route: state["state"] for route, state in states.items()} == {
+                "learned": "closed",
+                "online_agg": "closed",
+            }
+            assert service.health()["status"] == "ok"
+            answer = service.query(
+                "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25"
+            )
+            assert answer.route in (Route.LEARNED, Route.ONLINE_AGG)
+
+    def test_equality_with_a_string_literal_is_not_an_error(self):
+        with build_service() as service:
+            answer = service.query(
+                "SELECT COUNT(*) FROM sales WHERE week = 'abc'",
+                budget=ServiceBudget.exact(),
+            )
+            assert answer.scalar() == 0.0
 
 
 class TestCacheInvalidation:
