@@ -11,7 +11,7 @@ charged once (they are not sampled), and every batch adds its scan cost.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro import faults
 from repro.aqp.evaluation import estimate_answer
@@ -26,8 +26,6 @@ from repro.deadline import check_deadline
 from repro.errors import AQPError, DeadlineExceeded
 from repro.sqlparser import ast
 
-StopCondition = Callable[[AQPAnswer], bool]
-
 
 def budget_hopeless(
     answer: AQPAnswer, bound: float, max_relative_error: float | None
@@ -37,9 +35,8 @@ def budget_hopeless(
     The CLT error bound shrinks as ``1/sqrt(rows scanned)``, so the bound the
     *full* sample can achieve is about ``bound * sqrt(scanned / total)``.
     When even that exceeds ``max_relative_error``, further batches are wasted
-    work and the caller should escalate to a better engine.  Shared by
-    :meth:`OnlineAggregationEngine.execute_with_budget` and the serving
-    layer's learned route.
+    work and the caller should escalate to a better engine.  The serving
+    layer's sampled-route loop stops on it.
     """
     if max_relative_error is None:
         return False
@@ -139,21 +136,13 @@ class OnlineAggregationEngine:
                 counters=self.scan_counters,
             )
 
-    def execute(
-        self,
-        query: ast.Query,
-        stop: StopCondition | None = None,
-        max_batches: int | None = None,
-    ) -> list[AQPAnswer]:
-        """Run online aggregation and collect the sequence of answers.
+    def execute(self, query: ast.Query) -> list[AQPAnswer]:
+        """Run online aggregation over the whole sample; one answer per batch.
 
-        Processing stops as soon as ``stop(answer)`` returns True (the answer
-        that satisfied the condition is included), when ``max_batches`` have
-        been processed, or when the sample is exhausted.  When the ambient
-        request deadline (:mod:`repro.deadline`) expires between batches the
-        answers collected so far are returned -- every prefix is a valid
-        estimate ± error, so an expired deadline degrades accuracy, not
-        correctness; with no batch processed yet the
+        When the ambient request deadline (:mod:`repro.deadline`) expires
+        between batches the answers collected so far are returned -- every
+        prefix is a valid estimate ± error, so an expired deadline degrades
+        accuracy, not correctness; with no batch processed yet the
         :class:`~repro.errors.DeadlineExceeded` propagates (there is nothing
         to degrade to).
         """
@@ -161,62 +150,10 @@ class OnlineAggregationEngine:
         try:
             for answer in self.run(query):
                 answers.append(answer)
-                if stop is not None and stop(answer):
-                    break
-                if max_batches is not None and answer.batches_processed >= max_batches:
-                    break
         except DeadlineExceeded:
             if not answers:
                 raise
         return answers
-
-    def execute_with_budget(
-        self,
-        query: ast.Query,
-        max_relative_error: float | None = None,
-        max_latency_s: float | None = None,
-        confidence_multiplier: float = 1.96,
-        give_up_when_hopeless: bool = False,
-    ) -> AQPAnswer:
-        """Budget-aware execution: refine only as far as the budget requires.
-
-        Batches are processed until the mean relative error *bound* (at the
-        given confidence multiplier) drops to ``max_relative_error``, the
-        cumulative model time reaches ``max_latency_s``, or the sample is
-        exhausted -- whichever happens first.  This is the engine-selection
-        hook the serving layer's planner uses: the cheapest answer that still
-        meets the caller's budget.
-
-        With ``give_up_when_hopeless`` the refinement also stops as soon as
-        the error budget is provably unreachable: the CLT bound shrinks as
-        ``1/sqrt(rows)``, so the bound achievable on the *full* sample is
-        about ``bound * sqrt(rows_scanned / sample_size)``.  When even that
-        exceeds the budget, further batches are wasted work and the caller
-        should escalate to a better engine instead.
-
-        Returns the last processed answer (callers check whether it actually
-        meets the budget).
-
-        Raises
-        ------
-        repro.errors.AQPError
-            If the query references an unknown table or produces no answers.
-        """
-
-        def stop(answer: AQPAnswer) -> bool:
-            bound = answer.mean_relative_error_bound(confidence_multiplier)
-            if max_relative_error is not None and bound <= max_relative_error:
-                return True
-            if max_latency_s is not None and answer.elapsed_seconds >= max_latency_s:
-                return True
-            if give_up_when_hopeless and budget_hopeless(answer, bound, max_relative_error):
-                return True
-            return False
-
-        answers = self.execute(query, stop=stop)
-        if not answers:
-            raise AQPError("online aggregation produced no answers")
-        return answers[-1]
 
     def final_answer(self, query: ast.Query) -> AQPAnswer:
         """The most accurate answer (after scanning the whole sample)."""

@@ -2,22 +2,23 @@
 
 A :class:`Deadline` is an absolute monotonic-clock expiry created once per
 request.  The serving layer installs it as the *ambient* deadline for the
-request's thread (:func:`deadline_scope`), and the long-running loops deep
+request's context (:func:`deadline_scope`), and the long-running loops deep
 in the stack -- the online-aggregation batch loop and the morsel scan loop
 -- poll it between units of work:
 
 * loops that can return a **partial answer** (online aggregation holds a
-  valid estimate ± error after every batch) simply stop refining when the
-  deadline expires; the serving layer flags the answer as *degraded*;
+  valid estimate ± error after every batch) keep the last estimate when
+  the deadline expires; the serving layer flags the answer as *degraded*;
 * loops that cannot (the exact scan is all-or-nothing) raise
   :class:`~repro.errors.DeadlineExceeded`, which the front door maps to
   HTTP 504.
 
 Cancellation is cooperative by design: Python threads cannot be safely
 killed, so every cancellable loop opts in with one cheap ``expired`` check
-per batch/morsel.  The ambient variable is thread-local; worker threads a
-request fans out to (the morsel scan pool) receive the deadline by value
-in their closures, never by reading another thread's ambient state.
+per batch/morsel.  The ambient deadline and token live in
+``contextvars``, like the ambient trace span: ``contextvars.copy_context()``
+carries them onto a worker (``VerdictService.submit`` does this), while a
+bare ``threading.Thread`` starts with an empty context and sees neither.
 
 A :class:`CancelToken` rides the same ambient mechanism and the same
 checkpoints: the front door creates one per request, arms it when
@@ -30,6 +31,7 @@ listening -- so the serving layer aborts without caching or recording.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from contextlib import contextmanager
@@ -139,48 +141,51 @@ class Deadline:
             )
 
 
-_ambient = threading.local()
+_DEADLINE: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
+    "repro_deadline", default=None
+)
+_CANCEL: contextvars.ContextVar[CancelToken | None] = contextvars.ContextVar(
+    "repro_cancel", default=None
+)
 
 
 def current_deadline() -> Deadline | None:
-    """The ambient deadline of the calling thread, if any."""
-    return getattr(_ambient, "deadline", None)
+    """The ambient deadline of the calling context, if any."""
+    return _DEADLINE.get()
 
 
 @contextmanager
 def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
-    """Install ``deadline`` as the calling thread's ambient deadline.
+    """Install ``deadline`` as the calling context's ambient deadline.
 
     ``None`` is accepted (and is a no-op) so callers can wrap requests
     uniformly whether or not a deadline was requested.  Scopes nest; the
     previous ambient deadline is restored on exit.
     """
-    previous = current_deadline()
-    _ambient.deadline = deadline
+    token = _DEADLINE.set(deadline)
     try:
         yield deadline
     finally:
-        _ambient.deadline = previous
+        _DEADLINE.reset(token)
 
 
 def current_cancel() -> CancelToken | None:
-    """The ambient cancel token of the calling thread, if any."""
-    return getattr(_ambient, "cancel", None)
+    """The ambient cancel token of the calling context, if any."""
+    return _CANCEL.get()
 
 
 @contextmanager
 def cancel_scope(token: CancelToken | None) -> Iterator[CancelToken | None]:
-    """Install ``token`` as the calling thread's ambient cancel token.
+    """Install ``token`` as the calling context's ambient cancel token.
 
     Mirrors :func:`deadline_scope`: ``None`` is a no-op, scopes nest, and
-    worker threads a request fans out to must capture the token by value.
+    the token follows the request wherever its context is copied.
     """
-    previous = current_cancel()
-    _ambient.cancel = token
+    reset = _CANCEL.set(token)
     try:
         yield token
     finally:
-        _ambient.cancel = previous
+        _CANCEL.reset(reset)
 
 
 def check_deadline(where: str = "") -> None:

@@ -19,6 +19,20 @@ into a long-running, concurrent query service:
   restored at start-up, flushed periodically after mutations, and written
   out as a full snapshot on graceful shutdown.
 
+Routes (planned cheapest first by :class:`~repro.serve.planner.QueryPlanner`,
+tried in order until one meets the budget):
+
+* **cached** -- a current answer-cache entry within the error budget;
+* **learned** and **online_agg** -- one sampled loop over
+  ``OnlineAggregationEngine.run``; the learned route adds one inference
+  step per batch (Figure 2).  Both stop at the first batch that meets the
+  error budget (the first batch when there is none), at the latency budget,
+  or when the budget is provably out of reach, and both serve the last
+  estimate flagged *degraded* when the deadline cuts the loop after at
+  least one batch.  Online aggregation runs only when inference errored:
+  the improved bound is never larger (Theorem 1);
+* **exact** -- the exact executor, the fallback of last resort.
+
 Locking discipline (to stay deadlock-free):
 
 1. a request thread holds at most one table lock at a time;
@@ -61,7 +75,6 @@ from typing import Iterator, Union
 from repro import faults
 from repro.aqp.estimators import confidence_multiplier
 from repro.aqp.online_agg import OnlineAggregationEngine, budget_hopeless
-from repro.aqp.time_bound import TimeBoundEngine
 from repro.aqp.types import AQPAnswer
 from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
 from repro.core.engine import VerdictAnswer, VerdictEngine
@@ -141,15 +154,14 @@ class ServedAnswer:
 @dataclass
 class _CacheEntry:
     answer: ServedAnswer
-    synopsis_version: int
-    catalog_version: int
-    # Correlation-models version at store time: training (foreground or
-    # background) and set_model bump it, so retrained models make every
-    # older entry unreachable even though the synopsis and catalog did not
-    # move.  (Not state_epoch: that also moves on lazy factor
-    # materialisation, which does not affect already-computed answers and
-    # would evict the whole cache for nothing.)
-    models_version: int
+    # (synopsis, catalog, models) versions the answer was computed under;
+    # the entry is current only while all three still match.  The models
+    # version moves on training (foreground or background) and set_model,
+    # so retrained models make every older entry unreachable even though
+    # the synopsis and catalog did not move.  (Not state_epoch: that also
+    # moves on lazy factor materialisation, which does not affect
+    # already-computed answers and would evict the whole cache for nothing.)
+    versions: tuple[int, int, int]
 
 
 # --------------------------------------------------------------------------- #
@@ -309,16 +321,7 @@ class VerdictService:
             cost_model=cost_model,
             scan_counters=self.scan_counters,
         )
-        self.time_bound = TimeBoundEngine(
-            catalog,
-            sampling=sampling,
-            cost_model=cost_model,
-            sample_store=self.aqp.samples,
-            scan_counters=self.scan_counters,
-        )
-        self.engine = VerdictEngine(
-            catalog, self.aqp, config=config, time_bound_engine=self.time_bound
-        )
+        self.engine = VerdictEngine(catalog, self.aqp, config=config)
         self.exact = ExactExecutor(catalog, scan_counters=self.scan_counters)
         self.planner = QueryPlanner(self.engine, confidence=confidence)
         self.metrics = ServiceMetrics(scan_counters=self.scan_counters)
@@ -396,14 +399,27 @@ class VerdictService:
         method too).  Raises :class:`ServiceError` when the service is closed
         and propagates parse errors to the caller.
         """
-        with self._request_scope():
-            if self.tracer is not None and current_trace() is None:
-                # Direct callers (no HTTP front door) still get a trace:
-                # mint a root here so the ring and trace log see them.
-                with self.tracer.request(name="service.query") as root:
-                    root.set(sql=sql if isinstance(sql, str) else (sql.text or ""))
-                    return self._serve_query(sql, budget, record)
-            return self._serve_query(sql, budget, record)
+        budget = budget or self.default_budget
+        deadline = (
+            Deadline.after(budget.deadline_s) if budget.deadline_s is not None else None
+        )
+        # The deadline is ambient for this request's context: the sample
+        # batch loop and the exact scan's morsel loop poll it cooperatively.
+        with self._request_scope(), deadline_scope(deadline):
+            try:
+                if self.tracer is not None and current_trace() is None:
+                    # Direct callers (no HTTP front door) still get a trace:
+                    # mint a root here so the ring and trace log see them.
+                    with self.tracer.request(name="service.query") as root:
+                        root.set(sql=sql if isinstance(sql, str) else (sql.text or ""))
+                        return self._serve_within_deadline(sql, budget, record)
+                return self._serve_within_deadline(sql, budget, record)
+            except DeadlineExceeded:
+                self.metrics.record_event("deadline.exceeded")
+                raise
+            except QueryCancelled:
+                self.metrics.record_event("query.cancelled")
+                raise
 
     def explain(
         self,
@@ -530,60 +546,55 @@ class VerdictService:
                 },
             }
 
-    def _serve_query(
-        self,
-        sql: Union[str, ast.Query],
-        budget: ServiceBudget | None,
-        record: bool | None,
-    ) -> ServedAnswer:
-        budget = budget or self.default_budget
-        deadline = (
-            Deadline.after(budget.deadline_s) if budget.deadline_s is not None else None
-        )
-        # The deadline is ambient for this request thread: the online-agg
-        # batch loop and the morsel scan loop poll it cooperatively.  Worker
-        # threads a route fans out to receive it by value in their closures.
-        with deadline_scope(deadline):
-            try:
-                return self._serve_within_deadline(sql, budget, record)
-            except DeadlineExceeded:
-                self.metrics.record_event("deadline.exceeded")
-                raise
-            except QueryCancelled:
-                self.metrics.record_event("query.cancelled")
-                raise
-
     def _serve_within_deadline(
         self,
         sql: Union[str, ast.Query],
         budget: ServiceBudget,
         record: bool | None,
     ) -> ServedAnswer:
-        should_record = self.record_queries if record is None else record
         started = time.perf_counter()
-
         # The cache is keyed by the request itself (SQL text or parsed
-        # query), checked *before* parsing: a hit costs a dict probe and two
-        # version comparisons, not a parse.
+        # query), checked *before* parsing: a hit costs a dict probe and a
+        # version comparison, not a parse.
         with trace_span("cache.lookup") as cache_span:
-            cached = self._cache_lookup(sql, budget)
+            answer = self._cache_lookup(sql, budget)
             if cache_span is not None:
-                cache_span.set(hit=cached is not None)
-        if cached is not None:
-            wall = time.perf_counter() - started
-            answer = replace(
-                cached, route=Route.CACHED, from_cache=True, wall_seconds=wall,
-                recorded=False,
-            )
-            self.metrics.observe(
-                Route.CACHED.value, wall, model_seconds=0.0, budget_met=True
-            )
-            set_attrs(
-                route=Route.CACHED.value,
-                error_bound=answer.relative_error_bound,
-            )
-            return answer
+                cache_span.set(hit=answer is not None)
+        fallback = False
+        if answer is None:
+            answer, fallback = self._waterfall(sql, budget, record)
+        answer = replace(answer, wall_seconds=time.perf_counter() - started)
+        if answer.degraded:
+            self.metrics.record_event("deadline.degraded")
+        self.metrics.observe(
+            answer.route.value,
+            answer.wall_seconds,
+            # A hit does no model work, and the lookup only returns answers
+            # within this request's error budget.
+            model_seconds=0.0 if answer.from_cache else answer.model_seconds,
+            budget_met=answer.from_cache or answer.budget_met,
+            fallback=fallback,
+        )
+        set_attrs(
+            route=answer.route.value,
+            error_bound=answer.relative_error_bound,
+            model_seconds=answer.model_seconds,
+            budget_met=answer.budget_met,
+        )
+        return answer
 
+    def _waterfall(
+        self,
+        sql: Union[str, ast.Query],
+        budget: ServiceBudget,
+        record: bool | None,
+    ) -> tuple[ServedAnswer, bool]:
+        """Plan, try the routes cheapest first, then record and cache the best.
+
+        Returns the answer (wall time not yet stamped) and whether a cheaper
+        route was abandoned on the way to it.
+        """
+        should_record = self.record_queries if record is None else record
         parsed, check = self.engine.check(sql)
         with trace_span("plan") as plan_span:
             decisions = self.planner.plan(parsed, check, budget)
@@ -657,9 +668,19 @@ class VerdictService:
                     # The client's clock ran out; that says nothing about
                     # the route's health, so release the attempt unrecorded.
                     breaker.cancel()
-                if best is not None:
-                    return self._degrade(best, budget, started)
-                raise
+                if best is None:
+                    raise
+                best = replace(
+                    best,
+                    degraded=True,
+                    degraded_reason=(
+                        f"deadline of {budget.deadline_s:g}s expired before the "
+                        "error budget was met"
+                        if budget.deadline_s is not None
+                        else "deadline expired before the error budget was met"
+                    ),
+                )
+                break
             except QueryCancelled:
                 if breaker is not None:
                     # Cancellation says nothing about the route's health.
@@ -693,25 +714,15 @@ class VerdictService:
         if best is None or best_versions is None:
             raise ServiceError(f"no route could answer {parsed.text or sql!r}")
 
-        budget_met = budget.error_met(best.relative_error_bound) and (
-            budget.max_latency_s is None or best.model_seconds <= budget.max_latency_s
-        )
         if best.degraded:
             # The deadline cut refinement short: return the partial estimate
             # immediately -- no recording (it would spend time the client no
             # longer has) and no caching (the answer is deliberately
             # under-refined).
-            wall = time.perf_counter() - started
-            answer = replace(best, wall_seconds=wall, budget_met=False, recorded=False)
-            self.metrics.record_event("deadline.degraded")
-            self.metrics.observe(
-                answer.route.value,
-                wall,
-                model_seconds=answer.model_seconds,
-                budget_met=False,
-                fallback=fallback,
-            )
-            return answer
+            return replace(best, budget_met=False), fallback
+        budget_met = budget.error_met(best.relative_error_bound) and (
+            budget.max_latency_s is None or best.model_seconds <= budget.max_latency_s
+        )
         recorded = False
         cache_versions = best_versions
         if should_record and check.supported and best_raw is not None:
@@ -726,25 +737,9 @@ class VerdictService:
                 # hit.  Any *interleaved* mutation leaves the execution-time
                 # stamp in place, making the entry born-stale (never served).
                 cache_versions = post_versions
-        wall = time.perf_counter() - started
-        answer = replace(
-            best, wall_seconds=wall, budget_met=budget_met, recorded=recorded
-        )
+        answer = replace(best, budget_met=budget_met, recorded=recorded)
         self._cache_store(sql, answer, cache_versions)
-        self.metrics.observe(
-            answer.route.value,
-            wall,
-            model_seconds=answer.model_seconds,
-            budget_met=budget_met,
-            fallback=fallback,
-        )
-        set_attrs(
-            route=answer.route.value,
-            error_bound=answer.relative_error_bound,
-            model_seconds=answer.model_seconds,
-            budget_met=budget_met,
-        )
-        return answer
+        return answer, fallback
 
     def submit(
         self,
@@ -756,9 +751,9 @@ class VerdictService:
         if self._phase != "serving":
             raise ServiceError("service is closed")
         faults.inject("service.submit")
-        # The ambient trace (and any other contextvars, e.g. a deadline
-        # scope) must follow the request onto the worker thread; a plain
-        # submit would run it in the pool thread's own empty context.
+        # The ambient trace, deadline and cancel token are contextvars and
+        # must follow the request onto the worker thread; a plain submit
+        # would run it in the pool thread's own empty context.
         context = contextvars.copy_context()
         return self._pool.submit(context.run, self.query, sql, budget, record)
 
@@ -1152,34 +1147,6 @@ class VerdictService:
 
     # ------------------------------------------------------------------ routes
 
-    def _degrade(
-        self, best: ServedAnswer, budget: ServiceBudget, started: float
-    ) -> ServedAnswer:
-        """Flag ``best`` as the degraded partial answer of an expired deadline."""
-        wall = time.perf_counter() - started
-        answer = replace(
-            best,
-            wall_seconds=wall,
-            budget_met=False,
-            recorded=False,
-            degraded=True,
-            degraded_reason=(
-                f"deadline of {budget.deadline_s:g}s expired before the "
-                "error budget was met"
-                if budget.deadline_s is not None
-                else "deadline expired before the error budget was met"
-            ),
-        )
-        self.metrics.record_event("deadline.degraded")
-        self.metrics.observe(
-            answer.route.value,
-            wall,
-            model_seconds=answer.model_seconds,
-            budget_met=False,
-            fallback=True,
-        )
-        return answer
-
     def _execute_route(
         self,
         decision: RouteDecision,
@@ -1195,163 +1162,109 @@ class VerdictService:
         is released cannot tag this answer as fresher than it is.
         """
         faults.inject(f"service.route.{decision.route.value}", table=parsed.table)
-        lock = self._table_lock(parsed.table)
-        with lock.read():
-            if decision.route is Route.LEARNED:
-                # The learned answer depends on the models, which background
-                # training swaps under the engine lock alone (no table
-                # lock), so its models-version stamp must be captured
-                # *inside* the engine lock the inference ran under --
-                # reading it here could tag a pre-train answer as
-                # post-train.
-                answer, raw, models_version = self._run_learned(parsed, check, budget)
-            elif decision.route is Route.ONLINE_AGG:
-                answer, raw = self._run_online_agg(parsed, check, budget)
-                models_version = self.engine.models_version
-            elif decision.route is Route.EXACT:
-                answer, raw = self._run_exact(parsed, check, decision)
-                models_version = self.engine.models_version
-            else:
-                raise ServiceError(f"unexpected route {decision.route}")
-            versions = (
-                self.engine.synopsis.version,
-                self.catalog.catalog_version,
-                models_version,
-            )
-            return answer, raw, versions
-
-    def _run_learned(
-        self, parsed: ast.Query, check: CheckResult, budget: ServiceBudget
-    ) -> tuple[ServedAnswer, AQPAnswer, int]:
-        improved: VerdictAnswer | None = None
         raw: AQPAnswer | None = None
-        models_version = self.engine.models_version
-        degraded = False
-        degraded_reason = ""
-        try:
-            for raw in self.aqp.run(parsed):
-                with self._engine_lock:
-                    improved = self.engine.process_answer(parsed, raw, check)
-                    models_version = self.engine.models_version
-                bound = improved.mean_relative_error_bound(self.multiplier)
-                if budget.max_relative_error is None:
-                    break  # best effort: the first improved batch is the answer
-                if bound <= budget.max_relative_error:
-                    break
-                if (
-                    budget.max_latency_s is not None
-                    and improved.elapsed_seconds >= budget.max_latency_s
-                ):
-                    break
-                if budget_hopeless(raw, bound, budget.max_relative_error):
-                    break  # provably cannot reach the budget; escalate instead
-        except DeadlineExceeded:
-            # The batch loop polls the ambient deadline before each batch;
-            # with at least one processed batch we hold a valid (if less
-            # refined) estimate ± error -- serve it flagged, never discard it.
-            if improved is None or raw is None:
-                raise
-            degraded = True
-            degraded_reason = (
-                f"deadline expired after {raw.batches_processed} sample batch(es)"
-            )
-        if improved is None or raw is None:
-            raise ServiceError("online aggregation produced no answers")
-        rows = tuple(
-            ServedRow(
-                group_values=row.group_values,
-                values={name: est.value for name, est in row.estimates.items()},
-                errors={
-                    name: self.multiplier * est.error
-                    for name, est in row.estimates.items()
-                },
-            )
-            for row in improved.rows
-        )
+        cut = ""
+        with self._table_lock(parsed.table).read():
+            if decision.route is Route.EXACT:
+                result = self.exact.execute(parsed)
+                models_version = None
+                rows = tuple(
+                    ServedRow(
+                        group_values=row.group_values,
+                        values=dict(row.aggregates),
+                        errors=dict.fromkeys(row.aggregates, 0.0),
+                    )
+                    for row in result.rows
+                )
+                bound, model_seconds = 0.0, decision.estimated_seconds
+            else:
+                estimate, raw, models_version, cut = self._run_sampled(
+                    decision.route, parsed, check, budget
+                )
+                rows = tuple(
+                    ServedRow(
+                        group_values=row.group_values,
+                        values={name: est.value for name, est in row.estimates.items()},
+                        errors={
+                            name: self.multiplier * est.error
+                            for name, est in row.estimates.items()
+                        },
+                    )
+                    for row in estimate.rows
+                )
+                bound = estimate.mean_relative_error_bound(self.multiplier)
+                model_seconds = estimate.elapsed_seconds
+            versions = self._versions()
+            if models_version is not None:
+                # A learned answer carries the models version it was
+                # inferred under; no other route depends on the models.
+                versions = (*versions[:2], models_version)
         answer = ServedAnswer(
             sql=parsed.text or "",
-            route=Route.LEARNED,
-            rows=rows,
-            relative_error_bound=improved.mean_relative_error_bound(self.multiplier),
-            model_seconds=improved.elapsed_seconds,
-            wall_seconds=0.0,
-            supported=check.supported,
-            batches_processed=raw.batches_processed,
-            degraded=degraded,
-            degraded_reason=degraded_reason,
-        )
-        return answer, raw, models_version
-
-    def _run_online_agg(
-        self, parsed: ast.Query, check: CheckResult, budget: ServiceBudget
-    ) -> tuple[ServedAnswer, AQPAnswer]:
-        if budget.max_relative_error is None and budget.max_latency_s is None:
-            raw = self.aqp.first_answer(parsed)
-        else:
-            raw = self.aqp.execute_with_budget(
-                parsed,
-                max_relative_error=budget.max_relative_error,
-                max_latency_s=budget.max_latency_s,
-                confidence_multiplier=self.multiplier,
-                give_up_when_hopeless=True,
-            )
-        bound = raw.mean_relative_error_bound(self.multiplier)
-        # The batch loop stops early when the ambient deadline expires (and
-        # the partial prefix estimate is returned); flag that as degraded
-        # unless the estimate happens to meet the error budget anyway.
-        ambient = current_deadline()
-        degraded = ambient is not None and ambient.expired and not budget.error_met(bound)
-        rows = tuple(
-            ServedRow(
-                group_values=row.group_values,
-                values={name: est.value for name, est in row.estimates.items()},
-                errors={
-                    name: self.multiplier * est.error
-                    for name, est in row.estimates.items()
-                },
-            )
-            for row in raw.rows
-        )
-        answer = ServedAnswer(
-            sql=parsed.text or "",
-            route=Route.ONLINE_AGG,
+            route=decision.route,
             rows=rows,
             relative_error_bound=bound,
-            model_seconds=raw.elapsed_seconds,
+            model_seconds=model_seconds,
             wall_seconds=0.0,
             supported=check.supported,
-            batches_processed=raw.batches_processed,
-            degraded=degraded,
-            degraded_reason=(
-                f"deadline expired after {raw.batches_processed} sample batch(es)"
-                if degraded
-                else ""
-            ),
+            batches_processed=raw.batches_processed if raw is not None else 0,
+            degraded=bool(cut),
+            degraded_reason=cut,
         )
-        return answer, raw
+        return answer, raw, versions
 
-    def _run_exact(
-        self, parsed: ast.Query, check: CheckResult, decision: RouteDecision
-    ) -> tuple[ServedAnswer, None]:
-        result = self.exact.execute(parsed)
-        rows = tuple(
-            ServedRow(
-                group_values=row.group_values,
-                values=dict(row.aggregates),
-                errors={name: 0.0 for name in row.aggregates},
-            )
-            for row in result.rows
-        )
-        answer = ServedAnswer(
-            sql=parsed.text or "",
-            route=Route.EXACT,
-            rows=rows,
-            relative_error_bound=0.0,
-            model_seconds=decision.estimated_seconds,
-            wall_seconds=0.0,
-            supported=check.supported,
-        )
-        return answer, None
+    def _run_sampled(
+        self,
+        route: Route,
+        parsed: ast.Query,
+        check: CheckResult,
+        budget: ServiceBudget,
+    ) -> tuple[Union[AQPAnswer, VerdictAnswer], AQPAnswer, int | None, str]:
+        """Online aggregation, plus one inference step per batch when learned.
+
+        Returns ``(estimate, last raw batch, models version, degraded
+        reason)``; the models version is ``None`` off the learned route.
+        Refinement stops at the first batch that meets the error budget (with
+        no error budget, the first batch), reaches the latency budget, or
+        provably cannot reach the error budget on the full sample.  A
+        deadline expiring after at least one batch cuts the loop: the last
+        estimate is still valid ± its error, so it is returned with a
+        degraded reason rather than discarded.
+        """
+        estimate: Union[AQPAnswer, VerdictAnswer, None] = None
+        raw: AQPAnswer | None = None
+        models_version: int | None = None
+        try:
+            for raw in self.aqp.run(parsed):
+                estimate = raw
+                if route is Route.LEARNED:
+                    # Background training swaps the models under the engine
+                    # lock alone (no table lock), so the models version this
+                    # answer depends on is read inside the lock inference
+                    # ran under -- reading it later could tag a pre-train
+                    # answer as post-train.
+                    with self._engine_lock:
+                        estimate = self.engine.process_answer(parsed, raw, check)
+                        models_version = self.engine.models_version
+                bound = estimate.mean_relative_error_bound(self.multiplier)
+                if (
+                    budget.max_relative_error is None
+                    or bound <= budget.max_relative_error
+                    or (
+                        budget.max_latency_s is not None
+                        and estimate.elapsed_seconds >= budget.max_latency_s
+                    )
+                    or budget_hopeless(raw, bound, budget.max_relative_error)
+                ):
+                    break
+        except DeadlineExceeded:
+            if estimate is None or raw is None:
+                raise
+            cut = f"deadline expired after {raw.batches_processed} sample batch(es)"
+            return estimate, raw, models_version, cut
+        if estimate is None or raw is None:
+            raise ServiceError("online aggregation produced no answers")
+        return estimate, raw, models_version, ""
 
     # ----------------------------------------------------------------- writes
 
@@ -1370,11 +1283,7 @@ class VerdictService:
             with self._engine_lock:
                 pre_version = self.engine.synopsis.version
                 added = self.engine.record(parsed, raw)
-                post_versions = (
-                    self.engine.synopsis.version,
-                    self.catalog.catalog_version,
-                    self.engine.models_version,
-                )
+                post_versions = self._versions()
         if added:
             self._note_mutation()
         return added > 0, pre_version, post_versions
@@ -1423,6 +1332,19 @@ class VerdictService:
 
     # ------------------------------------------------------------------- cache
 
+    def _versions(self) -> tuple[int, int, int]:
+        """The current (synopsis, catalog, models) versions.
+
+        Answers are stamped with this triple when computed and a cache entry
+        is current only while it still matches, in both the serving lookup
+        and the EXPLAIN probe.
+        """
+        return (
+            self.engine.synopsis.version,
+            self.catalog.catalog_version,
+            self.engine.models_version,
+        )
+
     def _cache_lookup(
         self, request: Union[str, ast.Query], budget: ServiceBudget
     ) -> ServedAnswer | None:
@@ -1430,12 +1352,7 @@ class VerdictService:
             entry: _CacheEntry | None = self._state.cache.get(request)
             if entry is None:
                 return None
-            stale = (
-                entry.synopsis_version != self.engine.synopsis.version
-                or entry.catalog_version != self.catalog.catalog_version
-                or entry.models_version != self.engine.models_version
-            )
-            if stale:
+            if entry.versions != self._versions():
                 del self._state.cache[request]
                 return None
             if not budget.error_met(entry.answer.relative_error_bound):
@@ -1454,14 +1371,9 @@ class VerdictService:
         """
         with self._cache_lock:
             entry: _CacheEntry | None = self._state.cache.get(request)
-            if entry is None:
+            if entry is None or entry.versions != self._versions():
                 return None
-            stale = (
-                entry.synopsis_version != self.engine.synopsis.version
-                or entry.catalog_version != self.catalog.catalog_version
-                or entry.models_version != self.engine.models_version
-            )
-            if stale or not budget.error_met(entry.answer.relative_error_bound):
+            if not budget.error_met(entry.answer.relative_error_bound):
                 return None
             return entry.answer
 
@@ -1471,19 +1383,15 @@ class VerdictService:
         answer: ServedAnswer,
         versions: tuple[int, int, int],
     ) -> None:
-        """Store an answer stamped with the versions it was computed under.
+        """Store an answer, as its hits serve it, stamped with its versions.
 
         ``versions`` must be captured at execution (or post-own-record) time,
         never read here: a mutation racing in between execution and this call
         would otherwise stamp a pre-mutation answer as current.
         """
+        hit = replace(answer, route=Route.CACHED, from_cache=True, recorded=False)
         with self._cache_lock:
-            self._state.cache[request] = _CacheEntry(
-                answer=answer,
-                synopsis_version=versions[0],
-                catalog_version=versions[1],
-                models_version=versions[2],
-            )
+            self._state.cache[request] = _CacheEntry(answer=hit, versions=versions)
             self._state.cache.move_to_end(request)
             while len(self._state.cache) > self.cache_capacity:
                 self._state.cache.popitem(last=False)

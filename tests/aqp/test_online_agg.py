@@ -68,16 +68,6 @@ class TestOnlineAggregation:
             count_estimate = row.estimates["count_star"]
             assert count_estimate.internal.avg_value is None
 
-    def test_execute_with_stop_condition(self, engine):
-        query = parse_query("SELECT AVG(revenue) FROM sales")
-        answers = engine.execute(query, stop=lambda a: a.batches_processed >= 2)
-        assert len(answers) == 2
-
-    def test_execute_with_max_batches(self, engine):
-        query = parse_query("SELECT AVG(revenue) FROM sales")
-        answers = engine.execute(query, max_batches=3)
-        assert len(answers) == 3
-
     def test_first_answer(self, engine):
         query = parse_query("SELECT AVG(revenue) FROM sales")
         first = engine.first_answer(query)

@@ -119,20 +119,33 @@ class TestDeadlines:
                 )
             assert service.metrics.event_count("deadline.exceeded") == 1
 
-    def test_deadline_mid_refinement_returns_a_degraded_partial(self):
-        with build_service(record_queries=False) as service:
-            # The 0.07 target is *between* the batch-1 bound (~0.108) and
-            # what the full sample can provably achieve (~0.054), so
-            # refinement must continue past batch 1 -- where the injected
-            # stall burns the whole deadline.  The batch-1 estimate is the
-            # only thing in hand when it expires: served, flagged degraded.
+    @pytest.mark.parametrize(
+        ("make_service", "max_relative_error", "route"),
+        [
+            (build_service, 0.07, Route.ONLINE_AGG),
+            (trained_service, 0.045, Route.LEARNED),
+        ],
+        ids=["online_agg", "learned"],
+    )
+    def test_deadline_mid_refinement_returns_a_degraded_partial(
+        self, make_service, max_relative_error, route
+    ):
+        with make_service(record_queries=False) as service:
+            # Each target is *between* the route's batch-1 bound (~0.108 raw,
+            # ~0.050 improved) and what the full sample can provably achieve
+            # (half of it), so refinement must continue past batch 1 --
+            # where the injected stall burns the whole deadline.  The
+            # estimate in hand when it expires is served, flagged degraded.
             install(
                 FaultRule(point="aqp.batch", action="delay", after=2, delay_s=0.5)
             )
             answer = service.query(
                 "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 40",
-                budget=ServiceBudget(max_relative_error=0.07, deadline_s=0.2),
+                budget=ServiceBudget(
+                    max_relative_error=max_relative_error, deadline_s=0.2
+                ),
             )
+            assert answer.route is route
             assert answer.degraded
             assert answer.degraded_reason
             assert not answer.budget_met

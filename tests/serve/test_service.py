@@ -22,7 +22,8 @@ import pytest
 
 from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
-from repro.errors import ExpressionError, SchemaError, ServiceError
+from repro.deadline import CancelToken, cancel_scope
+from repro.errors import ExpressionError, QueryCancelled, SchemaError, ServiceError
 from repro.serve import ReadWriteLock, ServiceBudget, SynopsisStore, VerdictService
 from repro.serve.planner import Route
 from repro.workloads.customer1 import Customer1Workload
@@ -96,6 +97,40 @@ class TestBasicServing:
             ]
             values = {future.result().scalar() for future in futures}
             assert values == {3_000.0}
+
+    def test_submit_carries_the_ambient_cancel_token(self):
+        """A cancelled request stays cancelled on the worker pool: submit's
+        copied context carries the ambient token, as it does the trace."""
+        token = CancelToken()
+        token.cancel()
+        sql = "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 30"
+        with build_service(record_queries=False) as service:
+            with cancel_scope(token):
+                with pytest.raises(QueryCancelled):
+                    service.query(sql)
+                future = service.submit(sql)
+            with pytest.raises(QueryCancelled):
+                future.result(timeout=30)
+            assert service.metrics.event_count("query.cancelled") == 2
+
+    @pytest.mark.parametrize("route", [Route.ONLINE_AGG, Route.LEARNED])
+    def test_latency_only_budget_serves_the_first_batch(self, route):
+        """No error budget means best effort: both sampled routes stop after
+        one batch even when the latency budget would allow them all."""
+        with build_service(record_queries=False) as service:
+            if route is Route.LEARNED:
+                for low in (1, 12, 25, 38):
+                    service.record_answer(
+                        f"SELECT AVG(revenue) FROM sales WHERE week >= {low} AND week <= {low + 14}"
+                    )
+                service.train()
+            answer = service.query(
+                "SELECT AVG(revenue) FROM sales WHERE week >= 8 AND week <= 33",
+                budget=ServiceBudget(max_latency_s=1e6),
+            )
+            assert answer.route is route
+            assert answer.batches_processed == 1
+            assert answer.budget_met
 
     def test_closed_service_rejects_requests(self):
         service = build_service()
