@@ -1,17 +1,21 @@
 """Online aggregation AQP engine ("NoLearn" in Section 8.1).
 
 The engine creates uniform random samples of fact tables offline and splits
-them into batches.  To answer a query it computes an approximate answer and
-CLT error bound on the first batch, then keeps refining the answer batch by
-batch.  Runtime is accounted with the deterministic IO cost model: planning
-overhead is charged once per query, dimension tables joined to the sample are
-charged once (they are not sampled), and every batch adds its scan cost.
+them into batches.  One batch loop (``_prefixes``) scans the batches in order
+and joins each to the dimension tables, yielding the growing joined prefix.
+:meth:`OnlineAggregationEngine.run` estimates every prefix -- an approximate
+answer and CLT error bound after the first batch, refined batch by batch --
+while :meth:`~OnlineAggregationEngine.final_answer` estimates only the last
+prefix, since recording a query keeps nothing else.  Runtime is accounted
+with the deterministic IO cost model: planning overhead is charged once per
+query, dimension tables joined to the sample are charged once (they are not
+sampled), and every batch adds its scan cost.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro import faults
 from repro.aqp.evaluation import estimate_answer
@@ -22,7 +26,7 @@ from repro.db.io_model import IOSimulator
 from repro.db.sampling import SampleStore
 from repro.db.scan import ScanCounters
 from repro.db.table import Table
-from repro.deadline import check_deadline
+from repro.deadline import check_deadline, deadline_scope
 from repro.errors import AQPError, DeadlineExceeded
 from repro.sqlparser import ast
 
@@ -44,6 +48,16 @@ def budget_hopeless(
         return False
     achievable = bound * math.sqrt(answer.rows_scanned / answer.sample_size)
     return achievable > max_relative_error
+
+
+class _Prefix(NamedTuple):
+    """The joined sample prefix after one batch, with what estimating it needs."""
+
+    joined: Table
+    elapsed_seconds: float  # cumulative IO-model time up to this batch
+    batches_processed: int
+    sample_size: int
+    population_size: int
 
 
 class OnlineAggregationEngine:
@@ -71,9 +85,73 @@ class OnlineAggregationEngine:
     def run(self, query: ast.Query) -> Iterator[AQPAnswer]:
         """Yield cumulative approximate answers, one per processed batch.
 
-        The dimension joins are computed *incrementally*: each batch joins
-        only its newly scanned sample rows and appends them to the joined
-        prefix of the previous batches.  The foreign-key join is row-wise and
+        Every joined prefix of :meth:`_prefixes` is estimated (scan, group-by
+        and CLT bounds), so a caller can stop at any batch with a valid
+        answer.  A caller that only keeps the last answer should use
+        :meth:`final_answer`, which estimates that prefix alone.
+        """
+        for prefix in self._prefixes(query):
+            yield self._estimate(query, prefix)
+
+    def execute(self, query: ast.Query) -> list[AQPAnswer]:
+        """Every answer of :meth:`run`, one per batch.
+
+        When the ambient request deadline (:mod:`repro.deadline`) expires
+        between batches the answers collected so far are returned -- every
+        prefix is a valid estimate ± error, so an expired deadline degrades
+        accuracy, not correctness; with no batch processed yet the
+        :class:`~repro.errors.DeadlineExceeded` propagates (there is nothing
+        to degrade to).
+        """
+        answers: list[AQPAnswer] = []
+        try:
+            for answer in self.run(query):
+                answers.append(answer)
+        except DeadlineExceeded:
+            if not answers:
+                raise
+        return answers
+
+    def final_answer(self, query: ast.Query) -> AQPAnswer:
+        """The answer over the whole sample, estimated once.
+
+        The batches are joined exactly as :meth:`run` joins them, but only
+        the last prefix reached is estimated.  When the ambient deadline
+        expires, the per-batch poll stops the loop and the last prefix
+        joined before it is estimated; with no batch joined the
+        :class:`~repro.errors.DeadlineExceeded` propagates.  That one
+        estimate runs with the deadline lifted (cancellation still aborts
+        it): it is the answer the loop already paid for, and an expired
+        deadline degrades accuracy, never the answer itself.
+        """
+        last: _Prefix | None = None
+        try:
+            for last in self._prefixes(query):
+                pass
+        except DeadlineExceeded:
+            if last is None:
+                raise
+        if last is None:
+            raise AQPError("online aggregation produced no answers")
+        with deadline_scope(None):
+            return self._estimate(query, last)
+
+    def first_answer(self, query: ast.Query) -> AQPAnswer:
+        """The answer after the first batch only (cheapest, least accurate)."""
+        for answer in self.run(query):
+            return answer
+        raise AQPError("online aggregation produced no answers")
+
+    # ----------------------------------------------------------------- batches
+
+    def _prefixes(self, query: ast.Query) -> Iterator[_Prefix]:
+        """Yield the joined sample prefix after every batch.
+
+        Each batch polls the ambient deadline, passes the ``aqp.batch`` fault
+        point and charges the IO model before it is joined.  The dimension
+        joins are computed *incrementally*: each batch joins only its newly
+        scanned sample rows and appends them to the joined prefix of the
+        previous batches.  The foreign-key join is row-wise and
         order-preserving, so the concatenation equals joining the whole
         prefix -- but the per-batch cost is O(batch) instead of O(prefix),
         keeping late batches as cheap as early ones.
@@ -125,48 +203,19 @@ class OnlineAggregationEngine:
                     joined = joined.append(self._apply_joins(query, delta))
                     self.catalog.store_join(prefix_token, query.joins, joined)
             previous_rows = rows
-            yield estimate_answer(
-                query=query,
-                scanned_table=joined,
-                scanned_rows=len(joined),
-                sample_size=sample.sample_size,
-                population_size=population_size,
-                elapsed_seconds=elapsed,
-                batches_processed=batch_number,
-                counters=self.scan_counters,
-            )
+            yield _Prefix(joined, elapsed, batch_number, sample.sample_size, population_size)
 
-    def execute(self, query: ast.Query) -> list[AQPAnswer]:
-        """Run online aggregation over the whole sample; one answer per batch.
-
-        When the ambient request deadline (:mod:`repro.deadline`) expires
-        between batches the answers collected so far are returned -- every
-        prefix is a valid estimate ± error, so an expired deadline degrades
-        accuracy, not correctness; with no batch processed yet the
-        :class:`~repro.errors.DeadlineExceeded` propagates (there is nothing
-        to degrade to).
-        """
-        answers: list[AQPAnswer] = []
-        try:
-            for answer in self.run(query):
-                answers.append(answer)
-        except DeadlineExceeded:
-            if not answers:
-                raise
-        return answers
-
-    def final_answer(self, query: ast.Query) -> AQPAnswer:
-        """The most accurate answer (after scanning the whole sample)."""
-        answers = self.execute(query)
-        if not answers:
-            raise AQPError("online aggregation produced no answers")
-        return answers[-1]
-
-    def first_answer(self, query: ast.Query) -> AQPAnswer:
-        """The answer after the first batch only (cheapest, least accurate)."""
-        for answer in self.run(query):
-            return answer
-        raise AQPError("online aggregation produced no answers")
+    def _estimate(self, query: ast.Query, prefix: _Prefix) -> AQPAnswer:
+        return estimate_answer(
+            query=query,
+            scanned_table=prefix.joined,
+            scanned_rows=len(prefix.joined),
+            sample_size=prefix.sample_size,
+            population_size=prefix.population_size,
+            elapsed_seconds=prefix.elapsed_seconds,
+            batches_processed=prefix.batches_processed,
+            counters=self.scan_counters,
+        )
 
     # ----------------------------------------------------------------- helpers
 

@@ -17,7 +17,10 @@ afterwards, which is algebraically equivalent to the unnormalised treatment
 in the paper but numerically far better behaved.
 
 Unconstrained attributes are treated as spanning their full domain, so the
-same formula applies uniformly to every pair of snippets.  The overall signal
+same formula applies uniformly to every pair of snippets.  An attribute that
+neither side of a block constrains therefore adds one and the same factor to
+every entry; :class:`SnippetCovariance` computes that factor once per model
+and multiplies it in as a scalar.  The overall signal
 variance ``sigma_g^2`` multiplying the factors is calibrated in
 :mod:`repro.core.prior` / :mod:`repro.core.inference` so that the model's
 marginal variances match the empirical variance of past answers.
@@ -26,7 +29,7 @@ marginal variances match the empirical variance of past answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -161,6 +164,20 @@ class _CategoricalColumn:
         )
 
 
+def _categorical_block(row: _CategoricalColumn, col: _CategoricalColumn) -> np.ndarray:
+    """Factors between the distinct value sets of one categorical attribute."""
+    base = _intersection_counts(row.constraints, col.constraints)
+    row_sizes = np.array([max(c.size, 1) for c in row.constraints], dtype=np.float64)
+    col_sizes = np.array([max(c.size, 1) for c in col.constraints], dtype=np.float64)
+    base /= row_sizes[:, None] * col_sizes[None, :]
+    return base
+
+
+def _spans_categorical_domain(column: _CategoricalColumn) -> bool:
+    """Whether every snippet of ``column`` leaves the attribute unconstrained."""
+    return len(column.constraints) == 1 and column.constraints[0].values is None
+
+
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_NUMERIC = _NumericColumn({}, np.empty(0), np.empty(0), _NO_ROWS)
 _EMPTY_CATEGORICAL = _CategoricalColumn({}, (), _NO_ROWS)
@@ -201,6 +218,15 @@ class SnippetCovariance:
     def __init__(self, domains: AttributeDomains, model: AggregateModel):
         self.domains = domains
         self.model = model
+        # The range an unconstrained region spans on each numeric attribute.
+        self._full_ranges = {
+            name: self._numeric_range(None, domain)
+            for name, domain in domains.numeric.items()
+        }
+        # Attribute -> factor between two regions that leave it unconstrained.
+        # It depends only on the domain and the length scale, both fixed for
+        # this object's life, so it holds at most one float per attribute.
+        self._full_domain_factors: dict[str, float] = {}
 
     # ------------------------------------------------------------------ public
 
@@ -255,10 +281,20 @@ class SnippetCovariance:
         result = np.ones((row_encoding.size, col_encoding.size), dtype=np.float64)
         if result.size == 0:
             return result
-        for name in row_encoding.numeric:
-            result *= self.numeric_factor(name, row_encoding, col_encoding)
-        for name in row_encoding.categorical:
-            result *= self.categorical_factor(name, row_encoding, col_encoding)
+        for name, row in row_encoding.numeric.items():
+            col = col_encoding.numeric[name]
+            if self._spans_numeric_domain(name, row) and self._spans_numeric_domain(name, col):
+                result *= self._full_domain_factor(
+                    name, lambda: self._numeric_block(name, row, col)
+                )
+            else:
+                result *= self.numeric_factor(name, row_encoding, col_encoding)
+        for name, row in row_encoding.categorical.items():
+            col = col_encoding.categorical[name]
+            if _spans_categorical_domain(row) and _spans_categorical_domain(col):
+                result *= self._full_domain_factor(name, lambda: _categorical_block(row, col))
+            else:
+                result *= self.categorical_factor(name, row_encoding, col_encoding)
         if symmetric:
             # Exact symmetry for the factorisation downstream; the matrix is
             # symmetric by construction up to float accumulation order.
@@ -280,6 +316,11 @@ class SnippetCovariance:
         if encoding.size == 0:
             return result
         for name, column in encoding.numeric.items():
+            if self._spans_numeric_domain(name, column):
+                result *= self._full_domain_factor(
+                    name, lambda: self._numeric_block(name, column, column)
+                )
+                continue
             base = np.asarray(
                 se_average_factor(
                     column.lows,
@@ -291,7 +332,12 @@ class SnippetCovariance:
                 dtype=np.float64,
             )
             result *= base[column.index]
-        for column in encoding.categorical.values():
+        for name, column in encoding.categorical.items():
+            if _spans_categorical_domain(column):
+                result *= self._full_domain_factor(
+                    name, lambda: _categorical_block(column, column)
+                )
+                continue
             # A constraint's self-intersection is just its size, so the
             # normalised self-factor is size / max(size, 1)^2.
             sizes = np.array(
@@ -318,15 +364,7 @@ class SnippetCovariance:
         than the square of the union.
         """
         row, col = rows.numeric[name], cols.numeric[name]
-        base = se_average_factor(
-            row.lows[:, None],
-            row.highs[:, None],
-            col.lows[None, :],
-            col.highs[None, :],
-            self.model.length_scale(name, self.domains),
-        )
-        base = np.asarray(base, dtype=np.float64)
-        return base[np.ix_(row.index, col.index)]
+        return self._numeric_block(name, row, col)[np.ix_(row.index, col.index)]
 
     def categorical_factor(
         self, name: str, rows: RegionEncoding, cols: RegionEncoding
@@ -342,11 +380,38 @@ class SnippetCovariance:
         unconstrained entry the domain size.
         """
         row, col = rows.categorical[name], cols.categorical[name]
-        base = _intersection_counts(row.constraints, col.constraints)
-        row_sizes = np.array([max(c.size, 1) for c in row.constraints], dtype=np.float64)
-        col_sizes = np.array([max(c.size, 1) for c in col.constraints], dtype=np.float64)
-        base /= row_sizes[:, None] * col_sizes[None, :]
-        return base[np.ix_(row.index, col.index)]
+        return _categorical_block(row, col)[np.ix_(row.index, col.index)]
+
+    # --------------------------------------------------------------- internals
+
+    def _numeric_block(
+        self, name: str, row: _NumericColumn, col: _NumericColumn
+    ) -> np.ndarray:
+        """Factors between the distinct ranges of one numeric attribute."""
+        base = se_average_factor(
+            row.lows[:, None],
+            row.highs[:, None],
+            col.lows[None, :],
+            col.highs[None, :],
+            self.model.length_scale(name, self.domains),
+        )
+        return np.asarray(base, dtype=np.float64)
+
+    def _spans_numeric_domain(self, name: str, column: _NumericColumn) -> bool:
+        """Whether every snippet of ``column`` spans the attribute's full domain."""
+        return len(column.slots) == 1 and self._full_ranges[name] in column.slots
+
+    def _full_domain_factor(self, name: str, block: Callable[[], np.ndarray]) -> float:
+        """The memoised factor between two full-domain columns of ``name``.
+
+        ``block`` computes it on first use from the same one-slot columns the
+        unfolded path would use, so the scalar equals every entry of the
+        array it replaces bit for bit.
+        """
+        factor = self._full_domain_factors.get(name)
+        if factor is None:
+            factor = self._full_domain_factors[name] = float(block()[0, 0])
+        return factor
 
     @staticmethod
     def _numeric_range(

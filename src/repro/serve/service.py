@@ -366,13 +366,21 @@ class VerdictService:
         self._trainer_dead = False
         # Circuit breakers for the two approximate routes.  EXACT is never
         # broken (it is the last-resort fallback) and CACHED cannot fail.
+        # The transition callback captures the metrics, not ``self``: a
+        # service <-> breaker cycle would keep a closed service (engine,
+        # catalog, samples) alive until the cycle collector ran.
+        metrics = self.metrics
+
+        def count_transition(name: str, old: str, new: str) -> None:
+            metrics.record_event(f"breaker.{name}.{new}")
+
         self._breakers: dict[Route, CircuitBreaker] = {
             route: CircuitBreaker(
                 name=route.value,
                 window=breaker_window,
                 failure_threshold=breaker_failure_threshold,
                 cooldown_s=breaker_cooldown_s,
-                on_transition=self._on_breaker_transition,
+                on_transition=count_transition,
             )
             for route in (Route.LEARNED, Route.ONLINE_AGG)
         }
@@ -381,9 +389,6 @@ class VerdictService:
             for name, count in store.counters.items():
                 if count:
                     self.metrics.record_event(f"store.{name}", count)
-
-    def _on_breaker_transition(self, name: str, old: str, new: str) -> None:
-        self.metrics.record_event(f"breaker.{name}.{new}")
 
     # ------------------------------------------------------------------ public
 

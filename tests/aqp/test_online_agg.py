@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro import faults
 from repro.aqp.online_agg import OnlineAggregationEngine
-from repro.config import CostModelConfig, SamplingConfig
+from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
 from repro.db.executor import ExactExecutor
-from repro.errors import AQPError
+from repro.deadline import Deadline, deadline_scope
+from repro.errors import AQPError, DeadlineExceeded, FaultInjectedError
+from repro.faults import FaultPlan, FaultRule
+from repro.serve import VerdictService
 from repro.sqlparser.parser import parse_query
 
 
@@ -113,3 +117,106 @@ class TestOnlineAggregation:
             "SELECT region, COUNT(*) FROM sales GROUP BY region HAVING count_star > 1000000"
         )
         assert len(engine.final_answer(strict).rows) == 0
+
+
+def assert_same_answer(actual, expected):
+    assert actual.rows == expected.rows
+    assert actual.rows_scanned == expected.rows_scanned
+    assert actual.batches_processed == expected.batches_processed
+    assert actual.elapsed_seconds == expected.elapsed_seconds
+
+
+@pytest.fixture()
+def no_fault_plan():
+    faults.clear()
+    yield
+    faults.clear()
+
+
+def stall_batch(batch: int) -> None:
+    """Make batch ``batch`` sleep 0.4 s before it is joined."""
+    rule = FaultRule(point="aqp.batch", action="delay", after=batch, times=1, delay_s=0.4)
+    faults.install(FaultPlan([rule]))
+
+
+class TestFinalAnswerEstimatesOnePrefix:
+    """``final_answer`` estimates only the last prefix ``run`` would reach."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25",
+            "SELECT region, SUM(revenue), COUNT(*) FROM sales WHERE week <= 30 GROUP BY region",
+            "SELECT region, COUNT(*) FROM sales GROUP BY region HAVING count_star >= 40",
+        ],
+        ids=["scalar", "group_by", "having"],
+    )
+    def test_equals_the_last_answer_of_run(self, engine, sql):
+        query = parse_query(sql)
+        assert_same_answer(engine.final_answer(query), list(engine.run(query))[-1])
+
+    def test_join_equals_the_last_answer_of_run(self, star_catalog):
+        sampling = SamplingConfig(sample_ratio=1.0, num_batches=3, seed=1)
+        query = parse_query(
+            "SELECT region, AVG(amount) FROM orders JOIN stores ON store_id = store_id "
+            "GROUP BY region"
+        )
+        # A fresh engine builds and stores the joined prefixes itself; the
+        # second call reads them from the catalog's join cache.
+        first = OnlineAggregationEngine(star_catalog, sampling=sampling).final_answer(query)
+        engine = OnlineAggregationEngine(star_catalog, sampling=sampling)
+        expected = list(engine.run(query))[-1]
+        assert_same_answer(first, expected)
+        assert_same_answer(engine.final_answer(query), expected)
+
+    def test_estimates_once(self, engine, monkeypatch):
+        query = parse_query("SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25")
+        estimated = []
+        estimate = engine._estimate
+        monkeypatch.setattr(
+            engine, "_estimate", lambda q, prefix: estimated.append(1) or estimate(q, prefix)
+        )
+        engine.final_answer(query)
+        assert len(estimated) == 1
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_deadline_after_batch_k_returns_batch_k(self, engine, no_fault_plan, batch):
+        query = parse_query("SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25")
+        expected = list(engine.run(query))[batch - 1]
+        # Batch k stalls past the deadline; batch k + 1's poll then raises.
+        stall_batch(batch)
+        with deadline_scope(Deadline.after(0.2)):
+            answer = engine.final_answer(query)
+        assert_same_answer(answer, expected)
+
+    def test_deadline_before_any_batch_raises(self, engine, no_fault_plan):
+        query = parse_query("SELECT AVG(revenue) FROM sales")
+        deadline = Deadline(expires_at=0.0, budget_s=1.0)
+        with deadline_scope(deadline), pytest.raises(DeadlineExceeded):
+            engine.final_answer(query)
+
+    def test_fault_at_batch_k_still_raises(self, engine, no_fault_plan):
+        query = parse_query("SELECT AVG(revenue) FROM sales")
+        faults.install(FaultPlan([FaultRule(point="aqp.batch", action="error", after=3)]))
+        with pytest.raises(FaultInjectedError):
+            engine.final_answer(query)
+
+    def test_record_answer_under_a_deadline_records_batch_k(
+        self, sales_catalog, no_fault_plan
+    ):
+        sql = "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25"
+        sampling = SamplingConfig(sample_ratio=0.3, num_batches=5, seed=2)
+        config = VerdictConfig(learn_length_scales=False)
+        cut = VerdictService(sales_catalog, sampling=sampling, config=config)
+        reference = VerdictService(sales_catalog, sampling=sampling, config=config)
+        with cut, reference:
+            stall_batch(2)
+            with deadline_scope(Deadline.after(0.2)):
+                assert cut.record_answer(sql)
+            faults.clear()
+            parsed = parse_query(sql)
+            reference.engine.record(parsed, list(reference.aqp.run(parsed))[1])
+            recorded = cut.engine.synopsis.state_dict()
+            assert recorded == reference.engine.synopsis.state_dict()
+            assert reference.record_answer(sql)  # the full sample adds a different snippet
+            assert recorded != reference.engine.synopsis.state_dict()

@@ -4,7 +4,9 @@ Each function here is the slow, obviously-correct form of a production fast
 path: a whole-table predicate mask, a dict of first-seen group keys and one
 ``values[group_mask]`` reduction per cell (vs. the partitioned scan and the
 factorized group-by kernel), and a per-row comparison for object columns
-(vs. dictionary-encoded predicates).  The production paths must reproduce
+(vs. dictionary-encoded predicates), and the covariance factor product taken
+attribute by attribute as full arrays (vs. one memoised scalar for an
+attribute neither side constrains).  The production paths must reproduce
 them byte for byte.
 """
 
@@ -13,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aqp.evaluation import _estimate_cell
+from repro.core import linalg
+from repro.core.kernel import se_average_factor
 from repro.aqp.types import AQPRow
 from repro.db.executor import QueryResult, ResultRow
 from repro.db.expressions import evaluate_expression, evaluate_predicate
@@ -139,3 +143,34 @@ def object_comparison_mask(column, op: ast.ComparisonOp, literal) -> np.ndarray:
         ast.ComparisonOp.GE: lambda v: v >= literal,
     }[op]
     return np.asarray([compare(v) for v in column], dtype=bool)
+
+
+def factor_matrix(covariance, rows, cols=None) -> np.ndarray:
+    """``SnippetCovariance.factor_matrix`` as one array product per attribute."""
+    symmetric = cols is None
+    row_encoding = covariance.encode(rows)
+    col_encoding = row_encoding if symmetric else covariance.encode(cols)
+    result = np.ones((row_encoding.size, col_encoding.size), dtype=np.float64)
+    if result.size == 0:
+        return result
+    for name in row_encoding.numeric:
+        result *= covariance.numeric_factor(name, row_encoding, col_encoding)
+    for name in row_encoding.categorical:
+        result *= covariance.categorical_factor(name, row_encoding, col_encoding)
+    return linalg.symmetrize(result) if symmetric else result
+
+
+def factor_diagonal(covariance, snippets) -> np.ndarray:
+    """``SnippetCovariance.factor_diagonal`` with every attribute as an array."""
+    encoding = covariance.encode(snippets)
+    result = np.ones(encoding.size, dtype=np.float64)
+    if encoding.size == 0:
+        return result
+    for name, column in encoding.numeric.items():
+        scale = covariance.model.length_scale(name, covariance.domains)
+        base = se_average_factor(column.lows, column.highs, column.lows, column.highs, scale)
+        result *= np.asarray(base, dtype=np.float64)[column.index]
+    for column in encoding.categorical.values():
+        sizes = np.array([c.size for c in column.constraints], dtype=np.float64)
+        result *= (sizes / np.square(np.maximum(sizes, 1.0)))[column.index]
+    return result

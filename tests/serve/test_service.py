@@ -15,7 +15,9 @@ never stopped.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -706,6 +708,31 @@ class TestShutdownOrdering:
         for thread in threads:
             thread.join(timeout=10)
         assert store.snapshots_written == 1
+
+    def test_closed_service_is_freed_without_the_cycle_collector(self):
+        # Reference counting alone must free a closed service: a reference
+        # cycle through it would keep its engine, catalog and samples
+        # alive until a gen-2 collection happened to run.
+        gc.collect()
+        gc.disable()
+        try:
+            service = build_service()
+            catalog = service.catalog
+            service.record_answer(
+                "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25"
+            )
+            service.train()
+            service.query(
+                "SELECT AVG(revenue) FROM sales WHERE week >= 8 AND week <= 30",
+                budget=ServiceBudget.interactive(0.5),
+            )
+            service.close()
+            service_ref, catalog_ref = weakref.ref(service), weakref.ref(catalog)
+            del service, catalog
+            assert service_ref() is None
+            assert catalog_ref() is None
+        finally:
+            gc.enable()
 
     def test_flush_after_close_is_noop(self, tmp_path):
         store = SynopsisStore(tmp_path / "store")
