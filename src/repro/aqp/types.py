@@ -106,21 +106,6 @@ class AQPAnswer:
             )
         return self.rows[0].estimates[self.aggregate_names[0]]
 
-    def max_relative_error_bound(self, multiplier: float) -> float:
-        """Largest relative error bound across all cells (a conservative
-        "answer quality" scalar used when deciding whether to keep refining)."""
-        bounds = [
-            estimate.relative_error_bound(multiplier)
-            for row in self.rows
-            for estimate in row.estimates.values()
-        ]
-        finite = [b for b in bounds if b != float("inf")]
-        if not bounds:
-            return 0.0
-        if not finite:
-            return float("inf")
-        return max(finite)
-
     def mean_relative_error_bound(self, multiplier: float) -> float:
         """Average relative error bound across all cells (Figure 4's metric)."""
         bounds = [

@@ -29,8 +29,12 @@ class VerdictConfig:
         ``C_g`` in the paper; the query synopsis retains at most this many past
         snippets per aggregate function, using LRU replacement.
     confidence:
-        Confidence level used when reporting error *bounds* to the user
-        (the paper reports 95% bounds).
+        Confidence level of every error *bound* reported to the user (the
+        paper reports 95% bounds).  The one source of that level:
+        :class:`~repro.serve.service.VerdictService` (served bounds and
+        budget checks), :class:`~repro.serve.planner.QueryPlanner`
+        (estimated route errors) and
+        :class:`~repro.experiments.runner.ExperimentRunner` all read it.
     validation_confidence:
         ``delta_v`` in Appendix B; the model-based answer is rejected when the
         raw answer falls outside the likely region at this confidence.

@@ -25,7 +25,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -350,14 +350,12 @@ class VerdictEngine:
     def execute(
         self,
         query: Union[str, ast.Query],
-        stop: Callable[[VerdictAnswer], bool] | None = None,
         max_batches: int | None = None,
         record: bool = True,
     ) -> list[VerdictAnswer]:
         """Run a query through the AQP engine, improving every raw answer.
 
-        Online aggregation stops as soon as ``stop(answer)`` is satisfied (the
-        satisfying answer is included) or ``max_batches`` have been processed.
+        Online aggregation stops once ``max_batches`` have been processed.
         The final raw answer's snippets are added to the synopsis when
         ``record`` is True and the query is supported.
 
@@ -365,10 +363,6 @@ class VerdictEngine:
         ----------
         query:
             SQL text or an already-parsed :class:`repro.sqlparser.ast.Query`.
-        stop:
-            Optional early-stopping predicate evaluated on each improved
-            answer (for example an error-bound target); the answer that
-            satisfies it is kept and iteration stops.
         max_batches:
             Optional cap on the number of online-aggregation batches.
         record:
@@ -392,8 +386,6 @@ class VerdictEngine:
         for raw in self.aqp.run(parsed):
             answer = self.process_answer(parsed, raw, check)
             answers.append(answer)
-            if stop is not None and stop(answer):
-                break
             if max_batches is not None and raw.batches_processed >= max_batches:
                 break
         if record and answers and check.supported:
@@ -1124,12 +1116,12 @@ class VerdictEngine:
 
     # ------------------------------------------------------------ serialization
 
-    def state_dict(self, include_prepared: bool = True) -> dict:
+    def state_dict(self) -> dict:
         """JSON-safe snapshot of everything the engine has learned.
 
         Captures the query synopsis (with identities and LRU order), the
-        learned correlation models, and -- when ``include_prepared`` is True
-        (the default) -- the prepared covariance factorisations themselves.
+        learned correlation models, and the prepared covariance
+        factorisations themselves.
         Persisting the factors matters for exactness: a factor grown by
         rank-k extension differs in its floating-point bits from one rebuilt
         from scratch, so restoring the arrays (rather than re-preparing) is
@@ -1143,7 +1135,7 @@ class VerdictEngine:
         """
         from repro.core.serialize import STATE_FORMAT_VERSION
 
-        state: dict = {
+        return {
             "format": STATE_FORMAT_VERSION,
             "synopsis": self.synopsis.state_dict(),
             "models": [
@@ -1156,12 +1148,10 @@ class VerdictEngine:
                 "total_overhead_seconds": self.total_overhead_seconds,
                 "state_epoch": self.state_epoch,
             },
-            "prepared": [],
+            "prepared": [
+                _prepared_state(prepared) for prepared in self._prepared.values()
+            ],
         }
-        if include_prepared:
-            for prepared in self._prepared.values():
-                state["prepared"].append(_prepared_state(prepared))
-        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore the learned state captured by :meth:`state_dict`.

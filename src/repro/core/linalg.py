@@ -19,9 +19,9 @@ recorded query.  This module collects those primitives so that
   a quadratic form ``rhs^T A^{-1} rhs`` needs;
 * :func:`extend_cholesky` / :func:`extend_inverse_diagonal` -- rank-k factor
   *extension* when k new snippets are appended to the synopsis: O(n^2 k)
-  instead of the O(n^3) of a fresh factorisation;
-* :func:`cholesky_update` / :func:`cholesky_downdate` -- classic rank-1
-  update/downdate rotations, kept for symmetry with the extension path;
+  instead of the O(n^3) of a fresh factorisation.  A factor only ever grows
+  this way or is rebuilt (evictions, appends to the data, training), so
+  there are no rank-1 update / downdate rotations;
 * :func:`symmetrize` -- numerical hygiene for matrices that are symmetric by
   construction but not bit-for-bit symmetric after float accumulation.
 
@@ -40,7 +40,6 @@ pinned count (0 where no OpenBLAS was found).
 from __future__ import annotations
 
 import ctypes
-import math
 from typing import Callable
 
 import numpy as np
@@ -338,56 +337,6 @@ def extend_inverse_diagonal(
     top = inverse_diagonal + np.einsum("ij,jk,ik->i", solved, schur_inverse, solved)
     bottom = np.diag(schur_inverse).copy()
     return np.concatenate([top, bottom])
-
-
-# ----------------------------------------------------------- rank-1 rotations
-
-
-def cholesky_update(cho: CholeskyFactor, update: np.ndarray) -> CholeskyFactor:
-    """Rank-1 update: factor of ``A + u u^T`` from the factor of ``A``.
-
-    Classic Givens-rotation sweep, O(n^2).  The input factor is not
-    modified.
-    """
-    lower = lower_triangle(cho)
-    vector = np.array(update, dtype=np.float64)
-    n = len(vector)
-    for i in range(n):
-        radius = math.hypot(lower[i, i], vector[i])
-        cosine = radius / lower[i, i]
-        sine = vector[i] / lower[i, i]
-        lower[i, i] = radius
-        if i + 1 < n:
-            lower[i + 1 :, i] = (lower[i + 1 :, i] + sine * vector[i + 1 :]) / cosine
-            vector[i + 1 :] = cosine * vector[i + 1 :] - sine * lower[i + 1 :, i]
-    return lower, True
-
-
-def cholesky_downdate(cho: CholeskyFactor, downdate: np.ndarray) -> CholeskyFactor:
-    """Rank-1 downdate: factor of ``A - u u^T`` from the factor of ``A``.
-
-    Hyperbolic-rotation sweep, O(n^2).  The input factor is not modified.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If ``A - u u^T`` is not positive definite.
-    """
-    lower = lower_triangle(cho)
-    vector = np.array(downdate, dtype=np.float64)
-    n = len(vector)
-    for i in range(n):
-        squared = lower[i, i] ** 2 - vector[i] ** 2
-        if squared <= 0.0:
-            raise np.linalg.LinAlgError("downdated matrix is not positive definite")
-        radius = math.sqrt(squared)
-        cosine = radius / lower[i, i]
-        sine = vector[i] / lower[i, i]
-        lower[i, i] = radius
-        if i + 1 < n:
-            lower[i + 1 :, i] = (lower[i + 1 :, i] - sine * vector[i + 1 :]) / cosine
-            vector[i + 1 :] = cosine * vector[i + 1 :] - sine * lower[i + 1 :, i]
-    return lower, True
 
 
 def log_determinant(cho: CholeskyFactor) -> float:

@@ -18,6 +18,10 @@ never-stopped one, which rules out any lossy round-trip.
   are stored as sorted lists with a type-aware order so equal sets always
   serialise identically (:func:`encode_values`).
 
+* Every delta-log line is wrapped in a CRC32 envelope and every snapshot
+  carries a checksum footer; the decoders accept only that format, so a line
+  without its envelope or a snapshot without its footer reads as corrupt.
+
 All functions here are dependency-free building blocks; the composition into
 snapshot files lives in :mod:`repro.serve.store`.
 """
@@ -64,11 +68,6 @@ def encode_values(values: Iterable[Value]) -> list[Value]:
     return sorted(values, key=lambda value: (type(value).__name__, repr(value)))
 
 
-def decode_values(values: Iterable[Value]) -> list[Value]:
-    """Inverse of :func:`encode_values` (list back to the caller's container)."""
-    return list(values)
-
-
 # --------------------------------------------------------------------------- #
 # Checksummed on-disk records
 # --------------------------------------------------------------------------- #
@@ -106,10 +105,9 @@ def encode_checked_record(record: Any) -> str:
 def decode_checked_record(line: str) -> Any | None:
     """Inverse of :func:`encode_checked_record`; ``None`` when corrupt.
 
-    Accepts legacy bare records (no ``crc`` envelope) unverified, so delta
-    logs written before checksumming replay unchanged.  A wrapped record
-    whose CRC does not match its canonical re-encoding -- a flipped byte, a
-    spliced line -- is reported as corrupt, never partially applied.
+    A line without the ``crc`` envelope, or whose CRC does not match its
+    record's canonical re-encoding -- a flipped byte, a spliced line -- is
+    reported as corrupt, never partially applied.
     """
     try:
         payload = json.loads(line)
@@ -117,10 +115,8 @@ def decode_checked_record(line: str) -> Any | None:
         return None
     if not isinstance(payload, dict):
         return None
-    if "crc" not in payload:
-        return payload  # legacy record, pre-checksum format
     record = payload.get("record")
-    if record is None or not isinstance(payload["crc"], int):
+    if record is None or not isinstance(payload.get("crc"), int):
         return None
     if checksum_text(canonical_json(record)) != payload["crc"]:
         return None
@@ -146,15 +142,12 @@ def encode_snapshot_document(payload: Any) -> str:
 def decode_snapshot_document(text: str) -> Any:
     """Inverse of :func:`encode_snapshot_document`.
 
-    Raises ``ValueError`` on any parse or checksum failure.  Snapshots
-    written before the footer existed (a single JSON body, no footer line)
-    are accepted unverified for backward compatibility.
+    Raises ``ValueError`` on any parse or checksum failure, a missing
+    footer included: nothing in the body is trusted unverified.
     """
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("snapshot file is empty")
-    if len(lines) == 1:
-        return json.loads(lines[0])  # legacy snapshot, pre-footer format
+    if len(lines) < 2:
+        raise ValueError("snapshot file lacks its checksum footer")
     body, footer_line = lines[0], lines[-1]
     try:
         footer = json.loads(footer_line)

@@ -92,10 +92,6 @@ class QuerySynopsis:
             self._record(self._DIRTY, stored.key)
         return stored
 
-    def add_all(self, snippets: Iterable[Snippet]) -> list[Snippet]:
-        """Insert several snippets and return the stored copies."""
-        return [self.add(snippet) for snippet in snippets]
-
     def restore(self, snippet: Snippet) -> Snippet:
         """Re-insert a snippet that already carries its synopsis identity.
 

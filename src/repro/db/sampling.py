@@ -164,9 +164,6 @@ class SampleStore:
                 self._samples[table_name] = build_table_sample(table, self.config)
             return self._samples[table_name]
 
-    def has_sample(self, table_name: str) -> bool:
-        return table_name in self._samples or self.catalog.has_table(table_name)
-
     def invalidate(self, table_name: str | None = None) -> None:
         """Drop cached samples (all of them, or one table's).
 

@@ -55,12 +55,6 @@ class QueryRunResult:
     baseline_cells: list[tuple[float, float]] = field(default_factory=list)
     overhead_seconds: float = 0.0
 
-    def final_baseline(self) -> ProfilePoint:
-        return self.baseline[-1]
-
-    def final_verdict(self) -> ProfilePoint:
-        return self.verdict[-1]
-
 
 class ExperimentRunner:
     """Drives NoLearn (online aggregation) and Verdict over the same trace."""
@@ -71,7 +65,6 @@ class ExperimentRunner:
         sampling: SamplingConfig | None = None,
         cost_model: CostModelConfig | None = None,
         config: VerdictConfig | None = None,
-        confidence: float = 0.95,
     ):
         self.catalog = catalog
         self.aqp = OnlineAggregationEngine(
@@ -87,8 +80,7 @@ class ExperimentRunner:
             catalog, self.aqp, config=config, time_bound_engine=self.time_bound_engine
         )
         self.exact = ExactExecutor(catalog)
-        self.confidence = confidence
-        self.multiplier = confidence_multiplier(confidence)
+        self.multiplier = confidence_multiplier(self.verdict.config.confidence)
         self._exact_cache: dict[ast.Query, QueryResult] = {}
 
     # ---------------------------------------------------------------- training
@@ -190,23 +182,6 @@ class ExperimentRunner:
             ),
         )
         return baseline_point, verdict_point
-
-    # ---------------------------------------------------------------- counters
-
-    def scan_report(self) -> dict:
-        """Partition/pruning counters: this runner's exact scans + process totals.
-
-        ``exact_executor`` covers the ground-truth scans this runner issued;
-        ``process`` is the process-wide accumulation across every engine
-        (exact, online aggregation, serving), the same counters
-        ``repro.serve.metrics.ServiceMetrics`` snapshots.
-        """
-        from repro.db.scan import scan_counters_snapshot
-
-        return {
-            "exact_executor": self.exact.scan_counters.snapshot(),
-            "process": scan_counters_snapshot(),
-        }
 
     # ----------------------------------------------------------------- helpers
 

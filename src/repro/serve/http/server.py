@@ -685,9 +685,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _cancel(self, request_id: str, audit_fields: dict) -> tuple[int, dict]:
         """Arm the cancel token of an in-flight ask by request id."""
         # The (empty) body must be drained or the keep-alive stream desyncs.
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > 0:
-            self.rfile.read(min(length, protocol.MAX_BODY_BYTES))
+        self._read_body(required=False)
         if not valid_request_id(request_id):
             raise protocol.bad_request(f"invalid request id {request_id!r}")
         found, tenant = self.server.governor.cancels.cancel(request_id)
@@ -985,23 +983,24 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             from_seq = int(self._query_param(params, "from"))
             max_records = int(self._query_param(params, "max_records", False) or 256)
+            epoch_param = self._query_param(params, "epoch", False)
+            remote_epoch = None if epoch_param is None else int(epoch_param)
         except ValueError:
             raise protocol.bad_request(
-                "'from' and 'max_records' must be integers"
+                "'from', 'max_records' and 'epoch' must be integers"
             ) from None
         max_records = max(1, min(max_records, MAX_SHIP_RECORDS))
-        remote_epoch = self._query_param(params, "epoch", False)
         remote_lineage = self._query_param(params, "lineage", False) or ""
         replication = self.server.replication
-        if remote_epoch is not None and int(remote_epoch) > replication.epoch.number:
+        if remote_epoch is not None and remote_epoch > replication.epoch.number:
             # The puller already follows a newer leader than us: we are the
             # deposed one.  Fence ourselves and reject the pull.
-            replication.fence(int(remote_epoch), remote_lineage)
+            replication.fence(remote_epoch, remote_lineage)
             raise protocol.epoch_fenced(
                 f"this leader's epoch {replication.epoch.number} was "
                 f"superseded by epoch {remote_epoch}",
                 local=(replication.epoch.number, replication.epoch.lineage),
-                remote=(int(remote_epoch), remote_lineage),
+                remote=(remote_epoch, remote_lineage),
             )
         replication.note_pull(tenant_name, from_seq)
         with self.server.tenants.lease(tenant_name) as tenant:
@@ -1036,10 +1035,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _replication_snapshot(
         self, params: dict, audit_fields: dict
     ) -> tuple[int, dict]:
-        """Ship a shippable full snapshot for follower bootstrap.
+        """Ship a full snapshot for follower bootstrap.
 
-        Pending learned state is flushed first; if the published snapshot
-        predates the replication envelope (legacy) or the delta log is
+        Pending learned state is flushed first; if the delta log is
         non-empty, a fresh snapshot is written so the shipped document alone
         reproduces the leader's current state.
         """
@@ -1049,7 +1047,7 @@ class _Handler(BaseHTTPRequestHandler):
         with self.server.tenants.lease(tenant_name) as tenant:
             store = tenant.store
             tenant.service.flush()
-            if not store.snapshot_shippable or store.delta_log_length > 0:
+            if store.delta_log_length > 0:
                 tenant.service.snapshot()
             document = store.snapshot_path.read_text()
             state = store.replication_state()
@@ -1099,8 +1097,23 @@ class _Handler(BaseHTTPRequestHandler):
     # ----------------------------------------------------------------- plumbing
 
     def _read_json(self) -> object:
+        body = self._read_body(required=True)
+        try:
+            return json.loads(body)
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise protocol.bad_request(f"body is not valid JSON: {error}") from None
+
+    def _read_body(self, required: bool) -> bytes:
+        """The request body, read in full; a bad length is a 400 that closes.
+
+        Without a ``Content-Length`` there is no body to read, which only a
+        caller that needs one (``required``) rejects.  Any failure leaves
+        body bytes unread, so the connection closes rather than desync.
+        """
         length_header = self.headers.get("Content-Length")
         if length_header is None:
+            if not required:
+                return b""
             self.close_connection = True  # unread body would desync keep-alive
             raise protocol.bad_request("missing Content-Length")
         try:
@@ -1113,11 +1126,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise protocol.bad_request(
                 f"body of {length} bytes exceeds {protocol.MAX_BODY_BYTES}"
             )
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise protocol.bad_request(f"body is not valid JSON: {error}") from None
+        return self.rfile.read(length)
 
     def _date(self) -> str:
         now = int(time.time())

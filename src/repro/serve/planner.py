@@ -139,10 +139,9 @@ class RouteDecision:
 class QueryPlanner:
     """Plans the route order for one request given its budget."""
 
-    def __init__(self, engine: VerdictEngine, confidence: float = 0.95):
+    def __init__(self, engine: VerdictEngine):
         self.engine = engine
-        self.confidence = confidence
-        self.multiplier = confidence_multiplier(confidence)
+        self.multiplier = confidence_multiplier(engine.config.confidence)
 
     # ------------------------------------------------------------------ public
 

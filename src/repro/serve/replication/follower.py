@@ -21,6 +21,11 @@ import threading
 from repro import faults
 from repro.errors import ReplicationError, ReplicationGapError
 
+#: Delta records requested per pull.
+PULL_RECORDS = 64
+#: Socket timeout of the leader client, in seconds.
+PULL_TIMEOUT_S = 30.0
+
 
 class ReplicationPuller:
     """Background thread pulling one leader's WAL into local tenant stores.
@@ -37,9 +42,9 @@ class ReplicationPuller:
         ``host:port`` (or full URL) of the leader to pull from.
     poll_interval_s:
         Idle sleep between pull cycles once caught up.
-    max_records:
-        Delta records requested per pull (one pull cycle drains in batches
-        of this size until the tail is empty).
+
+    One pull cycle drains each tenant in batches of :data:`PULL_RECORDS`
+    delta records until the tail is empty.
     """
 
     def __init__(
@@ -48,17 +53,13 @@ class ReplicationPuller:
         tenants,
         leader_url: str,
         poll_interval_s: float = 0.5,
-        max_records: int = 64,
         tracer=None,
-        timeout_s: float = 30.0,
     ):
         self.manager = manager
         self.tenants = tenants
         self.leader_url = leader_url
         self.poll_interval_s = poll_interval_s
-        self.max_records = max_records
         self.tracer = tracer
-        self.timeout_s = timeout_s
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._client = None
@@ -103,7 +104,7 @@ class ReplicationPuller:
             if self._client is None:
                 host, port = parse_endpoint(self.leader_url)
                 self._client = VerdictClient(
-                    host=host, port=port, timeout_s=self.timeout_s, max_retries=0
+                    host=host, port=port, timeout_s=PULL_TIMEOUT_S, max_retries=0
                 )
             return self._client
 
@@ -143,7 +144,7 @@ class ReplicationPuller:
                         from_seq,
                         epoch=self.manager.epoch.number,
                         lineage=self.manager.epoch.lineage,
-                        max_records=self.max_records,
+                        max_records=PULL_RECORDS,
                     )
                 except Exception as error:
                     if getattr(error, "code", None) == "snapshot_required":

@@ -92,7 +92,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs.metrics import MetricFamily
-from repro.obs.trace import Tracer, current_trace, set_attrs
+from repro.obs.trace import set_attrs
 from repro.obs.trace import event as trace_event
 from repro.obs.trace import span as trace_span
 from repro.serve.breaker import CircuitBreaker
@@ -240,14 +240,10 @@ class VerdictService:
         every ``flush_every`` learned-state changes, and :meth:`close` writes
         a final full snapshot.
     config, sampling, cost_model:
-        Forwarded to the underlying engines.
+        Forwarded to the underlying engines.  ``config.confidence`` is the
+        level of every reported error bound and budget check.
     max_workers:
         Size of the worker pool serving :meth:`submit`.
-    confidence:
-        Confidence level for reported error bounds and budget checks.
-    default_budget:
-        Budget applied when a request does not carry one (default: best
-        effort -- cheapest route, no error requirement).
     record_queries:
         Whether served supported queries are recorded into the synopsis
         (step 4 of Figure 2).  Can be overridden per request.
@@ -259,11 +255,11 @@ class VerdictService:
         (records / appends), so correlation parameters track the workload
         continuously without any caller ever blocking on the O(n^3) learn.
         ``None`` (the default) disables automatic training.
-    breaker_window, breaker_failure_threshold, breaker_cooldown_s:
+    breaker_window, breaker_cooldown_s:
         Circuit-breaker tuning for the approximate routes (learned and
         online aggregation): a route whose recent error rate over the last
-        ``breaker_window`` attempts reaches ``breaker_failure_threshold``
-        is skipped for ``breaker_cooldown_s`` seconds, then probed
+        ``breaker_window`` attempts reaches one half is skipped for
+        ``breaker_cooldown_s`` seconds, then probed
         (half-open) before being trusted again.  The exact route is never
         broken: it is the fallback of last resort.
     trainer_max_restarts, trainer_restart_backoff_s:
@@ -272,13 +268,10 @@ class VerdictService:
         ``trainer_restart_backoff_s``; when every retry fails the trainer is
         marked dead (visible in :meth:`health`) until a later round
         succeeds.
-    tracer:
-        Optional :class:`repro.obs.trace.Tracer`.  When set, requests that
-        arrive without an ambient trace (direct :meth:`query` callers) get
-        a root span of their own; requests already traced (the HTTP front
-        door opens the root) just contribute child spans.  ``None`` (the
-        default) keeps the hot path span-free at the cost of one contextvar
-        read per instrumented site.
+
+    Requests without a budget get ``ServiceBudget()`` (best effort: the
+    cheapest route, no error requirement).  Spans are opened only inside an
+    ambient trace; the HTTP front door opens the root.
     """
 
     def __init__(
@@ -289,18 +282,14 @@ class VerdictService:
         sampling: SamplingConfig | None = None,
         cost_model: CostModelConfig | None = None,
         max_workers: int = 4,
-        confidence: float = 0.95,
-        default_budget: ServiceBudget | None = None,
         record_queries: bool = True,
         flush_every: int = 8,
         cache_capacity: int = 1_024,
         auto_train_every: int | None = None,
         breaker_window: int = 8,
-        breaker_failure_threshold: float = 0.5,
         breaker_cooldown_s: float = 5.0,
         trainer_max_restarts: int = 3,
         trainer_restart_backoff_s: float = 0.05,
-        tracer: Tracer | None = None,
     ):
         if max_workers <= 0:
             raise ServiceError("max_workers must be positive")
@@ -323,13 +312,11 @@ class VerdictService:
         )
         self.engine = VerdictEngine(catalog, self.aqp, config=config)
         self.exact = ExactExecutor(catalog, scan_counters=self.scan_counters)
-        self.planner = QueryPlanner(self.engine, confidence=confidence)
+        self.planner = QueryPlanner(self.engine)
         self.metrics = ServiceMetrics(scan_counters=self.scan_counters)
-        self.tracer = tracer
         self.store = store
-        self.confidence = confidence
-        self.multiplier = confidence_multiplier(confidence)
-        self.default_budget = default_budget or ServiceBudget()
+        self.multiplier = confidence_multiplier(self.engine.config.confidence)
+        self.default_budget = ServiceBudget()
         self.record_queries = record_queries
         self.flush_every = max(flush_every, 1)
         self.cache_capacity = cache_capacity
@@ -378,7 +365,6 @@ class VerdictService:
             route: CircuitBreaker(
                 name=route.value,
                 window=breaker_window,
-                failure_threshold=breaker_failure_threshold,
                 cooldown_s=breaker_cooldown_s,
                 on_transition=count_transition,
             )
@@ -412,12 +398,6 @@ class VerdictService:
         # batch loop and the exact scan's morsel loop poll it cooperatively.
         with self._request_scope(), deadline_scope(deadline):
             try:
-                if self.tracer is not None and current_trace() is None:
-                    # Direct callers (no HTTP front door) still get a trace:
-                    # mint a root here so the ring and trace log see them.
-                    with self.tracer.request(name="service.query") as root:
-                        root.set(sql=sql if isinstance(sql, str) else (sql.text or ""))
-                        return self._serve_within_deadline(sql, budget, record)
                 return self._serve_within_deadline(sql, budget, record)
             except DeadlineExceeded:
                 self.metrics.record_event("deadline.exceeded")
@@ -537,7 +517,7 @@ class VerdictService:
                         self.planner.estimated_first_batch_rows(parsed)
                     ),
                     "synopsis_snippets_for_table": snippets,
-                    "confidence": self.confidence,
+                    "confidence": self.engine.config.confidence,
                 },
                 "versions": {
                     "synopsis": self.engine.synopsis.version,
@@ -1048,8 +1028,6 @@ class VerdictService:
         }
         if self.store is not None:
             data["store"] = self.store.state_snapshot()
-        if self.tracer is not None:
-            data["tracer"] = self.tracer.stats()
         return data
 
     #: Breaker states as gauge values (Prometheus cannot carry strings).

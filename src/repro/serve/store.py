@@ -52,14 +52,14 @@ each corruption mode instead of crash-looping:
 
 * **torn delta tail** (crash mid-append): the log is truncated to the
   longest valid prefix of records and rewritten, replay continues;
-* **corrupt delta record** (bad CRC, version gap): same truncation -- a
-  record is applied fully or not at all, and nothing after a bad record is
-  trusted;
-* **corrupt current snapshot**: the file is moved to ``quarantine/`` and
-  the retained previous generation is restored instead (stale deltas are
-  skipped by sequence -- by version when they predate the replication
-  envelope; newer-than-snapshot deltas whose base does not match are
-  truncated);
+* **corrupt delta record** (bad or missing CRC envelope, no integer
+  ``seq``, version gap): same truncation -- a record is applied fully or not
+  at all, and nothing after a bad record is trusted;
+* **corrupt current snapshot** (bad or missing checksum footer, wrong
+  format, no ``replication`` block): the file is moved to ``quarantine/``
+  and the retained previous generation is restored instead (stale deltas
+  are skipped by sequence; newer-than-snapshot deltas whose base does not
+  match are truncated);
 * **both generations corrupt/unreadable**: everything is quarantined and
   the store reports "empty" -- the service starts fresh (degraded, visible
   in ``/v1/healthz``) rather than refusing to start.
@@ -135,12 +135,6 @@ class SynopsisStore:
     compact_after:
         Number of delta records after which the next flush folds the log
         into a fresh snapshot.
-    include_factors:
-        Whether snapshots include the prepared covariance factorisations
-        (and delta records the factor events that grow them).  Including
-        them (default) makes restarts byte-exact and avoids an O(n^3)
-        re-factorisation on first use, at the cost of larger snapshot
-        files (O(n^2) floats per aggregate function).
     replica:
         Opened on a replication follower: local WAL writes are refused
         (shipped records are the only writers of the delta log) and
@@ -152,14 +146,12 @@ class SynopsisStore:
         self,
         directory: str | os.PathLike[str],
         compact_after: int = 256,
-        include_factors: bool = True,
         replica: bool = False,
     ):
         if compact_after <= 0:
             raise StoreError("compact_after must be positive")
         self.directory = Path(directory)
         self.compact_after = compact_after
-        self.include_factors = include_factors
         self.replica = replica
         self.snapshots_written = 0
         self.deltas_written = 0
@@ -189,10 +181,6 @@ class SynopsisStore:
         #: sequence, sequence]`` is in the delta log and shippable.
         self.sequence = 0
         self.snapshot_sequence = 0
-        #: True once ``snapshot.json`` carries a ``replication`` block (a
-        #: legacy snapshot cannot be shipped verbatim; the leader rewrites
-        #: it before serving a bootstrap).
-        self.snapshot_shippable = False
         #: Fencing epoch: bumped (with a fresh lineage token) at every
         #: promotion, stamped on every shipped record and snapshot.
         self.fencing_epoch = 0
@@ -251,31 +239,22 @@ class SynopsisStore:
                 self._delta_records = 0
             return False
         engine.load_state_dict(snapshot["engine"])
-        replication = snapshot.get("replication")
-        if isinstance(replication, dict):
-            self.snapshot_sequence = int(replication.get("seq", 0))
-            self.snapshot_shippable = True
-            try:
-                self.adopt_epoch(
-                    int(replication.get("epoch", 0)),
-                    str(replication.get("lineage", "")),
-                )
-            except EpochFencedError:
-                pass  # the sidecar outlived this snapshot (promotion since)
-        else:
-            # A legacy (pre-replication) snapshot still represents state a
-            # follower does not have: give it a synthetic sequence so "from
-            # seq 0" pulls are answered with snapshot_required, never with
-            # a misleadingly empty tail.
-            self.snapshot_sequence = 1
-            self.snapshot_shippable = False
+        replication = snapshot["replication"]
+        self.snapshot_sequence = int(replication.get("seq", 0))
+        try:
+            self.adopt_epoch(
+                int(replication.get("epoch", 0)),
+                str(replication.get("lineage", "")),
+            )
+        except EpochFencedError:
+            pass  # the sidecar outlived this snapshot (promotion since)
         self.sequence = self.snapshot_sequence
         self._replay_deltas(engine)
         self._mark_persisted(engine)
         return True
 
     def _load_snapshot_payload(self) -> dict | None:
-        """The newest readable, checksum-valid, compatible snapshot payload.
+        """The newest readable, checksum-valid, sequenced snapshot payload.
 
         Tries the current generation first, then the retained previous one.
         Unusable files are moved to ``quarantine/`` (with the reason noted)
@@ -296,11 +275,13 @@ class SynopsisStore:
                 continue
             if not isinstance(payload, dict) or payload.get("format") != STATE_FORMAT_VERSION:
                 found = payload.get("format") if isinstance(payload, dict) else None
-                self._quarantine(
-                    path,
-                    f"{generation} snapshot format {found!r} unsupported "
-                    f"(expected {STATE_FORMAT_VERSION})",
-                )
+                reason = f"format {found!r} unsupported (expected {STATE_FORMAT_VERSION})"
+            elif not isinstance(payload.get("replication"), dict):
+                reason = "has no replication block"
+            else:
+                reason = None
+            if reason is not None:
+                self._quarantine(path, f"{generation} snapshot {reason}")
                 self.counters["snapshots_quarantined"] += 1
                 self.quarantined = True
                 continue
@@ -328,10 +309,12 @@ class SynopsisStore:
     def _replay_deltas(self, engine: VerdictEngine) -> None:
         """Apply delta records newer than the restored snapshot, in order.
 
-        Replay stops at the first record that is torn, fails its CRC, or
-        does not follow on from the restored state (a version gap): a crash
-        or corruption invalidates everything *after* it, so the log is
-        truncated to the longest valid prefix and rewritten.
+        Replay stops at the first record that is torn, fails its CRC, lacks
+        an integer ``seq``, or does not follow on from the restored state (a
+        version gap): a crash or corruption invalidates everything *after*
+        it, so the log is truncated to the longest valid prefix and
+        rewritten.  Records at or below the snapshot's sequence are already
+        folded into it and are skipped.
         """
         if not self.delta_path.is_file():
             self._delta_records = 0
@@ -352,18 +335,12 @@ class SynopsisStore:
                 record = decode_checked_record(line)
             except Exception:
                 record = None
-            if record is None or not isinstance(record, dict):
+            seq = record.get("seq") if isinstance(record, dict) else None
+            if not isinstance(seq, int):
                 truncated_from = f"record {line_number} is torn or corrupt"
                 break
             current = engine.synopsis.version
-            seq = record.get("seq")
-            # A record that carries factor events only does not move the
-            # version, so a sequenced record is placed by its sequence.
-            if (
-                seq <= self.sequence
-                if isinstance(seq, int)
-                else record.get("version", -1) <= current
-            ):
+            if seq <= self.sequence:
                 valid_lines.append(line)
                 records += 1
                 continue  # already folded into the snapshot
@@ -375,7 +352,7 @@ class SynopsisStore:
                 )
                 break
             self._apply_record(engine, record)
-            self.sequence = seq if isinstance(seq, int) else self.sequence + 1
+            self.sequence = seq
             valid_lines.append(line)
             records += 1
             self.counters["deltas_replayed"] += 1
@@ -404,7 +381,7 @@ class SynopsisStore:
         extend / rebuild / drop decision, over the same snippets, as the
         engine that wrote the record.
         """
-        pending = deque(record.get("factors", ()) if self.include_factors else ())
+        pending = deque(record.get("factors", ()))
         replayed = len(pending)
 
         def run_due_events() -> None:
@@ -463,8 +440,6 @@ class SynopsisStore:
             return self.save_snapshot(engine)
         if self._delta_records >= self.compact_after:
             return self.save_snapshot(engine)
-        if not self.include_factors:
-            events = []  # the snapshots hold no factors for them to grow
         if version == self._persisted_version and not events:
             self._mark_persisted(engine)
             return "noop"
@@ -525,7 +500,7 @@ class SynopsisStore:
         sequence = self.sequence if self.replica else self.sequence + 1
         payload = {
             "format": STATE_FORMAT_VERSION,
-            "engine": engine.state_dict(include_prepared=self.include_factors),
+            "engine": engine.state_dict(),
             "replication": {
                 "seq": sequence,
                 "epoch": self.fencing_epoch,
@@ -562,7 +537,6 @@ class SynopsisStore:
         self._delta_records = 0
         self.sequence = sequence
         self.snapshot_sequence = sequence
-        self.snapshot_shippable = True
         self.snapshots_written += 1
         # A successful snapshot supersedes whatever was quarantined.
         self.quarantined = False
@@ -610,10 +584,10 @@ class SynopsisStore:
     def delta_tail(self, from_seq: int, max_records: int = 256) -> list[str]:
         """Complete, CRC-valid delta lines with ``seq > from_seq``, in order.
 
-        This is what the leader ships.  Reading stops at the first torn,
-        corrupt, or unsequenced (legacy) line -- safe against a concurrent
-        append, which can only ever expose a partial *last* line -- so a
-        shipped batch is always a valid contiguous WAL segment.
+        This is what the leader ships.  Reading stops at the first torn or
+        corrupt line -- safe against a concurrent append, which can only
+        ever expose a partial *last* line -- so a shipped batch is always a
+        valid contiguous WAL segment.
         """
         if not self.delta_path.is_file():
             return []
@@ -622,11 +596,9 @@ class SynopsisStore:
             if not line.strip():
                 continue
             record = decode_checked_record(line)
-            if not isinstance(record, dict):
-                break
-            seq = record.get("seq")
+            seq = record.get("seq") if isinstance(record, dict) else None
             if not isinstance(seq, int):
-                break  # pre-replication record: only a snapshot can ship it
+                break
             if seq <= from_seq:
                 continue
             tail.append(line)
@@ -717,7 +689,6 @@ class SynopsisStore:
         engine.load_state_dict(payload["engine"])
         self.sequence = int(replication.get("seq", 0))
         self.snapshot_sequence = self.sequence
-        self.snapshot_shippable = True
         self._mark_persisted(engine)
         self._delta_records = 0
         self.snapshots_written += 1

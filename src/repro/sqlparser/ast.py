@@ -192,16 +192,6 @@ class AggregateFunction(enum.Enum):
     # AST lets the internal snippet representation reuse the same types.
     FREQ = "FREQ"
 
-    @property
-    def verdict_supported(self) -> bool:
-        """Whether Verdict can improve this aggregate (Section 2.2)."""
-        return self in (
-            AggregateFunction.SUM,
-            AggregateFunction.COUNT,
-            AggregateFunction.AVG,
-            AggregateFunction.FREQ,
-        )
-
 
 @dataclass(frozen=True)
 class Aggregate:

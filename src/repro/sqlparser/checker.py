@@ -43,16 +43,9 @@ _SUPPORTED_AGGREGATES = {
 class QueryTypeChecker:
     """Classifies parsed queries as supported or unsupported.
 
-    Parameters
-    ----------
-    allow_having:
-        Verdict supports HAVING clauses by operating on the result set
-        returned by the AQP engine (Section 2.2).  Setting this to False
-        reproduces a stricter engine for sensitivity studies.
+    HAVING clauses are supported: Verdict applies them to the result set
+    returned by the AQP engine (Section 2.2).
     """
-
-    def __init__(self, allow_having: bool = True):
-        self.allow_having = allow_having
 
     def check(self, query: ast.Query) -> CheckResult:
         """Return the :class:`CheckResult` for ``query``."""
@@ -90,8 +83,6 @@ class QueryTypeChecker:
                 reasons.append("non-aggregate select expression")
 
         reasons.extend(self._check_predicate(query.where, clause="WHERE"))
-        if query.having is not None and not self.allow_having:
-            reasons.append("HAVING clause")
 
         # Duplicate reasons add no information.
         unique_reasons = tuple(dict.fromkeys(reasons))

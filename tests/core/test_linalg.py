@@ -132,32 +132,6 @@ class TestExtendCholesky:
         np.testing.assert_allclose(updated, np.diag(np.linalg.inv(full)), rtol=1e-8)
 
 
-class TestRankOneRotations:
-    def test_update_matches_refactorisation(self):
-        matrix = random_spd(6, seed=21)
-        vector = np.linspace(0.5, -0.5, 6)
-        cho, _ = linalg.robust_cholesky(matrix)
-        updated = linalg.cholesky_update(cho, vector)
-        reference = cho_factor(matrix + np.outer(vector, vector), lower=True)
-        np.testing.assert_allclose(
-            linalg.lower_triangle(updated), np.tril(reference[0]), rtol=1e-9
-        )
-
-    def test_downdate_inverts_update(self):
-        matrix = random_spd(5, seed=22)
-        vector = np.array([0.3, -0.2, 0.1, 0.4, -0.1])
-        cho, _ = linalg.robust_cholesky(matrix)
-        round_trip = linalg.cholesky_downdate(linalg.cholesky_update(cho, vector), vector)
-        np.testing.assert_allclose(
-            linalg.lower_triangle(round_trip), linalg.lower_triangle(cho), rtol=1e-8
-        )
-
-    def test_downdate_rejects_indefinite_result(self):
-        cho, _ = linalg.robust_cholesky(np.eye(3))
-        with pytest.raises(np.linalg.LinAlgError):
-            linalg.cholesky_downdate(cho, np.array([2.0, 0.0, 0.0]))
-
-
 class TestHelpers:
     def test_symmetrize(self):
         matrix = np.array([[1.0, 2.0], [2.5, 3.0]])

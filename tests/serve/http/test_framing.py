@@ -16,6 +16,7 @@ from email.utils import parsedate_to_datetime
 import pytest
 
 from repro.obs.trace import REQUEST_ID_RE
+from repro.serve.http.protocol import MAX_BODY_BYTES
 from http_harness import start_server
 
 ASK = json.dumps({"tenant": "acme", "sql": "SELECT COUNT(*) FROM sales"}).encode()
@@ -214,3 +215,33 @@ class TestConnectionLifetime:
             head += line
         assert status == 501 and b"Content-Length: " in head
         assert at_eof(wire)
+
+
+class TestMalformedInput:
+    """Malformed client input is a typed 400, never a 500."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", str(MAX_BODY_BYTES + 1)])
+    def test_bad_cancel_content_length_is_400_and_closes(self, wire, length):
+        wire.write(
+            b"POST /v1/cancel/req-1 HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: %s\r\n\r\n" % length.encode()
+        )
+        status, fields, body = read_response(wire)
+        assert status == 400 and json.loads(body)["error"]["code"] == "bad_request"
+        assert fields["connection"] == "close" and at_eof(wire)
+
+    def test_cancel_drains_its_body_on_a_keep_alive_stream(self, wire):
+        wire.write(post("/v1/cancel/gone-1", b'{"x": 1}') + post("/v1/ask", ASK))
+        first, _, body = read_response(wire)
+        assert first == 404 and json.loads(body)["error"]["code"] == "unknown_request"
+        assert read_response(wire)[0] == 200
+
+    def test_non_integer_epoch_in_a_pull_is_400(self, wire):
+        wire.write(
+            b"GET /v1/replication/deltas?tenant=acme&from=0&epoch=abc HTTP/1.1\r\n"
+            b"Host: t\r\n\r\n"
+        )
+        status, _, body = read_response(wire)
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad_request" and "epoch" in error["message"]

@@ -15,11 +15,13 @@ path.  These tests pin the envelope contract at the
   rejects gaps and fenced epochs with typed errors;
 * ``install_shipped_snapshot`` reproduces the leader's learned state
   byte-identically and positions the follower at the snapshot's sequence;
-* a replica store refuses local flushes, legacy snapshots are never
-  shippable, and the fencing sidecar survives a reopen.
+* a replica store refuses local flushes, a shipped line without its CRC
+  envelope is refused, and the fencing sidecar survives a reopen.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -27,9 +29,18 @@ from repro import faults
 from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.config import SamplingConfig, VerdictConfig
 from repro.core.engine import VerdictEngine
-from repro.core.serialize import canonical_json, decode_checked_record
+from repro.core.serialize import (
+    canonical_json,
+    decode_checked_record,
+    decode_snapshot_document,
+)
 from repro.db.catalog import Catalog
-from repro.errors import EpochFencedError, FaultInjectedError, ReplicationGapError
+from repro.errors import (
+    EpochFencedError,
+    FaultInjectedError,
+    ReplicationError,
+    ReplicationGapError,
+)
 from repro.faults import FaultPlan, FaultRule
 from repro.serve.store import StoreError, SynopsisStore
 from repro.workloads.synthetic import make_sales_table
@@ -56,7 +67,7 @@ def build_engine() -> VerdictEngine:
 
 
 def engine_fingerprint(engine: VerdictEngine) -> str:
-    return canonical_json(engine.state_dict(include_prepared=True))
+    return canonical_json(engine.state_dict())
 
 
 def record_one(engine: VerdictEngine, sql: str) -> None:
@@ -104,7 +115,8 @@ class TestEnvelope:
         assert store.compact(engine) == "snapshot"
         assert store.sequence == before + 1
         assert store.snapshot_sequence == store.sequence
-        assert store.snapshot_shippable
+        payload = decode_snapshot_document(store.snapshot_path.read_text())
+        assert payload["replication"]["seq"] == store.sequence
         assert store.delta_log_length == 0
 
     def test_replica_snapshot_does_not_advance_sequence(self, tmp_path):
@@ -118,24 +130,6 @@ class TestEnvelope:
         before = follower.sequence
         assert follower.save_snapshot(follower_engine) == "snapshot"
         assert follower.sequence == before
-
-    def test_legacy_snapshot_is_not_shippable(self, tmp_path):
-        store, engine = seeded_leader(tmp_path)
-        # Strip the replication block, keeping the document otherwise valid.
-        from repro.serve.store import (
-            decode_snapshot_document,
-            encode_snapshot_document,
-        )
-
-        store.compact(engine)
-        payload = decode_snapshot_document(store.snapshot_path.read_text())
-        del payload["replication"]
-        store.snapshot_path.write_text(encode_snapshot_document(payload))
-        reopened = SynopsisStore(tmp_path)
-        assert reopened.load_into(build_engine())
-        assert not reopened.snapshot_shippable
-        # The synthetic sequence forces "from 0" pulls to snapshot_required.
-        assert reopened.snapshot_sequence == 1
 
 
 class TestDeltaTail:
@@ -179,6 +173,15 @@ class TestShipAppend:
         assert engine_fingerprint(follower_engine) == engine_fingerprint(
             leader_engine
         )
+
+    def test_record_without_its_crc_envelope_is_refused(self, tmp_path):
+        leader, _, follower, follower_engine = self.ship_all(tmp_path)
+        record = decode_checked_record(leader.delta_tail(follower.sequence)[0])
+        before = (follower.sequence, follower_engine.synopsis.version)
+        with pytest.raises(ReplicationError, match="torn or corrupt"):
+            follower.ship_append(follower_engine, json.dumps(record))
+        assert (follower.sequence, follower_engine.synopsis.version) == before
+        assert follower.delta_path.read_text() == ""
 
     def test_sequence_gap_is_typed(self, tmp_path):
         leader, _, follower, follower_engine = self.ship_all(tmp_path)

@@ -218,6 +218,40 @@ class TestSnapshotRoundTrip:
         assert fresh.counters["snapshots_quarantined"] == 1
         assert any("format" in note for note in fresh.recovery_notes)
 
+    def test_snapshot_without_checksum_footer_is_quarantined(self, tmp_path):
+        engine = build_engine()
+        engine.execute(TRAINING[0])
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        body = store.snapshot_path.read_text().splitlines()[0]
+        store.snapshot_path.write_text(body + "\n")  # a valid body, no footer
+        fresh = SynopsisStore(tmp_path)
+        assert not fresh.load_into(build_engine())
+        assert fresh.quarantined
+        assert fresh.counters["snapshots_quarantined"] == 1
+        assert any("footer" in note for note in fresh.recovery_notes)
+
+    def test_snapshot_without_replication_block_is_quarantined(self, tmp_path):
+        engine = build_engine()
+        engine.execute(TRAINING[0])
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        engine.execute(TRAINING[1])
+        store.save_snapshot(engine)
+        from repro.core.serialize import decode_snapshot_document, encode_snapshot_document
+
+        payload = decode_snapshot_document(store.snapshot_path.read_text())
+        del payload["replication"]
+        store.snapshot_path.write_text(encode_snapshot_document(payload))
+        fresh = SynopsisStore(tmp_path)
+        restored = build_engine()
+        assert fresh.load_into(restored)  # from the previous generation
+        assert fresh.quarantined
+        assert fresh.counters["snapshots_quarantined"] == 1
+        assert fresh.counters["previous_generation_recoveries"] == 1
+        assert any("replication" in note for note in fresh.recovery_notes)
+        assert restored.synopsis.version < engine.synopsis.version
+
     def test_corrupt_current_snapshot_falls_back_to_previous_generation(self, tmp_path):
         engine = build_engine()
         engine.execute(TRAINING[0])
@@ -283,7 +317,7 @@ class TestDeltaLog:
         assert_identical_engines(engine, restored)
 
     def test_record_without_factors_still_replays(self, tmp_path):
-        """The log format before factor events: snippets only, no ``seq``."""
+        """A record no ask grew a factor for carries snippets only."""
         engine = build_engine()
         for sql in TRAINING[:3]:
             engine.execute(sql)
@@ -293,10 +327,7 @@ class TestDeltaLog:
         engine.record(parsed, engine.aqp.final_answer(parsed))
         assert store.flush(engine) == "delta"
         (record,) = delta_records(store)
-        assert "factors" not in record
-        for field in ("seq", "epoch", "lineage"):
-            del record[field]
-        store.delta_path.write_text(json.dumps(record) + "\n")  # bare, pre-CRC
+        assert "factors" not in record and isinstance(record["seq"], int)
         reloaded_store = SynopsisStore(tmp_path)
         restored = build_engine()
         assert reloaded_store.load_into(restored)
@@ -321,25 +352,6 @@ class TestDeltaLog:
         assert record["base_version"] == record["version"] == engine.synopsis.version
         restored = reload(store)
         assert factor_bytes(restored) == factor_bytes(engine)
-        assert_identical_engines(engine, restored)
-
-    def test_store_without_factors_writes_no_factor_events(self, tmp_path):
-        engine = build_engine()
-        for sql in TRAINING[:3]:
-            engine.execute(sql)
-        store = SynopsisStore(tmp_path, include_factors=False)
-        store.flush(engine)
-        engine.execute(PROBES[0], record=False)
-        assert store.flush(engine) == "noop"  # growth only: nothing to persist
-        engine.execute(TRAINING[1])
-        assert store.flush(engine) == "delta"
-        assert all("factors" not in record for record in delta_records(store))
-        assert store.state_snapshot()["factor_events_written"] == 0
-        reloaded_store = SynopsisStore(tmp_path, include_factors=False)
-        restored = build_engine()
-        assert reloaded_store.load_into(restored)
-        assert reloaded_store.counters["factor_events_replayed"] == 0
-        assert restored.prepared_factors() == {}
         assert_identical_engines(engine, restored)
 
     def test_barriers_still_snapshot(self, tmp_path):
@@ -391,6 +403,26 @@ class TestDeltaLog:
         assert SynopsisStore(tmp_path).load_into(restored)
         # Everything before the torn line replayed.
         assert restored.synopsis.version == engine.synopsis.version
+
+    def test_record_without_its_crc_envelope_is_truncated(self, tmp_path):
+        engine = build_engine()
+        engine.execute(TRAINING[0])
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        snapshot_version = engine.synopsis.version
+        parsed, _ = engine.check(TRAINING[1])
+        engine.record(parsed, engine.aqp.final_answer(parsed))
+        assert store.flush(engine) == "delta"
+        (record,) = delta_records(store)
+        store.delta_path.write_text(json.dumps(record) + "\n")  # no envelope
+        reloaded_store = SynopsisStore(tmp_path)
+        restored = build_engine()
+        assert reloaded_store.load_into(restored)
+        assert reloaded_store.counters["deltas_replayed"] == 0
+        assert reloaded_store.counters["deltas_truncated"] == 1
+        assert reloaded_store.counters["tail_recoveries"] == 1
+        assert restored.synopsis.version == snapshot_version
+        assert store.delta_path.read_text() == ""
 
     def test_torn_tail_is_truncated_so_later_flushes_survive_restart(self, tmp_path):
         """A flush after crash recovery must not append onto the torn tail

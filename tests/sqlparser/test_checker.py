@@ -73,14 +73,6 @@ class TestUnsupportedQueries:
         )
         assert result.reasons.count("unsupported aggregate MIN") == 1
 
-    def test_having_can_be_disallowed(self):
-        strict = QueryTypeChecker(allow_having=False)
-        result = check(
-            strict, "SELECT region, SUM(x) FROM t GROUP BY region HAVING sum_x > 1"
-        )
-        assert not result.supported
-        assert "HAVING clause" in result.reasons
-
 
 class TestCheckSql:
     def test_parse_error_reported_not_raised(self):
