@@ -13,9 +13,9 @@ slice.
 
 Predicate evaluation over the scanned prefix runs through the partitioned
 scan driver (:mod:`repro.db.scan`): sample prefixes are zero-copy slice
-views of the full sample, so their partitions, zone maps, and string
-dictionaries are shared across batches, and selective predicates skip
-partitions by zone map exactly as the exact executor does.
+views of the full sample that share its categorical codes and dictionaries,
+and selective predicates skip partitions by zone map exactly as the exact
+executor does.
 """
 
 from __future__ import annotations

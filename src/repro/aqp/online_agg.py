@@ -197,8 +197,9 @@ class OnlineAggregationEngine:
                 else:
                     # Zero-copy view of the newly scanned batch; the append
                     # records lineage, so the grown prefix reuses the prior
-                    # prefix's partitions/dictionaries and only builds state
-                    # for the new tail partitions.
+                    # prefix's zone maps and only builds those of the new
+                    # tail partitions.  Both joins share the dimensions'
+                    # dictionaries, so the codes concatenate as they are.
                     delta = prefix.slice_rows(previous_rows, rows)
                     joined = joined.append(self._apply_joins(query, delta))
                     self.catalog.store_join(prefix_token, query.joins, joined)

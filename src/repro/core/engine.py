@@ -769,7 +769,7 @@ class VerdictEngine:
         new_count = appended.num_rows
         # append_rows keeps the cached denormalizations (extended by the
         # delta join) and the appended table reuses the old table's partition
-        # zone maps and dictionaries -- only new partitions are built.
+        # zone maps and codes -- only new partitions are built.
         self.catalog.append_rows(table_name, appended)
         self.aqp.samples.invalidate(table_name)
         if self.time_bound is not None:

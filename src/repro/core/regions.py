@@ -160,8 +160,8 @@ class AttributeDomains:
         of distinct values.  Key columns are never included.
 
         Numeric min/max bounds and categorical distinct counts come from the
-        partition layer's zone maps and string dictionaries
-        (:mod:`repro.db.partition`), which appends extend incrementally.
+        partition layer's zone maps (:mod:`repro.db.partition`), which
+        appends extend incrementally.
         The numeric *distinct count* feeding the resolution is still an
         ``np.unique`` pass over the column (its exact value has no
         partition-level summary), so a domain rebuild is cheaper after this
@@ -173,16 +173,13 @@ class AttributeDomains:
         numeric: dict[str, NumericDomain] = {}
         categorical: dict[str, CategoricalDomain] = {}
         for column in table.schema:
-            if column.role not in roles:
-                continue
-            values = table.column(column.name)
-            if len(values) == 0:
+            if column.role not in roles or len(table) == 0:
                 continue
             if column.is_categorical:
                 distinct = partition.distinct_count(table, column.name)
                 categorical[column.name] = CategoricalDomain(column.name, max(distinct, 1))
             else:
-                numeric_values = np.asarray(values, dtype=np.float64)
+                numeric_values = np.asarray(table.column(column.name), dtype=np.float64)
                 bounds = None
                 if not partition.numeric_has_nan(table, column.name):
                     bounds = partition.numeric_bounds(table, column.name)

@@ -27,7 +27,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from repro.db.schema import Column, ColumnRole, Schema
+from repro.db.schema import Column, ColumnRole
 from repro.db.table import Table
 from repro.errors import CatalogError
 from repro.sqlparser import ast
@@ -175,9 +175,10 @@ class Catalog:
         delta rows are joined on their own (O(delta), the foreign-key join is
         row-wise and order-preserving) and appended to the cached table,
         which is then stored under the new table version.  The appended
-        table's partition zone maps and string dictionaries are likewise
-        extended rather than rebuilt (append lineage, see
-        :mod:`repro.db.partition`) -- appends only add new partitions.
+        table keeps its prefix codes and extends its dictionaries
+        (:meth:`Table.append`), and its partition zone maps are extended
+        rather than rebuilt (append lineage, see :mod:`repro.db.partition`)
+        -- appends only add new partitions.
 
         Returns the updated (appended) table now registered in the catalog.
         """
@@ -283,19 +284,10 @@ class Catalog:
 
         matches = match_foreign_keys(left_keys, right_keys)
         keep = matches >= 0
-        base_kept = base.filter(keep)
-        dimension_rows = matches[keep]
-
-        merged_columns = base_kept.to_dict()
-        merged_schema_columns: list[Column] = list(base_kept.schema.columns)
-        existing = set(base_kept.column_names())
-        for column in dimension.schema:
-            if column.name in existing:
-                continue
-            merged_columns[column.name] = dimension.column(column.name)[dimension_rows]
-            merged_schema_columns.append(column)
-            existing.add(column.name)
-        return Table(base.name, Schema(tuple(merged_schema_columns)), merged_columns)
+        # Gathering the dimension's stored arrays gathers its categorical
+        # codes and shares its dictionaries: a joined sample never re-hashes.
+        added = [name for name in dimension.column_names() if not base.has_column(name)]
+        return base.filter(keep).hstack(dimension.select(added).take(matches[keep]))
 
     def join_all(
         self,

@@ -5,11 +5,11 @@ arrays aligned with the table rows; predicates evaluate to boolean masks.
 The evaluator is shared by the exact executor (ground truth) and by the
 sampling-based AQP engines, which apply the same predicates to sample rows.
 
-Predicates over categorical (object-dtype) columns evaluate through the
-table's dictionary encoding (:mod:`repro.db.partition`): the predicate is
-applied once per *distinct value* (memoised per table and predicate leaf)
-and the per-distinct booleans are gathered through the int64 code array;
-the property tests compare them with per-row loops (``tests/oracles.py``).
+Predicates over categorical columns never decode them: the predicate is
+applied once per value of the column's dictionary (:mod:`repro.db.table`;
+memoised per dictionary and predicate leaf) and the per-value booleans are
+gathered through the table's int64 codes.  The property tests compare them
+with per-row loops (``tests/oracles.py``).
 An ordered comparison between strings and numbers raises
 :class:`~repro.errors.ExpressionError`.
 """
@@ -22,8 +22,7 @@ from typing import Callable, Hashable, Union
 
 import numpy as np
 
-from repro.db.partition import ColumnDictionary, column_dictionary
-from repro.db.table import Table
+from repro.db.table import Dictionary, Table
 from repro.errors import ExpressionError
 from repro.sqlparser import ast
 
@@ -72,7 +71,7 @@ def evaluate_expression_at(
             raise ExpressionError(
                 f"unknown column {expression.name!r} in table {table.name!r}"
             )
-        return table.column(expression.name)[indices]
+        return table.column_at(expression.name, indices)
     if isinstance(expression, ast.Literal):
         return np.full(len(indices), expression.value)
     if isinstance(expression, ast.Star):
@@ -193,39 +192,41 @@ def _leaf_match_function(leaf: ast.Predicate) -> Callable[[object], bool]:
     raise ExpressionError(f"cannot evaluate leaf of type {type(leaf).__name__}")
 
 
-def distinct_match_mask(dictionary: ColumnDictionary, leaf: ast.Predicate) -> np.ndarray:
-    """Boolean mask over the dictionary's distinct values satisfying ``leaf``.
+def distinct_match_mask(dictionary: Dictionary, leaf: ast.Predicate) -> np.ndarray:
+    """Boolean mask over the dictionary's values satisfying ``leaf``.
 
-    Memoised in the dictionary's ``match_cache`` (shared by every slice view
-    of the same table), so a scan cut into several runs pays the
-    per-distinct evaluation once per table and query, not once per run.
+    Memoised in the dictionary's ``matches`` (shared by every table that
+    shares the dictionary), so the per-value evaluation runs once per
+    dictionary and leaf, not once per scan run or sample batch prefix.
     """
     key = leaf_match_key(leaf)
     if key is not None:
-        cached = dictionary.match_cache.get(key)
+        cached = dictionary.matches.get(key)
         if cached is not None:
             return cached
     match = _leaf_match_function(leaf)
     try:
         mask = np.fromiter(
-            (bool(match(value)) for value in dictionary.values),
+            (bool(match(value)) for value in dictionary.values.tolist()),
             dtype=bool,
-            count=len(dictionary.values),
+            count=len(dictionary),
         )
     except TypeError as error:
         # An ordered comparison (or BETWEEN) of strings against numbers.
         raise ExpressionError(f"cannot evaluate {type(leaf).__name__}: {error}") from None
     if key is not None:
-        dictionary.match_cache[key] = mask
+        # Unlocked: a racing thread computes and stores the same mask.
+        dictionary.matches[key] = mask
     return mask
 
 
+def _is_categorical(table: Table, name: str) -> bool:
+    return table.schema.column(name).is_categorical
+
+
 def _categorical_leaf_mask(table: Table, name: str, leaf: ast.Predicate) -> np.ndarray:
-    """Row mask of one categorical leaf: per-distinct evaluation + code gather."""
-    dictionary = column_dictionary(table, name)
-    if dictionary.num_distinct == 0:
-        return np.zeros(len(table), dtype=bool)
-    return distinct_match_mask(dictionary, leaf)[dictionary.codes]
+    """Row mask of one categorical leaf: per-value evaluation + code gather."""
+    return distinct_match_mask(table.dictionary(name), leaf)[table.codes(name)]
 
 
 def evaluate_predicate(predicate: ast.Predicate | None, table: Table) -> np.ndarray:
@@ -251,11 +252,11 @@ def evaluate_predicate(predicate: ast.Predicate | None, table: Table) -> np.ndar
     if isinstance(predicate, ast.Comparison):
         return _evaluate_comparison(predicate, table)
     if isinstance(predicate, ast.InPredicate):
-        column = table.column(predicate.column.name)
-        if column.dtype == object:
+        if _is_categorical(table, predicate.column.name):
             # Membership decided once per distinct value (negation folded
             # into the per-value function), gathered via the codes.
             return _categorical_leaf_mask(table, predicate.column.name, predicate)
+        column = table.column(predicate.column.name)
         numeric_allowed = np.asarray(
             [v for v in predicate.values if isinstance(v, (int, float))],
             dtype=np.float64,
@@ -263,24 +264,23 @@ def evaluate_predicate(predicate: ast.Predicate | None, table: Table) -> np.ndar
         mask = np.isin(np.asarray(column, dtype=np.float64), numeric_allowed)
         return ~mask if predicate.negated else mask
     if isinstance(predicate, ast.BetweenPredicate):
-        column = table.column(predicate.column.name)
-        if column.dtype == object:
+        if _is_categorical(table, predicate.column.name):
             return _categorical_leaf_mask(table, predicate.column.name, predicate)
         if isinstance(predicate.low, str) or isinstance(predicate.high, str):
             raise ExpressionError(
                 f"cannot compare numeric column {predicate.column.name!r} "
                 "with string BETWEEN bounds"
             )
-        values = np.asarray(column, dtype=np.float64)
+        values = np.asarray(table.column(predicate.column.name), dtype=np.float64)
         return (values >= float(predicate.low)) & (values <= float(predicate.high))
     if isinstance(predicate, ast.LikePredicate):
-        column = table.column(predicate.column.name)
-        if column.dtype == object:
-            # LIKE columns are categorical: matching the few distinct values
-            # (memoised per table + pattern) and scattering back through the
-            # dictionary codes beats running the regex once per row.
+        if _is_categorical(table, predicate.column.name):
+            # Matching the few distinct values (memoised per dictionary +
+            # pattern) and scattering back through the codes beats running
+            # the regex once per row.
             return _categorical_leaf_mask(table, predicate.column.name, predicate)
         regex = _like_regex(predicate.pattern)
+        column = table.column(predicate.column.name)
         uniques, inverse = np.unique(column.astype(str), return_inverse=True)
         unique_mask = np.asarray(
             [regex.fullmatch(value) is not None for value in uniques], dtype=bool
@@ -316,14 +316,13 @@ def _evaluate_comparison(predicate: ast.Comparison, table: Table) -> np.ndarray:
         op = _flip(op)
     if isinstance(right, ast.Literal):
         if isinstance(left, ast.ColumnRef):
-            column = table.column(left.name)
-            if column.dtype == object:
+            if _is_categorical(table, left.name):
                 # The comparison runs once per distinct value instead of
                 # once per row (the normalised leaf keeps the original
                 # literal, so semantics match a per-row comparison).
                 normalised = ast.Comparison(left=left, op=op, right=right)
                 return _categorical_leaf_mask(table, left.name, normalised)
-            return _comparison_mask(column, op, right.value)
+            return _comparison_mask(table.column(left.name), op, right.value)
         values = evaluate_expression(left, table)
         return _comparison_mask(np.asarray(values, dtype=np.float64), op, right.value)
     # column-vs-column (or expression-vs-expression) comparison

@@ -8,12 +8,11 @@ integer codes, the per-column codes are combined into a single code array,
 and every per-group quantity is then a segment operation over the selected
 rows -- one pass over the data instead of one pass per group.
 
-Column encodings are memoised per :class:`~repro.db.table.Table` instance
-(tables are immutable -- every table operation returns a new instance), so a
-group column is dictionary-encoded once and every later query over the same
-table factorizes with pure C-level gathers.  Integer columns are encoded by
-offset when their value span is dense, floats by ``np.unique``, and
-object/NaN columns by a first-seen hash encoding.
+A categorical group column already is dense integer codes: the table
+stores its dictionary codes (:mod:`repro.db.table`), so grouping by it is a
+pure C-level gather.  Numeric group columns are encoded at the selected
+rows only: integers by offset when their value span is dense, floats by
+``np.unique``, and NaN-bearing floats by a first-seen hash encoding.
 
 Semantics are byte-identical to a per-row Python loop that collects group
 keys in a dict (the oracle in ``tests/oracles.py``):
@@ -30,7 +29,6 @@ keys in a dict (the oracle in ``tests/oracles.py``):
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -57,12 +55,6 @@ _RADIX_SORT_CODES = 2**16
 # most this factor of the row count (beyond that the radix blow-up would
 # outweigh the saved sort and we fall back to ``np.unique``).
 _DENSE_INT_SPAN_FACTOR = 8
-
-# Per-table memo of column encodings: table -> {column name -> (codes, size)}.
-# Weak keys let dropped tables release their encodings.
-_column_codes_cache: "weakref.WeakKeyDictionary[Table, dict[str, tuple[np.ndarray, int]]]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def normalize_value(value: object) -> Value:
@@ -151,7 +143,7 @@ class GroupedSelection:
 
 
 def _encode_hashed(values) -> tuple[np.ndarray, int]:
-    """Dict-based first-seen integer encoding (object dtype / NaN fallback).
+    """Dict-based first-seen integer encoding (NaN / overflow fallback).
 
     Matches dict-of-keys grouping exactly, including NaN keys: NaN != NaN,
     so every NaN occurrence receives a fresh code.
@@ -168,15 +160,13 @@ def _encode_hashed(values) -> tuple[np.ndarray, int]:
     return codes, len(mapping)
 
 
-def _encode_column(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Encode one whole group column into dense integer codes.
+def _encode_numeric(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Encode numeric group values into dense integer codes.
 
     The encoding is injective with respect to group-key equality (dict key
     equality of the normalised values), so grouping by codes partitions
     rows exactly as grouping by values does.
     """
-    if values.dtype == object:
-        return _encode_hashed(values)
     if np.issubdtype(values.dtype, np.floating):
         if np.isnan(values).any():
             # np.unique collapses NaNs while dict keys keep each NaN
@@ -194,31 +184,18 @@ def _encode_column(values: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.reshape(-1).astype(np.int64, copy=False), len(uniques)
 
 
-def _column_codes(table: Table, name: str) -> tuple[np.ndarray, int]:
-    """The memoised whole-column encoding of one group column.
+def _selected_codes(
+    table: Table, name: str, selected_indices: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Dense codes of one group column at the selected rows, and their range.
 
-    Contiguous slice views (``Table.slice_rows``, e.g. sample batch prefixes
-    and scan morsels) reuse the parent table's encoding by slicing its code
-    array: any injective encoding partitions the slice's rows identically,
-    and group keys/order are derived from the values, not the codes.
+    A categorical column's codes are its dictionary codes (range: the
+    dictionary size).  Any injective encoding partitions the rows alike;
+    group keys and order are derived from the rows, not the codes.
     """
-    per_table = _column_codes_cache.get(table)
-    if per_table is None:
-        per_table = {}
-        _column_codes_cache[table] = per_table
-    entry = per_table.get(name)
-    if entry is None:
-        from repro.db.partition import slice_parent
-
-        sliced = slice_parent(table)
-        if sliced is not None:
-            parent, start, stop = sliced
-            parent_codes, size = _column_codes(parent, name)
-            entry = (parent_codes[start:stop], size)
-        else:
-            entry = _encode_column(table.column(name))
-        per_table[name] = entry
-    return entry
+    if table.schema.column(name).is_categorical:
+        return table.codes(name)[selected_indices], len(table.dictionary(name))
+    return _encode_numeric(table.column(name)[selected_indices])
 
 
 def factorize(
@@ -244,21 +221,20 @@ def factorize(
     num_selected = len(selected_indices)
     if num_selected == 0:
         return None
-    columns = [table.column(name) for name in group_columns]
-
-    encoded = [_column_codes(table, name) for name in group_columns]
+    encoded = [_selected_codes(table, name, selected_indices) for name in group_columns]
     num_codes = 1
     for _, size in encoded:
         num_codes *= max(size, 1)
     if num_codes > _MAX_COMBINED_CODE:
+        # Tuples of per-column codes are as injective as tuples of values.
         combined, num_codes = _encode_hashed(
-            list(zip(*(column[selected_indices].tolist() for column in columns)))
+            list(zip(*(codes.tolist() for codes, _ in encoded)))
         )
     else:
-        combined = encoded[0][0][selected_indices]
+        combined = encoded[0][0]
         for codes, size in encoded[1:]:
             combined = combined * size
-            combined += codes[selected_indices]
+            combined += codes
 
     # One stable sort groups equal codes into contiguous segments while
     # keeping ascending row order inside each segment (= boolean-mask order).
@@ -287,9 +263,8 @@ def factorize(
     starts = segment_starts[by_first_seen]
     ends = segment_ends[by_first_seen]
     key_rows = selected_indices[first_positions[by_first_seen]]
-    keys = [
-        tuple(normalize_value(column[row]) for column in columns) for row in key_rows
-    ]
+    key_columns = [table.column_at(name, key_rows) for name in group_columns]
+    keys = [tuple(normalize_value(value) for value in key) for key in zip(*key_columns)]
     return GroupedSelection(
         keys=keys,
         selected_indices=selected_indices,

@@ -1,4 +1,4 @@
-"""Partitioned storage: column chunks, zone maps, and string dictionaries.
+"""Partitioned storage: column chunks and zone maps.
 
 Every :class:`~repro.db.table.Table` can be viewed as a sequence of
 fixed-size row *partitions* (column chunks).  This module derives and caches,
@@ -8,29 +8,15 @@ per table instance:
   rows each (the last partition may be partial);
 * **zone maps** -- per-partition statistics: the min/max of every numeric
   column (NaN-aware) and the set of dictionary codes present for every
-  categorical column.  Selective predicates consult them to skip partitions
-  without touching the underlying arrays (:mod:`repro.db.scan`);
-* **column dictionaries** -- a table-wide dictionary encoding of every
-  categorical column: distinct values in first-seen order plus an int64 code
-  array aligned with the rows.  Equality / IN / LIKE / range predicates on
-  strings evaluate once per *distinct value* and gather through the codes
-  instead of looping over Python objects per row
-  (:mod:`repro.db.expressions`).
+  categorical column (read off the table's own codes, see
+  :mod:`repro.db.table`).  Selective predicates consult them to skip
+  partitions without touching the underlying arrays (:mod:`repro.db.scan`).
 
-Tables are immutable, so all derived state is memoised in
-``WeakKeyDictionary`` caches keyed by table instance.  Two kinds of *lineage*
-are tracked so derived state is reused instead of rebuilt:
-
-* **append lineage** (:func:`note_append`, recorded by ``Table.append``): the
-  appended table reuses every full prefix partition's zone map unchanged and
-  extends the column dictionaries in place of re-encoding -- codes are
-  assigned in first-seen order, so the prefix rows' codes (and hence the
-  prefix zone maps' code sets) stay valid verbatim.  Appends therefore only
-  build zone maps for the new tail partitions.
-* **slice lineage** (:func:`note_slice`, recorded by ``Table.slice_rows``):
-  a contiguous row view shares its parent's dictionaries by slicing the code
-  array (zero copy), so per-batch sample prefixes and per-partition morsel
-  views never re-encode strings.
+Tables are immutable, so partition state is memoised in a
+``WeakKeyDictionary`` keyed by table instance.  ``Table.append`` records
+*append lineage* (:func:`note_append`): an appended table keeps its prefix
+rows' codes verbatim, so it reuses every full prefix partition's zone map
+unchanged and only builds zone maps for the new tail partitions.
 """
 
 from __future__ import annotations
@@ -38,7 +24,6 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -59,47 +44,16 @@ _cache_lock = threading.RLock()
 _partitions_cache: "weakref.WeakKeyDictionary[Table, TablePartitions]" = (
     weakref.WeakKeyDictionary()
 )
-# table -> {column name -> ColumnDictionary}
-_dictionary_cache: "weakref.WeakKeyDictionary[Table, dict[str, ColumnDictionary]]" = (
-    weakref.WeakKeyDictionary()
-)
 # child -> (weakref to parent, prefix rows) recorded by Table.append
 _append_lineage: "weakref.WeakKeyDictionary[Table, tuple[weakref.ref, int]]" = (
     weakref.WeakKeyDictionary()
 )
-# child -> (weakref to parent, start, stop) recorded by Table.slice_rows
-_slice_lineage: "weakref.WeakKeyDictionary[Table, tuple[weakref.ref, int, int]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-# --------------------------------------------------------------------------- #
-# Lineage bookkeeping
-# --------------------------------------------------------------------------- #
 
 
 def note_append(parent: Table, child: Table) -> None:
     """Record that ``child`` is ``parent`` plus appended rows."""
     with _cache_lock:
         _append_lineage[child] = (weakref.ref(parent), len(parent))
-
-
-def note_slice(parent: Table, child: Table, start: int, stop: int) -> None:
-    """Record that ``child`` is the contiguous row view ``parent[start:stop]``."""
-    with _cache_lock:
-        _slice_lineage[child] = (weakref.ref(parent), start, stop)
-
-
-def slice_parent(table: Table) -> tuple[Table, int, int] | None:
-    """The (parent, start, stop) of a slice view, if the parent is alive."""
-    with _cache_lock:
-        entry = _slice_lineage.get(table)
-        if entry is None:
-            return None
-        parent = entry[0]()
-        if parent is None:
-            return None
-        return parent, entry[1], entry[2]
 
 
 def _append_parent(table: Table) -> tuple[Table, int] | None:
@@ -110,117 +64,6 @@ def _append_parent(table: Table) -> tuple[Table, int] | None:
     if parent is None:
         return None
     return parent, entry[1]
-
-
-# --------------------------------------------------------------------------- #
-# Column dictionaries
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class ColumnDictionary:
-    """Dictionary encoding of one categorical column.
-
-    ``values[code]`` is the distinct value assigned ``code`` (codes are
-    assigned in first-seen row order, so appending rows never renumbers
-    existing codes); ``codes`` is the int64 code of every row; ``index`` maps
-    value -> code.  Instances are immutable by convention and may share
-    ``values``/``index``/``match_cache`` with slices of the same table.
-
-    ``match_cache`` memoises per-distinct-value predicate evaluations
-    (:func:`repro.db.expressions.distinct_match_mask`) keyed by a
-    value-derived leaf key, so a morsel scan evaluates each string predicate
-    once per *table*, not once per partition view.
-    """
-
-    values: list
-    codes: np.ndarray
-    index: dict
-    match_cache: dict = field(default_factory=dict)
-
-    @property
-    def num_distinct(self) -> int:
-        return len(self.values)
-
-    def code_for(self, value: object) -> int | None:
-        """The code of ``value``, or ``None`` when it never occurs."""
-        try:
-            return self.index.get(value)
-        except TypeError:  # unhashable literal can never equal a stored value
-            return None
-
-
-def _encode_first_seen(values: Iterable) -> ColumnDictionary:
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    index: dict = {}
-    ordered: list = []
-    codes = np.empty(len(values), dtype=np.int64)
-    for row, value in enumerate(values):
-        code = index.get(value)
-        if code is None:
-            code = len(ordered)
-            index[value] = code
-            ordered.append(value)
-        codes[row] = code
-    return ColumnDictionary(values=ordered, codes=codes, index=index)
-
-
-def _extend_dictionary(parent: ColumnDictionary, suffix: np.ndarray) -> ColumnDictionary:
-    """Extend a dictionary with appended rows, preserving existing codes."""
-    index = dict(parent.index)
-    ordered = list(parent.values)
-    tail = np.empty(len(suffix), dtype=np.int64)
-    for row, value in enumerate(suffix.tolist()):
-        code = index.get(value)
-        if code is None:
-            code = len(ordered)
-            index[value] = code
-            ordered.append(value)
-        tail[row] = code
-    return ColumnDictionary(
-        values=ordered, codes=np.concatenate([parent.codes, tail]), index=index
-    )
-
-
-def column_dictionary(table: Table, name: str) -> ColumnDictionary:
-    """The (memoised) dictionary encoding of one categorical column.
-
-    Slice views share the parent's dictionary through a zero-copy code
-    slice; appended tables extend the parent's dictionary so prefix codes
-    never change.
-    """
-    with _cache_lock:
-        per_table = _dictionary_cache.get(table)
-        if per_table is None:
-            per_table = {}
-            _dictionary_cache[table] = per_table
-        entry = per_table.get(name)
-        if entry is not None:
-            return entry
-
-        sliced = slice_parent(table)
-        if sliced is not None:
-            parent, start, stop = sliced
-            parent_entry = column_dictionary(parent, name)
-            entry = ColumnDictionary(
-                values=parent_entry.values,
-                codes=parent_entry.codes[start:stop],
-                index=parent_entry.index,
-                match_cache=parent_entry.match_cache,
-            )
-        else:
-            appended = _append_parent(table)
-            if appended is not None:
-                parent, prefix_rows = appended
-                parent_entry = column_dictionary(parent, name)
-                entry = _extend_dictionary(
-                    parent_entry, table.column(name)[prefix_rows:]
-                )
-            else:
-                entry = _encode_first_seen(table.column(name))
-        per_table[name] = entry
-        return entry
 
 
 # --------------------------------------------------------------------------- #
@@ -322,7 +165,7 @@ def _zone_map(table: Table, start: int, end: int) -> ZoneMap:
     categorical: dict[str, frozenset] = {}
     for column in table.schema:
         if column.kind is ColumnKind.CATEGORY:
-            codes = column_dictionary(table, column.name).codes[start:end]
+            codes = table.codes(column.name)[start:end]
             categorical[column.name] = frozenset(np.unique(codes).tolist())
         elif column.kind is ColumnKind.FLOAT:
             chunk = table.column(column.name)[start:end]
@@ -439,5 +282,11 @@ def numeric_has_nan(table: Table, name: str) -> bool:
 
 
 def distinct_count(table: Table, name: str) -> int:
-    """Number of distinct values of a categorical column (dictionary size)."""
-    return column_dictionary(table, name).num_distinct
+    """Number of distinct values present in a categorical column.
+
+    Counted from the zone maps' code sets, not the dictionary: a taken,
+    filtered or joined table shares a dictionary that may hold values none
+    of its rows carry.
+    """
+    zone_maps = table_partitions(table).zone_maps
+    return len(frozenset().union(*(zone_map.categorical[name] for zone_map in zone_maps)))

@@ -83,8 +83,8 @@ class TableSample:
 
         Prefixes are zero-copy slice views of the sample, memoised per row
         count: repeated batches return the *same* table instance, so derived
-        state (partition zone maps, string dictionaries, group-by encodings)
-        is shared across queries and batches instead of rebuilt per call.
+        state (partition zone maps) is shared across queries and batches
+        instead of rebuilt per call.
         """
         rows = max(0, min(rows, self.sample_size))
         view = self._prefix_views.get(rows)

@@ -32,12 +32,7 @@ import numpy as np
 from repro.deadline import current_cancel, current_deadline
 from repro.db.expressions import _flip, distinct_match_mask, evaluate_predicate
 from repro.obs.trace import span as obs_span
-from repro.db.partition import (
-    DEFAULT_PARTITION_ROWS,
-    TablePartitions,
-    column_dictionary,
-    table_partitions,
-)
+from repro.db.partition import DEFAULT_PARTITION_ROWS, TablePartitions, table_partitions
 from repro.db.table import Table
 from repro.sqlparser import ast
 
@@ -214,11 +209,11 @@ def _categorical_maybe_vec(
 ) -> np.ndarray:
     """A categorical partition may match iff it holds any matching code.
 
-    The per-distinct match mask is memoised per table and leaf, so checking P
-    partitions costs one pass over the distinct values plus P set probes.
+    The per-value match mask is memoised per dictionary and leaf, so checking
+    P partitions costs one pass over the matching codes plus P set probes.
     """
-    match = distinct_match_mask(column_dictionary(table, name), leaf)
-    matching = _matching_code_set(match)
+    match = distinct_match_mask(table.dictionary(name), leaf)
+    matching = frozenset(np.flatnonzero(match).tolist())
     return np.asarray(
         [
             not matching.isdisjoint(zone_map.categorical[name])
@@ -226,21 +221,6 @@ def _categorical_maybe_vec(
         ],
         dtype=bool,
     )
-
-
-def _matching_code_set(match: np.ndarray) -> frozenset:
-    """frozenset of matching codes, cached on the mask array via identity."""
-    cached = _code_set_cache.get(id(match))
-    if cached is not None and cached[0] is match:
-        return cached[1]
-    codes = frozenset(np.flatnonzero(match).tolist())
-    _code_set_cache[id(match)] = (match, codes)
-    if len(_code_set_cache) > 256:
-        _code_set_cache.clear()
-    return codes
-
-
-_code_set_cache: dict[int, tuple[np.ndarray, frozenset]] = {}
 
 
 def partition_maybe_mask(

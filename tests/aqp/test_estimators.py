@@ -1,6 +1,10 @@
 """Unit tests for the CLT estimators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,3 +98,31 @@ class TestConfidenceMultiplier:
     def test_invalid(self):
         with pytest.raises(ValueError):
             confidence_multiplier(1.5)
+
+    def test_equals_norm_ppf_bit_for_bit(self):
+        from scipy.stats import norm
+
+        for confidence in np.linspace(0.001, 0.999, 999).tolist() + [0.9, 0.95, 0.99]:
+            expected = float(norm.ppf(0.5 + confidence / 2.0))
+            assert confidence_multiplier(confidence) == expected, confidence
+
+    def test_server_start_leaves_scipy_stats_unimported(self):
+        # scipy.stats costs ~0.4 s to import: every server start and every
+        # crash-matrix restart would pay it.
+        script = (
+            "import sys\n"
+            "import repro.serve.http.server\n"
+            "from repro.aqp.estimators import confidence_multiplier\n"
+            "confidence_multiplier(0.95)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert completed.stdout.strip() == "False"

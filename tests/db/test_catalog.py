@@ -77,6 +77,8 @@ class TestJoins:
         assert list(joined.column("amount")) == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
         # Region values follow the store assignment of each order.
         assert list(joined.column("region")) == ["east", "west", "east", "west", "east", "east"]
+        # The join gathers the dimension's codes: its dictionary is shared.
+        assert joined.dictionary("region") is star_catalog.table("stores").dictionary("region")
 
     def test_join_drops_unmatched_rows(self, star_catalog):
         # Point one order at a store that does not exist.

@@ -1,12 +1,10 @@
-"""Unit tests for the partitioned storage layer (zone maps, dictionaries)."""
+"""Unit tests for the partitioned storage layer and the codes it reads."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.db import partition
 from repro.db.partition import (
-    column_dictionary,
     distinct_count,
     numeric_bounds,
     numeric_has_nan,
@@ -93,41 +91,46 @@ class TestZoneMaps:
     def test_categorical_code_sets(self):
         table = make_table(10)  # regions cycle r0..r4
         parts = table_partitions(table, partition_rows=5)
-        dictionary = column_dictionary(table, "region")
         for zone_map in parts.zone_maps:
             assert zone_map.categorical["region"] == frozenset(range(5))
-        assert dictionary.values == ["r0", "r1", "r2", "r3", "r4"]
+        assert table.dictionary("region").values.tolist() == ["r0", "r1", "r2", "r3", "r4"]
 
 
 class TestColumnDictionary:
+    """A table stores a categorical column as first-seen codes + a dictionary."""
+
     def test_first_seen_codes(self):
         schema = Schema.of([categorical_dimension("c")])
         table = Table("d", schema, {"c": ["b", "a", "b", "c", "a"]})
-        dictionary = column_dictionary(table, "c")
-        assert dictionary.values == ["b", "a", "c"]
-        assert dictionary.codes.tolist() == [0, 1, 0, 2, 1]
-        assert dictionary.code_for("c") == 2
-        assert dictionary.code_for("missing") is None
+        dictionary = table.dictionary("c")
+        assert dictionary.values.tolist() == ["b", "a", "c"]
+        assert dictionary.index == {"b": 0, "a": 1, "c": 2}
+        assert table.codes("c").tolist() == [0, 1, 0, 2, 1]
+        assert table.column("c").tolist() == ["b", "a", "b", "c", "a"]
 
     def test_append_extends_without_renumbering(self):
         schema = Schema.of([categorical_dimension("c")])
         table = Table("d", schema, {"c": ["b", "a"]})
-        base_dictionary = column_dictionary(table, "c")
         appended = table.append(Table("d", schema, {"c": ["z", "a"]}))
-        extended = column_dictionary(appended, "c")
-        assert extended.values[:2] == base_dictionary.values
-        assert extended.codes[:2].tolist() == base_dictionary.codes.tolist()
-        assert extended.codes.tolist() == [0, 1, 2, 1]
+        extended = appended.dictionary("c")
+        assert extended.values.tolist() == ["b", "a", "z"]
+        assert table.dictionary("c").values.tolist() == ["b", "a"]  # never mutated
+        assert appended.codes("c")[:2].tolist() == table.codes("c").tolist()
+        assert appended.codes("c").tolist() == [0, 1, 2, 1]
+        # An append whose rows share the dictionary keeps it as is.
+        same = table.append(table.take(np.array([1, 1, 0])))
+        assert same.dictionary("c") is table.dictionary("c")
+        assert same.codes("c").tolist() == [0, 1, 1, 1, 0]
 
     def test_slice_view_shares_dictionary(self):
         table = make_table(30)
-        parent = column_dictionary(table, "region")
         view = table.slice_rows(10, 20)
-        sliced = column_dictionary(view, "region")
-        assert sliced.values is parent.values
-        assert sliced.index is parent.index
-        assert sliced.match_cache is parent.match_cache
-        assert sliced.codes.tolist() == parent.codes[10:20].tolist()
+        assert view.dictionary("region") is table.dictionary("region")
+        assert np.shares_memory(view.codes("region"), table.codes("region"))
+        assert view.codes("region").tolist() == table.codes("region")[10:20].tolist()
+        taken = table.take(np.array([4, 2]))
+        assert taken.dictionary("region") is table.dictionary("region")
+        assert taken.column("region").tolist() == ["r4", "r2"]
 
 
 class TestAppendReuse:
@@ -160,7 +163,8 @@ class TestAppendReuse:
         table_partitions(table, partition_rows=8)
         appended = table.append(make_table(10))
         reused = table_partitions(appended)
-        fresh = Table("t", appended.schema, appended.to_dict())
+        values = {name: appended.column(name) for name in appended.column_names()}
+        fresh = Table("t", appended.schema, values)
         rebuilt = table_partitions(fresh, partition_rows=8)
         assert reused.bounds == rebuilt.bounds
         for left, right in zip(reused.zone_maps, rebuilt.zone_maps):
@@ -184,18 +188,23 @@ class TestTableStats:
         table = make_table(100)
         assert distinct_count(table, "region") == 5
 
+    def test_distinct_count_counts_values_present(self):
+        table = make_table(100)  # r0..r4
+        assert distinct_count(table.filter(table.column("week") % 5 == 3), "region") == 1
+        taken = table.take(np.array([0, 1, 5]))
+        assert len(taken.dictionary("region")) == 5
+        assert distinct_count(taken, "region") == 2
+        extra = Table(
+            "t", table.schema, {"week": [0, 1], "region": ["r9", "r0"], "revenue": [0.0, 1.0]}
+        )
+        assert distinct_count(taken.append(extra), "region") == 3
+
     def test_has_nan_false_for_clean_column(self):
         table = make_table(10)
         assert not numeric_has_nan(table, "revenue")
 
 
 class TestLineageRegistry:
-    def test_slice_parent_exposed(self):
-        table = make_table(20)
-        view = table.slice_rows(5, 15)
-        parent, start, stop = partition.slice_parent(view)
-        assert parent is table and (start, stop) == (5, 15)
-
     def test_slice_bounds_clamped(self):
         table = make_table(10)
         view = table.slice_rows(-5, 99)

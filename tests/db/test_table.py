@@ -35,6 +35,24 @@ class TestConstruction:
         with pytest.raises(TableError):
             Table("t", schema, {"x": [1], "c": ["a"], "m": [1.0], "extra": [0]})
 
+    @pytest.mark.parametrize("bad", [["x"], {"a": 1}])
+    def test_unhashable_category_rejected(self, schema, bad):
+        with pytest.raises(TableError, match="'c'"):
+            Table("t", schema, {"x": [1, 2], "c": [bad, "a"], "m": [1.0, 2.0]})
+
+    def test_unhashable_category_append_leaves_catalog_unchanged(self, table, schema):
+        from repro.db.catalog import Catalog
+        from repro.db.executor import ExactExecutor
+        from repro.sqlparser.parser import parse_query
+
+        catalog = Catalog.of([table], fact_tables=["t"])
+        with pytest.raises(TableError):
+            rows = {"x": [5, 6], "c": [["x"], "a"], "m": [5.0, 6.0]}
+            catalog.append_rows("t", Table("t", schema, rows))
+        assert catalog.table("t") is table
+        result = ExactExecutor(catalog).execute(parse_query("SELECT AVG(m) FROM t"))
+        assert result.rows[0].aggregates["avg_m"] == 2.5
+
     def test_dtypes(self, table):
         assert table.column("x").dtype == np.int64
         assert table.column("m").dtype == np.float64

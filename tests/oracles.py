@@ -3,8 +3,9 @@
 Each function here is the slow, obviously-correct form of a production fast
 path: a whole-table predicate mask, a dict of first-seen group keys and one
 ``values[group_mask]`` reduction per cell (vs. the partitioned scan and the
-factorized group-by kernel), and a per-row comparison for object columns
-(vs. dictionary-encoded predicates), and the covariance factor product taken
+factorized group-by kernel), a per-row Python decision of every predicate
+over decoded values (vs. dictionary-code predicates), and the covariance
+factor product taken
 attribute by attribute as full arrays (vs. one memoised scalar for an
 attribute neither side constrains).  The production paths must reproduce
 them byte for byte.
@@ -132,17 +133,62 @@ def estimate(query, table, scanned_rows, population_size) -> list[AQPRow]:
     return rows
 
 
+_COMPARE = {
+    ast.ComparisonOp.EQ: lambda a, b: a == b,
+    ast.ComparisonOp.NE: lambda a, b: a != b,
+    ast.ComparisonOp.LT: lambda a, b: a < b,
+    ast.ComparisonOp.LE: lambda a, b: a <= b,
+    ast.ComparisonOp.GT: lambda a, b: a > b,
+    ast.ComparisonOp.GE: lambda a, b: a >= b,
+}
+
+_ARITHMETIC = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+
+
 def object_comparison_mask(column, op: ast.ComparisonOp, literal) -> np.ndarray:
     """``column <op> literal`` decided row by row with Python comparisons."""
-    compare = {
-        ast.ComparisonOp.EQ: lambda v: v == literal,
-        ast.ComparisonOp.NE: lambda v: v != literal,
-        ast.ComparisonOp.LT: lambda v: v < literal,
-        ast.ComparisonOp.LE: lambda v: v <= literal,
-        ast.ComparisonOp.GT: lambda v: v > literal,
-        ast.ComparisonOp.GE: lambda v: v >= literal,
-    }[op]
-    return np.asarray([compare(v) for v in column], dtype=bool)
+    return np.asarray([_COMPARE[op](v, literal) for v in column], dtype=bool)
+
+
+def predicate_mask(table, predicate) -> np.ndarray:
+    """``evaluate_predicate``'s mask, decided row by row over decoded values.
+
+    Supports what the equivalence tests query: AND / OR / NOT, comparisons
+    of expressions built from columns, literals and ``+ - *``, IN, BETWEEN
+    and LIKE.  Python semantics per row match the production ones: NaN
+    compares unequal to everything and LIKE matches ``str(value)``.
+    """
+    from repro.db.expressions import _like_regex
+
+    columns = {name: table.column(name).tolist() for name in table.column_names()}
+
+    def value(expression, row):
+        if isinstance(expression, ast.ColumnRef):
+            return columns[expression.name][row]
+        if isinstance(expression, ast.Literal):
+            return expression.value
+        return _ARITHMETIC[expression.op](
+            float(value(expression.left, row)), float(value(expression.right, row))
+        )
+
+    def holds(node, row) -> bool:
+        if isinstance(node, ast.And):
+            return all(holds(child, row) for child in node.predicates)
+        if isinstance(node, ast.Or):
+            return any(holds(child, row) for child in node.predicates)
+        if isinstance(node, ast.Not):
+            return not holds(node.predicate, row)
+        if isinstance(node, ast.Comparison):
+            return _COMPARE[node.op](value(node.left, row), value(node.right, row))
+        found = value(node.column, row)
+        if isinstance(node, ast.InPredicate):
+            return (found in set(node.values)) != node.negated
+        if isinstance(node, ast.BetweenPredicate):
+            return node.low <= found <= node.high
+        matched = _like_regex(node.pattern).fullmatch(str(found)) is not None
+        return matched != node.negated
+
+    return np.asarray([holds(predicate, row) for row in range(len(table))], dtype=bool)
 
 
 def factor_matrix(covariance, rows, cols=None) -> np.ndarray:

@@ -5,7 +5,8 @@ must reproduce the per-row oracle (`tests/oracles.py`: a dict of first-seen
 keys and one boolean mask per group) *byte for byte*: same group order, same
 key tuples (including Python value types), same aggregate floats.  The strategies sweep int, float,
 and object group columns, empty selections, single-group and all-distinct
-extremes, and multi-column keys.
+extremes, multi-column keys, and tables built through take, filter, slice,
+append and join (``tests/histories.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.db.groupby import factorize
 from repro.db.schema import ColumnKind, Schema, categorical_dimension, measure, numeric_dimension
 from repro.db.table import Table
 from repro.sqlparser.parser import parse_query
-from tests import oracles
+from tests import histories, oracles
 
 def build_table(ints, floats, objects, measures):
     rows = len(measures)
@@ -101,6 +102,29 @@ def test_factorize_matches_legacy_bytewise(inputs, group_columns):
         assert keys_match(grouped.keys[group], expected_key)
         assert np.array_equal(grouped.group_mask(group, len(table)), expected_mask)
         assert list(grouped.group_indices(group)) == list(np.flatnonzero(expected_mask))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    inputs=table_inputs,
+    join=st.booleans(),
+    group_columns=group_column_choices,
+)
+def test_factorize_over_a_table_history_matches_legacy(data, inputs, join, group_columns):
+    table = histories.table_history(data, build_table(*inputs[:4]), "c", join)
+    mask = np.asarray(
+        data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table))), dtype=bool
+    )
+    expected = oracles.iter_groups(table, mask, group_columns)
+    grouped = factorize(table, mask, group_columns)
+    if grouped is None:
+        assert expected == []
+        return
+    assert grouped.num_groups == len(expected)
+    for group, (expected_key, expected_mask) in enumerate(expected):
+        assert keys_match(grouped.keys[group], expected_key)
+        assert np.array_equal(grouped.group_mask(group, len(table)), expected_mask)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,10 @@ whole-table references:
 * both hold for every *run shape* the morsel driver can produce: a pruned
   partition splitting two runs, runs longer than the morsel cap, a partial
   trailing partition after an append;
-* dictionary-encoded categorical predicates == per-row Python loops;
+* dictionary-encoded categorical predicates == per-row Python loops, also
+  over tables built through take, filter, slice, append and join
+  (``tests/histories.py``), where the dictionary a table shares may hold
+  values none of its rows carry;
 * the same query scanned by several threads at once (one thread per query)
   is deterministic.
 """
@@ -29,7 +32,7 @@ from repro.db import scan as scan_module
 from repro.db.catalog import Catalog
 from repro.db.executor import ExactExecutor
 from repro.db.expressions import evaluate_predicate
-from repro.db.partition import table_partitions
+from repro.db.partition import distinct_count, table_partitions
 from repro.db.scan import scan_selected
 from repro.db.schema import (
     ColumnKind,
@@ -41,7 +44,7 @@ from repro.db.schema import (
 from repro.db.table import Table
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_query
-from tests import oracles
+from tests import histories, oracles
 
 REGIONS = ["east", "west", "north", "sd"]
 
@@ -58,6 +61,9 @@ CONDITIONS = [
     "region LIKE '%s%'",
     "region NOT LIKE 'e___'",
     "region BETWEEN 'a' AND 'n'",
+    "region < 'n'",
+    "region >= 'sd'",
+    "'west' > region",
     "m BETWEEN -10 AND 10",
     "week IN (0, 7, 99)",
     "week >= 2 AND region = 'west'",
@@ -242,6 +248,37 @@ class TestRunShapes:
             table = catalog.table("t")
         with mock.patch.object(scan_module, "MORSEL_ROWS", cap):
             self.assert_scan_and_results_match(table, condition)
+
+
+class TestTableHistoryEquivalence:
+    """Every leaf kind and group-by over a table history == the row loops."""
+
+    @given(
+        data=st.data(),
+        base=table_inputs,
+        join=st.booleans(),
+        partition_rows=st.sampled_from([3, 7, 16]),
+        condition=st.sampled_from(CONDITIONS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_history_matches_row_loops(self, data, base, join, partition_rows, condition):
+        table = histories.table_history(data, build_table(*base), "region", join)
+        table_partitions(table, partition_rows=partition_rows)
+        predicate = parse_query(f"SELECT COUNT(*) FROM t WHERE {condition}").where
+        expected = oracles.predicate_mask(table, predicate)
+        assert np.array_equal(evaluate_predicate(predicate, table), expected)
+        selected, _ = scan_selected(table, predicate)
+        assert np.array_equal(selected, np.flatnonzero(expected))
+
+        catalog = Catalog.of([table], fact_tables=["t"])
+        query = parse_query(
+            f"SELECT region, week, SUM(m), COUNT(*) FROM t WHERE {condition} GROUP BY region, week"
+        )
+        assert_results_identical(
+            ExactExecutor(catalog).execute(query), oracles.execute(catalog, query)
+        )
+        # Counted from the rows, not from the (possibly larger) shared dictionary.
+        assert distinct_count(table, "region") == len(set(table.column("region").tolist()))
 
 
 class TestDictionaryPredicateEquivalence:

@@ -106,6 +106,19 @@ class TestFeedback:
             client.append("sales", {"week": [1, 2]})
         assert excinfo.value.code == "bad_rows"
 
+    @pytest.mark.parametrize("bad", [["x"], {"a": 1}])
+    def test_append_unhashable_category_is_400_and_changes_nothing(self, client, bad):
+        before = client.ask("SELECT COUNT(*) FROM sales", max_relative_error=0.0)
+        rows = sales_rows(2, seed=3)
+        rows["region"] = [bad, "region_1"]
+        with pytest.raises(BadRequestError) as excinfo:
+            client.append("sales", rows)
+        assert excinfo.value.code == "bad_rows"
+        after = client.ask("SELECT COUNT(*) FROM sales", max_relative_error=0.0)
+        assert after["rows"][0]["values"] == before["rows"][0]["values"]
+        # Every column is still encodable: a query over any of them answers.
+        client.ask("SELECT AVG(price) FROM sales WHERE week >= 1", max_relative_error=0.0)
+
     def test_append_unknown_table_is_404(self, client):
         with pytest.raises(NotFoundError) as excinfo:
             client.append("missing", sales_rows(2))
