@@ -76,9 +76,8 @@ class OnlineAggregationEngine:
         self.samples = sample_store or SampleStore(catalog, self.sampling)
         self.io = IOSimulator(cost_model)
         # Per-owner scan attribution: the owning service passes its shared
-        # counters so sample scans are booked to that service, not only to
-        # the process-wide totals.
-        self.scan_counters = scan_counters
+        # counters so sample scans are booked to that service.
+        self.scan_counters = scan_counters if scan_counters is not None else ScanCounters()
 
     # ------------------------------------------------------------------ public
 

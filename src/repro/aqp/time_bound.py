@@ -39,7 +39,7 @@ class TimeBoundEngine:
         self.sampling = sampling or SamplingConfig()
         self.samples = sample_store or SampleStore(catalog, self.sampling)
         self.io = IOSimulator(cost_model)
-        self.scan_counters = scan_counters
+        self.scan_counters = scan_counters if scan_counters is not None else ScanCounters()
 
     def execute(self, query: ast.Query, time_budget_s: float) -> AQPAnswer:
         """Answer ``query`` within (model-time) ``time_budget_s`` seconds."""

@@ -97,16 +97,6 @@ class ScanCounters:
             self.rows_scanned = 0
 
 
-#: Process-wide counters every scan records into (per-component counters can
-#: be layered on top by passing an explicit ``counters`` argument).
-GLOBAL_SCAN_COUNTERS = ScanCounters()
-
-
-def scan_counters_snapshot() -> dict:
-    """Snapshot of the process-wide scan counters (for metrics/reports)."""
-    return GLOBAL_SCAN_COUNTERS.snapshot()
-
-
 # --------------------------------------------------------------------------- #
 # Zone-map pruning
 # --------------------------------------------------------------------------- #
@@ -308,16 +298,14 @@ def scan_selected(
     ``np.flatnonzero(evaluate_predicate(predicate, table))``, computed by
     evaluating only the partitions whose zone maps may match.
 
-    Scans are accounted twice: into ``counters`` when the caller attributes
-    them to a component (an executor, a service) and always into the
-    process-wide :data:`GLOBAL_SCAN_COUNTERS`.  Under an active request
-    trace each scan also contributes a ``scan`` span carrying the report.
+    The scan is accounted into ``counters``, the calling component's (an
+    executor's, a service's).  Under an active request trace each scan
+    also contributes a ``scan`` span carrying the report.
     """
     with obs_span("scan", table=table.name) as scan_span:
         selected, report = _scan_selected(table, predicate)
-        (counters or GLOBAL_SCAN_COUNTERS).record(report)
         if counters is not None:
-            GLOBAL_SCAN_COUNTERS.record(report)
+            counters.record(report)
         if scan_span is not None:
             scan_span.set(
                 partitions_total=report.partitions_total,

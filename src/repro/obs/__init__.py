@@ -9,18 +9,18 @@ Two halves, both stdlib-only:
   against it without any plumbing through call signatures.  Finished traces
   land in a bounded in-memory ring, an optional JSONL trace log, and -- when
   they exceed a threshold -- a slow-query log.
-* :mod:`repro.obs.metrics` -- a typed metric model (counter / gauge /
-  histogram families with labels) and a renderer for the Prometheus text
-  exposition format, so the serving layer's JSON metrics dict and the
-  ``/v1/metrics?format=prometheus`` endpoint are two views over the same
-  numbers.
+* :mod:`repro.obs.metrics` -- the metric registry: each component
+  declares its counters, gauges and histograms (with labels) once and
+  counts into them; its JSON metrics dict and the
+  ``/v1/metrics?format=prometheus`` text rendered from the registries are
+  two views over the same instruments.
 
 The disabled hot path is deliberately cheap: with no active trace,
 ``span(...)`` costs one contextvar read and allocates nothing (mirroring the
 one-global-read discipline of :mod:`repro.faults`).
 """
 
-from repro.obs.metrics import MetricFamily, merge_families, render_prometheus
+from repro.obs.metrics import LatencyHistogram, Metric, Registry, render_prometheus
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -35,14 +35,15 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "MetricFamily",
+    "LatencyHistogram",
+    "Metric",
+    "Registry",
     "Span",
     "Tracer",
     "current_request_id",
     "current_span",
     "current_trace",
     "event",
-    "merge_families",
     "mint_request_id",
     "render_prometheus",
     "set_attrs",

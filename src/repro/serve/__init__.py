@@ -25,13 +25,12 @@ VerdictDB implementation):
 """
 
 from repro.serve.client import VerdictClient
-from repro.serve.metrics import LatencyHistogram, ServiceMetrics
+from repro.serve.metrics import ServiceMetrics
 from repro.serve.planner import QueryPlanner, Route, RouteDecision, ServiceBudget
 from repro.serve.service import ReadWriteLock, ServedAnswer, ServedRow, VerdictService
 from repro.serve.store import SynopsisStore
 
 __all__ = [
-    "LatencyHistogram",
     "QueryPlanner",
     "ReadWriteLock",
     "Route",

@@ -52,7 +52,7 @@ from typing import Callable, Iterator
 
 from repro import faults
 from repro.deadline import CancelToken
-from repro.obs.metrics import MetricFamily
+from repro.obs.metrics import Registry
 from repro.obs.trace import set_attrs
 from repro.serve.planner import ServiceBudget
 
@@ -161,25 +161,8 @@ class TokenBucket:
             }
 
 
-class _TenantState:
-    """One tenant's bucket, concurrency gauge, and outcome counters."""
-
-    __slots__ = (
-        "bucket",
-        "active",
-        "admitted",
-        "shed_tokens",
-        "shed_concurrency",
-        "cancelled",
-    )
-
-    def __init__(self, bucket: TokenBucket | None):
-        self.bucket = bucket
-        self.active = 0
-        self.admitted = 0
-        self.shed_tokens = 0
-        self.shed_concurrency = 0
-        self.cancelled: dict[str, int] = {}
+#: Per-tenant governor admission outcomes.
+OUTCOMES = ("admitted", "shed_tokens", "shed_concurrency")
 
 
 class CancelRegistry:
@@ -267,8 +250,43 @@ class ResourceGovernor:
         self.cost_unit_s = cost_unit_s
         self._clock = clock
         self._lock = threading.Lock()
-        self._tenants: dict[str, _TenantState] = {}
+        self._buckets: dict[str, TokenBucket | None] = {}
         self.cancels = CancelRegistry()
+        cancels = self.cancels
+        self.registry = registry = Registry()
+        self._outcomes = registry.counter(
+            "verdict_governor_outcomes_total",
+            "Per-tenant governor admission outcomes.",
+            ("tenant", "outcome"),
+        )
+        registry.counter(
+            "verdict_governor_tokens_spent_total",
+            "Cumulative priced tokens spent, per tenant.",
+            ("tenant",),
+            fn=lambda: self._bucket_series("spent"),
+        )
+        registry.gauge(
+            "verdict_governor_tokens_remaining",
+            "Tokens currently available in each tenant's bucket.",
+            ("tenant",),
+            fn=lambda: self._bucket_series("remaining"),
+        )
+        self._active = registry.gauge(
+            "verdict_governor_active",
+            "Requests currently executing, per tenant.",
+            ("tenant",),
+        )
+        self._cancelled = registry.counter(
+            "verdict_governor_cancels_total",
+            "Delivered query cancellations, per tenant and reason.",
+            ("tenant", "reason"),
+        )
+        registry.counter(
+            "verdict_cancel_requests_total",
+            "POST /v1/cancel outcomes.",
+            ("outcome",),
+            fn=lambda: {"delivered": cancels.delivered, "unknown": cancels.unknown},
+        )
 
     # ------------------------------------------------------------------ pricing
 
@@ -300,31 +318,43 @@ class ResourceGovernor:
 
     # ---------------------------------------------------------------- admission
 
-    def _state(self, tenant: str) -> _TenantState:
+    def _bucket(self, tenant: str) -> TokenBucket | None:
+        """The tenant's bucket (``None`` when unmetered), made on first sight."""
         with self._lock:
-            state = self._tenants.get(tenant)
-            if state is None:
-                bucket = None
-                if self.tenant_qps is not None:
-                    bucket = TokenBucket(
+            if tenant not in self._buckets:
+                self._buckets[tenant] = (
+                    None
+                    if self.tenant_qps is None
+                    else TokenBucket(
                         capacity=self.tenant_qps * self.burst_s,
                         refill_per_s=self.tenant_qps,
                         clock=self._clock,
                     )
-                state = _TenantState(bucket)
-                self._tenants[tenant] = state
-            return state
+                )
+                for outcome in OUTCOMES:
+                    self._outcomes.inc(tenant, outcome, by=0)
+                self._active.inc(tenant, by=0)
+            return self._buckets[tenant]
+
+    def _bucket_series(self, key: str) -> dict:
+        with self._lock:
+            buckets = list(self._buckets.items())
+        return {
+            tenant: bucket.snapshot()[key]
+            for tenant, bucket in buckets
+            if bucket is not None
+        }
 
     def quota_state(self, tenant: str) -> dict:
         """The tenant's live quota numbers (the 429 body's ``quota`` field)."""
-        state = self._state(tenant)
+        bucket = self._bucket(tenant)
         quota: dict = {
             "tenant_qps": self.tenant_qps,
             "tenant_concurrency": self.tenant_concurrency,
-            "active": state.active,
+            "active": self._active.value(tenant),
         }
-        if state.bucket is not None:
-            snap = state.bucket.snapshot()
+        if bucket is not None:
+            snap = bucket.snapshot()
             quota["remaining_tokens"] = round(snap["remaining"], 6)
             quota["capacity_tokens"] = snap["capacity"]
         return quota
@@ -337,42 +367,39 @@ class ResourceGovernor:
         limit; the error carries the quota state and a Retry-After derived
         from the bucket's actual refill wait, not the global queue horizon.
         """
-        state = self._state(tenant)
+        bucket = self._bucket(tenant)
         shed: tuple[str, float] | None = None
         with self._lock:
-            if (
-                self.tenant_concurrency is not None
-                and state.active >= self.tenant_concurrency
-            ):
-                state.shed_concurrency += 1
+            active = self._active.value(tenant)
+            if self.tenant_concurrency is not None and active >= self.tenant_concurrency:
+                self._outcomes.inc(tenant, "shed_concurrency")
                 shed = (
                     f"tenant {tenant!r} is at its concurrency cap "
-                    f"({state.active}/{self.tenant_concurrency} active)",
+                    f"({active}/{self.tenant_concurrency} active)",
                     # The honest hint is one in-flight request draining;
                     # the bucket refill pace is the natural proxy.
                     1.0 / (self.tenant_qps or 1.0),
                 )
             else:
-                if state.bucket is not None:
-                    ok, remaining, wait = state.bucket.try_acquire(cost)
+                if bucket is not None:
+                    ok, remaining, wait = bucket.try_acquire(cost)
                     if not ok:
-                        state.shed_tokens += 1
+                        self._outcomes.inc(tenant, "shed_tokens")
                         shed = (
                             f"tenant {tenant!r} is out of quota "
                             f"({remaining:.2f} tokens, request priced {cost:.2f})",
                             wait,
                         )
                 if shed is None:
-                    state.active += 1
-                    state.admitted += 1
+                    self._active.inc(tenant)
+                    self._outcomes.inc(tenant, "admitted")
         if shed is not None:
             self._shed(tenant, message=shed[0], retry_after_s=shed[1])
         set_attrs(governor="admitted", cost_tokens=round(cost, 4))
         try:
             yield
         finally:
-            with self._lock:
-                state.active -= 1
+            self._active.inc(tenant, by=-1)
 
     def _shed(self, tenant: str, message: str, retry_after_s: float) -> None:
         """Raise the priced 429 (fault-injectable); lock NOT held here."""
@@ -385,9 +412,8 @@ class ResourceGovernor:
 
     def record_cancel(self, tenant: str, reason: str) -> None:
         """Count one delivered cancellation against ``tenant``."""
-        state = self._state(tenant)
-        with self._lock:
-            state.cancelled[reason] = state.cancelled.get(reason, 0) + 1
+        self._bucket(tenant)  # a tenant is reported from its first sighting
+        self._cancelled.inc(tenant, reason)
 
     # ------------------------------------------------------------------ reports
 
@@ -397,17 +423,24 @@ class ResourceGovernor:
 
     def snapshot(self) -> dict:
         with self._lock:
-            tenants = {
-                name: {
-                    "active": state.active,
-                    "admitted": state.admitted,
-                    "shed_tokens": state.shed_tokens,
-                    "shed_concurrency": state.shed_concurrency,
-                    "cancelled": dict(sorted(state.cancelled.items())),
-                    "bucket": state.bucket.snapshot() if state.bucket else None,
-                }
-                for name, state in sorted(self._tenants.items())
+            buckets = sorted(self._buckets.items())
+        outcomes = self._outcomes.series()
+        cancelled = self._cancelled.series()
+        tenants = {
+            name: {
+                "active": self._active.value(name),
+                "admitted": outcomes[(name, "admitted")],
+                "shed_tokens": outcomes[(name, "shed_tokens")],
+                "shed_concurrency": outcomes[(name, "shed_concurrency")],
+                "cancelled": {
+                    reason: count
+                    for (owner, reason), count in cancelled.items()
+                    if owner == name
+                },
+                "bucket": bucket.snapshot() if bucket else None,
             }
+            for name, bucket in buckets
+        }
         return {
             "enabled": self.enabled,
             "tenant_qps": self.tenant_qps,
@@ -422,57 +455,6 @@ class ResourceGovernor:
             },
             "tenants": tenants,
         }
-
-    def metric_families(self) -> list[MetricFamily]:
-        """Governor counters as typed families for Prometheus exposition."""
-        outcomes = MetricFamily(
-            "verdict_governor_outcomes_total",
-            "counter",
-            "Per-tenant governor admission outcomes.",
-        )
-        spent = MetricFamily(
-            "verdict_governor_tokens_spent_total",
-            "counter",
-            "Cumulative priced tokens spent, per tenant.",
-        )
-        remaining = MetricFamily(
-            "verdict_governor_tokens_remaining",
-            "gauge",
-            "Tokens currently available in each tenant's bucket.",
-        )
-        active = MetricFamily(
-            "verdict_governor_active",
-            "gauge",
-            "Requests currently executing, per tenant.",
-        )
-        cancels = MetricFamily(
-            "verdict_governor_cancels_total",
-            "counter",
-            "Delivered query cancellations, per tenant and reason.",
-        )
-        with self._lock:
-            for name, state in sorted(self._tenants.items()):
-                base = {"tenant": name}
-                outcomes.add(base | {"outcome": "admitted"}, state.admitted)
-                outcomes.add(base | {"outcome": "shed_tokens"}, state.shed_tokens)
-                outcomes.add(
-                    base | {"outcome": "shed_concurrency"}, state.shed_concurrency
-                )
-                active.add(base, state.active)
-                if state.bucket is not None:
-                    snap = state.bucket.snapshot()
-                    spent.add(base, snap["spent"])
-                    remaining.add(base, snap["remaining"])
-                for reason, count in sorted(state.cancelled.items()):
-                    cancels.add(base | {"reason": reason}, count)
-        requests = MetricFamily(
-            "verdict_cancel_requests_total",
-            "counter",
-            "POST /v1/cancel outcomes.",
-        )
-        requests.add({"outcome": "delivered"}, self.cancels.delivered)
-        requests.add({"outcome": "unknown"}, self.cancels.unknown)
-        return [outcomes, spent, remaining, active, cancels, requests]
 
 
 class BrownoutController:
@@ -538,11 +520,32 @@ class BrownoutController:
         self._saturated_streak = 0
         self._healthy_streak = 0
         self.level = 0
-        self.escalations = 0
-        self.deescalations = 0
-        self.windows_saturated = 0
-        self.windows_healthy = 0
         self.last_p99 = 0.0
+        self.registry = registry = Registry()
+        registry.gauge(
+            "verdict_brownout_level",
+            "Current brownout level (0 = budgets untouched).",
+            fn=lambda: self.level,
+        )
+        self._transitions = registry.counter(
+            "verdict_brownout_transitions_total",
+            "Brownout level transitions, by direction.",
+            ("direction",),
+        )
+        self._windows = registry.counter(
+            "verdict_brownout_windows_total",
+            "Closed saturation-detector windows, by verdict.",
+            ("state",),
+        )
+        for direction in ("escalate", "deescalate"):
+            self._transitions.inc(direction, by=0)
+        for state in ("saturated", "healthy"):
+            self._windows.inc(state, by=0)
+        registry.gauge(
+            "verdict_brownout_queue_wait_p99_seconds",
+            "Queue-wait p99 of the most recently closed window.",
+            fn=lambda: self.last_p99,
+        )
 
     # ----------------------------------------------------------------- feeding
 
@@ -568,7 +571,7 @@ class BrownoutController:
                 # day is not closed one window at a time.
                 gap = int((now - self._window_start) // self.window_s)
                 if gap > 0:
-                    self.windows_healthy += gap
+                    self._windows.inc("healthy", by=gap)
                     self._healthy_streak += gap
                     self._window_start += gap * self.window_s
 
@@ -584,7 +587,7 @@ class BrownoutController:
             self.last_p99 = 0.0
             saturated = False
         if saturated:
-            self.windows_saturated += 1
+            self._windows.inc("saturated")
             self._saturated_streak += 1
             self._healthy_streak = 0
             if (
@@ -592,15 +595,15 @@ class BrownoutController:
                 and self.level < self.max_level
             ):
                 self.level += 1
-                self.escalations += 1
+                self._transitions.inc("escalate")
                 self._saturated_streak = 0
         else:
-            self.windows_healthy += 1
+            self._windows.inc("healthy")
             self._healthy_streak += 1
             self._saturated_streak = 0
             if self._healthy_streak >= self.healthy_windows and self.level > 0:
                 self.level -= 1
-                self.deescalations += 1
+                self._transitions.inc("deescalate")
                 self._healthy_streak = 0
 
     # ----------------------------------------------------------------- applying
@@ -630,36 +633,8 @@ class BrownoutController:
                 "last_p99_s": self.last_p99,
                 "saturated_streak": self._saturated_streak,
                 "healthy_streak": self._healthy_streak,
-                "windows_saturated": self.windows_saturated,
-                "windows_healthy": self.windows_healthy,
-                "escalations": self.escalations,
-                "deescalations": self.deescalations,
+                "windows_saturated": self._windows.value("saturated"),
+                "windows_healthy": self._windows.value("healthy"),
+                "escalations": self._transitions.value("escalate"),
+                "deescalations": self._transitions.value("deescalate"),
             }
-
-    def metric_families(self) -> list[MetricFamily]:
-        with self._lock:
-            level = MetricFamily(
-                "verdict_brownout_level",
-                "gauge",
-                "Current brownout level (0 = budgets untouched).",
-            ).add({}, self.level)
-            transitions = MetricFamily(
-                "verdict_brownout_transitions_total",
-                "counter",
-                "Brownout level transitions, by direction.",
-            )
-            transitions.add({"direction": "escalate"}, self.escalations)
-            transitions.add({"direction": "deescalate"}, self.deescalations)
-            windows = MetricFamily(
-                "verdict_brownout_windows_total",
-                "counter",
-                "Closed saturation-detector windows, by verdict.",
-            )
-            windows.add({"state": "saturated"}, self.windows_saturated)
-            windows.add({"state": "healthy"}, self.windows_healthy)
-            p99 = MetricFamily(
-                "verdict_brownout_queue_wait_p99_seconds",
-                "gauge",
-                "Queue-wait p99 of the most recently closed window.",
-            ).add({}, self.last_p99)
-        return [level, transitions, windows, p99]

@@ -28,9 +28,17 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.errors import ReproError
-from repro.obs.metrics import MetricFamily
+from repro.obs.metrics import Registry
 from repro.obs.trace import set_attrs
-from repro.serve.metrics import LatencyHistogram
+
+#: Terminal outcomes of an arrival; every arrival lands in exactly one.
+OUTCOMES = (
+    "admitted_immediate",
+    "admitted_queued",
+    "shed_queue_full",
+    "shed_timeout",
+    "rejected_closed",
+)
 
 
 class ShedLoad(ReproError):
@@ -86,23 +94,33 @@ class AdmissionController:
         self._active = 0
         self._queued = 0
         self._closed = False
-        # Monotonic outcome counters (every arrival lands in exactly one of
-        # admitted / shed / rejected_closed; completed trails admitted).
-        self.admitted = 0
-        self.shed = 0
-        self.rejected_closed = 0
+        # Counted under ``_lock``, so a snapshot taken under it is
+        # consistent; completed trails the admitted outcomes.
         self.completed = 0
         self.peak_active = 0
         self.peak_queued = 0
-        # Outcome breakdown: admitted splits into immediate vs after-queueing,
-        # shed splits into queue-full vs wait-timeout.  The coarse counters
-        # above stay authoritative (breakdowns sum to them).
-        self.admitted_immediate = 0
-        self.admitted_queued = 0
-        self.shed_queue_full = 0
-        self.shed_timeout = 0
-        # Time admitted-after-queueing requests spent waiting for a slot.
-        self._queue_wait = LatencyHistogram()
+        self.registry = registry = Registry()
+        self._outcomes = registry.counter(
+            "verdict_admission_outcomes_total",
+            "Request admission outcomes (every arrival lands in exactly one).",
+            ("outcome",),
+        )
+        for outcome in OUTCOMES:
+            self._outcomes.inc(outcome, by=0)
+        registry.gauge(
+            "verdict_admission_active",
+            "Requests currently executing.",
+            fn=lambda: self._active,
+        )
+        registry.gauge(
+            "verdict_admission_queued",
+            "Requests currently waiting in queue.",
+            fn=lambda: self._queued,
+        )
+        self._queue_wait = registry.histogram(
+            "verdict_admission_queue_wait_seconds",
+            "Queue wait of requests admitted after queueing.",
+        )
 
     # ------------------------------------------------------------------ public
 
@@ -145,82 +163,41 @@ class AdmissionController:
     def snapshot(self) -> dict:
         """Counters and gauges for the metrics endpoint."""
         with self._lock:
+            outcomes = {outcome: count for (outcome,), count in self._outcomes.series().items()}
             return {
                 "max_active": self.max_active,
                 "max_queued": self.max_queued,
                 "active": self._active,
                 "queued": self._queued,
-                "admitted": self.admitted,
-                "admitted_immediate": self.admitted_immediate,
-                "admitted_queued": self.admitted_queued,
+                "admitted": outcomes["admitted_immediate"] + outcomes["admitted_queued"],
+                "admitted_immediate": outcomes["admitted_immediate"],
+                "admitted_queued": outcomes["admitted_queued"],
                 "completed": self.completed,
-                "shed": self.shed,
-                "shed_queue_full": self.shed_queue_full,
-                "shed_timeout": self.shed_timeout,
-                "rejected_closed": self.rejected_closed,
+                "shed": outcomes["shed_queue_full"] + outcomes["shed_timeout"],
+                "shed_queue_full": outcomes["shed_queue_full"],
+                "shed_timeout": outcomes["shed_timeout"],
+                "rejected_closed": outcomes["rejected_closed"],
                 "peak_active": self.peak_active,
                 "peak_queued": self.peak_queued,
-                "queue_wait": self._queue_wait.as_dict(),
+                "queue_wait": self._queue_wait.histogram(),
                 "retry_after_s": self._retry_after_locked(),
                 "closed": self._closed,
             }
-
-    def metric_families(self, labels: dict | None = None) -> list[MetricFamily]:
-        """Admission counters as typed families for Prometheus exposition."""
-        base = dict(labels or {})
-        outcomes = MetricFamily(
-            "verdict_admission_outcomes_total",
-            "counter",
-            "Request admission outcomes (every arrival lands in exactly one).",
-        )
-        gauges = [
-            ("verdict_admission_active", "Requests currently executing."),
-            ("verdict_admission_queued", "Requests currently waiting in queue."),
-        ]
-        with self._lock:
-            for outcome, count in (
-                ("admitted_immediate", self.admitted_immediate),
-                ("admitted_queued", self.admitted_queued),
-                ("shed_queue_full", self.shed_queue_full),
-                ("shed_timeout", self.shed_timeout),
-                ("rejected_closed", self.rejected_closed),
-            ):
-                outcomes.add(base | {"outcome": outcome}, count)
-            active = MetricFamily(
-                gauges[0][0], "gauge", gauges[0][1]
-            ).add(base, self._active)
-            queued = MetricFamily(
-                gauges[1][0], "gauge", gauges[1][1]
-            ).add(base, self._queued)
-            wait = MetricFamily(
-                "verdict_admission_queue_wait_seconds",
-                "histogram",
-                "Queue wait of requests admitted after queueing.",
-            ).add_histogram(
-                base,
-                self._queue_wait.buckets,
-                list(self._queue_wait.bucket_counts),
-                self._queue_wait.total_seconds,
-                self._queue_wait.count,
-            )
-        return [outcomes, active, queued, wait]
 
     # ----------------------------------------------------------------- private
 
     def _acquire(self) -> None:
         with self._lock:
             if self._closed:
-                self.rejected_closed += 1
+                self._outcomes.inc("rejected_closed")
                 set_attrs(admission="rejected_closed")
                 raise ShuttingDown("admission closed: server is shutting down")
             if self._active < self.max_active:
-                self._admit_locked()
-                self.admitted_immediate += 1
+                self._admit_locked("admitted_immediate")
                 set_attrs(admission="admitted")
                 return
             if self._queued >= self.max_queued:
-                self.shed += 1
-                self.shed_queue_full += 1
+                self._outcomes.inc("shed_queue_full")
                 retry_after = self._retry_after_locked()
                 set_attrs(admission="shed_queue_full", retry_after_s=retry_after)
                 raise ShedLoad(
@@ -239,14 +216,13 @@ class AdmissionController:
             try:
                 while True:
                     if self._closed:
-                        self.rejected_closed += 1
+                        self._outcomes.inc("rejected_closed")
                         set_attrs(admission="rejected_closed")
                         raise ShuttingDown(
                             "admission closed while queued: server is shutting down"
                         )
                     if self._active < self.max_active:
-                        self._admit_locked()
-                        self.admitted_queued += 1
+                        self._admit_locked("admitted_queued")
                         waited = time.monotonic() - wait_started
                         self._queue_wait.observe(waited)
                         set_attrs(admission="admitted_after_queue", queue_wait_s=waited)
@@ -255,8 +231,7 @@ class AdmissionController:
                         None if deadline is None else deadline - time.monotonic()
                     )
                     if remaining is not None and remaining <= 0:
-                        self.shed += 1
-                        self.shed_timeout += 1
+                        self._outcomes.inc("shed_timeout")
                         retry_after = self._retry_after_locked()
                         set_attrs(admission="shed_timeout", retry_after_s=retry_after)
                         raise ShedLoad(
@@ -278,16 +253,19 @@ class AdmissionController:
 
         A shed means the queue (plus every active slot) is saturated; the
         honest hint is the configured queue-drain horizon -- a client
-        retrying sooner would rejoin the same full queue.  Clamped to
-        [1, 30] so a generous ``queue_timeout_s`` never tells clients to
-        disappear for minutes.
+        retrying sooner would rejoin the same full queue.  With no queue
+        (``max_queued == 0``) there is nothing to drain, only an active
+        slot to free, so the hint is the 1 s floor.  Clamped to [1, 30] so
+        a generous ``queue_timeout_s`` never tells clients to disappear for
+        minutes.
         """
-        horizon = self.queue_timeout_s if self.queue_timeout_s is not None else 1.0
-        return min(max(horizon, 1.0), 30.0)
+        if self.max_queued == 0 or self.queue_timeout_s is None:
+            return 1.0
+        return min(max(self.queue_timeout_s, 1.0), 30.0)
 
-    def _admit_locked(self) -> None:
+    def _admit_locked(self, outcome: str) -> None:
         self._active += 1
-        self.admitted += 1
+        self._outcomes.inc(outcome)
         self.peak_active = max(self.peak_active, self._active)
 
     def _release(self) -> None:

@@ -92,7 +92,7 @@ from repro import faults
 from repro.core.linalg import blas_threads
 from repro.deadline import CancelToken, cancel_scope
 from repro.errors import QueryCancelled
-from repro.obs.metrics import MetricFamily, merge_families, render_prometheus
+from repro.obs.metrics import Registry, render_prometheus
 from repro.obs.trace import (
     Tracer,
     current_trace,
@@ -217,6 +217,7 @@ class VerdictHTTPServer(ThreadingHTTPServer):
         # whether a span tree is recorded against it.
         self.tracer = tracer
         self.started_ts = time.time()
+        self.registry = self._declare_metrics()
         # (epoch second, its Date-header rendering): _Handler._date() formats
         # once per second.  The pair is swapped whole, so handler threads
         # racing over a second boundary each store the same value.
@@ -224,6 +225,39 @@ class VerdictHTTPServer(ThreadingHTTPServer):
         self._serve_thread: threading.Thread | None = None
         self._close_lock = threading.Lock()
         self._closed = False
+
+    def _declare_metrics(self) -> Registry:
+        """The server's own families; each component declares its own."""
+        registry = Registry()
+        registry.gauge(
+            "verdict_uptime_seconds",
+            "Seconds since server start.",
+            fn=lambda: time.time() - self.started_ts,
+        )
+        registry.gauge(
+            "verdict_blas_threads",
+            "Threads per BLAS call (1 = pinned; 0 = no OpenBLAS found).",
+            fn=blas_threads,
+        )
+        audit, tracer = self.audit, self.tracer
+        if audit is not None:
+            registry.counter(
+                "verdict_audit_entries_total",
+                "Audit-log records written this session.",
+                fn=lambda: audit.entries_written,
+            )
+        if tracer is not None:
+            registry.counter(
+                "verdict_traces_finished_total",
+                "Request traces finished (ring + logs).",
+                fn=lambda: tracer.stats()["finished"],
+            )
+            registry.counter(
+                "verdict_slow_queries_total",
+                "Traces exceeding the slow-query threshold.",
+                fn=lambda: tracer.stats()["slow_queries"],
+            )
+        return registry
 
     # ---------------------------------------------------------------- control
 
@@ -841,69 +875,33 @@ class _Handler(BaseHTTPRequestHandler):
     def _prometheus(self, tenant_name: str | None) -> str:
         """Prometheus text exposition: server-wide or one tenant's families.
 
-        The server-wide view unifies the admission controller, the tracer,
-        the audit log, and every *resident* tenant's service families
-        (route counters/histograms, breakers, trainer, store, cache) under
-        ``tenant`` labels.  Evicted tenants are deliberately not loaded: a
-        metrics scrape must stay cheap and side-effect-free.
+        The server-wide view renders the server's own registry, the
+        admission controller, the governor, the brownout controller, the
+        replication manager and every *resident* tenant's service registry
+        under a ``tenant`` label.  Evicted tenants are deliberately not
+        loaded: a metrics scrape must stay cheap and side-effect-free.
         """
         server = self.server
         if tenant_name is not None:
             with server.tenants.lease(tenant_name) as tenant:
-                return render_prometheus(
-                    merge_families(
-                        tenant.service.metric_families({"tenant": tenant_name})
-                    )
-                )
-        families = [
-            MetricFamily(
-                "verdict_uptime_seconds", "gauge", "Seconds since server start."
-            ).add({}, time.time() - server.started_ts),
-            MetricFamily(
-                "verdict_blas_threads",
-                "gauge",
-                "Threads per BLAS call (1 = pinned; 0 = no OpenBLAS found).",
-            ).add({}, blas_threads()),
+                registry = tenant.service.metrics.registry
+            return render_prometheus([(registry, {"tenant": tenant_name})])
+        sources = [
+            (server.registry, {}),
+            (server.admission.registry, {}),
+            (server.governor.registry, {}),
         ]
-        families += server.admission.metric_families()
-        # Governor families carry per-tenant labels; merge_families below
-        # folds them into one HELP/TYPE block per family name.
-        families += server.governor.metric_families()
         if server.brownout is not None:
             server.brownout.tick()
-            families += server.brownout.metric_families()
-        families += server.replication.metric_families()
-        if server.audit is not None:
-            families.append(
-                MetricFamily(
-                    "verdict_audit_entries_total",
-                    "counter",
-                    "Audit-log records written this session.",
-                ).add({}, server.audit.entries_written)
-            )
-        if server.tracer is not None:
-            stats = server.tracer.stats()
-            families.append(
-                MetricFamily(
-                    "verdict_traces_finished_total",
-                    "counter",
-                    "Request traces finished (ring + logs).",
-                ).add({}, stats["finished"])
-            )
-            families.append(
-                MetricFamily(
-                    "verdict_slow_queries_total",
-                    "counter",
-                    "Traces exceeding the slow-query threshold.",
-                ).add({}, stats["slow_queries"])
-            )
+            sources.append((server.brownout.registry, {}))
+        sources.append((server.replication.registry, {}))
         for name in server.tenants.stats()["loaded_tenants"]:
             try:
                 with server.tenants.lease(name) as tenant:
-                    families += tenant.service.metric_families({"tenant": name})
+                    sources.append((tenant.service.metrics.registry, {"tenant": name}))
             except ApiError:
                 continue  # evicted or deleted between the snapshot and lease
-        return render_prometheus(merge_families(families))
+        return render_prometheus(sources)
 
     def _trace(self, request_id: str) -> tuple[int, dict]:
         tracer = self.server.tracer

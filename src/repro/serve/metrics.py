@@ -2,106 +2,22 @@
 
 The serving layer records, for every request, which route answered it
 (cached / learned / online aggregation / exact), whether the budget was met,
-and both the wall-clock and model-time latency.  Metrics are exposed as a
-plain dict (:meth:`ServiceMetrics.as_dict`) consumed by the experiment
-runner's ``--serve`` mode and by ``benchmarks/bench_serving.py``.
+and both the wall-clock and model-time latency.  Each number is declared
+once in this object's :class:`~repro.obs.metrics.Registry` (the Prometheus
+view) and read back by :meth:`ServiceMetrics.as_dict` (the JSON view
+consumed by the experiment runner's ``--serve`` mode and the benchmarks).
 
-Latencies are tracked two ways:
+Latencies are :class:`~repro.obs.metrics.LatencyHistogram` series: fixed
+log-spaced buckets plus a bounded reservoir of raw samples per route, from
+which p50/p99 are computed.
 
-* a fixed set of log-spaced histogram buckets (cheap, mergeable, what a
-  production system would export to a metrics backend);
-* a bounded reservoir of raw samples per route, from which p50/p99 are
-  computed exactly while the reservoir has not overflowed and approximately
-  (uniform reservoir sampling, deterministic seed) afterwards.
-
-All methods are thread-safe; a single lock suffices because every operation
-is a few appends and integer increments.
+All methods are thread-safe: every instrument carries its own lock.
 """
 
 from __future__ import annotations
 
-import math
-import random
-import threading
-from bisect import bisect_left
-
-from repro.db.scan import ScanCounters, scan_counters_snapshot
-from repro.obs.metrics import MetricFamily
-
-#: Histogram bucket upper bounds, in seconds (log-spaced, "+Inf" implied).
-DEFAULT_BUCKETS = (
-    0.0001,
-    0.00032,
-    0.001,
-    0.0032,
-    0.01,
-    0.032,
-    0.1,
-    0.32,
-    1.0,
-    3.2,
-    10.0,
-)
-
-
-class LatencyHistogram:
-    """Log-bucketed latency histogram with an exact-quantile reservoir."""
-
-    def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS, reservoir_size: int = 8192):
-        self.buckets = tuple(sorted(buckets))
-        self.bucket_counts = [0] * (len(self.buckets) + 1)  # last bucket = +Inf
-        self.count = 0
-        self.total_seconds = 0.0
-        self.max_seconds = 0.0
-        self._reservoir: list[float] = []
-        self._reservoir_size = reservoir_size
-        self._random = random.Random(0)
-
-    def observe(self, seconds: float) -> None:
-        self.bucket_counts[bisect_left(self.buckets, seconds)] += 1
-        self.count += 1
-        self.total_seconds += seconds
-        self.max_seconds = max(self.max_seconds, seconds)
-        if len(self._reservoir) < self._reservoir_size:
-            self._reservoir.append(seconds)
-        else:
-            slot = self._random.randrange(self.count)
-            if slot < self._reservoir_size:
-                self._reservoir[slot] = seconds
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile (0..1) of the observed latencies, 0.0 if empty.
-
-        Nearest-rank selection: the smallest observation such that at least
-        ``q * n`` of the samples are <= it (``ceil(q*n)``-th order
-        statistic).  The previous ``int(q*n)`` truncation systematically
-        overshot by one rank -- p50 of 100 samples returned the 51st value,
-        and upper quantiles on small reservoirs landed right only because
-        of the ``n-1`` cap.
-        """
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        rank = math.ceil(q * len(ordered))
-        return ordered[min(max(rank - 1, 0), len(ordered) - 1)]
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_s": self.mean_seconds,
-            "p50_s": self.quantile(0.50),
-            "p99_s": self.quantile(0.99),
-            "max_s": self.max_seconds,
-            "buckets": {
-                f"le_{bound:g}": count
-                for bound, count in zip(self.buckets, self.bucket_counts)
-            }
-            | {"le_inf": self.bucket_counts[-1]},
-        }
+from repro.db.scan import ScanCounters
+from repro.obs.metrics import Registry
 
 
 class ServiceMetrics:
@@ -109,20 +25,58 @@ class ServiceMetrics:
 
     Besides the per-route counters and latency histograms, the snapshot
     includes the partitioned-scan accounting (partitions scanned vs skipped
-    by zone-map pruning, :mod:`repro.db.scan`).  When the owning service
-    passes its shared :class:`~repro.db.scan.ScanCounters`, the ``scan``
-    key attributes exactly *this service's* scans -- two services in one
-    process (the HTTP benchmark's in-process twin, the experiment runner)
-    no longer double-count each other.  The process-wide delta since this
-    object's birth stays available under ``scan_process``.
+    by zone-map pruning, :mod:`repro.db.scan`) of ``scan_counters``: the
+    owning service passes the :class:`~repro.db.scan.ScanCounters` its
+    executors record into, so the ``scan`` key attributes exactly *this
+    service's* scans.
     """
 
     def __init__(self, scan_counters: ScanCounters | None = None):
-        self._lock = threading.Lock()
-        self._routes: dict[str, dict] = {}
-        self._events: dict[str, int] = {}
-        self._scan_counters = scan_counters
-        self._scan_baseline = scan_counters_snapshot()
+        self.scan_counters = scan_counters if scan_counters is not None else ScanCounters()
+        scans = self.scan_counters.snapshot
+        self.registry = registry = Registry()
+        self.requests_total = registry.counter(
+            "verdict_requests_total", "Requests served, by route.", ("route",)
+        )
+        self.budget_met = registry.counter(
+            "verdict_budget_met_total",
+            "Requests whose error/latency budget was met, by route.",
+            ("route",),
+        )
+        self.fallbacks = registry.counter(
+            "verdict_route_fallbacks_total",
+            "Requests that fell back from a cheaper route, by final route.",
+            ("route",),
+        )
+        self.model_seconds = registry.counter(
+            "verdict_route_model_seconds_total",
+            "Cumulative model-clock (IO cost model) seconds, by route.",
+            ("route",),
+        )
+        self.wall = registry.histogram(
+            "verdict_route_wall_seconds",
+            "Wall-clock latency of served requests, by route.",
+            ("route",),
+        )
+        self.events = registry.counter(
+            "verdict_events_total",
+            "Robustness events (breaker trips, deadline hits, flush errors).",
+            ("event",),
+        )
+        registry.counter(
+            "verdict_scan_partitions_total",
+            "Partitions considered by this service's scans, by outcome.",
+            ("outcome",),
+            fn=lambda: {
+                outcome: scans()[f"partitions_{outcome}"]
+                for outcome in ("scanned", "pruned")
+            },
+        )
+        registry.counter(
+            "verdict_scan_rows_scanned_total",
+            "Rows actually scanned (post zone-map pruning) by this service.",
+            fn=lambda: scans()["rows_scanned"],
+        )
 
     def record_event(self, name: str, count: int = 1) -> None:
         """Count one robustness event (deadline hit, breaker trip, ...).
@@ -130,57 +84,17 @@ class ServiceMetrics:
         Event names are free-form dotted strings, e.g.
         ``deadline.exceeded``, ``deadline.degraded``,
         ``breaker.learned.open``, ``trainer.restart``, ``flush.error``,
-        ``store.tail_recoveries``.  Unknown names cost one dict slot --
-        there is deliberately no registry, so new failure paths can be
-        counted without touching this module.
+        ``store.tail_recoveries``; a new failure path is counted without
+        touching this module.
         """
-        with self._lock:
-            self._events[name] = self._events.get(name, 0) + count
+        self.events.inc(name, by=count)
 
     def event_count(self, name: str) -> int:
-        with self._lock:
-            return self._events.get(name, 0)
+        return self.events.value(name)
 
     def scan_snapshot(self) -> dict:
-        """This service's partition/pruning counters (see class docstring).
-
-        Falls back to the process-wide delta since this object's birth when
-        no per-service counters were wired in (standalone construction).
-        """
-        if self._scan_counters is not None:
-            return self._scan_counters.snapshot()
-        return self.process_scan_snapshot()
-
-    def process_scan_snapshot(self) -> dict:
-        """Process-wide partition/pruning counters since this object's birth."""
-        current = scan_counters_snapshot()
-        delta = {
-            key: current[key] - self._scan_baseline[key]
-            for key in (
-                "scans",
-                "partitions_total",
-                "partitions_scanned",
-                "partitions_pruned",
-                "rows_total",
-                "rows_scanned",
-            )
-        }
-        total = delta["partitions_total"]
-        delta["prune_fraction"] = (delta["partitions_pruned"] / total) if total else 0.0
-        return delta
-
-    def _route_entry(self, route: str) -> dict:
-        entry = self._routes.get(route)
-        if entry is None:
-            entry = {
-                "requests": 0,
-                "budget_met": 0,
-                "fallbacks": 0,
-                "model_seconds": 0.0,
-                "wall": LatencyHistogram(),
-            }
-            self._routes[route] = entry
-        return entry
+        """This service's partition/pruning counters (see class docstring)."""
+        return self.scan_counters.snapshot()
 
     def observe(
         self,
@@ -196,118 +110,34 @@ class ServiceMetrics:
         attempted but could not meet the budget, so this route's latency
         includes the abandoned attempt.
         """
-        with self._lock:
-            entry = self._route_entry(route)
-            entry["requests"] += 1
-            if budget_met:
-                entry["budget_met"] += 1
-            if fallback:
-                entry["fallbacks"] += 1
-            entry["model_seconds"] += model_seconds
-            entry["wall"].observe(wall_seconds)
+        self.budget_met.inc(route, by=int(budget_met))
+        self.fallbacks.inc(route, by=int(fallback))
+        self.model_seconds.inc(route, by=model_seconds)
+        self.wall.observe(wall_seconds, route)
+        # Last: a reader that sees the request sees the rest of it.
+        self.requests_total.inc(route)
 
     def requests(self, route: str | None = None) -> int:
-        with self._lock:
-            if route is not None:
-                entry = self._routes.get(route)
-                return entry["requests"] if entry else 0
-            return sum(entry["requests"] for entry in self._routes.values())
+        if route is not None:
+            return self.requests_total.value(route)
+        return self.requests_total.total()
 
     def as_dict(self) -> dict:
         """Snapshot of all counters and histograms as plain data."""
-        with self._lock:
-            routes = {
-                route: {
-                    "requests": entry["requests"],
-                    "budget_met": entry["budget_met"],
-                    "fallbacks": entry["fallbacks"],
-                    "model_seconds": entry["model_seconds"],
-                    "wall_latency": entry["wall"].as_dict(),
-                }
-                for route, entry in sorted(self._routes.items())
+        requests = self.requests_total.series()
+        routes = {
+            route: {
+                "requests": count,
+                "budget_met": self.budget_met.value(route),
+                "fallbacks": self.fallbacks.value(route),
+                "model_seconds": self.model_seconds.value(route),
+                "wall_latency": self.wall.histogram(route),
             }
-            total = sum(entry["requests"] for entry in self._routes.values())
-            events = dict(sorted(self._events.items()))
-        return {
-            "total_requests": total,
-            "routes": routes,
-            "events": events,
-            "scan": self.scan_snapshot(),
-            "scan_process": self.process_scan_snapshot(),
+            for (route,), count in requests.items()
         }
-
-    def metric_families(self, labels: dict | None = None) -> list[MetricFamily]:
-        """The same counters as typed families for Prometheus exposition.
-
-        ``labels`` (e.g. ``{"tenant": name}``) is stamped on every sample.
-        """
-        base = dict(labels or {})
-        requests = MetricFamily(
-            "verdict_requests_total", "counter", "Requests served, by route."
-        )
-        budget_met = MetricFamily(
-            "verdict_budget_met_total",
-            "counter",
-            "Requests whose error/latency budget was met, by route.",
-        )
-        fallbacks = MetricFamily(
-            "verdict_route_fallbacks_total",
-            "counter",
-            "Requests that fell back from a cheaper route, by final route.",
-        )
-        model_seconds = MetricFamily(
-            "verdict_route_model_seconds_total",
-            "counter",
-            "Cumulative model-clock (IO cost model) seconds, by route.",
-        )
-        wall = MetricFamily(
-            "verdict_route_wall_seconds",
-            "histogram",
-            "Wall-clock latency of served requests, by route.",
-        )
-        events = MetricFamily(
-            "verdict_events_total",
-            "counter",
-            "Robustness events (breaker trips, deadline hits, flush errors).",
-        )
-        scans = MetricFamily(
-            "verdict_scan_partitions_total",
-            "counter",
-            "Partitions considered by this service's scans, by outcome.",
-        )
-        scan_rows = MetricFamily(
-            "verdict_scan_rows_scanned_total",
-            "counter",
-            "Rows actually scanned (post zone-map pruning) by this service.",
-        )
-        with self._lock:
-            for route, entry in sorted(self._routes.items()):
-                route_labels = base | {"route": route}
-                requests.add(route_labels, entry["requests"])
-                budget_met.add(route_labels, entry["budget_met"])
-                fallbacks.add(route_labels, entry["fallbacks"])
-                model_seconds.add(route_labels, entry["model_seconds"])
-                hist: LatencyHistogram = entry["wall"]
-                wall.add_histogram(
-                    route_labels,
-                    hist.buckets,
-                    list(hist.bucket_counts),
-                    hist.total_seconds,
-                    hist.count,
-                )
-            for name, count in sorted(self._events.items()):
-                events.add(base | {"event": name}, count)
-        scan = self.scan_snapshot()
-        scans.add(base | {"outcome": "scanned"}, scan["partitions_scanned"])
-        scans.add(base | {"outcome": "pruned"}, scan["partitions_pruned"])
-        scan_rows.add(base, scan["rows_scanned"])
-        return [
-            requests,
-            budget_met,
-            fallbacks,
-            model_seconds,
-            wall,
-            events,
-            scans,
-            scan_rows,
-        ]
+        return {
+            "total_requests": sum(requests.values()),
+            "routes": routes,
+            "events": {name: count for (name,), count in self.events.series().items()},
+            "scan": self.scan_snapshot(),
+        }

@@ -42,7 +42,7 @@ from pathlib import Path
 
 from repro import faults
 from repro.errors import EpochFencedError, ReadOnlyFollowerError, ReplicationError
-from repro.obs.metrics import MetricFamily
+from repro.obs.metrics import Registry
 
 ROLE_LEADER = "leader"
 ROLE_FOLLOWER = "follower"
@@ -118,16 +118,52 @@ class ReplicationManager:
         self.role = role
         self.fenced = False
         self.epoch = Epoch(0, "")
-        self.counters: dict[str, int] = {
-            "records_applied": 0,
-            "snapshots_installed": 0,
-            "pull_cycles": 0,
-            "pull_errors": 0,
-            "epoch_rejections": 0,
-            "promotions": 0,
-            "fenced_writes_rejected": 0,
-            "acks_timed_out": 0,
-        }
+        self.registry = registry = Registry()
+        registry.gauge(
+            "verdict_replication_role",
+            "Replication role (0=leader, 1=follower, 2=promoting).",
+            fn=lambda: _ROLE_VALUES.get(self.role, 0),
+        )
+        registry.gauge(
+            "verdict_replication_epoch",
+            "Current fencing epoch.",
+            fn=lambda: self.epoch.number,
+        )
+        registry.gauge(
+            "verdict_replication_fenced",
+            "1 when this node was fenced out by a newer leader.",
+            fn=lambda: int(self.fenced),
+        )
+        self._events = registry.counter(
+            "verdict_replication_events_total",
+            "Replication events, by kind (applies, bootstraps, errors, "
+            "promotions, fenced writes).",
+            ("event",),
+        )
+        for event in (
+            "records_applied",
+            "snapshots_installed",
+            "pull_cycles",
+            "pull_errors",
+            "epoch_rejections",
+            "promotions",
+            "fenced_writes_rejected",
+            "acks_timed_out",
+        ):
+            self._events.inc(event, by=0)
+        # Follower side only: a leader has no lag, so no lag families.
+        registry.gauge(
+            "verdict_replication_lag_records",
+            "Shipped-but-unapplied WAL records, per tenant.",
+            ("tenant",),
+            fn=lambda: self._lag_series("lag_records"),
+        )
+        registry.gauge(
+            "verdict_replication_lag_seconds",
+            "Seconds this follower has been behind the leader, per tenant.",
+            ("tenant",),
+            fn=lambda: self._lag_series("lag_seconds"),
+        )
         #: Leader side: per-tenant highest ``from`` seen in a follower pull
         #: (== "durably applied through this sequence" on the follower).
         self._acked: dict[str, int] = {}
@@ -232,7 +268,7 @@ class ReplicationManager:
         """Raise the typed rejection unless this node may accept writes."""
         with self._cond:
             if self.fenced:
-                self.counters["fenced_writes_rejected"] += 1
+                self._events.inc("fenced_writes_rejected")
                 raise EpochFencedError(
                     f"this node was fenced out at epoch {self.epoch.number}: "
                     "a newer leader exists and late writes are rejected",
@@ -256,7 +292,7 @@ class ReplicationManager:
                 and lineage
                 and lineage != self.epoch.lineage
             ):
-                self.counters["epoch_rejections"] += 1
+                self._events.inc("epoch_rejections")
                 raise EpochFencedError(
                     f"remote epoch {number} ({lineage!r}) is stale or "
                     f"divergent against local epoch {self.epoch.number} "
@@ -278,7 +314,7 @@ class ReplicationManager:
         """
         with self._cond:
             if number <= self.epoch.number:
-                self.counters["epoch_rejections"] += 1
+                self._events.inc("epoch_rejections")
                 raise EpochFencedError(
                     f"fence epoch {number} is not ahead of local epoch "
                     f"{self.epoch.number}",
@@ -321,7 +357,7 @@ class ReplicationManager:
                 self.role = ROLE_LEADER
                 self.fenced = False
                 self.leader_url = None
-                self.counters["promotions"] += 1
+                self._events.inc("promotions")
                 self._persist_locked()
                 epoch = self.epoch
         except BaseException:
@@ -367,7 +403,7 @@ class ReplicationManager:
             while self._acked.get(tenant, -1) < seq:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    self.counters["acks_timed_out"] += 1
+                    self._events.inc("acks_timed_out")
                     return False
                 self._cond.wait(remaining)
         return True
@@ -400,14 +436,18 @@ class ReplicationManager:
 
     def note_pull_error(self, tenant: str, error: Exception) -> None:
         with self._cond:
-            self.counters["pull_errors"] += 1
+            self._events.inc("pull_errors")
             entry = self._lag.get(tenant)
             if entry is not None:
                 entry["last_error"] = f"{type(error).__name__}: {error}"
 
     def bump(self, counter: str, count: int = 1) -> None:
-        with self._cond:
-            self.counters[counter] = self.counters.get(counter, 0) + count
+        self._events.inc(counter, by=count)
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Replication events by kind (the ``counters`` of :meth:`status`)."""
+        return {event: count for (event,), count in self._events.series().items()}
 
     def lag_snapshot(self) -> dict[str, dict]:
         """Per-tenant lag: records behind and seconds since falling behind."""
@@ -427,6 +467,11 @@ class ReplicationManager:
                 }
                 for tenant, entry in self._lag.items()
             }
+
+    def _lag_series(self, key: str) -> dict | None:
+        """One lag figure per tenant; ``None`` (no family) without lag."""
+        lag = self.lag_snapshot()
+        return {tenant: entry[key] for tenant, entry in lag.items()} or None
 
     def max_lag(self) -> tuple[int, float]:
         """The worst per-tenant ``(records, seconds)`` replication lag."""
@@ -472,7 +517,7 @@ class ReplicationManager:
             "leader": self.leader_url,
             "ack_mode": self.ack_mode,
             "acked": dict(self._acked),
-            "counters": dict(self.counters),
+            "counters": self.counters,
         }
 
     def status(self) -> dict:
@@ -492,54 +537,3 @@ class ReplicationManager:
                 "max_lag_records": records,
                 "max_lag_seconds": seconds,
             }
-
-    def metric_families(self, labels: dict | None = None) -> list[MetricFamily]:
-        base = dict(labels or {})
-        with self._cond:
-            role_value = _ROLE_VALUES.get(self.role, 0)
-            epoch = self.epoch.number
-            fenced = 1 if self.fenced else 0
-            counters = dict(self.counters)
-        families = [
-            MetricFamily(
-                "verdict_replication_role",
-                "gauge",
-                "Replication role (0=leader, 1=follower, 2=promoting).",
-            ).add(base, role_value),
-            MetricFamily(
-                "verdict_replication_epoch",
-                "gauge",
-                "Current fencing epoch.",
-            ).add(base, epoch),
-            MetricFamily(
-                "verdict_replication_fenced",
-                "gauge",
-                "1 when this node was fenced out by a newer leader.",
-            ).add(base, fenced),
-        ]
-        events = MetricFamily(
-            "verdict_replication_events_total",
-            "counter",
-            "Replication events, by kind (applies, bootstraps, errors, "
-            "promotions, fenced writes).",
-        )
-        for name, count in sorted(counters.items()):
-            events.add(base | {"event": name}, count)
-        families.append(events)
-        lag = self.lag_snapshot()
-        if lag:
-            records = MetricFamily(
-                "verdict_replication_lag_records",
-                "gauge",
-                "Shipped-but-unapplied WAL records, per tenant.",
-            )
-            seconds = MetricFamily(
-                "verdict_replication_lag_seconds",
-                "gauge",
-                "Seconds this follower has been behind the leader, per tenant.",
-            )
-            for tenant, entry in sorted(lag.items()):
-                records.add(base | {"tenant": tenant}, entry["lag_records"])
-                seconds.add(base | {"tenant": tenant}, entry["lag_seconds"])
-            families += [records, seconds]
-        return families

@@ -91,7 +91,6 @@ from repro.errors import (
     SchemaError,
     ServiceError,
 )
-from repro.obs.metrics import MetricFamily
 from repro.obs.trace import set_attrs
 from repro.obs.trace import event as trace_event
 from repro.obs.trace import span as trace_span
@@ -349,8 +348,6 @@ class VerdictService:
         self._mutations_since_train = 0
         self.trainer_max_restarts = trainer_max_restarts
         self.trainer_restart_backoff_s = trainer_restart_backoff_s
-        self.trainer_restarts = 0
-        self._trainer_dead = False
         # Circuit breakers for the two approximate routes.  EXACT is never
         # broken (it is the last-resort fallback) and CACHED cannot fail.
         # The transition callback captures the metrics, not ``self``: a
@@ -370,6 +367,7 @@ class VerdictService:
             )
             for route in (Route.LEARNED, Route.ONLINE_AGG)
         }
+        self._declare_metrics()
         self.restored = bool(store is not None and store.load_into(self.engine))
         if store is not None:
             for name, count in store.counters.items():
@@ -825,14 +823,13 @@ class VerdictService:
             except Exception:
                 attempt += 1
                 if attempt > self.trainer_max_restarts:
-                    self._trainer_dead = True
+                    self._trainer_dead.set(to=1)
                     self.metrics.record_event("trainer.dead")
                     raise
-                self.trainer_restarts += 1
                 self.metrics.record_event("trainer.restart")
                 time.sleep(self.trainer_restart_backoff_s * (2 ** (attempt - 1)))
             else:
-                self._trainer_dead = False
+                self._trainer_dead.set(to=0)
                 return results
 
     def _train_round(self, learn: bool | None):
@@ -1005,9 +1002,10 @@ class VerdictService:
             state = breaker.state
             if state != "closed":
                 reasons.append(f"{route.value} route breaker is {state}")
-        if self._trainer_dead:
+        if self._trainer_dead.value():
             reasons.append(
-                f"background trainer dead after {self.trainer_restarts} restart(s)"
+                "background trainer dead after "
+                f"{self.metrics.event_count('trainer.restart')} restart(s)"
             )
         return {
             "status": "ok" if not reasons else "degraded",
@@ -1023,8 +1021,8 @@ class VerdictService:
             for route, breaker in self._breakers.items()
         }
         data["trainer"] = {
-            "restarts": self.trainer_restarts,
-            "dead": self._trainer_dead,
+            "restarts": self.metrics.event_count("trainer.restart"),
+            "dead": bool(self._trainer_dead.value()),
         }
         if self.store is not None:
             data["store"] = self.store.state_snapshot()
@@ -1033,78 +1031,70 @@ class VerdictService:
     #: Breaker states as gauge values (Prometheus cannot carry strings).
     _BREAKER_STATE_VALUES = {"closed": 0, "half_open": 1, "open": 2}
 
-    def metric_families(self, labels: dict | None = None) -> list[MetricFamily]:
-        """Everything :meth:`observability` reports, as typed metric families.
+    def _declare_metrics(self) -> None:
+        """Declare what :meth:`observability` reports beyond the route counters.
 
-        The route counters/histograms come from :class:`ServiceMetrics`;
-        this adds breaker state, trainer liveness, store recovery counters,
-        and answer-cache residency -- the one registry the Prometheus
-        endpoint renders.  ``labels`` (typically ``{"tenant": name}``) is
-        stamped on every sample.
+        Breaker state, trainer liveness, answer-cache residency and the
+        store's counters live in their own objects and are read at scrape
+        time.  The callbacks capture those objects, never ``self``: a cycle
+        through the service would keep a closed service (engine, catalog,
+        samples) alive until the cycle collector ran.  ``_trainer_dead`` is
+        the one gauge the service sets itself.
         """
-        base = dict(labels or {})
-        families = self.metrics.metric_families(base)
-        breaker_state = MetricFamily(
+        registry = self.metrics.registry
+        breakers, state, store = self._breakers, self._state, self.store
+        events = self.metrics.events
+        states = self._BREAKER_STATE_VALUES
+        registry.gauge(
             "verdict_breaker_state",
-            "gauge",
             "Route circuit-breaker state (0=closed, 1=half_open, 2=open).",
+            ("route",),
+            fn=lambda: {
+                route.value: states.get(breaker.snapshot()["state"], 0)
+                for route, breaker in breakers.items()
+            },
         )
-        breaker_transitions = MetricFamily(
+        registry.counter(
             "verdict_breaker_transitions_total",
-            "counter",
             "Circuit-breaker state transitions, by route.",
+            ("route",),
+            fn=lambda: {
+                route.value: breaker.snapshot()["transitions"]
+                for route, breaker in breakers.items()
+            },
         )
-        for route, breaker in self._breakers.items():
-            snapshot = breaker.snapshot()
-            breaker_state.add(
-                base | {"route": route.value},
-                self._BREAKER_STATE_VALUES.get(snapshot["state"], 0),
-            )
-            breaker_transitions.add(
-                base | {"route": route.value}, snapshot["transitions"]
-            )
-        trainer_restarts = MetricFamily(
+        registry.counter(
             "verdict_trainer_restarts_total",
-            "counter",
             "Background-trainer crash restarts.",
-        ).add(base, self.trainer_restarts)
-        trainer_dead = MetricFamily(
+            fn=lambda: events.value("trainer.restart"),
+        )
+        self._trainer_dead = registry.gauge(
             "verdict_trainer_dead",
-            "gauge",
             "1 when the background trainer exhausted its restarts.",
-        ).add(base, 1 if self._trainer_dead else 0)
-        cache_entries = MetricFamily(
+        )
+        registry.gauge(
             "verdict_cache_entries",
-            "gauge",
             "Answer-cache entries resident.",
-        ).add(base, self.cache_size())
-        families += [
-            breaker_state,
-            breaker_transitions,
-            trainer_restarts,
-            trainer_dead,
-            cache_entries,
-        ]
-        if self.store is not None:
-            store_events = MetricFamily(
-                "verdict_store_events_total",
-                "counter",
-                "Synopsis-store recovery and maintenance events, by kind.",
-            )
-            events = self.store.counters | {
-                "snapshots_written": self.store.snapshots_written,
-                "deltas_written": self.store.deltas_written,
-                "factor_events_written": self.store.factor_events_written,
-            }
-            for name, count in sorted(events.items()):
-                store_events.add(base | {"event": name}, count)
-            quarantined = MetricFamily(
-                "verdict_store_quarantined",
-                "gauge",
-                "1 when the store quarantined a corrupt snapshot.",
-            ).add(base, 1 if self.store.quarantined else 0)
-            families += [store_events, quarantined]
-        return families
+            fn=lambda: len(state.cache),
+        )
+        if store is None:
+            return
+        registry.counter(
+            "verdict_store_events_total",
+            "Synopsis-store recovery and maintenance events, by kind.",
+            ("event",),
+            fn=lambda: store.counters
+            | {
+                "snapshots_written": store.snapshots_written,
+                "deltas_written": store.deltas_written,
+                "factor_events_written": store.factor_events_written,
+            },
+        )
+        registry.gauge(
+            "verdict_store_quarantined",
+            "1 when the store quarantined a corrupt snapshot.",
+            fn=lambda: int(store.quarantined),
+        )
 
     # -------------------------------------------------------------- lifecycle
 

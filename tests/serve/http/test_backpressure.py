@@ -187,6 +187,20 @@ def test_retry_with_backoff_eventually_succeeds():
     assert sheds >= 3
 
 
+def test_retry_after_hints_the_floor_when_there_is_no_queue():
+    # With no queue there is nothing to drain: the hint is the 1 s floor,
+    # not the 5 s queue timeout.  With a queue it is the drain horizon.
+    unqueued = AdmissionController(max_active=1, max_queued=0, queue_timeout_s=5.0)
+    with unqueued.admit():
+        with pytest.raises(ShedLoad) as excinfo:
+            with unqueued.admit():
+                pytest.fail("a full unqueued controller must shed")
+    assert excinfo.value.retry_after_s == 1.0
+    assert unqueued.snapshot()["retry_after_s"] == 1.0
+    queued = AdmissionController(max_active=1, max_queued=2, queue_timeout_s=5.0)
+    assert queued.snapshot()["retry_after_s"] == 5.0
+
+
 def test_http_429_then_retry_succeeds(tmp_path):
     server = start_server(
         tmp_path, {"solo": 1_200}, max_active=1, max_queued=0, audit=False

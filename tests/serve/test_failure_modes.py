@@ -173,7 +173,7 @@ class TestTrainerRestarts:
         with trained_service(trainer_restart_backoff_s=0.01) as service:
             install(FaultRule(point="service.train", action="error", times=1))
             service.train_async().result(timeout=60)
-            assert service.trainer_restarts == 1
+            assert service.observability()["trainer"]["restarts"] == 1
             assert service.metrics.event_count("trainer.restart") == 1
             assert service.health()["status"] == "ok"
 

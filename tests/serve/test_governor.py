@@ -233,7 +233,7 @@ class TestResourceGovernor:
         with pytest.raises(ShedLoad):
             governor.admit("acme", cost=1.0).__enter__()
         governor.record_cancel("acme", "requested")
-        families = {family.name: family for family in governor.metric_families()}
+        families = {metric.name: metric for metric in governor.registry.metrics}
         assert set(families) == {
             "verdict_governor_outcomes_total",
             "verdict_governor_tokens_spent_total",
@@ -242,14 +242,12 @@ class TestResourceGovernor:
             "verdict_governor_cancels_total",
             "verdict_cancel_requests_total",
         }
-        outcomes = {
-            (labels["tenant"], labels["outcome"]): value
-            for labels, value in families["verdict_governor_outcomes_total"].samples
-        }
+        outcomes = families["verdict_governor_outcomes_total"].series()
         assert outcomes[("acme", "admitted")] == 1
         assert outcomes[("acme", "shed_tokens")] == 1
-        cancels = families["verdict_governor_cancels_total"].samples
-        assert cancels == [({"tenant": "acme", "reason": "requested"}, 1)]
+        assert outcomes[("acme", "shed_concurrency")] == 0
+        cancels = families["verdict_governor_cancels_total"].series()
+        assert cancels == {("acme", "requested"): 1}
 
     def test_rejects_bad_parameters(self):
         for kwargs in (
@@ -330,7 +328,7 @@ class TestBrownoutController:
         assert brownout.level == 0  # one window is not a trend
         saturate_windows(brownout, clock, 1)
         assert brownout.level == 1
-        assert brownout.escalations == 1
+        assert brownout.snapshot()["escalations"] == 1
         saturate_windows(brownout, clock, 2)
         assert brownout.level == 2
 
@@ -351,7 +349,7 @@ class TestBrownoutController:
         assert brownout.level == 1
         idle_windows(brownout, clock, 2)
         assert brownout.level == 0
-        assert brownout.deescalations == 2
+        assert brownout.snapshot()["deescalations"] == 2
 
     def test_level_is_capped_at_max_level(self):
         clock = FakeClock()
@@ -370,7 +368,7 @@ class TestBrownoutController:
         clock.advance(1.0)
         brownout.tick()
         assert brownout.last_p99 == pytest.approx(0.0)
-        assert brownout.windows_saturated == 0
+        assert brownout.snapshot()["windows_saturated"] == 0
 
     def test_long_idle_gap_recovers_in_one_tick(self):
         clock = FakeClock()
@@ -381,7 +379,7 @@ class TestBrownoutController:
         brownout.tick()
         assert brownout.level == 0
         # The bulk fast-forward accounted the gap as healthy windows.
-        assert brownout.windows_healthy > 100
+        assert brownout.snapshot()["windows_healthy"] > 100
 
     def test_effective_budget_widens_relative_error(self):
         clock = FakeClock()
@@ -424,7 +422,7 @@ class TestBrownoutController:
         clock = FakeClock()
         brownout = make_brownout(clock)
         saturate_windows(brownout, clock, 2)
-        names = [family.name for family in brownout.metric_families()]
+        names = [metric.name for metric in brownout.registry.metrics]
         assert names == [
             "verdict_brownout_level",
             "verdict_brownout_transitions_total",

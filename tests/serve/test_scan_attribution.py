@@ -1,18 +1,16 @@
-"""Per-service scan attribution (ISSUE 8 satellite).
+"""Per-service scan attribution.
 
 Two services in one process must not see each other's partition scans in
 their own metrics: each ``VerdictService`` threads a shared
 :class:`~repro.db.scan.ScanCounters` through its executors, and
-``ServiceMetrics.scan_snapshot`` reads exactly that.  The process-wide view
-(every scan in the process, whoever issued it) stays available under
-``scan_process``.
+``ServiceMetrics.scan_snapshot`` reads exactly that.  There is no
+process-wide scan view: every scan is booked to its owner only.
 """
 
 from __future__ import annotations
 
 from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
-from repro.db.scan import GLOBAL_SCAN_COUNTERS
 from repro.serve import ServiceBudget, VerdictService
 from repro.workloads.synthetic import make_sales_table
 
@@ -49,29 +47,12 @@ class TestScanAttribution:
             assert first["rows_scanned"] > 0
             assert second["rows_scanned"] > first["rows_scanned"]
 
-    def test_process_wide_view_still_sees_both(self):
-        with build_service() as one, build_service() as two:
-            baseline = one.metrics.process_scan_snapshot()["scans"]
-            one.query(SQL, budget=ServiceBudget.exact())
-            two.query(SQL, budget=ServiceBudget.exact())
-            process = one.metrics.process_scan_snapshot()
-            # Both services' scans land in service one's process-wide delta...
-            assert process["scans"] - baseline == 2
-            # ...while its own attribution stays at one.
-            assert one.metrics.scan_snapshot()["scans"] == 1
-
-    def test_global_counters_record_attributed_scans_too(self):
-        with build_service() as service:
-            before = GLOBAL_SCAN_COUNTERS.snapshot()["scans"]
-            service.query(SQL, budget=ServiceBudget.exact())
-            assert GLOBAL_SCAN_COUNTERS.snapshot()["scans"] == before + 1
-
-    def test_as_dict_has_both_views(self):
+    def test_as_dict_has_the_scan_view(self):
         with build_service() as service:
             service.query(SQL, budget=ServiceBudget.exact())
             state = service.metrics.as_dict()
             assert state["scan"]["scans"] == 1
-            assert state["scan_process"]["scans"] >= 1
+            assert "scan_process" not in state
             assert set(state["scan"]) >= {
                 "scans",
                 "partitions_total",

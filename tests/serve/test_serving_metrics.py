@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import threading
 
-from repro.serve.metrics import LatencyHistogram, ServiceMetrics
+from repro.obs.metrics import LatencyHistogram
+from repro.serve.metrics import ServiceMetrics
 
 
 class TestLatencyHistogram:
