@@ -125,8 +125,6 @@ class Metric:
     ):
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-        if kind == "histogram" and fn is not None:
-            raise ValueError("a histogram is observed, not read from a callback")
         self.kind = kind
         self.name = name
         self.help = help
