@@ -6,16 +6,16 @@ predicate and group-by over the scanned (and dimension-joined) sample prefix,
 then form CLT estimates for every (group, aggregate) cell.  This module holds
 that shared logic.
 
-Grouping runs through the factorized kernel of :mod:`repro.db.groupby`: the
-group partition is computed once, each measure array is gathered into
-segment order once, and every cell's estimate is formed from its contiguous
-slice.
-
-Predicate evaluation over the scanned prefix runs through the partitioned
-scan driver (:mod:`repro.db.scan`): sample prefixes are zero-copy slice
-views of the full sample that share its categorical codes and dictionaries,
-and selective predicates skip partitions by zone map exactly as the exact
-executor does.
+It is the exact executor's evaluation (:mod:`repro.db.executor`) with
+estimates in place of exact aggregates: the same partitioned scan
+(:mod:`repro.db.scan`; sample prefixes are zero-copy slice views of the full
+sample that share its categorical codes and dictionaries, and selective
+predicates skip partitions by zone map) and the same factorized group-by
+kernel (:mod:`repro.db.groupby`; a query without GROUP BY is one segment
+keyed ``()``).  Each measure expression is evaluated once per answer and
+gathered into segment order once, and every aggregate's estimates are formed
+for all groups at a time by the array estimators of
+:mod:`repro.aqp.estimators`.
 """
 
 from __future__ import annotations
@@ -26,84 +26,96 @@ from repro.aqp.estimators import (
     Estimate,
     avg_estimate,
     count_estimate,
+    extreme_estimate,
     freq_estimate,
     sum_estimate,
 )
 from repro.aqp.types import AggregateEstimate, AQPAnswer, AQPRow, InternalEstimates
 from repro.db.expressions import evaluate_expression
-from repro.db.groupby import factorize
+from repro.db.groupby import GroupedSelection, factorize
 from repro.db.having import compile_row_predicate
 from repro.db.scan import ScanCounters, scan_selected
 from repro.db.table import Table
+from repro.errors import ExpressionError
 from repro.sqlparser import ast
 
 
-def _estimate_cell(
-    aggregate: ast.Aggregate,
-    name: str,
-    selected: int,
+def _aggregate_cells(
+    item: ast.SelectItem,
+    scanned_table: Table,
+    grouped: GroupedSelection,
+    freq: Estimate,
+    count: Estimate,
     scanned_rows: int,
     population_size: int,
-    group_values: np.ndarray | None,
-    fallback_std: float,
-) -> AggregateEstimate:
-    """Form the estimate for one (group, aggregate) cell.
+) -> list[AggregateEstimate]:
+    """One aggregate's estimate cell for every group, in group order.
 
-    ``group_values`` is the aggregate argument restricted to this group's
-    selected rows (``None`` for ``*`` aggregates); :func:`estimate_answer`
-    evaluates each measure expression once per answer and gathers it per
-    group, instead of re-evaluating the expression per cell.
+    The measure expression is evaluated once over the whole scanned prefix
+    (its spread is the fallback deviation of groups with under two rows)
+    and gathered into group-segment order once.  ``*`` aggregates have no
+    AVG component.
     """
-    freq = freq_estimate(selected, scanned_rows)
-    count = count_estimate(selected, scanned_rows, population_size)
-
-    avg: Estimate | None = None
-    if group_values is not None:
-        avg = avg_estimate(group_values, fallback_std=fallback_std or 1.0)
-
+    aggregate = item.expression
     function = aggregate.function
-    if function is ast.AggregateFunction.FREQ:
-        value, error = freq.value, freq.error
-    elif function is ast.AggregateFunction.COUNT:
-        value, error = count.value, count.error
-    elif function is ast.AggregateFunction.AVG:
-        assert avg is not None
-        value, error = avg.value, avg.error
-    elif function is ast.AggregateFunction.SUM:
-        assert avg is not None
-        total = sum_estimate(avg, count)
-        value, error = total.value, total.error
-    elif function in (ast.AggregateFunction.MIN, ast.AggregateFunction.MAX):
-        # Sample-based engines cannot bound MIN/MAX errors (Section 2.5); the
-        # value is reported with a conservative error of the selected spread.
-        if group_values is None or selected == 0:
-            value, error = 0.0, 0.0
-        else:
-            value = float(
-                group_values.min()
-                if function is ast.AggregateFunction.MIN
-                else group_values.max()
-            )
-            error = (
-                float(group_values.std(ddof=0))
-                if len(group_values) > 1
-                else abs(value)
-            )
-    else:  # pragma: no cover - exhaustive over the enum
-        raise ValueError(f"unknown aggregate function {function}")
+    avg: Estimate | None = None
+    segments: list[np.ndarray] | None = None
+    if not aggregate.is_star:
+        values = np.asarray(
+            evaluate_expression(aggregate.argument, scanned_table), dtype=np.float64
+        )
+        fallback_std = float(values.std(ddof=0)) if len(values) else 1.0
+        segments = grouped.segments(grouped.take(values))
+        avg = avg_estimate(segments, fallback_std=fallback_std or 1.0)
 
-    internal = InternalEstimates(
-        freq_value=freq.value,
-        freq_error=freq.error,
-        avg_value=None if avg is None else avg.value,
-        avg_error=None if avg is None else avg.error,
-        selected_rows=selected,
-        scanned_rows=scanned_rows,
-        population_size=population_size,
-    )
-    return AggregateEstimate(
-        name=name, function=function, value=value, error=error, internal=internal
-    )
+    if function is ast.AggregateFunction.FREQ:
+        estimate = freq
+    elif function is ast.AggregateFunction.COUNT:
+        estimate = count
+    elif function in (ast.AggregateFunction.MIN, ast.AggregateFunction.MAX):
+        if segments is None:
+            zeros = np.zeros(grouped.num_groups)
+            estimate = Estimate(value=zeros, error=zeros)
+        else:
+            estimate = extreme_estimate(
+                segments, largest=function is ast.AggregateFunction.MAX
+            )
+    elif avg is None:
+        raise ExpressionError(f"aggregate {function} requires an argument")
+    elif function is ast.AggregateFunction.AVG:
+        estimate = avg
+    else:
+        estimate = sum_estimate(avg, count)
+
+    # Cells hold plain floats: one ``tolist`` per array, not a NumPy
+    # scalar per cell.
+    no_avg = [None] * grouped.num_groups
+    return [
+        AggregateEstimate(
+            name=item.output_name,
+            function=function,
+            value=value,
+            error=error,
+            internal=InternalEstimates(
+                freq_value=freq_value,
+                freq_error=freq_error,
+                avg_value=avg_value,
+                avg_error=avg_error,
+                selected_rows=selected_rows,
+                scanned_rows=scanned_rows,
+                population_size=population_size,
+            ),
+        )
+        for value, error, freq_value, freq_error, avg_value, avg_error, selected_rows in zip(
+            estimate.value.tolist(),
+            estimate.error.tolist(),
+            freq.value.tolist(),
+            freq.error.tolist(),
+            no_avg if avg is None else avg.value.tolist(),
+            no_avg if avg is None else avg.error.tolist(),
+            grouped.counts.tolist(),
+        )
+    ]
 
 
 def estimate_answer(
@@ -139,73 +151,28 @@ def estimate_answer(
     aggregate_names = tuple(item.output_name for item in aggregate_items)
     group_columns = tuple(column.name for column in query.group_by)
 
-    # Evaluate every aggregate's measure expression once over the scanned
-    # table; each group-by cell then just indexes into the shared array.
-    measures: dict[str, tuple[np.ndarray | None, float]] = {}
-    for item in aggregate_items:
-        if item.expression.is_star:
-            measures[item.output_name] = (None, 1.0)
-        else:
-            values = np.asarray(
-                evaluate_expression(item.expression.argument, scanned_table),
-                dtype=np.float64,
-            )
-            fallback_std = float(values.std(ddof=0)) if len(values) else 1.0
-            measures[item.output_name] = (values, fallback_std)
-
-    rows: list[AQPRow] = []
-
-    def build_row(
-        group_values: tuple,
-        selected: int,
-        slicer,
-    ) -> AQPRow:
-        estimates = {}
-        for item in aggregate_items:
-            measure_values, fallback_std = measures[item.output_name]
-            estimates[item.output_name] = _estimate_cell(
-                item.expression,
-                item.output_name,
-                selected=selected,
-                scanned_rows=scanned_rows,
-                population_size=population_size,
-                group_values=None if measure_values is None else slicer(item.output_name),
-                fallback_std=fallback_std,
-            )
-        return AQPRow(group_values=group_values, estimates=estimates)
-
     # Partitioned, pruned scan over the (slice-view) prefix; the merge
     # order of the scan driver keeps the selection identical to a
     # whole-prefix evaluation.
     selected, _ = scan_selected(scanned_table, query.where, counters=counters)
-    if group_columns:
-        grouped = factorize(
-            scanned_table, None, group_columns, selected_indices=selected
-        )
-        if grouped is not None:
-            # Gather each measure into group-segment order once per answer.
-            taken = {
-                name: None if values is None else grouped.take(values)
-                for name, (values, _) in measures.items()
-            }
-            starts, ends = grouped.starts, grouped.ends
-            for group, key in enumerate(grouped.keys):
-                begin, end = starts[group], ends[group]
-                rows.append(
-                    build_row(
-                        key,
-                        int(grouped.counts[group]),
-                        lambda name, begin=begin, end=end: taken[name][begin:end],
-                    )
-                )
-    else:
-        rows.append(
-            build_row(
-                (),
-                len(selected),
-                lambda name, selected=selected: measures[name][0][selected],
+    grouped = factorize(scanned_table, None, group_columns, selected_indices=selected)
+    rows: list[AQPRow] = []
+    if grouped is not None:
+        freq = freq_estimate(grouped.counts, scanned_rows)
+        count = count_estimate(grouped.counts, scanned_rows, population_size)
+        columns = {
+            item.output_name: _aggregate_cells(
+                item, scanned_table, grouped, freq, count, scanned_rows, population_size
             )
-        )
+            for item in aggregate_items
+        }
+        rows = [
+            AQPRow(
+                group_values=key,
+                estimates={name: cells[group] for name, cells in columns.items()},
+            )
+            for group, key in enumerate(grouped.keys)
+        ]
 
     if query.having is not None:
         matches = compile_row_predicate(query.having, query)

@@ -16,11 +16,41 @@ the normal-quantile confidence multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from repro.sqlparser import ast
 
 Value = Union[int, float, str]
+
+
+def relative_error_bound(value: float, error: float, multiplier: float) -> float:
+    """Error bound relative to the estimate's magnitude (as in Figure 4).
+
+    Unbounded (``inf``) when the estimate is ~0 but its error is not: an
+    estimate of zero with any uncertainty says nothing about the relative
+    error.
+    """
+    denominator = abs(value)
+    if denominator < 1e-12:
+        return float("inf") if error > 0 else 0.0
+    return multiplier * error / denominator
+
+
+def mean_relative_error_bound(rows: Iterable, multiplier: float) -> float:
+    """Average relative error bound across all cells (Figure 4's metric).
+
+    One unbounded cell makes the answer unbounded (``inf``); an answer
+    without cells is 0.0.  ``rows`` carry ``estimates`` whose cells have a
+    ``value`` and an ``error`` (raw and improved answers alike).
+    """
+    bounds = [
+        relative_error_bound(estimate.value, estimate.error, multiplier)
+        for row in rows
+        for estimate in row.estimates.values()
+    ]
+    if not bounds:
+        return 0.0
+    return sum(bounds) / len(bounds)
 
 
 @dataclass(frozen=True)
@@ -56,10 +86,7 @@ class AggregateEstimate:
 
     def relative_error_bound(self, multiplier: float) -> float:
         """Error bound relative to the estimate's magnitude (as in Figure 4)."""
-        denominator = abs(self.value)
-        if denominator < 1e-12:
-            return float("inf") if self.error > 0 else 0.0
-        return multiplier * self.error / denominator
+        return relative_error_bound(self.value, self.error, multiplier)
 
 
 @dataclass(frozen=True)
@@ -108,12 +135,4 @@ class AQPAnswer:
 
     def mean_relative_error_bound(self, multiplier: float) -> float:
         """Average relative error bound across all cells (Figure 4's metric)."""
-        bounds = [
-            estimate.relative_error_bound(multiplier)
-            for row in self.rows
-            for estimate in row.estimates.values()
-        ]
-        finite = [b for b in bounds if b != float("inf")]
-        if not finite:
-            return 0.0
-        return sum(finite) / len(finite)
+        return mean_relative_error_bound(self.rows, multiplier)

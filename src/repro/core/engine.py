@@ -31,7 +31,13 @@ import numpy as np
 
 from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.aqp.time_bound import TimeBoundEngine
-from repro.aqp.types import AggregateEstimate, AQPAnswer, AQPRow
+from repro.aqp.types import (
+    AggregateEstimate,
+    AQPAnswer,
+    AQPRow,
+    mean_relative_error_bound,
+    relative_error_bound,
+)
 from repro.config import VerdictConfig
 from repro.core.append import (
     ColumnMoments,
@@ -84,10 +90,7 @@ class ImprovedEstimate:
         return multiplier * self.error
 
     def relative_error_bound(self, multiplier: float) -> float:
-        denominator = abs(self.value)
-        if denominator < 1e-12:
-            return float("inf") if self.error > 0 else 0.0
-        return multiplier * self.error / denominator
+        return relative_error_bound(self.value, self.error, multiplier)
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,7 @@ class VerdictAnswer:
         return self.rows[0].estimates[self.aggregate_names[0]]
 
     def mean_relative_error_bound(self, multiplier: float) -> float:
-        bounds = [
-            estimate.relative_error_bound(multiplier)
-            for row in self.rows
-            for estimate in row.estimates.values()
-        ]
-        finite = [b for b in bounds if b != float("inf")]
-        if not finite:
-            return 0.0
-        return sum(finite) / len(finite)
+        return mean_relative_error_bound(self.rows, multiplier)
 
     def improvement_count(self) -> int:
         """How many cells Verdict actually improved (validation accepted)."""

@@ -27,7 +27,6 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from repro.db.schema import Column, ColumnRole
 from repro.db.table import Table
 from repro.errors import CatalogError
 from repro.sqlparser import ast
@@ -210,9 +209,6 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
     def table_version(self, name: str) -> int:
         """Monotonic version of a table's contents (bumped by appends)."""
         self.table(name)
@@ -378,14 +374,6 @@ class Catalog:
     def cardinality(self, name: str) -> int:
         """Number of rows of a table (used to scale FREQ(*) into COUNT(*))."""
         return self.table(name).num_rows
-
-    def dimension_attribute_columns(self, table_name: str) -> list[Column]:
-        """Dimension-role columns of a table (candidates for inference domains)."""
-        return [
-            column
-            for column in self.table(table_name).schema
-            if column.role is ColumnRole.DIMENSION
-        ]
 
     @classmethod
     def of(cls, tables: Iterable[Table], fact_tables: Iterable[str] = ()) -> "Catalog":

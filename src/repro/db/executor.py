@@ -1,19 +1,20 @@
 """Exact query executor over the columnar substrate.
 
-The exact executor computes ground-truth answers used (a) to measure the
-*actual* error of approximate answers in the experiments and (b) as the
-computational kernel underneath the sampling-based AQP engines, which run the
-same evaluation over sample rows and rescale.
+The exact executor computes the ground-truth answers that the experiments
+measure the *actual* error of approximate answers against, and serves the
+service's exact route.  The sampling-based AQP engines
+(:mod:`repro.aqp.evaluation`) run the same scan and group-by kernel over
+sample rows and form CLT estimates instead of exact aggregates.
 
 Supported evaluation: denormalising fact-dimension joins, conjunctive (and,
 for completeness, disjunctive) predicates, group-by over stored or derived
 attributes, the aggregates SUM / COUNT / AVG / MIN / MAX / FREQ, and HAVING
 clauses expressed over output column names.
 
-Group-by execution runs through the factorized kernel of
-:mod:`repro.db.groupby`: every measure expression is evaluated once per query
-and all (group, aggregate) cells are computed by segment reductions in one
-pass over the selected rows.
+Aggregation runs through the factorized kernel of :mod:`repro.db.groupby`,
+with or without GROUP BY (a scalar query is one segment keyed ``()``): every
+measure expression is evaluated once per query and all (group, aggregate)
+cells are computed by segment reductions in one pass over the selected rows.
 
 Scans run through the partitioned storage layer: zone maps prune partitions,
 the predicate is evaluated once per run of adjacent survivors
@@ -37,8 +38,6 @@ from repro.db.expressions import evaluate_expression_at
 from repro.db.groupby import factorize, segment_aggregate
 from repro.db.having import compile_row_predicate
 from repro.db.scan import ScanCounters, ScanReport, scan_selected
-from repro.db.table import Table
-from repro.errors import ExpressionError
 from repro.sqlparser import ast
 
 Value = Union[int, float, str]
@@ -89,44 +88,7 @@ class QueryResult:
 # row fraction.
 _COUNTING_FUNCTIONS = (ast.AggregateFunction.COUNT, ast.AggregateFunction.FREQ)
 
-
-def _scalar_aggregate(
-    function: ast.AggregateFunction,
-    values_selected: np.ndarray | None,
-    selected: int,
-    total_rows: int,
-) -> float:
-    """The no-GROUP-BY cell of one aggregate from selected-row measures.
-
-    ``values_selected`` is the measure evaluated at the selected rows in
-    ascending row order -- element-identical to ``values[mask]`` over the
-    whole-table measure, so the reductions are bit-identical to it.
-    """
-    if function is ast.AggregateFunction.COUNT:
-        return float(selected)
-    if function is ast.AggregateFunction.FREQ:
-        if total_rows <= 0:
-            return 0.0
-        return float(selected) / float(total_rows)
-    if selected == 0:
-        # SQL semantics: SUM/AVG/MIN/MAX over an empty set is NULL; the
-        # experiments treat it as 0 so error metrics stay well defined.
-        return 0.0
-    if function in (
-        ast.AggregateFunction.SUM,
-        ast.AggregateFunction.AVG,
-        ast.AggregateFunction.MIN,
-        ast.AggregateFunction.MAX,
-    ):
-        assert values_selected is not None
-        if function is ast.AggregateFunction.SUM:
-            return float(values_selected.sum())
-        if function is ast.AggregateFunction.AVG:
-            return float(values_selected.mean())
-        if function is ast.AggregateFunction.MIN:
-            return float(values_selected.min())
-        return float(values_selected.max())
-    raise ExpressionError(f"unknown aggregate function {function}")
+_NO_ROWS = np.zeros(0, dtype=np.float64)
 
 
 class ExactExecutor:
@@ -155,18 +117,6 @@ class ExactExecutor:
     def execute(self, query: ast.Query) -> QueryResult:
         """Execute ``query`` and return its exact result."""
         table = self.catalog.denormalize(query)
-        return self.execute_on_table(query, table, total_rows=len(table))
-
-    def execute_on_table(
-        self, query: ast.Query, table: Table, total_rows: int | None = None
-    ) -> QueryResult:
-        """Execute ``query`` against an explicit (already denormalised) table.
-
-        ``total_rows`` overrides the cardinality used for FREQ(*); the AQP
-        engines pass the sample size here so FREQ stays a fraction of the rows
-        actually scanned.
-        """
-        total = len(table) if total_rows is None else total_rows
         aggregate_items = [item for item in query.select if item.is_aggregate]
         aggregate_names = tuple(item.output_name for item in aggregate_items)
         group_columns = tuple(column.name for column in query.group_by)
@@ -179,54 +129,39 @@ class ExactExecutor:
         selected, self.last_scan_report = scan_selected(
             table, query.where, self.scan_counters
         )
-        num_selected = len(selected)
 
         # Each measure expression is evaluated once per query -- and only
         # at the selected rows, so measure work is proportional to what
-        # the pruned scan kept.  Evaluation is deferred until a non-empty
-        # selection needs it (COUNT/FREQ never touch their argument;
-        # SUM/AVG/MIN/MAX over an empty selection return 0.0 without
-        # evaluating).
+        # the pruned scan kept.  COUNT/FREQ never touch their argument, and
+        # an empty selection (a scalar query's one empty group) evaluates
+        # nothing.
         def measure_for(item: ast.SelectItem) -> np.ndarray | None:
             expression = item.expression
             if expression.is_star or expression.function in _COUNTING_FUNCTIONS:
                 return None
+            if not len(selected):
+                return _NO_ROWS
             return np.asarray(
                 evaluate_expression_at(expression.argument, table, selected),
                 dtype=np.float64,
             )
 
-        if not group_columns:
-            aggregates = {
-                item.output_name: _scalar_aggregate(
+        # A scalar query is one group keyed () over the whole selection.
+        grouped = factorize(table, None, group_columns, selected_indices=selected)
+        if grouped is not None:
+            cells = {
+                item.output_name: segment_aggregate(
                     item.expression.function,
-                    measure_for(item) if num_selected else None,
-                    num_selected,
-                    total,
+                    grouped,
+                    measure_for(item),
+                    len(table),
+                    values_are_selected=True,
                 )
                 for item in aggregate_items
             }
-            result.rows.append(ResultRow(group_values=(), aggregates=aggregates))
-        else:
-            grouped = factorize(table, None, group_columns, selected_indices=selected)
-            if grouped is not None:
-                cells = {
-                    item.output_name: segment_aggregate(
-                        item.expression.function,
-                        grouped,
-                        measure_for(item),
-                        total,
-                        values_are_selected=True,
-                    )
-                    for item in aggregate_items
-                }
-                for group, key in enumerate(grouped.keys):
-                    aggregates = {
-                        name: float(values[group]) for name, values in cells.items()
-                    }
-                    result.rows.append(
-                        ResultRow(group_values=key, aggregates=aggregates)
-                    )
+            for group, key in enumerate(grouped.keys):
+                aggregates = {name: float(values[group]) for name, values in cells.items()}
+                result.rows.append(ResultRow(group_values=key, aggregates=aggregates))
         if query.having is not None:
             matches = compile_row_predicate(query.having, query)
             result.rows = [

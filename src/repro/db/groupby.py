@@ -23,6 +23,9 @@ keys in a dict (the oracle in ``tests/oracles.py``):
 * per-group SUM/AVG/MIN/MAX are computed with the same NumPy reductions over
   the same value sequence (ascending row order within a group), so pairwise
   summation produces bit-identical floats;
+* with no group columns the whole selection is one segment (key ``()``),
+  empty when no row is selected, so a scalar query runs the same reductions
+  without a sort or a gather;
 * float group columns containing NaN use the hash encoding, where -- exactly
   like dict keys of row tuples -- every NaN row forms its own group.
 """
@@ -82,6 +85,9 @@ class GroupedSelection:
         group.  Arrays aligned with the selected rows (e.g. measures
         evaluated only over the selected subset of a pruned scan) are
         gathered into segment order with it (:meth:`take_selected`).
+        With no group columns the selected rows already are the one
+        segment and ``order`` is ``slice(None)``: indexing with it is a
+        view, not a copy.
     starts / ends:
         Per-group segment bounds into the permuted rows: group ``g`` owns
         ``sorted_indices[starts[g]:ends[g]]``.  Segments are laid out in
@@ -93,7 +99,7 @@ class GroupedSelection:
 
     keys: list[tuple[Value, ...]]
     selected_indices: np.ndarray
-    order: np.ndarray
+    order: np.ndarray | slice
     starts: np.ndarray
     ends: np.ndarray
     counts: np.ndarray
@@ -140,6 +146,13 @@ class GroupedSelection:
         array, so downstream reductions stay bit-identical.
         """
         return values_selected[self.order]
+
+    def segments(self, taken: np.ndarray) -> list[np.ndarray]:
+        """Each group's slice of segment-ordered ``taken``, in group order."""
+        return [
+            taken[start:end]
+            for start, end in zip(self.starts.tolist(), self.ends.tolist())
+        ]
 
 
 def _encode_hashed(values) -> tuple[np.ndarray, int]:
@@ -206,9 +219,10 @@ def factorize(
 ) -> GroupedSelection | None:
     """Factorize the rows of ``table`` selected by ``mask`` into groups.
 
-    Returns ``None`` when no rows are selected (no groups).
-    ``group_columns`` must be non-empty; the scalar (no GROUP BY) case never
-    reaches the kernel.
+    Returns ``None`` when ``group_columns`` is non-empty and no rows are
+    selected (no groups).  With no group columns (a scalar query) the
+    selection is one group keyed ``()`` -- empty when nothing is selected --
+    and is neither sorted nor copied.
 
     ``selected_indices`` (ascending row indices) may be passed instead of a
     mask -- the partitioned scan driver already has them, and skipping the
@@ -219,6 +233,15 @@ def factorize(
         assert mask is not None
         selected_indices = np.flatnonzero(mask)
     num_selected = len(selected_indices)
+    if not group_columns:
+        return GroupedSelection(
+            keys=[()],
+            selected_indices=selected_indices,
+            order=slice(None),
+            starts=np.zeros(1, dtype=np.int64),
+            ends=np.full(1, num_selected, dtype=np.int64),
+            counts=np.full(1, num_selected, dtype=np.int64),
+        )
     if num_selected == 0:
         return None
     encoded = [_selected_codes(table, name, selected_indices) for name in group_columns]
@@ -275,6 +298,14 @@ def factorize(
     )
 
 
+_REDUCTIONS = {
+    ast.AggregateFunction.SUM: np.ndarray.sum,
+    ast.AggregateFunction.AVG: np.ndarray.mean,
+    ast.AggregateFunction.MIN: np.ndarray.min,
+    ast.AggregateFunction.MAX: np.ndarray.max,
+}
+
+
 def segment_aggregate(
     function: ast.AggregateFunction,
     grouped: GroupedSelection,
@@ -288,7 +319,8 @@ def segment_aggregate(
     (``None`` for ``*`` aggregates); it is gathered into segment order once
     and each group's reduction runs over its contiguous slice -- the same
     NumPy reduction over the same operand sequence as a per-group
-    ``values[mask]`` call, so results are bit-identical.
+    ``values[mask]`` call, so results are bit-identical.  An empty segment
+    (a scalar query selecting no rows) is 0.0, never reduced.
 
     With ``values_are_selected`` the measure was evaluated only over the
     selected rows (ascending row order) -- the partitioned executor does this
@@ -304,25 +336,12 @@ def segment_aggregate(
         return counts.astype(np.float64) / float(total_rows)
     if values is None:
         raise ExpressionError(f"aggregate {function} requires an argument")
-    if values_are_selected:
-        taken = grouped.take_selected(np.asarray(values, dtype=np.float64))
-    else:
-        taken = grouped.take(np.asarray(values, dtype=np.float64))
-    starts, ends = grouped.starts, grouped.ends
-    out = np.empty(grouped.num_groups, dtype=np.float64)
-    if function is ast.AggregateFunction.SUM:
-        for group in range(grouped.num_groups):
-            out[group] = taken[starts[group] : ends[group]].sum()
-    elif function is ast.AggregateFunction.AVG:
-        for group in range(grouped.num_groups):
-            out[group] = taken[starts[group] : ends[group]].mean()
-    elif function is ast.AggregateFunction.MIN:
-        for group in range(grouped.num_groups):
-            out[group] = taken[starts[group] : ends[group]].min()
-    elif function is ast.AggregateFunction.MAX:
-        for group in range(grouped.num_groups):
-            out[group] = taken[starts[group] : ends[group]].max()
-    else:  # pragma: no cover - exhaustive over the enum
-        raise ExpressionError(f"unknown aggregate function {function}")
-    return out
-
+    reduce = _REDUCTIONS[function]
+    values = np.asarray(values, dtype=np.float64)
+    taken = grouped.take_selected(values) if values_are_selected else grouped.take(values)
+    # SQL makes SUM/AVG/MIN/MAX over an empty set NULL; the experiments treat
+    # it as 0 so error metrics stay well defined.
+    return np.array(
+        [reduce(segment) if len(segment) else 0.0 for segment in grouped.segments(taken)],
+        dtype=np.float64,
+    )

@@ -95,16 +95,3 @@ def compile_row_predicate(
         f"unsupported HAVING predicate of type {type(predicate).__name__}"
     )
 
-
-def evaluate_row_predicate(
-    predicate: ast.Predicate | None, query: ast.Query, row
-) -> bool:
-    """One-shot evaluation against a row with ``group_values``/``aggregates``.
-
-    Compatibility wrapper over :func:`compile_row_predicate` for call sites
-    that evaluate a single row; loops should compile once and reuse.
-    """
-    if predicate is None:
-        return True
-    compiled = compile_row_predicate(predicate, query)
-    return compiled(row.group_values, row.aggregates)

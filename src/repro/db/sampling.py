@@ -93,22 +93,11 @@ class TableSample:
             self._prefix_views[rows] = view
         return view
 
-    def prefix_for_batches(self, batches: int) -> Table:
-        """The sample prefix covered by the first ``batches`` batches."""
-        return self.prefix(self.rows_after_batches(batches))
-
     def iter_batch_prefixes(self) -> Iterator[tuple[int, Table]]:
         """Yield ``(rows_scanned, prefix_table)`` for each cumulative batch."""
         for batch_index in range(1, self.num_batches + 1):
             rows = self.rows_after_batches(batch_index)
             yield rows, self.prefix(rows)
-
-    @property
-    def scale_factor(self) -> float:
-        """Population rows represented by each sample row."""
-        if self.sample_size == 0:
-            return 0.0
-        return self.population_size / self.sample_size
 
 
 def build_table_sample(

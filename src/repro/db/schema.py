@@ -116,10 +116,6 @@ class Schema:
         """Columns with the DIMENSION role."""
         return [c for c in self.columns if c.role is ColumnRole.DIMENSION]
 
-    def measure_columns(self) -> list[Column]:
-        """Columns with the MEASURE role."""
-        return [c for c in self.columns if c.role is ColumnRole.MEASURE]
-
     def key_columns(self) -> list[Column]:
         """Columns with the KEY role."""
         return [c for c in self.columns if c.role is ColumnRole.KEY]

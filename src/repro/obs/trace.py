@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextvars
 import json
+import math
 import os
 import re
 import threading
@@ -145,7 +146,12 @@ class Span:
         if self.error is not None:
             data["error"] = self.error
         if self.attrs:
-            data["attrs"] = dict(self.attrs)
+            # Strict JSON spells no inf or NaN (an unbounded answer's error
+            # bound is inf): such an attribute renders as null.
+            data["attrs"] = {
+                key: None if isinstance(value, float) and not math.isfinite(value) else value
+                for key, value in self.attrs.items()
+            }
         if self.children:
             data["children"] = [child.to_dict() for child in self.children]
         return data

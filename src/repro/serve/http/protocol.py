@@ -64,6 +64,7 @@ wire.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -418,7 +419,13 @@ def _plain(value):
 
 
 def answer_to_state(answer: ServedAnswer) -> dict:
-    """Render a served answer as plain JSON-serialisable data."""
+    """Render a served answer as plain JSON-serialisable data.
+
+    An unbounded answer (a cell estimated ~0 with a non-zero error) has an
+    infinite relative error bound, which strict JSON cannot spell: it
+    renders as ``null``, in the response body and in the audit line alike.
+    """
+    bound = float(answer.relative_error_bound)
     return {
         "sql": answer.sql,
         "route": answer.route.value,
@@ -430,7 +437,7 @@ def answer_to_state(answer: ServedAnswer) -> dict:
             }
             for row in answer.rows
         ],
-        "relative_error_bound": float(answer.relative_error_bound),
+        "relative_error_bound": bound if math.isfinite(bound) else None,
         "model_seconds": float(answer.model_seconds),
         "wall_seconds": float(answer.wall_seconds),
         "supported": answer.supported,

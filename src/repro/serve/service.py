@@ -64,6 +64,7 @@ written *behind* the final snapshot.
 from __future__ import annotations
 
 import contextvars
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -439,8 +440,11 @@ class VerdictService:
                         if cached is not None
                         else "no current cache entry satisfies the budget"
                     ),
+                    # null also for an unbounded (inf) entry: strict JSON.
                     "cached_error_bound": (
-                        cached.relative_error_bound if cached is not None else None
+                        cached.relative_error_bound
+                        if cached is not None and math.isfinite(cached.relative_error_bound)
+                        else None
                     ),
                 }
             ]

@@ -51,21 +51,6 @@ class SnippetSpec:
     aggregate_index: int = 0
     group_index: int = 0
 
-    @property
-    def group_values_dict(self) -> dict[str, GroupValue]:
-        return dict(self.group_values)
-
-    def to_query(self) -> ast.Query:
-        """Render the snippet back into a single-aggregate query AST."""
-        return ast.Query(
-            select=(ast.SelectItem(expression=self.aggregate),),
-            table=self.table,
-            joins=self.joins,
-            where=self.predicate,
-            group_by=(),
-            having=None,
-        )
-
 
 def _group_equality_predicates(
     group_by: Sequence[ast.ColumnRef], values: Sequence[GroupValue]
@@ -168,12 +153,3 @@ def decompose_query(
             )
     return specs
 
-
-def count_snippets(
-    query: ast.Query, group_rows: Sequence[Sequence[GroupValue]] | None = None
-) -> int:
-    """Number of snippets the query would decompose into (unbounded)."""
-    num_aggregates = len(query.aggregates)
-    if not query.group_by:
-        return num_aggregates
-    return num_aggregates * len(list(group_rows or []))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.aqp.estimators import (
+    Estimate,
     avg_estimate,
     confidence_multiplier,
     count_estimate,
@@ -49,27 +50,38 @@ class TestFreqAndCount:
 class TestAvgAndSum:
     def test_avg_matches_sample_mean_and_se(self):
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        estimate = avg_estimate(values)
-        assert estimate.value == pytest.approx(3.0)
-        assert estimate.error == pytest.approx(values.std(ddof=1) / math.sqrt(5))
+        estimate = avg_estimate([values])
+        assert estimate.value[0] == pytest.approx(3.0)
+        assert estimate.error[0] == pytest.approx(values.std(ddof=1) / math.sqrt(5))
 
     def test_avg_empty_uses_fallback(self):
-        estimate = avg_estimate(np.array([]), fallback_std=2.5)
-        assert estimate.value == 0.0
-        assert estimate.error == pytest.approx(2.5)
+        estimate = avg_estimate([np.array([])], fallback_std=2.5)
+        assert estimate.value[0] == 0.0
+        assert estimate.error[0] == pytest.approx(2.5)
 
     def test_avg_single_value_uses_fallback(self):
-        estimate = avg_estimate(np.array([7.0]), fallback_std=1.5)
-        assert estimate.value == 7.0
-        assert estimate.error == pytest.approx(1.5)
+        estimate = avg_estimate([np.array([7.0])], fallback_std=1.5)
+        assert estimate.value[0] == 7.0
+        assert estimate.error[0] == pytest.approx(1.5)
 
     def test_sum_propagates_errors(self):
-        avg = avg_estimate(np.array([10.0, 12.0, 8.0, 11.0]))
-        count = count_estimate(4, 10, 1000)
+        avg = avg_estimate([np.array([10.0, 12.0, 8.0, 11.0])])
+        count = count_estimate(np.array([4]), 10, 1000)
         total = sum_estimate(avg, count)
-        assert total.value == pytest.approx(avg.value * count.value)
-        expected = math.sqrt((count.value * avg.error) ** 2 + (avg.value * count.error) ** 2)
-        assert total.error == pytest.approx(expected)
+        assert total.value[0] == pytest.approx(avg.value[0] * count.value[0])
+        expected = math.sqrt(
+            (count.value[0] * avg.error[0]) ** 2 + (avg.value[0] * count.error[0]) ** 2
+        )
+        assert total.error[0] == pytest.approx(expected)
+
+    def test_sum_error_squares_like_python(self):
+        # For these two terms x * x and the C pow behind Python's x ** 2 round
+        # differently, and the difference survives the square root.
+        a, b = 1.8871580461934296, -1.1609821331584274
+        avg = Estimate(value=np.array([a]), error=np.array([b]))
+        count = Estimate(value=np.array([1.0]), error=np.array([1.0]))
+        (error,) = sum_estimate(avg, count).error.tolist()
+        assert error == math.sqrt(b**2 + a**2)
 
     def test_avg_is_consistent(self, rng):
         """The standard error should be a valid 1-sigma error in practice."""
@@ -79,8 +91,8 @@ class TestAvgAndSum:
         trials = 200
         for _ in range(trials):
             sample = rng.choice(population, size=400, replace=False)
-            estimate = avg_estimate(sample)
-            if abs(estimate.value - truth) > 1.96 * estimate.error:
+            estimate = avg_estimate([sample])
+            if abs(estimate.value[0] - truth) > 1.96 * estimate.error[0]:
                 misses += 1
         assert misses / trials < 0.12  # ~5% expected, generous margin
 

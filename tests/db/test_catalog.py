@@ -24,7 +24,6 @@ class TestCatalogBasics:
         catalog.add_table(tiny_table, fact=True)
         assert catalog.has_table("tiny")
         assert catalog.is_fact_table("tiny")
-        assert catalog.table_names() == ["tiny"]
         assert catalog.cardinality("tiny") == 5
 
     def test_duplicate_table_rejected(self, tiny_table):
@@ -55,10 +54,6 @@ class TestCatalogBasics:
         assert len(star_catalog.foreign_keys("orders")) == 1
         assert star_catalog.find_foreign_key("orders", "stores") is not None
         assert star_catalog.find_foreign_key("orders", "nothing") is None
-
-    def test_dimension_attribute_columns(self, star_catalog):
-        names = [c.name for c in star_catalog.dimension_attribute_columns("orders")]
-        assert names == ["day"]
 
     def test_of_constructor(self, tiny_table):
         catalog = Catalog.of([tiny_table], fact_tables=["tiny"])

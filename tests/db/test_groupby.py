@@ -10,7 +10,7 @@ from repro.db.groupby import (
     normalize_value,
     segment_aggregate,
 )
-from repro.db.having import compile_row_predicate, evaluate_row_predicate
+from repro.db.having import compile_row_predicate
 from repro.db.schema import ColumnKind, Schema, categorical_dimension, measure, numeric_dimension
 from repro.db.table import Table
 from repro.errors import ExpressionError
@@ -209,7 +209,7 @@ class TestHavingEvaluator:
         with pytest.raises(ExpressionError):
             compile_row_predicate(bad, query)
 
-    def test_compat_wrapper_matches_compiled(self):
+    def test_compiled_reads_a_result_row(self):
         from repro.db.executor import ResultRow
 
         query = self.make_query(
@@ -217,7 +217,6 @@ class TestHavingEvaluator:
             "HAVING sum_revenue >= 5 AND region <> 'west'"
         )
         row = ResultRow(group_values=("east",), aggregates={"sum_revenue": 5.0})
-        assert evaluate_row_predicate(query.having, query, row)
         compiled = compile_row_predicate(query.having, query)
         assert compiled(row.group_values, row.aggregates)
 

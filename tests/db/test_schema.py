@@ -58,7 +58,6 @@ class TestSchema:
         schema = Schema.of(
             [measure("m"), numeric_dimension("d"), categorical_dimension("c"), key("k")]
         )
-        assert [c.name for c in schema.measure_columns()] == ["m"]
         assert sorted(c.name for c in schema.dimension_columns()) == ["c", "d"]
         assert [c.name for c in schema.key_columns()] == ["k"]
         assert schema.names() == ["m", "d", "c", "k"]

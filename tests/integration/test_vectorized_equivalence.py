@@ -45,6 +45,16 @@ def customer1():
     workload = Customer1Workload(num_rows=4_000, num_days=60, seed=13)
     catalog = workload.build_catalog()
     trace = [q.sql for q in workload.generate_trace(num_queries=20, seed=14)]
+    # Predicates no row satisfies: a scalar query's one group is then empty
+    # (every aggregate over no rows) and a grouped query has no groups.
+    trace.append(
+        "SELECT COUNT(*), SUM(revenue), AVG(price), MIN(price), MAX(revenue) "
+        "FROM sales WHERE date_key < 0"
+    )
+    trace.append(
+        "SELECT region, COUNT(*), SUM(revenue) FROM sales "
+        "JOIN dim_store ON store_key = store_key WHERE date_key < 0 GROUP BY region"
+    )
     return catalog, trace
 
 

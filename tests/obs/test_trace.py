@@ -98,6 +98,14 @@ class TestSpanTree:
             "attrs": {"n": 3},
         }
 
+    def test_non_finite_attrs_render_as_null(self):
+        tracer = Tracer(ring_capacity=4)
+        with tracer.request("unbounded"):
+            set_attrs(error_bound=float("inf"), spread=float("nan"), rows=3)
+        data = tracer.get("unbounded")
+        assert data["attrs"] == {"error_bound": None, "spread": None, "rows": 3}
+        json.dumps(data, allow_nan=False)
+
     def test_exception_marks_error_and_propagates(self):
         tracer = Tracer(ring_capacity=4)
         with pytest.raises(ValueError):

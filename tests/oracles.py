@@ -3,7 +3,8 @@
 Each function here is the slow, obviously-correct form of a production fast
 path: a whole-table predicate mask, a dict of first-seen group keys and one
 ``values[group_mask]`` reduction per cell (vs. the partitioned scan and the
-factorized group-by kernel), a per-row Python decision of every predicate
+factorized group-by kernel), scalar CLT estimates formed cell by cell (vs.
+the array estimators over all groups at once), a per-row Python decision of every predicate
 over decoded values (vs. dictionary-code predicates), and the covariance
 factor product taken
 attribute by attribute as full arrays (vs. one memoised scalar for an
@@ -13,12 +14,13 @@ them byte for byte.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.aqp.evaluation import _estimate_cell
 from repro.core import linalg
 from repro.core.kernel import se_average_factor
-from repro.aqp.types import AQPRow
+from repro.aqp.types import AggregateEstimate, AQPRow, InternalEstimates
 from repro.db.executor import QueryResult, ResultRow
 from repro.db.expressions import evaluate_expression, evaluate_predicate
 from repro.db.groupby import normalize_value
@@ -92,6 +94,79 @@ def execute(catalog, query) -> QueryResult:
         matches = compile_row_predicate(query.having, query)
         result.rows = [row for row in result.rows if matches(row.group_values, row.aggregates)]
     return result
+
+
+def _freq_estimate(selected_rows, scanned_rows):
+    if scanned_rows <= 0:
+        return 0.0, 1.0
+    p = selected_rows / scanned_rows
+    p_err = min(max(p, 1.0 / (scanned_rows + 1)), 1.0 - 1.0 / (scanned_rows + 1))
+    error = math.sqrt(p_err * (1.0 - p_err) / scanned_rows)
+    return p, error
+
+
+def _avg_estimate(values, fallback_std):
+    values = np.asarray(values, dtype=np.float64)
+    k = len(values)
+    if k == 0:
+        std = fallback_std if fallback_std is not None else 1.0
+        return 0.0, max(std, 1e-12)
+    mean = float(values.mean())
+    if k == 1:
+        std = fallback_std if fallback_std is not None else abs(mean)
+        return mean, max(std, 1e-12)
+    std = float(values.std(ddof=1))
+    if std == 0.0 and fallback_std:
+        std = min(fallback_std, abs(mean) if mean else fallback_std)
+    error = std / math.sqrt(k)
+    return mean, max(error, 0.0)
+
+
+def _estimate_cell(
+    aggregate, name, selected, scanned_rows, population_size, group_values, fallback_std
+):
+    """One (group, aggregate) cell by the scalar CLT formulas."""
+    freq_value, freq_error = _freq_estimate(selected, scanned_rows)
+    count_value, count_error = freq_value * population_size, freq_error * population_size
+
+    avg = None
+    if group_values is not None:
+        avg = _avg_estimate(group_values, fallback_std=fallback_std or 1.0)
+
+    function = aggregate.function
+    if function is ast.AggregateFunction.FREQ:
+        value, error = freq_value, freq_error
+    elif function is ast.AggregateFunction.COUNT:
+        value, error = count_value, count_error
+    elif function is ast.AggregateFunction.AVG:
+        value, error = avg
+    elif function is ast.AggregateFunction.SUM:
+        avg_value, avg_error = avg
+        value = avg_value * count_value
+        variance = (count_value * avg_error) ** 2 + (avg_value * count_error) ** 2
+        error = math.sqrt(max(variance, 0.0))
+    elif group_values is None or selected == 0:
+        value, error = 0.0, 0.0
+    else:
+        value = float(
+            group_values.min()
+            if function is ast.AggregateFunction.MIN
+            else group_values.max()
+        )
+        error = float(group_values.std(ddof=0)) if len(group_values) > 1 else abs(value)
+
+    internal = InternalEstimates(
+        freq_value=freq_value,
+        freq_error=freq_error,
+        avg_value=None if avg is None else avg[0],
+        avg_error=None if avg is None else avg[1],
+        selected_rows=selected,
+        scanned_rows=scanned_rows,
+        population_size=population_size,
+    )
+    return AggregateEstimate(
+        name=name, function=function, value=value, error=error, internal=internal
+    )
 
 
 def estimate(query, table, scanned_rows, population_size) -> list[AQPRow]:

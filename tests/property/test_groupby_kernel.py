@@ -12,10 +12,12 @@ append and join (``tests/histories.py``).
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.aqp.evaluation import estimate_answer
 from repro.db.executor import ExactExecutor
 from repro.db.catalog import Catalog
 from repro.db.groupby import factorize
@@ -151,3 +153,43 @@ def test_executor_vectorized_equals_legacy_bytewise(inputs, group_columns):
             old_value = old_row.aggregates[name]
             # Byte-identical, not approximately equal.
             assert np.float64(new_value).tobytes() == np.float64(old_value).tobytes()
+
+
+def same_bytes(left, right) -> bool:
+    """Equal floats down to the bit (None and ints compare plainly)."""
+    if isinstance(left, float) or isinstance(right, float):
+        return np.float64(left).tobytes() == np.float64(right).tobytes()
+    return left == right
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inputs=table_inputs,
+    group_columns=st.sampled_from([(), ("i",), ("c",), ("f", "i")]),
+    population=st.integers(min_value=1, max_value=10_000),
+)
+def test_estimates_equal_the_cell_oracle_bytewise(inputs, group_columns, population):
+    # Small int groups give empty, one-row and constant-valued segments: every
+    # fallback branch of the CLT formulas.
+    table = build_table(*inputs[:4])
+    select = ", ".join(group_columns + ("",)) if group_columns else ""
+    group_by = f" GROUP BY {', '.join(group_columns)}" if group_columns else ""
+    query = parse_query(
+        f"SELECT {select}SUM(m), AVG(i), SUM(i), COUNT(*), MIN(m), MAX(i), FREQ(*) "
+        f"FROM t WHERE i >= -1{group_by}"
+    )
+    rows = len(table)
+    answer = estimate_answer(query, table, rows, rows, population, 0.0)
+    expected = oracles.estimate(query, table, rows, population)
+
+    assert len(answer.rows) == len(expected)
+    for new_row, old_row in zip(answer.rows, expected):
+        assert keys_match(new_row.group_values, old_row.group_values)
+        assert new_row.estimates.keys() == old_row.estimates.keys()
+        for name, new in new_row.estimates.items():
+            old = old_row.estimates[name]
+            assert same_bytes(new.value, old.value) and same_bytes(new.error, old.error)
+            for field in fields(old.internal):
+                assert same_bytes(
+                    getattr(new.internal, field.name), getattr(old.internal, field.name)
+                ), (name, field.name)

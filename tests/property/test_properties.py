@@ -178,11 +178,11 @@ class TestEstimatorProperties:
     @settings(max_examples=80, deadline=None)
     def test_avg_and_sum_finite(self, values):
         array = np.asarray(values, dtype=np.float64)
-        avg = avg_estimate(array, fallback_std=1.0)
-        assert math.isfinite(avg.value) and avg.error >= 0.0
-        count = count_estimate(len(values), max(len(values), 1), 1_000)
+        avg = avg_estimate([array], fallback_std=1.0)
+        assert math.isfinite(avg.value[0]) and avg.error[0] >= 0.0
+        count = count_estimate(np.array([len(values)]), max(len(values), 1), 1_000)
         total = sum_estimate(avg, count)
-        assert math.isfinite(total.value) and total.error >= 0.0
+        assert math.isfinite(total.value[0]) and total.error[0] >= 0.0
 
 
 class TestMetricProperties:

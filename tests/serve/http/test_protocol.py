@@ -16,6 +16,8 @@ from repro.errors import (
 from repro.serve.http import protocol
 from repro.serve.http.admission import ShedLoad, ShuttingDown
 from repro.serve.http.protocol import ApiError
+from repro.serve.planner import Route
+from repro.serve.service import ServedAnswer, ServedRow
 
 
 def error_of(callable_, payload) -> ApiError:
@@ -196,3 +198,20 @@ class TestFingerprint:
         decoded = json.loads(fingerprint)
         assert list(decoded) == sorted(decoded)
         assert b": " not in fingerprint and b", " not in fingerprint
+
+
+class TestAnswerState:
+    def test_unbounded_answer_renders_as_strict_json(self):
+        answer = ServedAnswer(
+            sql="SELECT COUNT(*) FROM sales WHERE revenue > 1050",
+            route=Route.ONLINE_AGG,
+            rows=(ServedRow((), values={"count_star": 0.0}, errors={"count_star": 9.8}),),
+            relative_error_bound=float("inf"),
+            model_seconds=0.1,
+            wall_seconds=0.0,
+            supported=True,
+            budget_met=False,
+        )
+        state = protocol.answer_to_state(answer)
+        assert state["relative_error_bound"] is None
+        assert json.loads(json.dumps(state, allow_nan=False)) == state

@@ -28,6 +28,7 @@ from repro.deadline import CancelToken, cancel_scope
 from repro.errors import ExpressionError, QueryCancelled, SchemaError, ServiceError
 from repro.serve import ReadWriteLock, ServiceBudget, SynopsisStore, VerdictService
 from repro.serve.planner import Route
+from repro.sqlparser.parser import parse_query
 from repro.workloads.customer1 import Customer1Workload
 from repro.workloads.synthetic import make_sales_table
 
@@ -150,6 +151,28 @@ class TestBasicServing:
             )
             assert not answer.supported
             assert answer.rows
+
+    def test_zero_estimate_is_not_a_zero_bound(self):
+        # A 1 % sample holds none of the 72 rows matching this predicate: the
+        # sample estimate is 0.0 with a non-zero error, an unbounded relative
+        # error.  It must not meet a 5 % budget (the exact route serves the
+        # ask instead), nor be cached and served later as an exact answer.
+        table = make_sales_table(num_rows=200_000, num_weeks=52, seed=9)
+        catalog = Catalog()
+        catalog.add_table(table, fact=True)
+        sampling = SamplingConfig(sample_ratio=0.01, num_batches=10, seed=2)
+        sql = "SELECT COUNT(*) FROM sales WHERE revenue > 1050"
+        with VerdictService(catalog, sampling=sampling, config=CONFIG) as service:
+            raw = next(iter(service.aqp.run(parse_query(sql))))
+            assert raw.scalar_estimate().value == 0.0
+            assert raw.scalar_estimate().error > 0.0
+            assert raw.mean_relative_error_bound(1.96) == float("inf")
+            interactive = service.query(sql, budget=ServiceBudget.interactive(0.05))
+            assert interactive.scalar() == 72.0
+            assert interactive.budget_met
+            exact = service.query(sql, budget=ServiceBudget.exact())
+            assert exact.scalar() == 72.0
+            assert exact.relative_error_bound == 0.0
 
 
 class TestClientQueryErrors:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sqlparser import ast
-from repro.sqlparser.decompose import count_snippets, decompose_query
+from repro.sqlparser.decompose import decompose_query
 from repro.sqlparser.parser import parse_query
 
 
@@ -46,15 +46,6 @@ class TestGroupBy:
             assert isinstance(equality, ast.Comparison)
             assert equality.op is ast.ComparisonOp.EQ
 
-    def test_group_values_dict_and_to_query(self):
-        query = parse_query("SELECT region, COUNT(*) FROM sales GROUP BY region")
-        specs = decompose_query(query, group_rows=[("east",)])
-        spec = specs[0]
-        assert spec.group_values_dict == {"region": "east"}
-        snippet_query = spec.to_query()
-        assert snippet_query.group_by == ()
-        assert len(snippet_query.select) == 1
-
     def test_multi_column_group_by(self):
         query = parse_query(
             "SELECT region, week, AVG(revenue) FROM sales GROUP BY region, week"
@@ -80,9 +71,3 @@ class TestBounds:
         query = parse_query("SELECT COUNT(*) FROM t")
         with pytest.raises(ValueError):
             decompose_query(query, max_snippets=0)
-
-    def test_count_snippets(self):
-        query = parse_query("SELECT region, AVG(a), SUM(b) FROM t GROUP BY region")
-        assert count_snippets(query, group_rows=[("x",), ("y",)]) == 4
-        scalar = parse_query("SELECT AVG(a) FROM t")
-        assert count_snippets(scalar) == 1
