@@ -36,6 +36,7 @@ from repro.db.groupby import GroupedSelection, factorize
 from repro.db.having import compile_row_predicate
 from repro.db.scan import ScanCounters, scan_selected
 from repro.db.table import Table
+from repro.deadline import UNLIMITED, Limits
 from repro.errors import ExpressionError
 from repro.sqlparser import ast
 
@@ -127,6 +128,7 @@ def estimate_answer(
     elapsed_seconds: float,
     batches_processed: int = 0,
     counters: ScanCounters | None = None,
+    limits: Limits = UNLIMITED,
 ) -> AQPAnswer:
     """Build an :class:`AQPAnswer` from an already-joined sample prefix.
 
@@ -146,6 +148,8 @@ def estimate_answer(
         Cumulative model time charged so far for this query.
     batches_processed:
         How many online-aggregation batches the prefix covers.
+    limits:
+        The request's deadline and cancel token, polled by the scan.
     """
     aggregate_items = [item for item in query.select if item.is_aggregate]
     aggregate_names = tuple(item.output_name for item in aggregate_items)
@@ -154,7 +158,7 @@ def estimate_answer(
     # Partitioned, pruned scan over the (slice-view) prefix; the merge
     # order of the scan driver keeps the selection identical to a
     # whole-prefix evaluation.
-    selected, _ = scan_selected(scanned_table, query.where, counters=counters)
+    selected, _ = scan_selected(scanned_table, query.where, counters, limits)
     grouped = factorize(scanned_table, None, group_columns, selected_indices=selected)
     rows: list[AQPRow] = []
     if grouped is not None:

@@ -26,7 +26,7 @@ from repro.db.io_model import IOSimulator
 from repro.db.sampling import SampleStore
 from repro.db.scan import ScanCounters
 from repro.db.table import Table
-from repro.deadline import check_deadline, deadline_scope
+from repro.deadline import UNLIMITED, Limits
 from repro.errors import AQPError, DeadlineExceeded
 from repro.sqlparser import ast
 
@@ -81,59 +81,59 @@ class OnlineAggregationEngine:
 
     # ------------------------------------------------------------------ public
 
-    def run(self, query: ast.Query) -> Iterator[AQPAnswer]:
+    def run(self, query: ast.Query, limits: Limits = UNLIMITED) -> Iterator[AQPAnswer]:
         """Yield cumulative approximate answers, one per processed batch.
 
         Every joined prefix of :meth:`_prefixes` is estimated (scan, group-by
         and CLT bounds), so a caller can stop at any batch with a valid
         answer.  A caller that only keeps the last answer should use
-        :meth:`final_answer`, which estimates that prefix alone.
+        :meth:`final_answer`, which estimates that prefix alone.  The batch
+        loop and each estimate's scan poll ``limits``.
         """
-        for prefix in self._prefixes(query):
-            yield self._estimate(query, prefix)
+        for prefix in self._prefixes(query, limits):
+            yield self._estimate(query, prefix, limits)
 
-    def execute(self, query: ast.Query) -> list[AQPAnswer]:
+    def execute(self, query: ast.Query, limits: Limits = UNLIMITED) -> list[AQPAnswer]:
         """Every answer of :meth:`run`, one per batch.
 
-        When the ambient request deadline (:mod:`repro.deadline`) expires
-        between batches the answers collected so far are returned -- every
-        prefix is a valid estimate ± error, so an expired deadline degrades
-        accuracy, not correctness; with no batch processed yet the
+        When the request deadline in ``limits`` expires between batches the
+        answers collected so far are returned -- every prefix is a valid
+        estimate ± error, so an expired deadline degrades accuracy, not
+        correctness; with no batch processed yet the
         :class:`~repro.errors.DeadlineExceeded` propagates (there is nothing
         to degrade to).
         """
         answers: list[AQPAnswer] = []
         try:
-            for answer in self.run(query):
+            for answer in self.run(query, limits):
                 answers.append(answer)
         except DeadlineExceeded:
             if not answers:
                 raise
         return answers
 
-    def final_answer(self, query: ast.Query) -> AQPAnswer:
+    def final_answer(self, query: ast.Query, limits: Limits = UNLIMITED) -> AQPAnswer:
         """The answer over the whole sample, estimated once.
 
         The batches are joined exactly as :meth:`run` joins them, but only
-        the last prefix reached is estimated.  When the ambient deadline
-        expires, the per-batch poll stops the loop and the last prefix
-        joined before it is estimated; with no batch joined the
+        the last prefix reached is estimated.  When the deadline in
+        ``limits`` expires, the per-batch poll stops the loop and the last
+        prefix joined before it is estimated; with no batch joined the
         :class:`~repro.errors.DeadlineExceeded` propagates.  That one
-        estimate runs with the deadline lifted (cancellation still aborts
-        it): it is the answer the loop already paid for, and an expired
-        deadline degrades accuracy, never the answer itself.
+        estimate runs without the deadline (cancellation still aborts it):
+        it is the answer the loop already paid for, and an expired deadline
+        degrades accuracy, never the answer itself.
         """
         last: _Prefix | None = None
         try:
-            for last in self._prefixes(query):
+            for last in self._prefixes(query, limits):
                 pass
         except DeadlineExceeded:
             if last is None:
                 raise
         if last is None:
             raise AQPError("online aggregation produced no answers")
-        with deadline_scope(None):
-            return self._estimate(query, last)
+        return self._estimate(query, last, Limits(cancel=limits.cancel))
 
     def first_answer(self, query: ast.Query) -> AQPAnswer:
         """The answer after the first batch only (cheapest, least accurate)."""
@@ -143,10 +143,10 @@ class OnlineAggregationEngine:
 
     # ----------------------------------------------------------------- batches
 
-    def _prefixes(self, query: ast.Query) -> Iterator[_Prefix]:
+    def _prefixes(self, query: ast.Query, limits: Limits) -> Iterator[_Prefix]:
         """Yield the joined sample prefix after every batch.
 
-        Each batch polls the ambient deadline, passes the ``aqp.batch`` fault
+        Each batch polls ``limits``, passes the ``aqp.batch`` fault
         point and charges the IO model before it is joined.  The dimension
         joins are computed *incrementally*: each batch joins only its newly
         scanned sample rows and appends them to the joined prefix of the
@@ -171,10 +171,10 @@ class OnlineAggregationEngine:
         previous_rows = 0
         joined: Table | None = None
         for batch_number, (rows, prefix) in enumerate(sample.iter_batch_prefixes(), start=1):
-            # Cooperative cancellation: one ambient-deadline poll per batch.
-            # Callers holding a previous batch's estimate catch the raise and
-            # serve that prefix estimate as a flagged partial answer.
-            check_deadline(f"online aggregation batch {batch_number}")
+            # Cooperative cancellation: one poll per batch.  Callers holding
+            # a previous batch's estimate catch a DeadlineExceeded and serve
+            # that prefix estimate as a flagged partial answer.
+            limits.check(f"online aggregation batch {batch_number}")
             faults.inject("aqp.batch", batch=batch_number)
             first_batch = batch_number == 1
             report = self.io.charge_query(
@@ -205,7 +205,7 @@ class OnlineAggregationEngine:
             previous_rows = rows
             yield _Prefix(joined, elapsed, batch_number, sample.sample_size, population_size)
 
-    def _estimate(self, query: ast.Query, prefix: _Prefix) -> AQPAnswer:
+    def _estimate(self, query: ast.Query, prefix: _Prefix, limits: Limits) -> AQPAnswer:
         return estimate_answer(
             query=query,
             scanned_table=prefix.joined,
@@ -215,6 +215,7 @@ class OnlineAggregationEngine:
             elapsed_seconds=prefix.elapsed_seconds,
             batches_processed=prefix.batches_processed,
             counters=self.scan_counters,
+            limits=limits,
         )
 
     # ----------------------------------------------------------------- helpers

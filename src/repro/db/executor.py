@@ -38,6 +38,7 @@ from repro.db.expressions import evaluate_expression_at
 from repro.db.groupby import factorize, segment_aggregate
 from repro.db.having import compile_row_predicate
 from repro.db.scan import ScanCounters, ScanReport, scan_selected
+from repro.deadline import UNLIMITED, Limits
 from repro.sqlparser import ast
 
 Value = Union[int, float, str]
@@ -114,8 +115,8 @@ class ExactExecutor:
 
     # ------------------------------------------------------------------ public
 
-    def execute(self, query: ast.Query) -> QueryResult:
-        """Execute ``query`` and return its exact result."""
+    def execute(self, query: ast.Query, limits: Limits = UNLIMITED) -> QueryResult:
+        """Execute ``query`` and return its exact result; the scan polls ``limits``."""
         table = self.catalog.denormalize(query)
         aggregate_items = [item for item in query.select if item.is_aggregate]
         aggregate_names = tuple(item.output_name for item in aggregate_items)
@@ -127,7 +128,7 @@ class ExactExecutor:
         # order is row order, so the selection is identical to a
         # whole-table evaluation.
         selected, self.last_scan_report = scan_selected(
-            table, query.where, self.scan_counters
+            table, query.where, self.scan_counters, limits
         )
 
         # Each measure expression is evaluated once per query -- and only

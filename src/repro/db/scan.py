@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.deadline import current_cancel, current_deadline
+from repro.deadline import UNLIMITED, Limits
 from repro.db.expressions import _flip, distinct_match_mask, evaluate_predicate
 from repro.obs.trace import span as obs_span
 from repro.db.partition import DEFAULT_PARTITION_ROWS, TablePartitions, table_partitions
@@ -291,6 +291,7 @@ def scan_selected(
     table: Table,
     predicate: ast.Predicate | None,
     counters: ScanCounters | None = None,
+    limits: Limits = UNLIMITED,
 ) -> tuple[np.ndarray, ScanReport]:
     """Selected row indices of ``predicate`` over ``table``, zone-map pruned.
 
@@ -299,11 +300,12 @@ def scan_selected(
     evaluating only the partitions whose zone maps may match.
 
     The scan is accounted into ``counters``, the calling component's (an
-    executor's, a service's).  Under an active request trace each scan
-    also contributes a ``scan`` span carrying the report.
+    executor's, a service's), and polls the request's ``limits`` once per
+    morsel.  Under an active request trace each scan also contributes a
+    ``scan`` span carrying the report.
     """
     with obs_span("scan", table=table.name) as scan_span:
-        selected, report = _scan_selected(table, predicate)
+        selected, report = _scan_selected(table, predicate, limits)
         if counters is not None:
             counters.record(report)
         if scan_span is not None:
@@ -320,6 +322,7 @@ def scan_selected(
 def _scan_selected(
     table: Table,
     predicate: ast.Predicate | None,
+    limits: Limits,
 ) -> tuple[np.ndarray, ScanReport]:
     partitions = table_partitions(table)
     if len(table) == 0:
@@ -343,15 +346,10 @@ def _scan_selected(
     # armed cancel token aborts it (DeadlineExceeded / QueryCancelled)
     # rather than returning a partial result; both are polled once per
     # morsel.
-    deadline = current_deadline()
-    cancel = current_cancel()
     parts: list[np.ndarray] = []
     for run_start, run_end in runs:
         for start in range(run_start, run_end, MORSEL_ROWS):
-            if cancel is not None:
-                cancel.check("partitioned scan")
-            if deadline is not None:
-                deadline.check("partitioned scan")
+            limits.check("partitioned scan")
             end = min(start + MORSEL_ROWS, run_end)
             local = np.flatnonzero(
                 evaluate_predicate(predicate, table.slice_rows(start, end))

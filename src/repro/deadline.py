@@ -1,10 +1,11 @@
 """Per-request wall-clock deadlines with cooperative cancellation.
 
 A :class:`Deadline` is an absolute monotonic-clock expiry created once per
-request.  The serving layer installs it as the *ambient* deadline for the
-request's context (:func:`deadline_scope`), and the long-running loops deep
-in the stack -- the online-aggregation batch loop and the morsel scan loop
--- poll it between units of work:
+request, and a :class:`CancelToken` is a latch the front door arms when the
+client cancels or hangs up.  ``VerdictService.query`` bundles the two into
+one frozen :class:`Limits` value and passes it down, as an argument, to the
+long-running loops deep in the stack -- the online-aggregation batch loop
+and the morsel scan loop -- which poll it between units of work:
 
 * loops that can return a **partial answer** (online aggregation holds a
   valid estimate ± error after every batch) keep the last estimate when
@@ -14,16 +15,13 @@ in the stack -- the online-aggregation batch loop and the morsel scan loop
   HTTP 504.
 
 Cancellation is cooperative by design: Python threads cannot be safely
-killed, so every cancellable loop opts in with one cheap ``expired`` check
-per batch/morsel.  The ambient deadline and token live in
-``contextvars``, like the ambient trace span: ``contextvars.copy_context()``
-carries them onto a worker (``VerdictService.submit`` does this), while a
-bare ``threading.Thread`` starts with an empty context and sees neither.
+killed, so every cancellable loop opts in with one cheap ``check`` per
+batch/morsel.  Library callers that pass no limits get :data:`UNLIMITED`,
+whose check is a no-op.
 
-A :class:`CancelToken` rides the same ambient mechanism and the same
-checkpoints: the front door creates one per request, arms it when
+The front door creates one token per request, arms it when
 ``POST /v1/cancel/<request_id>`` arrives or when the client socket reports
-a disconnect, and ``check_deadline`` raises
+a disconnect, and :meth:`Limits.check` raises
 :class:`~repro.errors.QueryCancelled` at the next poll.  Unlike a deadline
 expiry, a cancellation never yields a partial answer -- nobody is
 listening -- so the serving layer aborts without caching or recording.
@@ -31,12 +29,10 @@ listening -- so the serving layer aborts without caching or recording.
 
 from __future__ import annotations
 
-import contextvars
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import DeadlineExceeded, QueryCancelled
 
@@ -127,11 +123,6 @@ class Deadline:
     def expired(self) -> bool:
         return time.monotonic() >= self.expires_at
 
-    @property
-    def remaining_s(self) -> float:
-        """Seconds until expiry (negative once expired)."""
-        return self.expires_at - time.monotonic()
-
     def check(self, where: str = "") -> None:
         """Raise :class:`DeadlineExceeded` if this deadline has expired."""
         if self.expired:
@@ -141,63 +132,26 @@ class Deadline:
             )
 
 
-_DEADLINE: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
-    "repro_deadline", default=None
-)
-_CANCEL: contextvars.ContextVar[CancelToken | None] = contextvars.ContextVar(
-    "repro_cancel", default=None
-)
+@dataclass(frozen=True)
+class Limits:
+    """One request's deadline and cancel token, passed down explicitly.
 
-
-def current_deadline() -> Deadline | None:
-    """The ambient deadline of the calling context, if any."""
-    return _DEADLINE.get()
-
-
-@contextmanager
-def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
-    """Install ``deadline`` as the calling context's ambient deadline.
-
-    ``None`` is accepted (and is a no-op) so callers can wrap requests
-    uniformly whether or not a deadline was requested.  Scopes nest; the
-    previous ambient deadline is restored on exit.
-    """
-    token = _DEADLINE.set(deadline)
-    try:
-        yield deadline
-    finally:
-        _DEADLINE.reset(token)
-
-
-def current_cancel() -> CancelToken | None:
-    """The ambient cancel token of the calling context, if any."""
-    return _CANCEL.get()
-
-
-@contextmanager
-def cancel_scope(token: CancelToken | None) -> Iterator[CancelToken | None]:
-    """Install ``token`` as the calling context's ambient cancel token.
-
-    Mirrors :func:`deadline_scope`: ``None`` is a no-op, scopes nest, and
-    the token follows the request wherever its context is copied.
-    """
-    reset = _CANCEL.set(token)
-    try:
-        yield token
-    finally:
-        _CANCEL.reset(reset)
-
-
-def check_deadline(where: str = "") -> None:
-    """Raise if the ambient deadline expired or the ambient token cancelled.
-
-    Cancellation is checked first: a request that is both cancelled and past
-    its deadline aborts as *cancelled* (nobody is listening for a degraded
+    Either part may be ``None``.  :meth:`check` polls the token first and
+    the deadline second: a request that is both cancelled and past its
+    deadline aborts as *cancelled* (nobody is listening for a degraded
     partial), keeping the audit/metrics story unambiguous.
     """
-    token = current_cancel()
-    if token is not None:
-        token.check(where)
-    deadline = current_deadline()
-    if deadline is not None:
-        deadline.check(where)
+
+    deadline: Deadline | None = None
+    cancel: CancelToken | None = None
+
+    def check(self, where: str = "") -> None:
+        """Raise if the token is cancelled or the deadline expired."""
+        if self.cancel is not None:
+            self.cancel.check(where)
+        if self.deadline is not None:
+            self.deadline.check(where)
+
+
+#: No deadline and no token: every check is a no-op.
+UNLIMITED = Limits()

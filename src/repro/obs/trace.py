@@ -7,8 +7,9 @@ layer underneath -- admission wait, planner, each route attempt, partition
 scans, GP inference, cache lookups -- opens child spans with a plain
 ``with span("name", attr=...)`` and zero signature plumbing.  Context
 propagation across the service's worker pool uses
-``contextvars.copy_context()`` (see ``VerdictService.submit``), the same
-mechanism the ambient deadline rides.
+``contextvars.copy_context()`` (see ``VerdictService.submit``).  The
+request's deadline and cancel token are not ambient: they are passed down
+as arguments (:class:`repro.deadline.Limits`).
 
 Each span records wall time (``perf_counter``), CPU time of its thread
 (``thread_time``), a status (``ok`` / ``error``), and free-form attributes

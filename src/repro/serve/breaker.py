@@ -106,15 +106,20 @@ class CircuitBreaker:
         can wedge half-open.
         """
         with self._lock:
-            self._advance()
-            if self._state == CLOSED:
-                return True
-            if self._state == OPEN:
+            if not self._admits():
                 return False
-            if self._probes_inflight >= self.probe_limit:
-                return False
-            self._probes_inflight += 1
+            if self._state == HALF_OPEN:
+                self._probes_inflight += 1
             return True
+
+    def admits(self) -> bool:
+        """Whether :meth:`allow` would admit an attempt now, consuming nothing.
+
+        EXPLAIN reads this: it reports what the next request would do
+        without taking a half-open probe slot.
+        """
+        with self._lock:
+            return self._admits()
 
     def record_success(self) -> None:
         with self._lock:
@@ -163,6 +168,13 @@ class CircuitBreaker:
             }
 
     # --------------------------------------------------------------- internals
+
+    def _admits(self) -> bool:
+        """Advance, then: closed, or half-open with a free probe slot (lock held)."""
+        self._advance()
+        if self._state == HALF_OPEN:
+            return self._probes_inflight < self.probe_limit
+        return self._state == CLOSED
 
     def _advance(self) -> None:
         """Open -> half-open once the cooldown has elapsed (lock held)."""

@@ -22,7 +22,7 @@ other tenants.
 registers each in-flight ask's :class:`~repro.deadline.CancelToken` under
 its request id; ``POST /v1/cancel/<request_id>`` (or a client disconnect
 detected by the token's socket probe) arms the token, and the next
-``check_deadline`` poll deep in the scan/online-agg loops raises
+``Limits.check`` poll deep in the scan/online-agg loops raises
 :class:`~repro.errors.QueryCancelled` -- the worker slot frees promptly and
 nothing is cached or recorded.
 

@@ -90,7 +90,7 @@ from urllib.parse import parse_qs
 
 from repro import faults
 from repro.core.linalg import blas_threads
-from repro.deadline import CancelToken, cancel_scope
+from repro.deadline import CancelToken
 from repro.errors import QueryCancelled
 from repro.obs.metrics import Registry, render_prometheus
 from repro.obs.trace import (
@@ -642,19 +642,18 @@ class _Handler(BaseHTTPRequestHandler):
                 record = request.record
                 if not server.replication.is_writable:
                     record = False
-                # The cancel token is ambient for the whole execution: a
-                # POST /v1/cancel under this request id (or the disconnect
-                # probe noticing the client hung up) arms it, and the next
+                # The cancel token rides the whole execution: a POST
+                # /v1/cancel under this request id (or the disconnect probe
+                # noticing the client hung up) arms it, and the next
                 # scan/online-agg checkpoint raises QueryCancelled.
                 token = CancelToken(probe=self._disconnect_probe())
                 with server.governor.cancels.track(
                     self.active_request_id, token, request.tenant
                 ):
                     try:
-                        with cancel_scope(token):
-                            answer = tenant.service.query(
-                                request.sql, budget=effective, record=record
-                            )
+                        answer = tenant.service.query(
+                            request.sql, budget=effective, record=record, cancel=token
+                        )
                     except QueryCancelled as error:
                         server.governor.record_cancel(request.tenant, error.reason)
                         audit_fields["cancelled"] = error.reason

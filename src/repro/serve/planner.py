@@ -153,8 +153,9 @@ class QueryPlanner:
         The cached route is not planned here: the service consults its answer
         cache before calling the planner (a hit needs no plan at all).
         """
-        exact_cost = self.estimated_exact_seconds(query)
+        query_seconds = self.engine.aqp.cost_model.query_seconds
         exact_rows = self.estimated_exact_rows(query)
+        exact_cost = query_seconds(exact_rows)
         if budget.requires_exact:
             return [
                 RouteDecision(
@@ -167,8 +168,8 @@ class QueryPlanner:
             ]
 
         decisions: list[RouteDecision] = []
-        batch_cost = self.estimated_first_batch_seconds(query)
         batch_rows = self.estimated_first_batch_rows(query)
+        batch_cost = query_seconds(batch_rows)
         batch_error = self.estimated_batch_error(batch_rows)
         if check.supported:
             ready = self.synopsis_snippets_for(query.table)

@@ -83,7 +83,7 @@ from repro.db.catalog import Catalog
 from repro.db.executor import ExactExecutor
 from repro.db.scan import ScanCounters
 from repro.db.table import Table
-from repro.deadline import Deadline, current_deadline, deadline_scope
+from repro.deadline import CancelToken, Deadline, Limits
 from repro.errors import (
     DeadlineExceeded,
     ExpressionError,
@@ -382,22 +382,22 @@ class VerdictService:
         sql: Union[str, ast.Query],
         budget: ServiceBudget | None = None,
         record: bool | None = None,
+        cancel: CancelToken | None = None,
     ) -> ServedAnswer:
         """Answer one request within its budget, via the cheapest able route.
 
         Thread-safe; may be called from any thread (the worker pool uses this
         method too).  Raises :class:`ServiceError` when the service is closed
-        and propagates parse errors to the caller.
+        and propagates parse errors to the caller.  The deadline starts now;
+        the sample batch loop and the exact scan's morsel loop poll it and
+        ``cancel``.
         """
         budget = budget or self.default_budget
-        deadline = (
-            Deadline.after(budget.deadline_s) if budget.deadline_s is not None else None
-        )
-        # The deadline is ambient for this request's context: the sample
-        # batch loop and the exact scan's morsel loop poll it cooperatively.
-        with self._request_scope(), deadline_scope(deadline):
+        deadline = Deadline.after(budget.deadline_s) if budget.deadline_s is not None else None
+        limits = Limits(deadline, cancel)
+        with self._request_scope():
             try:
-                return self._serve_within_deadline(sql, budget, record)
+                return self._serve_within_deadline(sql, budget, record, limits)
             except DeadlineExceeded:
                 self.metrics.record_event("deadline.exceeded")
                 raise
@@ -417,9 +417,10 @@ class VerdictService:
         estimates, planning order, per-route reasons), whether the answer
         cache would hit, each breaker's state and the resulting skip
         decisions, and the cost-model inputs (estimated scan rows, sample
-        batch rows, synopsis readiness).  Reading breaker state here never
-        consumes a half-open probe slot, and the cache probe never touches
-        LRU order -- EXPLAIN observes, it does not perturb.
+        batch rows, synopsis readiness).  Breakers are read through
+        ``admits()``, which never consumes a half-open probe slot, and the
+        cache probe never touches LRU order -- EXPLAIN observes, it does not
+        perturb.
         """
         with self._request_scope():
             budget = budget or self.default_budget
@@ -474,11 +475,13 @@ class VerdictService:
                 if breaker is not None:
                     snapshot = breaker.snapshot()
                     entry["breaker"] = snapshot
-                    if snapshot["state"] == "open":
+                    if not breaker.admits():
                         would_attempt = False
                         skip_reason = (
                             "circuit breaker open for another "
                             f"{snapshot['cooldown_remaining_s']:.3g}s"
+                            if snapshot["state"] == "open"
+                            else "circuit breaker half-open with its probe slots taken"
                         )
                 if route is Route.ONLINE_AGG and Route.LEARNED in planned:
                     entry["note"] = (
@@ -493,7 +496,6 @@ class VerdictService:
                     chosen = route.value
                 candidates.append(entry)
 
-            deadline = current_deadline()
             return {
                 "sql": parsed.text or (sql if isinstance(sql, str) else ""),
                 "table": parsed.table,
@@ -504,12 +506,6 @@ class VerdictService:
                     "max_latency_s": budget.max_latency_s,
                     "deadline_s": budget.deadline_s,
                     "requires_exact": budget.requires_exact,
-                },
-                "deadline": {
-                    "ambient": deadline is not None,
-                    "remaining_s": (
-                        deadline.remaining_s if deadline is not None else None
-                    ),
                 },
                 "candidates": candidates,
                 "chosen_route": chosen,
@@ -538,6 +534,7 @@ class VerdictService:
         sql: Union[str, ast.Query],
         budget: ServiceBudget,
         record: bool | None,
+        limits: Limits,
     ) -> ServedAnswer:
         started = time.perf_counter()
         # The cache is keyed by the request itself (SQL text or parsed
@@ -549,7 +546,7 @@ class VerdictService:
                 cache_span.set(hit=answer is not None)
         fallback = False
         if answer is None:
-            answer, fallback = self._waterfall(sql, budget, record)
+            answer, fallback = self._waterfall(sql, budget, record, limits)
         answer = replace(answer, wall_seconds=time.perf_counter() - started)
         if answer.degraded:
             self.metrics.record_event("deadline.degraded")
@@ -575,6 +572,7 @@ class VerdictService:
         sql: Union[str, ast.Query],
         budget: ServiceBudget,
         record: bool | None,
+        limits: Limits,
     ) -> tuple[ServedAnswer, bool]:
         """Plan, try the routes cheapest first, then record and cache the best.
 
@@ -641,7 +639,7 @@ class VerdictService:
                     predicted_error=decision.estimated_error,
                 ) as route_span:
                     candidate, raw, versions = self._execute_route(
-                        decision, parsed, check, budget
+                        decision, parsed, check, budget, limits
                     )
                     if route_span is not None:
                         route_span.set(
@@ -733,16 +731,17 @@ class VerdictService:
         sql: Union[str, ast.Query],
         budget: ServiceBudget | None = None,
         record: bool | None = None,
+        cancel: CancelToken | None = None,
     ) -> Future:
         """Queue a request on the worker pool; returns a ``Future``."""
         if self._phase != "serving":
             raise ServiceError("service is closed")
         faults.inject("service.submit")
-        # The ambient trace, deadline and cancel token are contextvars and
-        # must follow the request onto the worker thread; a plain submit
-        # would run it in the pool thread's own empty context.
+        # The ambient trace is a contextvar and must follow the request onto
+        # the worker thread; a plain submit would run it in the pool
+        # thread's own empty context.
         context = contextvars.copy_context()
-        return self._pool.submit(context.run, self.query, sql, budget, record)
+        return self._pool.submit(context.run, self.query, sql, budget, record, cancel)
 
     def append(self, table_name: str, appended: Table, adjust: bool = True) -> int:
         """Append tuples to a fact table with exclusive access (Appendix D).
@@ -1130,6 +1129,7 @@ class VerdictService:
         parsed: ast.Query,
         check: CheckResult,
         budget: ServiceBudget,
+        limits: Limits,
     ) -> tuple[ServedAnswer, AQPAnswer | None, tuple[int, int, int]]:
         """Run one route; returns (answer, raw, versions-at-execution).
 
@@ -1143,7 +1143,7 @@ class VerdictService:
         cut = ""
         with self._table_lock(parsed.table).read():
             if decision.route is Route.EXACT:
-                result = self.exact.execute(parsed)
+                result = self.exact.execute(parsed, limits)
                 models_version = None
                 rows = tuple(
                     ServedRow(
@@ -1156,7 +1156,7 @@ class VerdictService:
                 bound, model_seconds = 0.0, decision.estimated_seconds
             else:
                 estimate, raw, models_version, cut = self._run_sampled(
-                    decision.route, parsed, check, budget
+                    decision.route, parsed, check, budget, limits
                 )
                 rows = tuple(
                     ServedRow(
@@ -1196,6 +1196,7 @@ class VerdictService:
         parsed: ast.Query,
         check: CheckResult,
         budget: ServiceBudget,
+        limits: Limits,
     ) -> tuple[Union[AQPAnswer, VerdictAnswer], AQPAnswer, int | None, str]:
         """Online aggregation, plus one inference step per batch when learned.
 
@@ -1212,7 +1213,7 @@ class VerdictService:
         raw: AQPAnswer | None = None
         models_version: int | None = None
         try:
-            for raw in self.aqp.run(parsed):
+            for raw in self.aqp.run(parsed, limits):
                 estimate = raw
                 if route is Route.LEARNED:
                     # Background training swaps the models under the engine

@@ -4,12 +4,11 @@ import pytest
 
 from repro import faults
 from repro.aqp.online_agg import OnlineAggregationEngine
-from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
+from repro.config import CostModelConfig, SamplingConfig
 from repro.db.executor import ExactExecutor
-from repro.deadline import Deadline, deadline_scope
-from repro.errors import AQPError, DeadlineExceeded, FaultInjectedError
+from repro.deadline import CancelToken, Deadline, Limits
+from repro.errors import AQPError, DeadlineExceeded, FaultInjectedError, QueryCancelled
 from repro.faults import FaultPlan, FaultRule
-from repro.serve import VerdictService
 from repro.sqlparser.parser import parse_query
 
 
@@ -174,7 +173,9 @@ class TestFinalAnswerEstimatesOnePrefix:
         estimated = []
         estimate = engine._estimate
         monkeypatch.setattr(
-            engine, "_estimate", lambda q, prefix: estimated.append(1) or estimate(q, prefix)
+            engine,
+            "_estimate",
+            lambda q, prefix, limits: estimated.append(1) or estimate(q, prefix, limits),
         )
         engine.final_answer(query)
         assert len(estimated) == 1
@@ -185,38 +186,32 @@ class TestFinalAnswerEstimatesOnePrefix:
         expected = list(engine.run(query))[batch - 1]
         # Batch k stalls past the deadline; batch k + 1's poll then raises.
         stall_batch(batch)
-        with deadline_scope(Deadline.after(0.2)):
-            answer = engine.final_answer(query)
+        answer = engine.final_answer(query, Limits(deadline=Deadline.after(0.2)))
         assert_same_answer(answer, expected)
 
     def test_deadline_before_any_batch_raises(self, engine, no_fault_plan):
         query = parse_query("SELECT AVG(revenue) FROM sales")
         deadline = Deadline(expires_at=0.0, budget_s=1.0)
-        with deadline_scope(deadline), pytest.raises(DeadlineExceeded):
-            engine.final_answer(query)
+        with pytest.raises(DeadlineExceeded):
+            engine.final_answer(query, Limits(deadline=deadline))
+
+    def test_cancel_still_aborts_the_estimate_after_the_deadline(
+        self, engine, no_fault_plan
+    ):
+        query = parse_query("SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25")
+        deadline = Deadline.after(0.2)
+        # The token arms itself once the deadline has expired: only after
+        # the last batch's poll, while that batch stalls.  The one estimate
+        # runs without the deadline but must still see the token.
+        token = CancelToken(
+            probe=lambda: "requested" if deadline.expired else None, probe_interval_s=0.0
+        )
+        stall_batch(engine.sampling.num_batches)
+        with pytest.raises(QueryCancelled):
+            engine.final_answer(query, Limits(deadline=deadline, cancel=token))
 
     def test_fault_at_batch_k_still_raises(self, engine, no_fault_plan):
         query = parse_query("SELECT AVG(revenue) FROM sales")
         faults.install(FaultPlan([FaultRule(point="aqp.batch", action="error", after=3)]))
         with pytest.raises(FaultInjectedError):
             engine.final_answer(query)
-
-    def test_record_answer_under_a_deadline_records_batch_k(
-        self, sales_catalog, no_fault_plan
-    ):
-        sql = "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25"
-        sampling = SamplingConfig(sample_ratio=0.3, num_batches=5, seed=2)
-        config = VerdictConfig(learn_length_scales=False)
-        cut = VerdictService(sales_catalog, sampling=sampling, config=config)
-        reference = VerdictService(sales_catalog, sampling=sampling, config=config)
-        with cut, reference:
-            stall_batch(2)
-            with deadline_scope(Deadline.after(0.2)):
-                assert cut.record_answer(sql)
-            faults.clear()
-            parsed = parse_query(sql)
-            reference.engine.record(parsed, list(reference.aqp.run(parsed))[1])
-            recorded = cut.engine.synopsis.state_dict()
-            assert recorded == reference.engine.synopsis.state_dict()
-            assert reference.record_answer(sql)  # the full sample adds a different snippet
-            assert recorded != reference.engine.synopsis.state_dict()

@@ -13,6 +13,7 @@ import pytest
 from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
 from repro.serve import ServiceBudget, VerdictService
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.planner import Route
 from repro.workloads.synthetic import make_sales_table
 
@@ -87,6 +88,32 @@ class TestDecisionRecord:
         assert online["would_attempt"] is False
         assert "circuit breaker open" in online["skip_reason"]
         assert plan["chosen_route"] == "exact"
+
+    def test_half_open_breaker_with_its_probe_taken_reports_skip(self, service):
+        """A half-open breaker whose one probe slot is in flight rejects the
+        next attempt: EXPLAIN must say so, and query must agree."""
+        clock = [0.0]
+        breaker = CircuitBreaker(
+            name=Route.ONLINE_AGG.value, window=1, cooldown_s=1.0, clock=lambda: clock[0]
+        )
+        service._breakers[Route.ONLINE_AGG] = breaker
+        breaker.record_failure()  # window of one: open
+        clock[0] = 2.0  # past the cooldown: half-open
+        assert breaker.allow()  # an in-flight request holds the probe slot
+        budget = ServiceBudget.interactive()
+        plan = service.explain(SQL, budget=budget)
+        online = next(
+            candidate
+            for candidate in plan["candidates"]
+            if candidate["route"] == "online_agg"
+        )
+        assert online["breaker"]["state"] == "half_open"
+        assert online["would_attempt"] is False
+        assert "half-open" in online["skip_reason"]
+        assert plan["chosen_route"] == "exact"
+        assert "deadline" not in plan
+        answer = service.query(SQL, budget=budget, record=False)
+        assert answer.route.value == plan["chosen_route"]
 
     def test_cache_hit_reported(self, service):
         budget = ServiceBudget.interactive()

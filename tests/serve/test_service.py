@@ -24,7 +24,7 @@ import pytest
 
 from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
-from repro.deadline import CancelToken, cancel_scope
+from repro.deadline import UNLIMITED, CancelToken
 from repro.errors import ExpressionError, QueryCancelled, SchemaError, ServiceError
 from repro.serve import ReadWriteLock, ServiceBudget, SynopsisStore, VerdictService
 from repro.serve.planner import Route
@@ -101,17 +101,16 @@ class TestBasicServing:
             values = {future.result().scalar() for future in futures}
             assert values == {3_000.0}
 
-    def test_submit_carries_the_ambient_cancel_token(self):
-        """A cancelled request stays cancelled on the worker pool: submit's
-        copied context carries the ambient token, as it does the trace."""
+    def test_submit_forwards_the_cancel_token(self):
+        """A cancelled request stays cancelled on the worker pool: submit
+        hands its token to query on the worker thread."""
         token = CancelToken()
         token.cancel()
         sql = "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 30"
         with build_service(record_queries=False) as service:
-            with cancel_scope(token):
-                with pytest.raises(QueryCancelled):
-                    service.query(sql)
-                future = service.submit(sql)
+            with pytest.raises(QueryCancelled):
+                service.query(sql, cancel=token)
+            future = service.submit(sql, cancel=token)
             with pytest.raises(QueryCancelled):
                 future.result(timeout=30)
             assert service.metrics.event_count("query.cancelled") == 2
@@ -255,7 +254,7 @@ class TestCacheInvalidation:
             parsed, check = service.engine.check(sql)
             decision = service.planner.plan(parsed, check, ServiceBudget.exact())[0]
             _, _, versions = service._execute_route(
-                decision, parsed, check, ServiceBudget.exact()
+                decision, parsed, check, ServiceBudget.exact(), UNLIMITED
             )
             # A mutation lands between execution and the cache store.
             service.append("sales", make_sales_table(num_rows=100, num_weeks=52, seed=4))
@@ -775,10 +774,10 @@ class TestShutdownOrdering:
         started = threading.Event()
         original = service.exact.execute
 
-        def slow_execute(parsed):
+        def slow_execute(parsed, limits):
             started.set()
             assert release.wait(timeout=10)
-            return original(parsed)
+            return original(parsed, limits)
 
         service.exact.execute = slow_execute
         requester = threading.Thread(

@@ -1,8 +1,7 @@
-"""Wall-clock deadlines (:mod:`repro.deadline`): value type and ambient scope."""
+"""Wall-clock deadlines and cancel tokens (:mod:`repro.deadline`)."""
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -11,15 +10,7 @@ from repro.db.partition import table_partitions
 from repro.db.scan import scan_selected
 from repro.db.schema import ColumnKind, Schema, measure, numeric_dimension
 from repro.db.table import Table
-from repro.deadline import (
-    CancelToken,
-    Deadline,
-    cancel_scope,
-    check_deadline,
-    current_cancel,
-    current_deadline,
-    deadline_scope,
-)
+from repro.deadline import UNLIMITED, CancelToken, Deadline, Limits
 from repro.errors import DeadlineExceeded, QueryCancelled
 from repro.sqlparser.parser import parse_query
 
@@ -33,13 +24,11 @@ class TestDeadlineValue:
     def test_generous_deadline_is_not_expired(self):
         deadline = Deadline.after(60.0)
         assert not deadline.expired
-        assert deadline.remaining_s > 0
         deadline.check("anywhere")  # must not raise
 
     def test_past_deadline_is_expired_and_check_raises(self):
         deadline = expired_deadline()
         assert deadline.expired
-        assert deadline.remaining_s < 0
         with pytest.raises(DeadlineExceeded, match="during the scan"):
             deadline.check("the scan")
 
@@ -48,46 +37,28 @@ class TestDeadlineValue:
             Deadline.after(0.0)
 
 
-class TestAmbientScope:
-    def test_no_scope_means_no_deadline(self):
-        assert current_deadline() is None
-        check_deadline("outside any scope")  # no-op, must not raise
+class TestLimits:
+    def test_unlimited_is_a_no_op(self):
+        assert UNLIMITED == Limits(deadline=None, cancel=None)
+        UNLIMITED.check("anywhere")  # must not raise
 
-    def test_scope_installs_and_restores(self):
-        deadline = Deadline.after(60.0)
-        with deadline_scope(deadline):
-            assert current_deadline() is deadline
-        assert current_deadline() is None
+    def test_expired_deadline_raises(self):
+        with pytest.raises(DeadlineExceeded, match="during batch 3"):
+            Limits(deadline=expired_deadline()).check("batch 3")
 
-    def test_scopes_nest(self):
-        outer = Deadline.after(60.0)
-        inner = Deadline.after(30.0)
-        with deadline_scope(outer):
-            with deadline_scope(inner):
-                assert current_deadline() is inner
-            assert current_deadline() is outer
+    def test_cancelled_token_raises(self):
+        token = CancelToken()
+        token.cancel("requested")
+        with pytest.raises(QueryCancelled, match="during batch 3"):
+            Limits(cancel=token).check("batch 3")
 
-    def test_none_scope_masks_the_outer_deadline(self):
-        with deadline_scope(expired_deadline()):
-            with deadline_scope(None):
-                check_deadline("shielded")  # expired outer must not leak in
-
-    def test_check_deadline_raises_inside_expired_scope(self):
-        with deadline_scope(expired_deadline()):
-            with pytest.raises(DeadlineExceeded):
-                check_deadline("batch 3")
-
-    def test_scope_is_thread_local(self):
-        seen: list[Deadline | None] = []
-
-        def probe():
-            seen.append(current_deadline())
-
-        with deadline_scope(Deadline.after(60.0)):
-            worker = threading.Thread(target=probe)
-            worker.start()
-            worker.join()
-        assert seen == [None], "ambient deadlines must not leak across threads"
+    def test_cancellation_wins_over_an_expired_deadline(self):
+        # A request that is both cancelled and past its deadline must abort
+        # as *cancelled*: nobody is listening for a degraded partial.
+        token = CancelToken()
+        token.cancel("requested")
+        with pytest.raises(QueryCancelled):
+            Limits(deadline=expired_deadline(), cancel=token).check("batch 1")
 
 
 class TestCancelToken:
@@ -141,45 +112,6 @@ class TestCancelToken:
         assert not token.cancelled
 
 
-class TestAmbientCancelScope:
-    def test_no_scope_means_no_token(self):
-        assert current_cancel() is None
-        check_deadline("anywhere")  # no ambient state: no-op
-
-    def test_check_deadline_raises_inside_cancelled_scope(self):
-        token = CancelToken()
-        token.cancel()
-        with cancel_scope(token):
-            with pytest.raises(QueryCancelled):
-                check_deadline("batch 3")
-        assert current_cancel() is None  # restored on exit
-
-    def test_cancellation_wins_over_an_expired_deadline(self):
-        # A request that is both cancelled and past its deadline must abort
-        # as *cancelled*: nobody is listening for a degraded partial.
-        token = CancelToken()
-        token.cancel("requested")
-        with deadline_scope(expired_deadline()):
-            with cancel_scope(token):
-                with pytest.raises(QueryCancelled):
-                    check_deadline("batch 1")
-
-    def test_scope_is_thread_local(self):
-        seen = []
-        with cancel_scope(CancelToken()):
-            worker = threading.Thread(target=lambda: seen.append(current_cancel()))
-            worker.start()
-            worker.join()
-        assert seen == [None], "ambient tokens must not leak across threads"
-
-    def test_none_scope_masks_the_outer_token(self):
-        token = CancelToken()
-        token.cancel()
-        with cancel_scope(token):
-            with cancel_scope(None):
-                check_deadline("shielded")
-
-
 class TestScanCheckpoints:
     """The exact scan polls deadline and token once per morsel, before it.
 
@@ -201,17 +133,17 @@ class TestScanCheckpoints:
 
     def test_expired_deadline_raises_before_the_first_run(self, recorded_morsels):
         table, predicate = self.two_run_scan()
-        with recorded_morsels() as calls, deadline_scope(expired_deadline()):
+        with recorded_morsels() as calls:
             with pytest.raises(DeadlineExceeded, match="partitioned scan"):
-                scan_selected(table, predicate)
+                scan_selected(table, predicate, limits=Limits(deadline=expired_deadline()))
         assert calls == []
 
     def test_cancel_during_run_one_raises_before_run_two(self, recorded_morsels):
         table, predicate = self.two_run_scan()
         token = CancelToken()
-        with recorded_morsels(on_call=token.cancel) as calls, cancel_scope(token):
+        with recorded_morsels(on_call=token.cancel) as calls:
             # The token is only polled before a morsel, so raising at all
             # proves a second run was pending.
             with pytest.raises(QueryCancelled):
-                scan_selected(table, predicate)
+                scan_selected(table, predicate, limits=Limits(cancel=token))
         assert calls == [20], "run 2 must not be evaluated after the cancel"
