@@ -38,9 +38,13 @@ class TestDeadlineValue:
 
 
 class TestLimits:
-    def test_unlimited_is_a_no_op(self):
-        assert UNLIMITED == Limits(deadline=None, cancel=None)
+    def test_unlimited_has_no_deadline(self):
+        assert UNLIMITED.deadline is None
         UNLIMITED.check("anywhere")  # must not raise
+
+    def test_unlimited_has_no_token(self):
+        assert UNLIMITED.cancel is None
+        assert UNLIMITED == Limits(deadline=None, cancel=None)
 
     def test_expired_deadline_raises(self):
         with pytest.raises(DeadlineExceeded, match="during batch 3"):
