@@ -133,7 +133,7 @@ class OnlineAggregationEngine:
                 raise
         if last is None:
             raise AQPError("online aggregation produced no answers")
-        return self._estimate(query, last, Limits(cancel=limits.cancel))
+        return self._estimate(query, last, Limits(cancel=limits.cancel, span=limits.span))
 
     def first_answer(self, query: ast.Query) -> AQPAnswer:
         """The answer after the first batch only (cheapest, least accurate)."""

@@ -55,7 +55,7 @@ from repro.core.validation import validate_model_answer
 from repro.db.catalog import Catalog
 from repro.db.table import Table
 from repro.errors import ReproError
-from repro.obs.trace import span as obs_span
+from repro.obs.trace import Span, child
 from repro.sqlparser import ast
 from repro.sqlparser.checker import CheckResult, QueryTypeChecker
 from repro.sqlparser.decompose import SnippetSpec, decompose_query
@@ -420,8 +420,13 @@ class VerdictEngine:
         query: ast.Query,
         raw: AQPAnswer,
         check: CheckResult | None = None,
+        span: Span | None = None,
     ) -> VerdictAnswer:
-        """Improve one raw AQP answer (Algorithm 2, without the synopsis update)."""
+        """Improve one raw AQP answer (Algorithm 2, without the synopsis update).
+
+        A traced caller passes its ``span``; the GP step opens an
+        ``inference`` span under it.
+        """
         if check is None:
             check = self.checker.check(query)
         started = time.perf_counter()
@@ -439,7 +444,7 @@ class VerdictEngine:
             )
 
         domains = self.domains_for(query.table)
-        with obs_span("inference", table=query.table) as inference_span:
+        with child(span, "inference", table=query.table) as inference_span:
             plans = self._build_cell_plans(query, raw, domains)
             improved_rows: list[dict[str, ImprovedEstimate]] = [
                 {} for _ in range(len(raw.rows))

@@ -353,7 +353,7 @@ class GaussianInference:
         All ``m`` cells sharing one aggregate function are conditioned with a
         single ``(n, m)`` blocked solve on the prepared factor -- one BLAS
         call instead of a Python loop, which is what makes wide group-by
-        queries cheap (see ``benchmarks/bench_inference_batching.py``).
+        queries cheap.
 
         The GP posterior ``(theta, gamma^2)`` of Equation (11) depends on the
         past evidence and the cell's region only, so it is remembered per

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.deadline import UNLIMITED, Limits
 from repro.db.expressions import _flip, distinct_match_mask, evaluate_predicate
-from repro.obs.trace import span as obs_span
+from repro.obs.trace import child
 from repro.db.partition import DEFAULT_PARTITION_ROWS, TablePartitions, table_partitions
 from repro.db.table import Table
 from repro.sqlparser import ast
@@ -301,10 +301,10 @@ def scan_selected(
 
     The scan is accounted into ``counters``, the calling component's (an
     executor's, a service's), and polls the request's ``limits`` once per
-    morsel.  Under an active request trace each scan also contributes a
-    ``scan`` span carrying the report.
+    morsel.  Under a traced request each scan also opens a ``scan`` span,
+    carrying the report, under ``limits.span``.
     """
-    with obs_span("scan", table=table.name) as scan_span:
+    with child(limits.span, "scan", table=table.name) as scan_span:
         selected, report = _scan_selected(table, predicate, limits)
         if counters is not None:
             counters.record(report)

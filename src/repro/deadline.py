@@ -3,9 +3,10 @@
 A :class:`Deadline` is an absolute monotonic-clock expiry created once per
 request, and a :class:`CancelToken` is a latch the front door arms when the
 client cancels or hangs up.  ``VerdictService.query`` bundles the two into
-one frozen :class:`Limits` value and passes it down, as an argument, to the
-long-running loops deep in the stack -- the online-aggregation batch loop
-and the morsel scan loop -- which poll it between units of work:
+one frozen :class:`Limits` value, with the request's trace span, and
+passes it down, as an argument, to the long-running loops deep in the
+stack -- the online-aggregation batch loop and the morsel scan loop --
+which poll it between units of work:
 
 * loops that can return a **partial answer** (online aggregation holds a
   valid estimate ± error after every batch) keep the last estimate when
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.errors import DeadlineExceeded, QueryCancelled
+from repro.obs.trace import Span
 
 
 class CancelToken:
@@ -134,16 +136,22 @@ class Deadline:
 
 @dataclass(frozen=True)
 class Limits:
-    """One request's deadline and cancel token, passed down explicitly.
+    """One request's deadline, cancel token and trace span, passed down.
 
-    Either part may be ``None``.  :meth:`check` polls the token first and
+    Any part may be ``None``.  :meth:`check` polls the token first and
     the deadline second: a request that is both cancelled and past its
     deadline aborts as *cancelled* (nobody is listening for a degraded
-    partial), keeping the audit/metrics story unambiguous.
+    partial), keeping the audit/metrics story unambiguous.  ``span`` is the
+    parent of the spans the loops open (``scan``); ``None`` is untraced.
     """
 
     deadline: Deadline | None = None
     cancel: CancelToken | None = None
+    span: Span | None = None
+
+    def under(self, span: Span | None) -> "Limits":
+        """These limits with ``span`` as the parent of spans opened below."""
+        return replace(self, span=span)
 
     def check(self, where: str = "") -> None:
         """Raise if the token is cancelled or the deadline expired."""

@@ -1,15 +1,13 @@
-"""Per-request span trees over ``contextvars`` ambient state.
+"""Per-request span trees, passed down explicitly.
 
 A request entering the front door gets a **request id** (minted, or accepted
-from an ``X-Request-Id`` header) and a **root span**.  The root is made
-ambient for the request's context via a ``contextvars.ContextVar``, so every
-layer underneath -- admission wait, planner, each route attempt, partition
-scans, GP inference, cache lookups -- opens child spans with a plain
-``with span("name", attr=...)`` and zero signature plumbing.  Context
-propagation across the service's worker pool uses
-``contextvars.copy_context()`` (see ``VerdictService.submit``).  The
-request's deadline and cancel token are not ambient: they are passed down
-as arguments (:class:`repro.deadline.Limits`).
+from an ``X-Request-Id`` header) and a **root span**.  The root travels
+down as an argument: the front door hands it to admission, governance and
+``VerdictService.query``, and the service carries it inside the request's
+:class:`repro.deadline.Limits` to the routes, the partition scans and GP
+inference.  Every layer opens children with
+``with child(parent, "name", attr=...)``; ``parent`` is ``None`` when the
+request is untraced.
 
 Each span records wall time (``perf_counter``), CPU time of its thread
 (``thread_time``), a status (``ok`` / ``error``), and free-form attributes
@@ -24,14 +22,13 @@ the root span closes, the finished tree goes three places:
   configurable threshold (full span tree, so the offending scan or solve is
   identifiable without reproducing the request).
 
-Cost discipline: tracing must be free when it is off.  ``span()`` with no
-active trace reads one contextvar and returns ``None`` -- no allocation, no
-lock -- mirroring the one-global-read hot path of :mod:`repro.faults`.
+Cost discipline: tracing must be free when it is off.  ``child(None, ...)``
+yields ``None`` after one ``None`` test -- no span, no lock -- and
+``event`` / ``set_attrs`` on a ``None`` span return at once.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
@@ -45,16 +42,6 @@ from typing import Iterator
 #: Request ids are path- and log-safe by construction; anything else offered
 #: in an ``X-Request-Id`` header is discarded and a fresh id minted.
 REQUEST_ID_RE = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
-
-#: The ambient span of the current context (``None`` = tracing inactive).
-_ACTIVE: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
-    "repro_obs_active_span", default=None
-)
-
-#: The root span of the current context's trace (set by ``Tracer.request``).
-_ROOT: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
-    "repro_obs_root_span", default=None
-)
 
 
 def valid_request_id(candidate: str) -> bool:
@@ -70,7 +57,7 @@ def mint_request_id() -> str:
 class Span:
     """One timed operation in a request's trace tree.
 
-    Not constructed directly -- use :func:`span` (children) or
+    Not constructed directly -- use :func:`child` (children) or
     :meth:`Tracer.request` (roots).  Attribute writes go through
     :meth:`set`; readers should treat spans as immutable once finished.
     """
@@ -87,14 +74,12 @@ class Span:
         "_started_cpu",
         "wall_s",
         "cpu_s",
-        "_tracer",
     )
 
     def __init__(
         self,
         name: str,
         request_id: str | None = None,
-        tracer: "Tracer | None" = None,
         attrs: dict | None = None,
     ):
         self.name = name
@@ -108,7 +93,6 @@ class Span:
         self._started_cpu = time.thread_time()
         self.wall_s: float | None = None
         self.cpu_s: float | None = None
-        self._tracer = tracer
 
     # ------------------------------------------------------------------ public
 
@@ -159,81 +143,60 @@ class Span:
 
 
 # --------------------------------------------------------------------------- #
-# Ambient span API (the instrumented layers call only these)
+# Child spans (the instrumented layers call only these)
 # --------------------------------------------------------------------------- #
 
 
-def current_span() -> Span | None:
-    """The innermost active span of this context, or ``None``."""
-    return _ACTIVE.get()
+class child:
+    """Context manager opening a child span under ``parent``.
 
+    With ``parent`` ``None`` (an untraced request) this is a no-op costing
+    one ``None`` test::
 
-def current_trace() -> Span | None:
-    """The *root* span of the active trace, or ``None``."""
-    return _ROOT.get()
-
-
-def current_request_id() -> str | None:
-    """The request id of the active trace, or ``None``."""
-    root = current_trace()
-    return root.request_id if root is not None else None
-
-
-class span:
-    """Context manager opening a child span under the ambient span.
-
-    With no trace active this is a no-op costing one contextvar read::
-
-        with span("scan", table=name) as s:
+        with child(limits.span, "scan", table=name) as scan_span:
             ...
-            if s is not None:
-                s.set(rows_scanned=rows)
+            if scan_span is not None:
+                scan_span.set(rows_scanned=rows)
 
-    The ``as`` target is the :class:`Span` (or ``None`` when tracing is
-    off); exceptions mark the span ``error`` and propagate.
+    The ``as`` target is the new :class:`Span` (or ``None``); pass it on as
+    the parent of spans opened underneath.  Exceptions mark the span
+    ``error`` and propagate.
     """
 
-    __slots__ = ("_name", "_attrs", "_span", "_token")
+    __slots__ = ("_parent", "_name", "_attrs", "_span")
 
-    def __init__(self, name: str, **attrs):
+    def __init__(self, parent: Span | None, name: str, **attrs):
+        self._parent = parent
         self._name = name
         self._attrs = attrs
         self._span: Span | None = None
-        self._token = None
 
     def __enter__(self) -> Span | None:
-        parent = _ACTIVE.get()
-        if parent is None:
+        if self._parent is None:
             return None
-        child = Span(self._name, attrs=self._attrs or None)
-        parent.children.append(child)
-        self._span = child
-        self._token = _ACTIVE.set(child)
-        return child
+        self._span = Span(self._name, attrs=self._attrs or None)
+        self._parent.children.append(self._span)
+        return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._span is None:
-            return
-        _ACTIVE.reset(self._token)
-        self._span.finish(error=exc)
+        if self._span is not None:
+            self._span.finish(error=exc)
 
 
-def event(name: str, **attrs) -> None:
+def event(parent: Span | None, name: str, **attrs) -> None:
     """Record a zero-duration child span (a breaker skip, a cache miss)."""
-    parent = _ACTIVE.get()
     if parent is None:
         return
-    child = Span(name, attrs=attrs or None)
-    child.wall_s = 0.0
-    child.cpu_s = 0.0
-    parent.children.append(child)
+    span = Span(name, attrs=attrs or None)
+    span.wall_s = 0.0
+    span.cpu_s = 0.0
+    parent.children.append(span)
 
 
-def set_attrs(**attrs) -> None:
-    """Attach attributes to the innermost active span (no-op untraced)."""
-    active = _ACTIVE.get()
-    if active is not None:
-        active.attrs.update(attrs)
+def set_attrs(span: Span | None, **attrs) -> None:
+    """Attach attributes to ``span`` (no-op untraced)."""
+    if span is not None:
+        span.attrs.update(attrs)
 
 
 # --------------------------------------------------------------------------- #
@@ -244,22 +207,16 @@ def set_attrs(**attrs) -> None:
 class _RequestScope:
     """Context manager for one root span (returned by :meth:`Tracer.request`)."""
 
-    __slots__ = ("_tracer", "_root", "_token", "_root_token")
+    __slots__ = ("_tracer", "_root")
 
     def __init__(self, tracer: "Tracer", root: Span):
         self._tracer = tracer
         self._root = root
-        self._token = None
-        self._root_token = None
 
     def __enter__(self) -> Span:
-        self._token = _ACTIVE.set(self._root)
-        self._root_token = _ROOT.set(self._root)
         return self._root
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE.reset(self._token)
-        _ROOT.reset(self._root_token)
         self._root.finish(error=exc)
         self._tracer._store(self._root)
 
@@ -319,7 +276,7 @@ class Tracer:
     def request(
         self, request_id: str | None = None, name: str = "request", **attrs
     ) -> _RequestScope:
-        """Open a root span; entering makes it ambient, exiting stores it.
+        """Open a root span; entering yields it, exiting stores its tree.
 
         ``request_id`` is adopted when valid (see :data:`REQUEST_ID_RE`),
         otherwise a fresh one is minted -- callers can read it off the
@@ -327,7 +284,7 @@ class Tracer:
         """
         if request_id is None or not valid_request_id(request_id):
             request_id = mint_request_id()
-        root = Span(name, request_id=request_id, tracer=self, attrs=attrs or None)
+        root = Span(name, request_id=request_id, attrs=attrs or None)
         return _RequestScope(self, root)
 
     def get(self, request_id: str) -> dict | None:

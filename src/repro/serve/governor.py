@@ -53,7 +53,7 @@ from typing import Callable, Iterator
 from repro import faults
 from repro.deadline import CancelToken
 from repro.obs.metrics import Registry
-from repro.obs.trace import set_attrs
+from repro.obs.trace import Span, set_attrs
 from repro.serve.planner import ServiceBudget
 
 # ShedLoad lives in repro.serve.http.admission, whose package __init__ pulls
@@ -360,12 +360,13 @@ class ResourceGovernor:
         return quota
 
     @contextmanager
-    def admit(self, tenant: str, cost: float) -> Iterator[None]:
+    def admit(self, tenant: str, cost: float, span: Span | None = None) -> Iterator[None]:
         """Hold one tenant-concurrency slot after spending ``cost`` tokens.
 
         Raises :class:`ShedLoad` (HTTP 429) when the tenant is over either
         limit; the error carries the quota state and a Retry-After derived
         from the bucket's actual refill wait, not the global queue horizon.
+        The outcome is set on ``span``.
         """
         bucket = self._bucket(tenant)
         shed: tuple[str, float] | None = None
@@ -394,19 +395,19 @@ class ResourceGovernor:
                     self._active.inc(tenant)
                     self._outcomes.inc(tenant, "admitted")
         if shed is not None:
-            self._shed(tenant, message=shed[0], retry_after_s=shed[1])
-        set_attrs(governor="admitted", cost_tokens=round(cost, 4))
+            self._shed(tenant, shed[0], shed[1], span)
+        set_attrs(span, governor="admitted", cost_tokens=round(cost, 4))
         try:
             yield
         finally:
             self._active.inc(tenant, by=-1)
 
-    def _shed(self, tenant: str, message: str, retry_after_s: float) -> None:
+    def _shed(self, tenant: str, message: str, retry_after_s: float, span: Span | None) -> None:
         """Raise the priced 429 (fault-injectable); lock NOT held here."""
         quota = self.quota_state(tenant)
         quota["refill_s"] = round(max(retry_after_s, 0.0), 6)
         retry_after = min(max(retry_after_s, 0.05), 30.0)
-        set_attrs(governor="shed", retry_after_s=retry_after)
+        set_attrs(span, governor="shed", retry_after_s=retry_after)
         faults.inject("governor.shed", tenant=tenant)
         raise _shed_load_type()(message, retry_after_s=retry_after, quota=quota)
 

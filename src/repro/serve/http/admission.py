@@ -29,7 +29,7 @@ from typing import Iterator
 
 from repro.errors import ReproError
 from repro.obs.metrics import Registry
-from repro.obs.trace import set_attrs
+from repro.obs.trace import Span, set_attrs
 
 #: Terminal outcomes of an arrival; every arrival lands in exactly one.
 OUTCOMES = (
@@ -125,14 +125,14 @@ class AdmissionController:
     # ------------------------------------------------------------------ public
 
     @contextmanager
-    def admit(self) -> Iterator[None]:
+    def admit(self, span: Span | None = None) -> Iterator[None]:
         """Hold one execution slot; blocks in the bounded queue if needed.
 
         Raises :class:`ShedLoad` when the queue is full or the wait times
         out, :class:`ShuttingDown` when the controller is closed before a
-        slot frees up.
+        slot frees up.  The outcome (and any queue wait) is set on ``span``.
         """
-        self._acquire()
+        self._acquire(span)
         try:
             yield
         finally:
@@ -186,20 +186,20 @@ class AdmissionController:
 
     # ----------------------------------------------------------------- private
 
-    def _acquire(self) -> None:
+    def _acquire(self, span: Span | None) -> None:
         with self._lock:
             if self._closed:
                 self._outcomes.inc("rejected_closed")
-                set_attrs(admission="rejected_closed")
+                set_attrs(span, admission="rejected_closed")
                 raise ShuttingDown("admission closed: server is shutting down")
             if self._active < self.max_active:
                 self._admit_locked("admitted_immediate")
-                set_attrs(admission="admitted")
+                set_attrs(span, admission="admitted")
                 return
             if self._queued >= self.max_queued:
                 self._outcomes.inc("shed_queue_full")
                 retry_after = self._retry_after_locked()
-                set_attrs(admission="shed_queue_full", retry_after_s=retry_after)
+                set_attrs(span, admission="shed_queue_full", retry_after_s=retry_after)
                 raise ShedLoad(
                     f"admission queue full ({self._queued}/{self.max_queued} "
                     f"queued, {self._active} active)",
@@ -217,7 +217,7 @@ class AdmissionController:
                 while True:
                     if self._closed:
                         self._outcomes.inc("rejected_closed")
-                        set_attrs(admission="rejected_closed")
+                        set_attrs(span, admission="rejected_closed")
                         raise ShuttingDown(
                             "admission closed while queued: server is shutting down"
                         )
@@ -225,7 +225,7 @@ class AdmissionController:
                         self._admit_locked("admitted_queued")
                         waited = time.monotonic() - wait_started
                         self._queue_wait.observe(waited)
-                        set_attrs(admission="admitted_after_queue", queue_wait_s=waited)
+                        set_attrs(span, admission="admitted_after_queue", queue_wait_s=waited)
                         return
                     remaining = (
                         None if deadline is None else deadline - time.monotonic()
@@ -233,7 +233,7 @@ class AdmissionController:
                     if remaining is not None and remaining <= 0:
                         self._outcomes.inc("shed_timeout")
                         retry_after = self._retry_after_locked()
-                        set_attrs(admission="shed_timeout", retry_after_s=retry_after)
+                        set_attrs(span, admission="shed_timeout", retry_after_s=retry_after)
                         raise ShedLoad(
                             f"gave up after queueing {self.queue_timeout_s:g}s",
                             retry_after_s=retry_after,

@@ -93,13 +93,7 @@ from repro.core.linalg import blas_threads
 from repro.deadline import CancelToken
 from repro.errors import QueryCancelled
 from repro.obs.metrics import Registry, render_prometheus
-from repro.obs.trace import (
-    Tracer,
-    current_trace,
-    mint_request_id,
-    span as trace_span,
-    valid_request_id,
-)
+from repro.obs.trace import Tracer, child, mint_request_id, valid_request_id
 from repro.serve.governor import BrownoutController, ResourceGovernor
 from repro.serve.http import protocol
 from repro.serve.http.admission import AdmissionController, ShedLoad
@@ -422,8 +416,10 @@ class _Handler(BaseHTTPRequestHandler):
         offered = self.headers.get("X-Request-Id") or ""
         request_id = offered if valid_request_id(offered) else mint_request_id()
         # Stashed so _ask can register its cancel token under the same id
-        # the client saw in the response header.
+        # the client saw in the response header, and so the endpoints open
+        # their spans under this request's root (None when untraced).
         self.active_request_id = request_id
+        self.active_span = None
         audit_fields: dict = {}
         tracer = self.server.tracer
         if tracer is None:
@@ -432,6 +428,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         else:
             with tracer.request(request_id, name=f"{method} {path}") as root:
+                self.active_span = root
                 status, payload, retry_after = self._handle(
                     method, path, query, audit_fields, failure
                 )
@@ -613,8 +610,10 @@ class _Handler(BaseHTTPRequestHandler):
                     parsed,
                     effective or tenant.service.default_budget,
                 )
-                with trace_span("governance"):
-                    stack.enter_context(server.governor.admit(request.tenant, cost))
+                with child(self.active_span, "governance") as governance_span:
+                    stack.enter_context(
+                        server.governor.admit(request.tenant, cost, span=governance_span)
+                    )
                 # The admission span covers only the wait for a slot (its
                 # outcome/queue-wait attrs are set inside the controller);
                 # the slot itself is held for the whole execution.  The
@@ -623,8 +622,8 @@ class _Handler(BaseHTTPRequestHandler):
                 # saturated enough to refuse us).
                 wait_started = time.perf_counter()
                 try:
-                    with trace_span("admission"):
-                        stack.enter_context(server.admission.admit())
+                    with child(self.active_span, "admission") as admission_span:
+                        stack.enter_context(server.admission.admit(span=admission_span))
                 except ShedLoad:
                     if server.brownout is not None:
                         horizon = server.admission.queue_timeout_s
@@ -652,7 +651,11 @@ class _Handler(BaseHTTPRequestHandler):
                 ):
                     try:
                         answer = tenant.service.query(
-                            request.sql, budget=effective, record=record, cancel=token
+                            request.sql,
+                            budget=effective,
+                            record=record,
+                            cancel=token,
+                            span=self.active_span,
                         )
                     except QueryCancelled as error:
                         server.governor.record_cancel(request.tenant, error.reason)
@@ -666,7 +669,7 @@ class _Handler(BaseHTTPRequestHandler):
             # The root span is still open (it closes in _dispatch after the
             # response is rendered), so the attached tree reports the wall
             # time accumulated so far; the ring holds the finished version.
-            root = current_trace()
+            root = self.active_span
             response["trace"] = None if root is None else root.to_dict()
         return 200, response
 
@@ -769,8 +772,8 @@ class _Handler(BaseHTTPRequestHandler):
         audit_fields["tenant"] = request.tenant
         self.server.replication.require_writable()
         with ExitStack() as stack:
-            with trace_span("admission"):
-                stack.enter_context(self.server.admission.admit())
+            with child(self.active_span, "admission") as admission_span:
+                stack.enter_context(self.server.admission.admit(span=admission_span))
             with self.server.tenants.lease(request.tenant) as tenant:
                 catalog = tenant.service.catalog
                 if not catalog.has_table(request.table):
@@ -799,11 +802,11 @@ class _Handler(BaseHTTPRequestHandler):
         # sample scan: surface them before admission.
         parsed = parse_query(request.sql)
         with ExitStack() as stack:
-            with trace_span("admission"):
-                stack.enter_context(self.server.admission.admit())
+            with child(self.active_span, "admission") as admission_span:
+                stack.enter_context(self.server.admission.admit(span=admission_span))
             with self.server.tenants.lease(request.tenant) as tenant:
                 _check_tables(tenant.service.catalog, parsed)
-                recorded = tenant.service.record_answer(request.sql)
+                recorded = tenant.service.record_answer(request.sql, span=self.active_span)
                 if recorded:
                     self._sync_ack(tenant)
         return 200, {"tenant": request.tenant, "recorded": recorded}
@@ -823,7 +826,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         tenant.service.flush()
         seq = tenant.store.sequence
-        with trace_span("replication.ack") as span:
+        with child(self.active_span, "replication.ack") as span:
             confirmed = replication.wait_replicated(tenant.name, seq)
             if span is not None:
                 span.set(seq=seq, confirmed=confirmed)

@@ -63,7 +63,6 @@ written *behind* the final snapshot.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import threading
 import time
@@ -92,9 +91,7 @@ from repro.errors import (
     SchemaError,
     ServiceError,
 )
-from repro.obs.trace import set_attrs
-from repro.obs.trace import event as trace_event
-from repro.obs.trace import span as trace_span
+from repro.obs.trace import Span, child, event, set_attrs
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.planner import QueryPlanner, Route, RouteDecision, ServiceBudget
@@ -270,8 +267,8 @@ class VerdictService:
         succeeds.
 
     Requests without a budget get ``ServiceBudget()`` (best effort: the
-    cheapest route, no error requirement).  Spans are opened only inside an
-    ambient trace; the HTTP front door opens the root.
+    cheapest route, no error requirement).  Spans are opened only under the
+    ``span`` a caller passes in; the HTTP front door passes its root.
     """
 
     def __init__(
@@ -383,6 +380,7 @@ class VerdictService:
         budget: ServiceBudget | None = None,
         record: bool | None = None,
         cancel: CancelToken | None = None,
+        span: Span | None = None,
     ) -> ServedAnswer:
         """Answer one request within its budget, via the cheapest able route.
 
@@ -390,11 +388,12 @@ class VerdictService:
         method too).  Raises :class:`ServiceError` when the service is closed
         and propagates parse errors to the caller.  The deadline starts now;
         the sample batch loop and the exact scan's morsel loop poll it and
-        ``cancel``.
+        ``cancel``.  A traced caller passes its ``span``: the cache lookup,
+        plan, route attempts and record open their spans under it.
         """
         budget = budget or self.default_budget
         deadline = Deadline.after(budget.deadline_s) if budget.deadline_s is not None else None
-        limits = Limits(deadline, cancel)
+        limits = Limits(deadline, cancel, span)
         with self._request_scope():
             try:
                 return self._serve_within_deadline(sql, budget, record, limits)
@@ -454,16 +453,18 @@ class VerdictService:
                 entry: dict = {"route": route.value, "planned": route in planned}
                 decision = planned.get(route)
                 if decision is None:
-                    if route is Route.LEARNED and not check.supported:
+                    # The planner's own order: an exact budget excludes the
+                    # sampled routes before anything else is looked at.
+                    if budget.requires_exact:
+                        entry["reason"] = "budget demands an exact answer"
+                    elif not check.supported:
                         entry["reason"] = (
                             "query class is unsupported by the learned synopsis"
                         )
-                    elif route is Route.LEARNED and snippets == 0:
+                    else:
                         entry["reason"] = (
                             f"synopsis holds no ready snippets for {parsed.table!r}"
                         )
-                    else:
-                        entry["reason"] = "budget demands an exact answer"
                     entry["would_attempt"] = False
                     candidates.append(entry)
                     continue
@@ -540,7 +541,7 @@ class VerdictService:
         # The cache is keyed by the request itself (SQL text or parsed
         # query), checked *before* parsing: a hit costs a dict probe and a
         # version comparison, not a parse.
-        with trace_span("cache.lookup") as cache_span:
+        with child(limits.span, "cache.lookup") as cache_span:
             answer = self._cache_lookup(sql, budget)
             if cache_span is not None:
                 cache_span.set(hit=answer is not None)
@@ -560,6 +561,7 @@ class VerdictService:
             fallback=fallback,
         )
         set_attrs(
+            limits.span,
             route=answer.route.value,
             error_bound=answer.relative_error_bound,
             model_seconds=answer.model_seconds,
@@ -581,7 +583,7 @@ class VerdictService:
         """
         should_record = self.record_queries if record is None else record
         parsed, check = self.engine.check(sql)
-        with trace_span("plan") as plan_span:
+        with child(limits.span, "plan") as plan_span:
             decisions = self.planner.plan(parsed, check, budget)
             if plan_span is not None:
                 plan_span.set(
@@ -599,7 +601,8 @@ class VerdictService:
                 # answers with inference, whose bound is never larger
                 # (Theorem 1).  Online aggregation only runs as the fallback
                 # when inference itself *errored*.
-                trace_event(
+                event(
+                    limits.span,
                     "route.skip",
                     route=decision.route.value,
                     reason="dominated by the learned answer (Theorem 1)",
@@ -611,7 +614,8 @@ class VerdictService:
                 and decision.estimated_seconds > budget.max_latency_s
             ):
                 # Escalating would blow the latency budget; keep best effort.
-                trace_event(
+                event(
+                    limits.span,
                     "route.skip",
                     route=decision.route.value,
                     reason="estimated cost exceeds the latency budget",
@@ -624,7 +628,8 @@ class VerdictService:
                 # skip straight to the fallback instead of paying for
                 # another failure.
                 self.metrics.record_event(f"breaker.{decision.route.value}.skip")
-                trace_event(
+                event(
+                    limits.span,
                     "route.skip",
                     route=decision.route.value,
                     reason="circuit breaker rejected the attempt",
@@ -632,14 +637,15 @@ class VerdictService:
                 fallback = True
                 continue
             try:
-                with trace_span(
+                with child(
+                    limits.span,
                     f"route.{decision.route.value}",
                     predicted_seconds=decision.estimated_seconds,
                     predicted_rows=decision.estimated_rows,
                     predicted_error=decision.estimated_error,
                 ) as route_span:
                     candidate, raw, versions = self._execute_route(
-                        decision, parsed, check, budget, limits
+                        decision, parsed, check, budget, limits.under(route_span)
                     )
                     if route_span is not None:
                         route_span.set(
@@ -711,7 +717,7 @@ class VerdictService:
         recorded = False
         cache_versions = best_versions
         if should_record and check.supported and best_raw is not None:
-            with trace_span("record") as record_span:
+            with child(limits.span, "record") as record_span:
                 recorded, pre_version, post_versions = self._record(parsed, best_raw)
                 if record_span is not None:
                     record_span.set(recorded=recorded)
@@ -732,16 +738,13 @@ class VerdictService:
         budget: ServiceBudget | None = None,
         record: bool | None = None,
         cancel: CancelToken | None = None,
+        span: Span | None = None,
     ) -> Future:
         """Queue a request on the worker pool; returns a ``Future``."""
         if self._phase != "serving":
             raise ServiceError("service is closed")
         faults.inject("service.submit")
-        # The ambient trace is a contextvar and must follow the request onto
-        # the worker thread; a plain submit would run it in the pool
-        # thread's own empty context.
-        context = contextvars.copy_context()
-        return self._pool.submit(context.run, self.query, sql, budget, record, cancel)
+        return self._pool.submit(self.query, sql, budget, record, cancel, span)
 
     def append(self, table_name: str, appended: Table, adjust: bool = True) -> int:
         """Append tuples to a fact table with exclusive access (Appendix D).
@@ -851,19 +854,20 @@ class VerdictService:
         self._note_mutation(count_towards_training=False)
         return results
 
-    def record_answer(self, sql: Union[str, ast.Query]) -> bool:
+    def record_answer(self, sql: Union[str, ast.Query], span: Span | None = None) -> bool:
         """Run a query to completion and record its snippets (training aid).
 
         Unlike :meth:`query`, the full sample is always scanned so the
         recorded snippets carry the tightest raw errors -- this is what the
-        trace-ingestion phase of the experiments uses.
+        trace-ingestion phase of the experiments uses.  A traced caller
+        passes its ``span``; the sample scan opens its span under it.
         """
         with self._request_scope():
             parsed, check = self.engine.check(sql)
             if not check.supported:
                 return False
             with self._table_lock(parsed.table).read():
-                raw = self.aqp.final_answer(parsed)
+                raw = self.aqp.final_answer(parsed, Limits(span=span))
             recorded, _, _ = self._record(parsed, raw)
             return recorded
 
@@ -1222,7 +1226,7 @@ class VerdictService:
                     # ran under -- reading it later could tag a pre-train
                     # answer as post-train.
                     with self._engine_lock:
-                        estimate = self.engine.process_answer(parsed, raw, check)
+                        estimate = self.engine.process_answer(parsed, raw, check, limits.span)
                         models_version = self.engine.models_version
                 bound = estimate.mean_relative_error_bound(self.multiplier)
                 if (

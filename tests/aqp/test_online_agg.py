@@ -9,6 +9,7 @@ from repro.db.executor import ExactExecutor
 from repro.deadline import CancelToken, Deadline, Limits
 from repro.errors import AQPError, DeadlineExceeded, FaultInjectedError, QueryCancelled
 from repro.faults import FaultPlan, FaultRule
+from repro.obs.trace import Span
 from repro.sqlparser.parser import parse_query
 
 
@@ -188,6 +189,14 @@ class TestFinalAnswerEstimatesOnePrefix:
         stall_batch(batch)
         answer = engine.final_answer(query, Limits(deadline=Deadline.after(0.2)))
         assert_same_answer(answer, expected)
+
+    def test_estimate_after_the_deadline_scans_under_the_span(self, engine, no_fault_plan):
+        query = parse_query("SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 25")
+        parent = Span("route.online_agg")
+        stall_batch(1)
+        engine.final_answer(query, Limits(deadline=Deadline.after(0.2), span=parent))
+        # The one estimate drops the deadline but keeps the trace.
+        assert [span.name for span in parent.children] == ["scan"]
 
     def test_deadline_before_any_batch_raises(self, engine, no_fault_plan):
         query = parse_query("SELECT AVG(revenue) FROM sales")

@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-import contextvars
 import json
-import threading
 
 import pytest
 
 from repro.obs.trace import (
     Tracer,
-    current_request_id,
-    current_span,
-    current_trace,
+    child,
     event,
     mint_request_id,
     read_jsonl,
     set_attrs,
-    span,
     valid_request_id,
 )
 
@@ -56,29 +51,32 @@ class TestRequestIds:
 
 class TestDisabledHotPath:
     def test_span_without_trace_is_none(self):
-        with span("anything", key="value") as live:
+        with child(None, "anything", key="value") as live:
             assert live is None
+            with child(live, "nested") as nested:
+                assert nested is None
         # event / set_attrs are silent no-ops too
-        event("nothing")
-        set_attrs(foo=1)
-        assert current_span() is None
-        assert current_trace() is None
-        assert current_request_id() is None
+        event(None, "nothing")
+        set_attrs(None, foo=1)
+
+    def test_exception_propagates_untraced(self):
+        with pytest.raises(ValueError):
+            with child(None, "failing"):
+                raise ValueError("kaput")
 
 
 class TestSpanTree:
     def test_nesting_attrs_and_timings(self):
         tracer = Tracer(ring_capacity=4)
         with tracer.request("req1", name="request") as root:
-            assert current_trace() is root
-            assert current_request_id() == "req1"
-            with span("outer", a=1) as outer:
-                assert current_span() is outer
-                set_attrs(b=2)
-                with span("inner") as inner:
-                    assert current_span() is inner
-                event("tick", n=3)
-            assert current_span() is root
+            assert root.request_id == "req1"
+            with child(root, "outer", a=1) as outer:
+                set_attrs(outer, b=2)
+                with child(outer, "inner") as inner:
+                    assert inner is not None
+                event(outer, "tick", n=3)
+            assert root.children == [outer]
+            assert outer.children[0] is inner
         data = tracer.get("req1")
         assert data["name"] == "request"
         assert data["request_id"] == "req1"
@@ -100,8 +98,8 @@ class TestSpanTree:
 
     def test_non_finite_attrs_render_as_null(self):
         tracer = Tracer(ring_capacity=4)
-        with tracer.request("unbounded"):
-            set_attrs(error_bound=float("inf"), spread=float("nan"), rows=3)
+        with tracer.request("unbounded") as root:
+            set_attrs(root, error_bound=float("inf"), spread=float("nan"), rows=3)
         data = tracer.get("unbounded")
         assert data["attrs"] == {"error_bound": None, "spread": None, "rows": 3}
         json.dumps(data, allow_nan=False)
@@ -109,37 +107,15 @@ class TestSpanTree:
     def test_exception_marks_error_and_propagates(self):
         tracer = Tracer(ring_capacity=4)
         with pytest.raises(ValueError):
-            with tracer.request("boom"):
-                with span("failing"):
+            with tracer.request("boom") as root:
+                with child(root, "failing"):
                     raise ValueError("kaput")
         data = tracer.get("boom")
         assert data["status"] == "error"
         assert "kaput" in data["error"]
-        child = data["children"][0]
-        assert child["status"] == "error"
-        assert child["error"].startswith("ValueError")
-
-    def test_context_isolation_across_threads(self):
-        """A trace opened in one context is invisible to a bare thread."""
-        tracer = Tracer(ring_capacity=4)
-        seen_in_thread = []
-
-        with tracer.request("iso"):
-            thread = threading.Thread(
-                target=lambda: seen_in_thread.append(current_trace())
-            )
-            thread.start()
-            thread.join()
-            # ... but copy_context carries it over explicitly.
-            context = contextvars.copy_context()
-            carried = []
-            thread2 = threading.Thread(
-                target=lambda: carried.append(context.run(current_request_id))
-            )
-            thread2.start()
-            thread2.join()
-        assert seen_in_thread == [None]
-        assert carried == ["iso"]
+        failing = data["children"][0]
+        assert failing["status"] == "error"
+        assert failing["error"].startswith("ValueError")
 
 
 class TestTracerStorage:
@@ -164,8 +140,8 @@ class TestTracerStorage:
     def test_jsonl_log_one_line_per_trace(self, tmp_path):
         log = tmp_path / "deep" / "trace.jsonl"
         tracer = Tracer(ring_capacity=4, log_path=log)
-        with tracer.request("a"):
-            with span("child"):
+        with tracer.request("a") as root:
+            with child(root, "child"):
                 pass
         with tracer.request("b"):
             pass

@@ -66,6 +66,8 @@ class TestDecisionRecord:
         by_route = {candidate["route"]: candidate for candidate in plan["candidates"]}
         assert by_route["online_agg"]["planned"] is False
         assert by_route["online_agg"]["reason"] == "budget demands an exact answer"
+        learned = by_route["learned"]
+        assert learned["reason"] == "budget demands an exact answer"
         assert by_route["exact"]["estimated_error"] == 0.0
 
     def test_explain_agrees_with_execution(self, service):

@@ -26,6 +26,7 @@ from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
 from repro.deadline import UNLIMITED, CancelToken
 from repro.errors import ExpressionError, QueryCancelled, SchemaError, ServiceError
+from repro.obs.trace import Span
 from repro.serve import ReadWriteLock, ServiceBudget, SynopsisStore, VerdictService
 from repro.serve.planner import Route
 from repro.sqlparser.parser import parse_query
@@ -114,6 +115,22 @@ class TestBasicServing:
             with pytest.raises(QueryCancelled):
                 future.result(timeout=30)
             assert service.metrics.event_count("query.cancelled") == 2
+
+    def test_submit_forwards_the_span(self):
+        """The worker thread opens the request's spans under the span the
+        caller handed to submit; an untraced submit opens none."""
+        sql = "SELECT COUNT(*) FROM sales WHERE week >= 4"
+        root = Span("request")
+        with build_service(record_queries=False) as service:
+            service.submit(sql, ServiceBudget.exact(), span=root).result(timeout=30)
+            service.submit(sql + " AND week <= 40", ServiceBudget.exact()).result(timeout=30)
+        assert [span.name for span in root.children] == [
+            "cache.lookup",
+            "plan",
+            "route.exact",
+        ]
+        assert [span.name for span in root.children[2].children] == ["scan"]
+        assert root.attrs["route"] == "exact"
 
     @pytest.mark.parametrize("route", [Route.ONLINE_AGG, Route.LEARNED])
     def test_latency_only_budget_serves_the_first_batch(self, route):

@@ -12,6 +12,7 @@ from repro.db.schema import ColumnKind, Schema, measure, numeric_dimension
 from repro.db.table import Table
 from repro.deadline import UNLIMITED, CancelToken, Deadline, Limits
 from repro.errors import DeadlineExceeded, QueryCancelled
+from repro.obs.trace import Span
 from repro.sqlparser.parser import parse_query
 
 
@@ -45,6 +46,13 @@ class TestLimits:
     def test_unlimited_has_no_token(self):
         assert UNLIMITED.cancel is None
         assert UNLIMITED == Limits(deadline=None, cancel=None)
+
+    def test_under_replaces_only_the_span(self):
+        token, deadline, parent = CancelToken(), Deadline.after(60.0), Span("route.exact")
+        limits = Limits(deadline, token).under(parent)
+        assert (limits.deadline, limits.cancel, limits.span) == (deadline, token, parent)
+        assert UNLIMITED.span is None
+        assert limits.under(None) == Limits(deadline, token)
 
     def test_expired_deadline_raises(self):
         with pytest.raises(DeadlineExceeded, match="during batch 3"):
@@ -151,3 +159,12 @@ class TestScanCheckpoints:
             with pytest.raises(QueryCancelled):
                 scan_selected(table, predicate, limits=Limits(cancel=token))
         assert calls == [20], "run 2 must not be evaluated after the cancel"
+
+    def test_scan_opens_its_span_under_the_limits_span(self):
+        table, predicate = self.two_run_scan()
+        parent = Span("route.exact")
+        scan_selected(table, predicate, limits=UNLIMITED.under(parent))
+        (scan,) = parent.children
+        assert scan.name == "scan" and scan.status == "ok"
+        assert scan.attrs["partitions_pruned"] == 1
+        assert scan.attrs["rows_scanned"] == 40
