@@ -7,8 +7,8 @@ and joins each to the dimension tables, yielding the growing joined prefix.
 answer and CLT error bound after the first batch, refined batch by batch --
 while :meth:`~OnlineAggregationEngine.final_answer` estimates only the last
 prefix, since recording a query keeps nothing else.  Runtime is accounted
-with the deterministic IO cost model: planning overhead is charged once per
-query, dimension tables joined to the sample are charged once (they are not
+with ``CostModelConfig.charge``: planning overhead is charged once per query,
+dimension tables joined to the sample are charged once (they are not
 sampled), and every batch adds its scan cost.
 """
 
@@ -22,7 +22,6 @@ from repro.aqp.evaluation import estimate_answer
 from repro.aqp.types import AQPAnswer
 from repro.config import CostModelConfig, SamplingConfig
 from repro.db.catalog import Catalog
-from repro.db.io_model import IOSimulator
 from repro.db.sampling import SampleStore
 from repro.db.scan import ScanCounters
 from repro.db.table import Table
@@ -54,7 +53,7 @@ class _Prefix(NamedTuple):
     """The joined sample prefix after one batch, with what estimating it needs."""
 
     joined: Table
-    elapsed_seconds: float  # cumulative IO-model time up to this batch
+    elapsed_seconds: float  # cumulative model time up to this batch
     batches_processed: int
     sample_size: int
     population_size: int
@@ -74,7 +73,7 @@ class OnlineAggregationEngine:
         self.catalog = catalog
         self.sampling = sampling or SamplingConfig()
         self.samples = sample_store or SampleStore(catalog, self.sampling)
-        self.io = IOSimulator(cost_model)
+        self.cost_model = cost_model or CostModelConfig()
         # Per-owner scan attribution: the owning service passes its shared
         # counters so sample scans are booked to that service.
         self.scan_counters = scan_counters if scan_counters is not None else ScanCounters()
@@ -147,7 +146,7 @@ class OnlineAggregationEngine:
         """Yield the joined sample prefix after every batch.
 
         Each batch polls ``limits``, passes the ``aqp.batch`` fault
-        point and charges the IO model before it is joined.  The dimension
+        point and charges the cost model before it is joined.  The dimension
         joins are computed *incrementally*: each batch joins only its newly
         scanned sample rows and appends them to the joined prefix of the
         previous batches.  The foreign-key join is row-wise and
@@ -165,7 +164,7 @@ class OnlineAggregationEngine:
             raise AQPError(f"unknown table {query.table!r}")
         sample = self.samples.sample_for(query.table)
         population_size = self.catalog.cardinality(query.table)
-        unsampled_rows = self._unsampled_join_rows(query)
+        dimension_rows = self.catalog.dimension_rows(query.joins)
 
         elapsed = 0.0
         previous_rows = 0
@@ -177,12 +176,11 @@ class OnlineAggregationEngine:
             limits.check(f"online aggregation batch {batch_number}")
             faults.inject("aqp.batch", batch=batch_number)
             first_batch = batch_number == 1
-            report = self.io.charge_query(
-                rows_scanned=rows - previous_rows,
-                unsampled_rows=unsampled_rows if first_batch else 0,
-                include_planning=first_batch,
+            elapsed += self.cost_model.charge(
+                rows - previous_rows,
+                dimension_rows if first_batch else 0,
+                planning=first_batch,
             )
-            elapsed += report.total_seconds
             if not query.joins:
                 joined = prefix
             else:
@@ -225,15 +223,3 @@ class OnlineAggregationEngine:
         for join_clause in query.joins:
             joined = self.catalog.join(joined, join_clause)
         return joined
-
-    def _unsampled_join_rows(self, query: ast.Query) -> int:
-        """Rows of unsampled dimension tables that each query must read."""
-        total = 0
-        for join_clause in query.joins:
-            if self.catalog.has_table(join_clause.table):
-                total += self.catalog.cardinality(join_clause.table)
-        return total
-
-    @property
-    def cost_model(self) -> CostModelConfig:
-        return self.io.config

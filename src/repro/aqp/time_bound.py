@@ -17,7 +17,6 @@ from repro.aqp.evaluation import estimate_answer
 from repro.aqp.types import AQPAnswer
 from repro.config import CostModelConfig, SamplingConfig
 from repro.db.catalog import Catalog
-from repro.db.io_model import IOSimulator
 from repro.db.sampling import SampleStore
 from repro.db.scan import ScanCounters
 from repro.errors import AQPError
@@ -38,7 +37,7 @@ class TimeBoundEngine:
         self.catalog = catalog
         self.sampling = sampling or SamplingConfig()
         self.samples = sample_store or SampleStore(catalog, self.sampling)
-        self.io = IOSimulator(cost_model)
+        self.cost_model = cost_model or CostModelConfig()
         self.scan_counters = scan_counters if scan_counters is not None else ScanCounters()
 
     def execute(self, query: ast.Query, time_budget_s: float) -> AQPAnswer:
@@ -50,13 +49,9 @@ class TimeBoundEngine:
 
         sample = self.samples.sample_for(query.table)
         population_size = self.catalog.cardinality(query.table)
-        unsampled_rows = sum(
-            self.catalog.cardinality(join.table)
-            for join in query.joins
-            if self.catalog.has_table(join.table)
-        )
+        dimension_rows = self.catalog.dimension_rows(query.joins)
 
-        rows = self.io.rows_for_budget(time_budget_s, unsampled_rows=unsampled_rows)
+        rows = self.cost_model.rows_for_budget(time_budget_s, dimension_rows)
         rows = max(1, min(rows, sample.sample_size))
         prefix = sample.prefix(rows)
         # Sample-prefix joins are memoised in the catalog's denormalization
@@ -65,18 +60,13 @@ class TimeBoundEngine:
             prefix, query.joins, cache_token=(sample.cache_token, rows)
         )
 
-        report = self.io.charge_query(rows_scanned=rows, unsampled_rows=unsampled_rows)
         return estimate_answer(
             query=query,
             scanned_table=joined,
             scanned_rows=len(joined),
             sample_size=sample.sample_size,
             population_size=population_size,
-            elapsed_seconds=report.total_seconds,
+            elapsed_seconds=self.cost_model.charge(rows, dimension_rows),
             batches_processed=1,
             counters=self.scan_counters,
         )
-
-    @property
-    def cost_model(self) -> CostModelConfig:
-        return self.io.config

@@ -115,6 +115,11 @@ class VerdictConfig:
         return replace(self, **changes)
 
 
+# Unsampled dimension tables are far narrower than the fact table, so reading
+# one of their rows costs a fraction of a fact-row scan.
+DIMENSION_ROW_COST_FACTOR = 0.1
+
+
 @dataclass(frozen=True)
 class CostModelConfig:
     """Deterministic cost model standing in for the paper's Spark cluster.
@@ -129,6 +134,13 @@ class CostModelConfig:
     laptop-friendly while preserving the relationships the paper measures
     (time grows linearly in rows scanned; planning overhead matters more when
     scans are cheap).
+
+    Joins read their unsampled dimension tables in full: each dimension row
+    costs a tenth of a sample row (they are far narrower than the fact
+    table), and a query that reads any pays ``unsampled_table_scan_penalty_s``
+    once -- the cost the paper finds dominates TPC-H on SSD (Section 7).
+    :meth:`charge` turns rows into model seconds for every engine and for the
+    serving planner's estimates; :meth:`rows_for_budget` is its inverse.
 
     The default rates are calibrated so that the NoLearn latencies of Table 5
     (about 2 s cached and 52 s on SSD for a full Customer1 sample scan) are
@@ -160,12 +172,40 @@ class CostModelConfig:
             raise ValueError("rows must be non-negative")
         return rows * self.seconds_per_row
 
-    def query_seconds(self, rows: int, unsampled_penalty: bool = False) -> float:
-        """Total model seconds for a query scanning ``rows`` sampled rows."""
-        total = self.planning_overhead_s + self.scan_seconds(rows)
-        if unsampled_penalty:
-            total += self.unsampled_table_scan_penalty_s
-        return total
+    def charge(self, rows: int, dimension_rows: int = 0, planning: bool = True) -> float:
+        """Model seconds for scanning ``rows`` sample rows.
+
+        ``dimension_rows`` are the rows of the unsampled dimension tables
+        the query joins; reading any adds the fixed penalty once.  Online
+        aggregation reports after every batch but plans a query once, so
+        its later batches pass ``planning=False`` and no dimension rows.
+        """
+        if rows < 0 or dimension_rows < 0:
+            raise ValueError("row counts must be non-negative")
+        overhead = self.planning_overhead_s if planning else 0.0
+        scan = (
+            self.scan_seconds(rows)
+            + self.scan_seconds(dimension_rows) * DIMENSION_ROW_COST_FACTOR
+        )
+        penalty = self.unsampled_table_scan_penalty_s if dimension_rows else 0.0
+        return overhead + scan + penalty
+
+    def rows_for_budget(self, budget_s: float, dimension_rows: int = 0) -> int:
+        """Most sample rows whose :meth:`charge` fits in ``budget_s``.
+
+        The sample-size prediction a time-bound AQP engine performs
+        (Section 7, deployment scenario 2): subtract the fixed costs, then
+        divide what is left by the per-row scan cost.
+        """
+        if budget_s <= 0:
+            return 0
+        budget = budget_s - self.planning_overhead_s
+        if dimension_rows:
+            budget -= self.unsampled_table_scan_penalty_s
+            budget -= self.scan_seconds(dimension_rows) * DIMENSION_ROW_COST_FACTOR
+        if budget <= 0:
+            return 0
+        return int(budget / self.seconds_per_row)
 
     def with_options(self, **changes: Any) -> "CostModelConfig":
         """Return a copy of this configuration with the given fields replaced."""

@@ -13,9 +13,10 @@ provides:
   truth for experiments and as the evaluation engine underneath the sampling
   based AQP engines,
 * :mod:`repro.db.sampling` -- offline uniform samples and batch splitting for
-  online aggregation,
-* :mod:`repro.db.io_model` -- the deterministic scan/IO cost model replacing
-  wall-clock measurements on the paper's cluster.
+  online aggregation.
+
+The deterministic cost model that replaces wall-clock measurements on the
+paper's cluster is :class:`repro.config.CostModelConfig`.
 """
 
 from repro.db.schema import Column, ColumnKind, ColumnRole, Schema
@@ -23,7 +24,6 @@ from repro.db.table import Table
 from repro.db.catalog import Catalog, ForeignKey
 from repro.db.executor import ExactExecutor, QueryResult, ResultRow
 from repro.db.sampling import SampleStore, TableSample
-from repro.db.io_model import IOSimulator, ScanReport
 
 __all__ = [
     "Column",
@@ -38,6 +38,4 @@ __all__ = [
     "ResultRow",
     "SampleStore",
     "TableSample",
-    "IOSimulator",
-    "ScanReport",
 ]

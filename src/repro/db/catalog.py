@@ -375,6 +375,12 @@ class Catalog:
         """Number of rows of a table (used to scale FREQ(*) into COUNT(*))."""
         return self.table(name).num_rows
 
+    def dimension_rows(self, joins: tuple[ast.JoinClause, ...]) -> int:
+        """Rows of the dimension tables ``joins`` read; they are not sampled."""
+        return sum(
+            self.cardinality(join.table) for join in joins if self.has_table(join.table)
+        )
+
     @classmethod
     def of(cls, tables: Iterable[Table], fact_tables: Iterable[str] = ()) -> "Catalog":
         """Convenience constructor from an iterable of tables."""

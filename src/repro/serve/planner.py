@@ -17,10 +17,11 @@ service to try:
    the raw CLT bound meets the budget (works for supported *and* unsupported
    aggregate queries);
 4. **exact** -- the exact executor: always correct, always the most
-   expensive (a full denormalised scan under the IO cost model).
+   expensive (a full denormalised scan under the cost model).
 
-Cost estimates use the same deterministic IO cost model the AQP engines
-charge, so "cheapest" is well-defined and reproducible.
+Cost estimates use the same deterministic cost model the AQP engines
+charge (``CostModelConfig.charge``), so "cheapest" is well-defined and
+reproducible, and a one-batch sampled answer costs exactly its estimate.
 """
 
 from __future__ import annotations
@@ -109,8 +110,12 @@ class RouteDecision:
     """One planned route with the planner's reasoning and cost estimates.
 
     ``estimated_rows`` is the rows the route is expected to touch (the
-    pruned-scan estimate for exact, the first sample batch plus dimension
-    rows for the approximate routes).  ``estimated_error`` is the planner's
+    pruned-scan estimate for exact, the first sample batch for the
+    approximate routes; both plus the dimension rows their joins read).
+    ``estimated_seconds`` charges those rows with ``CostModelConfig.charge``,
+    the function the AQP engines charge: a sampled route answered in one
+    batch reports exactly this many model seconds, and the exact route
+    reports its estimate.  ``estimated_error`` is the planner's
     a-priori relative-error-bound proxy: ``0.0`` for exact; for the sample
     routes the unit-coefficient-of-variation CLT bound
     ``multiplier / sqrt(batch rows)`` -- the actual bound scales with the
@@ -153,9 +158,10 @@ class QueryPlanner:
         The cached route is not planned here: the service consults its answer
         cache before calling the planner (a hit needs no plan at all).
         """
-        query_seconds = self.engine.aqp.cost_model.query_seconds
-        exact_rows = self.estimated_exact_rows(query)
-        exact_cost = query_seconds(exact_rows)
+        charge = self.engine.aqp.cost_model.charge
+        exact_scan = self._exact_scan(query)
+        exact_rows = sum(exact_scan)
+        exact_cost = charge(*exact_scan)
         if budget.requires_exact:
             return [
                 RouteDecision(
@@ -168,8 +174,9 @@ class QueryPlanner:
             ]
 
         decisions: list[RouteDecision] = []
-        batch_rows = self.estimated_first_batch_rows(query)
-        batch_cost = query_seconds(batch_rows)
+        batch_scan = self._first_batch_scan(query)
+        batch_rows = sum(batch_scan)
+        batch_cost = charge(*batch_scan)
         batch_error = self.estimated_batch_error(batch_rows)
         if check.supported:
             ready = self.synopsis_snippets_for(query.table)
@@ -244,33 +251,19 @@ class QueryPlanner:
         Predicates over joined dimension attributes prune conservatively
         (they are not resolvable on the fact table alone).
         """
-        return self.engine.aqp.cost_model.query_seconds(
-            self.estimated_exact_rows(query)
-        )
+        return self.engine.aqp.cost_model.charge(*self._exact_scan(query))
 
     def estimated_exact_rows(self, query: ast.Query) -> int:
         """Rows the exact route must touch: pruned fact scan plus dimensions."""
-        catalog = self.engine.catalog
-        if catalog.has_table(query.table):
-            rows = estimate_scan_rows(catalog.table(query.table), query.where)
-        else:
-            rows = 0
-        return rows + self._dimension_rows(query)
+        return sum(self._exact_scan(query))
 
     def estimated_first_batch_seconds(self, query: ast.Query) -> float:
         """Model seconds for the cheapest approximate answer (one batch)."""
-        return self.engine.aqp.cost_model.query_seconds(
-            self.estimated_first_batch_rows(query)
-        )
+        return self.engine.aqp.cost_model.charge(*self._first_batch_scan(query))
 
     def estimated_first_batch_rows(self, query: ast.Query) -> int:
         """Rows one sample batch touches, dimension joins included."""
-        aqp = self.engine.aqp
-        catalog = self.engine.catalog
-        if not catalog.has_table(query.table):
-            return 0
-        sample = aqp.samples.sample_for(query.table)
-        return sample.rows_after_batches(1) + self._dimension_rows(query)
+        return sum(self._first_batch_scan(query))
 
     def estimated_batch_error(self, batch_rows: int) -> float:
         """A-priori relative-error-bound proxy for a ``batch_rows`` sample.
@@ -281,10 +274,19 @@ class QueryPlanner:
         """
         return self.multiplier / math.sqrt(max(batch_rows, 1))
 
-    def _dimension_rows(self, query: ast.Query) -> int:
+    def _exact_scan(self, query: ast.Query) -> tuple[int, int]:
+        """(pruned fact rows, dimension rows) the exact route reads."""
         catalog = self.engine.catalog
-        return sum(
-            catalog.cardinality(join.table)
-            for join in query.joins
-            if catalog.has_table(join.table)
-        )
+        if catalog.has_table(query.table):
+            rows = estimate_scan_rows(catalog.table(query.table), query.where)
+        else:
+            rows = 0
+        return rows, catalog.dimension_rows(query.joins)
+
+    def _first_batch_scan(self, query: ast.Query) -> tuple[int, int]:
+        """(sample rows, dimension rows) the first online-aggregation batch reads."""
+        catalog = self.engine.catalog
+        if not catalog.has_table(query.table):
+            return 0, 0
+        sample = self.engine.aqp.samples.sample_for(query.table)
+        return sample.rows_after_batches(1), catalog.dimension_rows(query.joins)

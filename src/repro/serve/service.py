@@ -6,12 +6,14 @@ into a long-running, concurrent query service:
 * a bounded worker pool (:meth:`VerdictService.submit`) so callers can fire
   many requests at once;
 * per-fact-table reader/writer locks so reads of one table proceed in
-  parallel while ``append`` / ``record`` / ``train`` on that table get
-  exclusive access -- a request therefore always observes either the
-  pre-append or the post-append state, never a mixture (no torn answers);
-* a short engine mutex serialising the inference step and every mutation of
+  parallel while ``append`` / ``record`` on that table get exclusive
+  access -- a request therefore always observes either the pre-append or
+  the post-append state, never a mixture (no torn answers);
+* an engine mutex serialising the inference step and every mutation of
   the shared learned state (the synopsis and prepared factorisations are
-  shared across tables, so the per-table locks alone cannot protect them);
+  shared across tables, so the per-table locks alone cannot protect them).
+  Training needs nothing else: learned answers read ``models_version``
+  inside it and no other route depends on the models;
 * a bounded answer cache whose entries embed the synopsis version and the
   catalog version at store time -- any record, train, or append makes every
   older entry unreachable, so a cache hit can never serve stale data;
@@ -37,8 +39,7 @@ Locking discipline (to stay deadlock-free):
 
 1. a request thread holds at most one table lock at a time;
 2. the engine mutex is only acquired while already holding a table lock (or
-   no lock at all) and nothing else is acquired under it;
-3. ``train`` acquires all table write locks in sorted name order.
+   no lock at all) and nothing else is acquired under it.
 
 Shutdown discipline (:meth:`VerdictService.close`):
 
@@ -762,24 +763,19 @@ class VerdictService:
             return adjusted
 
     def train(self, learn: bool | None = None) -> None:
-        """Run the offline step (Algorithm 1) with exclusive access.
+        """Run the offline step (Algorithm 1) on the calling thread.
 
-        Blocks the calling thread (and, while the swap runs, every table)
-        until training finishes.  Prefer :meth:`train_async` on a serving
-        path: it performs the same learn off the request path and swaps the
-        results in under the engine lock alone.
+        Holds the engine lock for the whole round, as :meth:`train_async`
+        holds it for its snapshot and swap: requests that need no engine
+        lock (exact and cached answers, plain online aggregation) keep
+        completing, while inference, records and appends wait for the
+        round.  Prefer :meth:`train_async` on a serving path: it learns
+        off the request path and holds the engine lock only briefly.
         """
         with self._request_scope():
-            locks = [
-                self._table_lock(name) for name in sorted(self.catalog.fact_tables())
-            ]
-            self._train_locked(locks, 0, learn)
-            # A completed round resets the auto-train mutation counter -- the
-            # counter means "mutations since the last training", whichever
-            # path performed it.
-            with self._cache_lock:
-                self._mutations_since_train = 0
-            self._note_mutation(count_towards_training=False)
+            with self._engine_lock:
+                self.engine.train(learn)
+            self._training_done()
 
     def train_async(self, learn: bool | None = None) -> Future:
         """Run the offline step in a background worker; returns a ``Future``.
@@ -849,10 +845,16 @@ class VerdictService:
         outcome = self.engine.compute_training(snapshot)  # no locks held
         with self._engine_lock:
             results = self.engine.apply_training(outcome)
+        self._training_done()
+        return results
+
+    def _training_done(self) -> None:
+        # A completed round resets the auto-train mutation counter -- the
+        # counter means "mutations since the last training", whichever path
+        # performed it.
         with self._cache_lock:
             self._mutations_since_train = 0
         self._note_mutation(count_towards_training=False)
-        return results
 
     def record_answer(self, sql: Union[str, ast.Query], span: Span | None = None) -> bool:
         """Run a query to completion and record its snippets (training aid).
@@ -1269,17 +1271,6 @@ class VerdictService:
         if added:
             self._note_mutation()
         return added > 0, pre_version, post_versions
-
-    def _train_locked(
-        self, locks: list[ReadWriteLock], index: int, learn: bool | None
-    ) -> None:
-        """Acquire all table write locks (sorted order) then train."""
-        if index == len(locks):
-            with self._engine_lock:
-                self.engine.train(learn)
-            return
-        with locks[index].write():
-            self._train_locked(locks, index + 1, learn)
 
     def _note_mutation(self, count_towards_training: bool = True) -> None:
         should_flush = False

@@ -96,6 +96,25 @@ class TestOnlineAggregation:
         joined = list(engine.run(with_join))[-1]
         assert joined.elapsed_seconds > plain.elapsed_seconds
 
+    def test_join_batch_charges_are_pinned(self, star_catalog):
+        """Per-batch model seconds of a three-batch JOIN: planning and the
+        dimension scan plus its penalty land on the first batch only."""
+        engine = OnlineAggregationEngine(
+            star_catalog,
+            sampling=SamplingConfig(sample_ratio=1.0, num_batches=3, seed=1),
+            cost_model=CostModelConfig(
+                planning_overhead_s=0.35,
+                cached_seconds_per_row=1e-3,
+                unsampled_table_scan_penalty_s=0.5,
+            ),
+        )
+        query = parse_query(
+            "SELECT region, AVG(amount) FROM orders JOIN stores ON store_id = store_id "
+            "GROUP BY region"
+        )
+        elapsed = [answer.elapsed_seconds for answer in engine.run(query)]
+        assert elapsed == [0.8523000000000001, 0.8543000000000001, 0.8563000000000001]
+
     def test_ssd_cost_model_is_slower(self, sales_catalog):
         sampling = SamplingConfig(sample_ratio=0.2, num_batches=3, seed=4)
         cached = OnlineAggregationEngine(

@@ -70,3 +70,23 @@ class TestTimeBoundEngine:
         answer = engine.execute(query, time_budget_s=0.01)
         assert answer.rows_scanned >= 1
         assert len(answer.rows) >= 1
+
+    def test_join_budget_row_count_is_pinned(self, star_catalog):
+        """The rows a join budget buys, and what scanning them charges."""
+        engine = TimeBoundEngine(
+            star_catalog,
+            sampling=SamplingConfig(sample_ratio=1.0, num_batches=2, seed=1),
+            cost_model=CostModelConfig(
+                planning_overhead_s=0.0,
+                cached_seconds_per_row=1e-3,
+                unsampled_table_scan_penalty_s=0.001,
+            ),
+        )
+        query = parse_query(
+            "SELECT region, AVG(amount) FROM orders JOIN stores ON store_id = store_id "
+            "GROUP BY region"
+        )
+        answer = engine.execute(query, time_budget_s=0.005)
+        # 0.005 s - 0.001 s penalty - 3 dimension rows at a tenth of 1e-3 s
+        # leaves 0.0037 s: three fact rows.
+        assert (answer.rows_scanned, answer.elapsed_seconds) == (3, 0.0043)

@@ -1,9 +1,8 @@
-"""Unit tests for the deterministic IO cost model."""
+"""Unit tests for the deterministic IO cost model (``CostModelConfig``)."""
 
 import pytest
 
-from repro.config import CostModelConfig
-from repro.db.io_model import IOSimulator
+from repro.config import DIMENSION_ROW_COST_FACTOR, CostModelConfig
 
 
 class TestCostModelConfig:
@@ -14,11 +13,17 @@ class TestCostModelConfig:
         assert ssd.seconds_per_row == ssd.ssd_seconds_per_row
         assert ssd.seconds_per_row > cached.seconds_per_row
 
-    def test_query_seconds_composition(self):
+    def test_charge_composition(self):
         config = CostModelConfig(planning_overhead_s=0.5, cached_seconds_per_row=1e-6)
-        assert config.query_seconds(1_000_000) == pytest.approx(0.5 + 1.0)
-        with_penalty = config.query_seconds(0, unsampled_penalty=True)
-        assert with_penalty == pytest.approx(0.5 + config.unsampled_table_scan_penalty_s)
+        assert config.charge(1_000_000) == pytest.approx(0.5 + 1.0)
+        with_dimensions = config.charge(0, dimension_rows=1)
+        assert with_dimensions == pytest.approx(0.5 + config.unsampled_table_scan_penalty_s)
+        # Planning, then the sample and dimension scan, then the penalty:
+        # the float operations in this order.
+        config = config.with_options(unsampled_table_scan_penalty_s=1.5)
+        assert config.charge(300, dimension_rows=40) == (
+            0.5 + (300 * 1e-6 + 40 * 1e-6 * DIMENSION_ROW_COST_FACTOR)
+        ) + 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -34,37 +39,44 @@ class TestCostModelConfig:
         assert config.cached is False
 
 
-class TestIOSimulator:
-    def test_charge_query_accumulates(self):
-        simulator = IOSimulator(CostModelConfig(planning_overhead_s=0.1, cached_seconds_per_row=1e-3))
-        report = simulator.charge_query(100)
-        assert report.total_seconds == pytest.approx(0.1 + 0.1)
-        simulator.charge_query(50, include_planning=False)
-        assert simulator.queries_charged == 2
-        assert simulator.total_rows_scanned == 150
-        assert simulator.total_seconds == pytest.approx(0.1 + 0.1 + 0.05)
+class TestCharge:
+    def test_planning_is_charged_on_the_first_batch_only(self):
+        config = CostModelConfig(planning_overhead_s=0.1, cached_seconds_per_row=1e-3)
+        first = config.charge(100)
+        assert first == pytest.approx(0.1 + 0.1)
+        later = config.charge(50, planning=False)
+        assert later == pytest.approx(0.05)
+        assert first + later == pytest.approx(0.1 + 0.1 + 0.05)
 
     def test_unsampled_penalty_applied_once(self):
-        config = CostModelConfig(planning_overhead_s=0.0, cached_seconds_per_row=1e-6)
-        simulator = IOSimulator(config)
-        report = simulator.charge_query(0, unsampled_rows=1000)
-        assert report.penalty_seconds == config.unsampled_table_scan_penalty_s
-        report = simulator.charge_query(10, unsampled_rows=0)
-        assert report.penalty_seconds == 0.0
+        config = CostModelConfig(
+            planning_overhead_s=0.0,
+            cached_seconds_per_row=1e-6,
+            unsampled_table_scan_penalty_s=0.5,
+        )
+        scan = config.scan_seconds(1000) * DIMENSION_ROW_COST_FACTOR
+        assert config.charge(0, dimension_rows=1000) - scan == pytest.approx(
+            config.unsampled_table_scan_penalty_s
+        )
+        # The penalty is per query, not per dimension row.
+        assert config.charge(0, dimension_rows=2000) - 2 * scan == pytest.approx(0.5)
+        assert config.charge(10, dimension_rows=0) == config.scan_seconds(10)
 
     def test_negative_rows_rejected(self):
-        simulator = IOSimulator()
+        config = CostModelConfig()
         with pytest.raises(ValueError):
-            simulator.charge_query(-1)
+            config.charge(-1)
+        with pytest.raises(ValueError):
+            config.charge(0, dimension_rows=-1)
 
     def test_rows_for_budget_inverts_cost(self):
         config = CostModelConfig(planning_overhead_s=0.2, cached_seconds_per_row=1e-5)
-        simulator = IOSimulator(config)
-        rows = simulator.rows_for_budget(1.2)
+        rows = config.rows_for_budget(1.2)
         # 1.0 second of scan at 1e-5 s/row -> 100000 rows.
         assert rows == pytest.approx(100_000, rel=0.01)
-        assert simulator.rows_for_budget(0.1) == 0
-        assert simulator.rows_for_budget(-1.0) == 0
+        assert config.charge(rows) <= 1.2 < config.charge(rows + 2)
+        assert config.rows_for_budget(0.1) == 0
+        assert config.rows_for_budget(-1.0) == 0
 
     def test_rows_for_budget_accounts_for_unsampled_tables(self):
         config = CostModelConfig(
@@ -72,15 +84,7 @@ class TestIOSimulator:
             cached_seconds_per_row=1e-5,
             unsampled_table_scan_penalty_s=0.5,
         )
-        simulator = IOSimulator(config)
-        without = simulator.rows_for_budget(1.0)
-        with_dims = simulator.rows_for_budget(1.0, unsampled_rows=10_000)
+        without = config.rows_for_budget(1.0)
+        with_dims = config.rows_for_budget(1.0, dimension_rows=10_000)
         assert with_dims < without
-
-    def test_reset(self):
-        simulator = IOSimulator()
-        simulator.charge_query(10)
-        simulator.reset()
-        assert simulator.total_seconds == 0.0
-        assert simulator.total_rows_scanned == 0
-        assert simulator.queries_charged == 0
+        assert config.charge(with_dims, 10_000) <= 1.0 < config.charge(with_dims + 2, 10_000)

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.aqp.online_agg import OnlineAggregationEngine
-from repro.config import SamplingConfig, VerdictConfig
+from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
 from repro.core.engine import VerdictEngine
 from repro.db.catalog import Catalog
+from repro.db.schema import (
+    ColumnKind,
+    Schema,
+    categorical_dimension,
+    key,
+    measure,
+    numeric_dimension,
+)
+from repro.db.table import Table
 from repro.errors import ServiceError
+from repro.obs.trace import Span
+from repro.serve import VerdictService
 from repro.serve.planner import QueryPlanner, Route, ServiceBudget
 from repro.workloads.synthetic import make_sales_table
 
@@ -120,3 +132,73 @@ class TestRoutePlanning:
         engine.record(parsed, engine.aqp.final_answer(parsed))
         assert planner.synopsis_snippets_for("sales") > 0
         assert planner.synopsis_snippets_for("other_table") == 0
+
+
+def star_service() -> VerdictService:
+    """Orders joined to 40 stores, priced with the SSD-style join penalty."""
+    rng = np.random.default_rng(4)
+    orders = Table(
+        "orders",
+        Schema.of(
+            [numeric_dimension("day", ColumnKind.INT), key("store_id"), measure("amount")]
+        ),
+        {
+            "day": rng.integers(1, 366, size=2_000),
+            "store_id": rng.integers(0, 40, size=2_000),
+            "amount": rng.gamma(2.0, 50.0, size=2_000),
+        },
+    )
+    stores = Table(
+        "stores",
+        Schema.of([key("store_id"), categorical_dimension("region")]),
+        {"store_id": list(range(40)), "region": [f"r{i % 4}" for i in range(40)]},
+    )
+    catalog = Catalog()
+    catalog.add_table(orders, fact=True)
+    catalog.add_table(stores)
+    catalog.add_foreign_key("orders", "store_id", "stores", "store_id")
+    return VerdictService(
+        catalog,
+        sampling=SamplingConfig(sample_ratio=0.25, num_batches=4, seed=2),
+        config=VerdictConfig(learn_length_scales=False),
+        cost_model=CostModelConfig(
+            planning_overhead_s=0.35,
+            cached_seconds_per_row=1e-4,
+            unsampled_table_scan_penalty_s=1.5,
+        ),
+        record_queries=False,
+    )
+
+
+class TestPredictedEqualsCharged:
+    """The planner prices a route with the function the route charges."""
+
+    SQL = (
+        "SELECT region, AVG(amount) FROM orders JOIN stores ON store_id = store_id "
+        "GROUP BY region"
+    )
+
+    @pytest.mark.parametrize(
+        "budget, route",
+        [(ServiceBudget(), Route.ONLINE_AGG), (ServiceBudget.exact(), Route.EXACT)],
+    )
+    def test_join_answer_costs_its_estimate(self, budget, route):
+        with star_service() as service:
+            parsed, check = service.engine.check(self.SQL)
+            decision = service.planner.plan(parsed, check, budget)[0]
+            assert decision.route is route
+            # The join reads 40 dimension rows, so the penalty is priced in.
+            assert decision.estimated_seconds > 0.35 + 1.5
+            explained = {
+                entry["route"]: entry for entry in service.explain(self.SQL, budget)["candidates"]
+            }
+            root = Span("request")
+            answer = service.query(self.SQL, budget, span=root)
+        assert answer.route is route
+        if route is Route.ONLINE_AGG:
+            assert answer.batches_processed == 1
+        (route_span,) = [span for span in root.children if span.name == f"route.{route.value}"]
+        assert route_span.attrs["predicted_seconds"] == decision.estimated_seconds
+        assert route_span.attrs["observed_seconds"] == decision.estimated_seconds
+        assert answer.model_seconds == decision.estimated_seconds
+        assert explained[route.value]["estimated_seconds"] == decision.estimated_seconds

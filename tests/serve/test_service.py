@@ -475,6 +475,34 @@ class TestBackgroundTraining:
             # The swap landed: the learned models are installed.
             assert service.engine._models.keys() == results.keys()
 
+    def test_exact_queries_complete_while_synchronous_train_runs(self):
+        """A synchronous train() holds the engine lock alone: an exact query
+        on the table it trains over completes while training is stalled."""
+        with build_service(record_queries=False) as service:
+            self._record_trace(service)
+            entered = threading.Event()
+            release = threading.Event()
+            real_compute = service.engine.compute_training
+
+            def stalled_compute(snapshot):
+                entered.set()
+                assert release.wait(timeout=30), "test deadlock"
+                return real_compute(snapshot)
+
+            service.engine.compute_training = stalled_compute
+            trainer = threading.Thread(target=service.train, kwargs={"learn": False})
+            trainer.start()
+            try:
+                assert entered.wait(timeout=30)
+                future = service.submit("SELECT COUNT(*) FROM sales", ServiceBudget.exact())
+                assert future.result(timeout=10).scalar() == 3_000.0
+                assert trainer.is_alive()
+            finally:
+                release.set()
+                trainer.join(timeout=60)
+            assert not trainer.is_alive()
+            assert service.engine.training_current(False)
+
     def test_concurrent_train_async_returns_the_inflight_future(self):
         with build_service() as service:
             self._record_trace(service)
