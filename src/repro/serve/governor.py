@@ -129,7 +129,9 @@ class TokenBucket:
                 self.granted += 1
                 return True, self._tokens, 0.0
             self.denied += 1
-            wait = (charge - self._tokens) / self.refill_per_s
+            # A subnormal deficit divided by the refill rate can round to
+            # 0.0; a denial must still tell the caller to wait.
+            wait = max((charge - self._tokens) / self.refill_per_s, math.ulp(0.0))
             return False, self._tokens, wait
 
     def credit(self, amount: float) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.deadline import CancelToken
 from repro.serve.governor import CancelRegistry, ResourceGovernor, TokenBucket
@@ -32,6 +32,8 @@ from repro.serve.http.admission import ShedLoad
     costs=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=40),
     advances=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=40),
 )
+# A subnormal deficit whose refill wait once rounded to 0.0 on a denial.
+@example(capacity=1.0, refill=2.0, costs=[1.0, 5e-324], advances=[0.0])
 def test_token_conservation_sequential(capacity, refill, costs, advances):
     now = [0.0]
     bucket = TokenBucket(capacity, refill, clock=lambda: now[0])
