@@ -1,9 +1,15 @@
 """Thin blocking HTTP client for the Verdict front door.
 
 :class:`VerdictClient` wraps the ``/v1`` wire protocol of
-:mod:`repro.serve.http` in plain method calls.  Stdlib only
-(``http.client``), one keep-alive connection per client instance (**not**
-thread-safe -- give each thread its own client, as the benchmarks do).
+:mod:`repro.serve.http` in plain method calls.  Stdlib only: one keep-alive
+socket per client instance (**not** thread-safe -- give each thread its own
+client, as the benchmarks do), framed by the head codec the server uses too
+(:mod:`repro.serve.http.wire`).  A request is one ``sendall`` of head and
+body; a response is a status line, a head read through the codec, and a
+body of exactly ``Content-Length`` bytes (read to EOF only when the
+response closes the connection).  A response with a ``Transfer-Encoding``
+(chunked), or a keep-alive one without ``Content-Length``, is refused as
+unframeable.
 
 Backpressure handling: a 429 (shed load) is retried automatically with
 capped exponential backoff plus deterministic jitter, up to
@@ -46,14 +52,15 @@ machine-readable error code (:class:`BadRequestError`,
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import re
 import socket
 import time
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, NamedTuple, Sequence
 
 from repro.errors import ReproError
+from repro.serve.http.wire import MAX_LINE_BYTES, Headers, HeadTooLarge, WireError, read_head
 
 
 class ClientError(ReproError):
@@ -66,7 +73,7 @@ class ClientError(ReproError):
 
 
 class TransportError(ClientError):
-    """The connection died (refused, reset, timed out) before a response."""
+    """The connection died (refused, reset, timed out) or its response was unframeable."""
 
 
 class BadRequestError(ClientError):
@@ -135,6 +142,108 @@ def parse_endpoint(value: str, default_port: int = 8123) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise ClientError(f"invalid endpoint {value!r}") from None
+
+
+class _Response(NamedTuple):
+    status: int
+    headers: Headers
+    #: The server closes the connection after this response.
+    will_close: bool
+    body: bytes
+
+
+def _read_response(rfile: BinaryIO) -> _Response:
+    """Read one response off a buffered reader, by ``http.client``'s rules.
+
+    Status line, then the shared head reader, then the body: exactly
+    ``Content-Length`` bytes, or everything to EOF when the response closes
+    the connection.  Anything unframeable raises :class:`WireError`.
+    """
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        raise WireError("connection closed before the status line")
+    if len(line) > MAX_LINE_BYTES:
+        raise HeadTooLarge("status line too long")
+    words = str(line, "iso-8859-1").split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/"):
+        raise WireError(f"bad status line {line!r}")
+    try:
+        status = int(words[1])
+    except ValueError:
+        status = 0
+    if not 100 <= status <= 999:
+        raise WireError(f"bad status line {line!r}")
+    version = words[0]
+    http_1_0 = version in ("HTTP/1.0", "HTTP/0.9")
+    if not http_1_0 and not version.startswith("HTTP/1."):
+        raise WireError(f"unsupported protocol {version!r}")
+    if status < 200:
+        # Interim responses answer what this client never sends
+        # (``Expect: 100-continue``, ``Upgrade``).
+        raise WireError(f"unexpected interim response {status}")
+    headers = read_head(rfile.readline)
+    if headers.get("Transfer-Encoding") is not None:
+        raise WireError("a response with a Transfer-Encoding is not supported")
+    connection = headers.get("Connection", "").lower()
+    if http_1_0:
+        # HTTP/1.0 closes unless the server says it keeps the connection.
+        will_close = not (
+            headers.get("Keep-Alive")
+            or "keep-alive" in connection
+            or "keep-alive" in headers.get("Proxy-Connection", "").lower()
+        )
+    else:
+        will_close = "close" in connection
+    length: int | None = None
+    try:
+        length = int(headers.get("Content-Length", ""))
+    except ValueError:
+        pass
+    if status in (204, 304):
+        length = 0
+    if length is None or length < 0:
+        if not will_close:
+            raise WireError("keep-alive response without Content-Length")
+        return _Response(status, headers, will_close, rfile.read())
+    body = rfile.read(length)
+    if len(body) < length:
+        raise WireError(f"response body cut short: {len(body)} of {length} bytes")
+    return _Response(status, headers, will_close, body)
+
+
+#: A request target is visible ASCII: a control, space or non-ASCII
+#: character would corrupt (or smuggle into) the request line.
+_BAD_TARGET_RE = re.compile(r"[^\x21-\x7e]")
+
+
+class _Connection:
+    """One keep-alive socket to one endpoint and its buffered reader."""
+
+    __slots__ = ("_sock", "_rfile", "_host")
+
+    def __init__(self, host: str, port: int, timeout_s: float):
+        self._sock = socket.create_connection((host, port), timeout=timeout_s)
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._rfile = self._sock.makefile("rb")
+        except OSError:
+            self._sock.close()
+            raise
+        self._host = f"{host}:{port}"
+
+    def exchange(self, method: str, path: str, fields: str, body: bytes) -> _Response:
+        """Send one request -- head and body in one ``sendall`` -- and read the response.
+
+        ``fields`` is the rendered header lines after ``Host``, each ending
+        in CRLF.
+        """
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self._host}\r\n{fields}\r\n"
+        self._sock.sendall(head.encode("latin-1") + body)
+        return _read_response(self._rfile)
+
+    def close(self) -> None:
+        self._rfile.close()
+        self._sock.close()
 
 
 _STATUS_EXCEPTIONS = {
@@ -224,7 +333,7 @@ class VerdictClient:
         #: any -- remaining tokens, refill wait, concurrency.
         self.last_quota: dict | None = None
         self._random = random.Random(seed)
-        self._connection: http.client.HTTPConnection | None = None
+        self._connection: _Connection | None = None
 
     # ----------------------------------------------------------------- public
 
@@ -467,13 +576,6 @@ class VerdictClient:
         delay = min(self.backoff_cap_s, self.backoff_base_s * (2.0**attempt))
         return delay * (0.5 + 0.5 * self._random.random())
 
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._connection is None:
-            self._connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
-        return self._connection
-
     def _drop_connection(self) -> None:
         if self._connection is not None:
             try:
@@ -534,17 +636,21 @@ class VerdictClient:
         request_id: str | None = None,
         raw: bool = False,
     ) -> dict | str:
-        body = None
-        headers = {}
+        context = f"{method} {path}"
+        if _BAD_TARGET_RE.search(path):
+            raise ClientError(f"{method} {path!r}: invalid request target")
+        body = b""
+        fields = ""
         if payload is not None:
             # Omit explicit Nones: optional fields simply stay unsent.
             body = json.dumps(
                 {key: value for key, value in payload.items() if value is not None}
             ).encode()
-            headers["Content-Type"] = "application/json"
+            fields = f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
         if request_id is not None:
-            headers["X-Request-Id"] = request_id
-        context = f"{method} {path}"
+            if "\r" in request_id or "\n" in request_id:
+                raise ClientError(f"{context}: invalid request id {request_id!r}")
+            fields += f"X-Request-Id: {request_id}\r\n"
         attempt = 0
         # Endpoint switches (rotations, followed leader hints) are bounded
         # separately from backoff retries: they are free of double-execution
@@ -557,15 +663,13 @@ class VerdictClient:
             else time.monotonic() + self.retry_budget_s
         )
         while True:
-            connection = self._connect()
-            if connection.sock is None:
+            if self._connection is None:
                 # Connect explicitly so a refused/unreachable endpoint is
                 # distinguishable from an in-flight drop: nothing was sent,
                 # so retrying is safe for ANY request, mutating or not.
                 try:
-                    connection.connect()
+                    self._connection = _Connection(self.host, self.port, self.timeout_s)
                 except OSError as error:
-                    self._drop_connection()
                     rotated = hops < max_hops and self._rotate_endpoint()
                     if rotated:
                         hops += 1
@@ -582,18 +686,8 @@ class VerdictClient:
                         f"{type(error).__name__}: {error}"
                     ) from error
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                data = response.read()
-                status = response.status
-                retry_after = response.getheader("Retry-After")
-                self.last_request_id = response.getheader("X-Request-Id")
-            except (
-                ConnectionError,
-                http.client.HTTPException,
-                socket.timeout,
-                OSError,
-            ) as error:
+                response = self._connection.exchange(method, path, fields, body)
+            except (WireError, OSError) as error:
                 self._drop_connection()
                 # An in-flight drop leaves the request's fate unknown; only
                 # requests that are safe to execute twice are replayed --
@@ -614,6 +708,13 @@ class VerdictClient:
                 raise TransportError(
                     f"{context} failed: {type(error).__name__}: {error}"
                 ) from error
+            if response.will_close:
+                # The next request reconnects through the explicit-connect
+                # branch above, where a refused connect is always retryable.
+                self._drop_connection()
+            status, data = response.status, response.body
+            retry_after = response.headers.get("Retry-After")
+            self.last_request_id = response.headers.get("X-Request-Id")
             if status == 429:
                 # A governor shed's body carries the tenant's quota state;
                 # remember it (the Retry-After header it came with is

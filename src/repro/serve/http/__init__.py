@@ -10,6 +10,8 @@
 * :mod:`repro.serve.http.audit` -- per-session JSONL request log;
 * :mod:`repro.serve.http.server` -- :class:`VerdictHTTPServer`, the
   ``ThreadingHTTPServer`` routing layer;
+* :mod:`repro.serve.http.wire` -- the HTTP/1.1 head codec (limits, field
+  rules, head-line loop) the server and the client both read heads with;
 * ``python -m repro.serve.http`` -- the CLI entry point.
 
 The matching blocking client lives in :mod:`repro.serve.client`.

@@ -45,13 +45,14 @@ rejects them with a hard 409 ``epoch_fenced``.  ``ask`` is always served
 non-writable nodes.  Replication endpoints bypass admission: a saturated
 leader must still ship its WAL.
 
-The handler reads the request head itself (one pass over the header lines,
-same limits and status codes as ``http.server``) and writes each response
-as one buffer in one ``sendall``.  A request that fails before routing --
-malformed request line, unsupported HTTP version, oversized head, a verb
-with no ``do_*`` -- still takes the typed path below: JSON error envelope,
-request id, audit line; the connection then closes, because the rest of
-that request was never read.
+The handler reads the request head itself, through the head codec it
+shares with the client (:mod:`repro.serve.http.wire`: one pass over the
+header lines, same limits and status codes as ``http.server``), and writes
+each response as one buffer in one ``sendall``.  A request that fails
+before routing -- malformed request line, unsupported HTTP version,
+oversized head, a verb with no ``do_*`` -- still takes the typed path
+below: JSON error envelope, request id, audit line; the connection then
+closes, because the rest of that request was never read.
 
 Every request is stamped with a request id -- adopted from a valid
 ``X-Request-Id`` header or minted -- echoed in the response header and
@@ -100,20 +101,15 @@ from repro.serve.http.admission import AdmissionController, ShedLoad
 from repro.serve.http.audit import AuditLog
 from repro.serve.http.protocol import ApiError
 from repro.serve.http.tenants import TenantManager
+from repro.serve.http.wire import MAX_HEAD_LINES  # noqa: F401 - re-exported limit
+from repro.serve.http.wire import MAX_LINE_BYTES, Headers, HeadTooLarge, read_head
 from repro.serve.replication import ReplicationManager
 from repro.sqlparser.parser import parse_query
 
 #: Cap on delta records per replication pull (the follower batches anyway).
 MAX_SHIP_RECORDS = 1024
 
-#: Request-head limits, the values ``http.client`` enforces for stdlib
-#: servers: bytes per line, and lines per head *including* the blank one.
-MAX_LINE_BYTES = 65536
-MAX_HEAD_LINES = 100
-
 _VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
-#: A header field line: visible-ASCII name (possibly empty), then a colon.
-_FIELD_RE = re.compile(r"[\x21-\x39\x3b-\x7e]*:")
 
 
 def _check_tables(catalog, parsed) -> None:
@@ -121,44 +117,6 @@ def _check_tables(catalog, parsed) -> None:
     for name in (parsed.table, *(join.table for join in parsed.joins)):
         if not catalog.has_table(name):
             raise ApiError(404, "unknown_table", f"unknown table {name!r}")
-
-
-class _Headers:
-    """A request's header fields: the first value per case-insensitive name.
-
-    Built by the same rules as the ``email`` parser stdlib servers use (the
-    differential test in ``tests/serve/http/test_head_parse.py`` holds the
-    two equal): the field block ends at the first line that is neither a
-    field, a continuation, nor an mbox ``From `` envelope; obs-fold
-    continuation lines stay in the value; a field with an empty name and a
-    continuation with nothing to continue are dropped.
-    """
-
-    __slots__ = ("_fields",)
-
-    def __init__(self, lines: list[str]):
-        fields: dict[str, list[str]] = {}
-        parts: list[str] | None = None
-        for line in lines:
-            if line[0] in " \t":
-                if parts is not None:
-                    parts.append(line)
-                continue
-            parts = None
-            if line.startswith("From "):
-                continue
-            if _FIELD_RE.match(line) is None:
-                break
-            name, _, value = line.partition(":")
-            if name:
-                parts = [value.lstrip(" \t")]
-                fields.setdefault(name.lower(), parts)
-        self._fields = {
-            name: "".join(parts).rstrip("\r\n") for name, parts in fields.items()
-        }
-
-    def get(self, name: str, default: str | None = None) -> str | None:
-        return self._fields.get(name.lower(), default)
 
 
 class VerdictHTTPServer(ThreadingHTTPServer):
@@ -345,7 +303,7 @@ class _Handler(BaseHTTPRequestHandler):
             return False
 
     def _split_head(self) -> bool:
-        self.command, self.path, self.headers = None, "", _Headers([])
+        self.command, self.path, self.headers = None, "", Headers([])
         # Unknown until the request line says; only a two-word line is 0.9.
         self.request_version = ""
         self.close_connection = True
@@ -375,17 +333,10 @@ class _Handler(BaseHTTPRequestHandler):
         if path.startswith("//"):
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
-        lines: list[str] = []
-        while True:
-            line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if len(line) > MAX_LINE_BYTES:
-                raise protocol.headers_too_large("header line too long")
-            if len(lines) >= MAX_HEAD_LINES:
-                raise protocol.headers_too_large("too many header lines")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            lines.append(line.decode("iso-8859-1"))
-        self.headers = _Headers(lines)
+        try:
+            self.headers = read_head(self.rfile.readline)
+        except HeadTooLarge as error:
+            raise protocol.headers_too_large(str(error)) from None
         connection = self.headers.get("Connection", "").lower()
         if connection == "close":
             self.close_connection = True

@@ -118,7 +118,8 @@ class RouteDecision:
     reports its estimate.  ``estimated_error`` is the planner's
     a-priori relative-error-bound proxy: ``0.0`` for exact; for the sample
     routes the unit-coefficient-of-variation CLT bound
-    ``multiplier / sqrt(batch rows)`` -- the actual bound scales with the
+    ``multiplier / sqrt(first-batch sample rows)`` (a join's dimension rows
+    are read whole, not sampled) -- the actual bound scales with the
     data's dispersion, but the proxy ranks routes and, recorded next to the
     observed bound in the request trace, is the predicted-vs-observed pair
     the adaptive planner will calibrate on.
@@ -177,7 +178,9 @@ class QueryPlanner:
         batch_scan = self._first_batch_scan(query)
         batch_rows = sum(batch_scan)
         batch_cost = charge(*batch_scan)
-        batch_error = self.estimated_batch_error(batch_rows)
+        # Only the sample rows are sampled: a join reads its dimension
+        # tables whole, and their rows do not shrink the CLT bound.
+        batch_error = self.estimated_batch_error(batch_scan[0])
         if check.supported:
             ready = self.synopsis_snippets_for(query.table)
             if ready > 0:

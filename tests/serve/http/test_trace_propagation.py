@@ -8,7 +8,8 @@ The contract under test (ISSUE 8 tentpole):
 * an executed request's trace is a *complete* span tree -- admission,
   cache lookup, planning, route attempt with predicted-vs-observed cost,
   partition scan -- and stays complete under concurrency: spans never
-  leak between simultaneous requests (contextvars isolation);
+  leak between simultaneous requests (each request's span is passed down
+  as an argument, never shared);
 * ``/v1/metrics?format=prometheus`` is valid text exposition 0.0.4.
 """
 
@@ -280,8 +281,8 @@ class TestConcurrencyHammer:
         """N concurrent asks: every trace is a whole, non-interleaved tree.
 
         Distinct SQL per request forces every ask through plan + route +
-        scan (no cache hits), so a contextvars leak between simultaneous
-        requests would show up as a tree with zero or two ``plan`` spans.
+        scan (no cache hits), so a span handed to the wrong request would
+        show up as a tree with zero or two ``plan`` spans.
         The request id must then agree across the response payload, the
         audit log, and the trace JSONL.
         """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,27 @@ class TestPredictedEqualsCharged:
         assert route_span.attrs["observed_seconds"] == decision.estimated_seconds
         assert answer.model_seconds == decision.estimated_seconds
         assert explained[route.value]["estimated_seconds"] == decision.estimated_seconds
+
+    def test_join_error_proxy_counts_only_sampled_rows(self):
+        # The dimension table is read whole, so its 40 rows are not sample
+        # rows: the CLT proxy sees the first batch's sample alone.
+        with star_service() as service:
+            planner = service.planner
+            sample_rows = service.engine.aqp.samples.sample_for("orders").rows_after_batches(1)
+            expected = planner.multiplier / math.sqrt(sample_rows)
+            parsed, check = service.engine.check(self.SQL)
+            sampled = [
+                decision
+                for decision in planner.plan(parsed, check, ServiceBudget())
+                if decision.route is not Route.EXACT
+            ]
+            explained = {
+                entry["route"]: entry
+                for entry in service.explain(self.SQL, ServiceBudget())["candidates"]
+            }
+            root = Span("request")
+            service.query(self.SQL, ServiceBudget(), span=root)
+        assert sampled and all(d.estimated_error == expected for d in sampled)
+        assert explained["online_agg"]["estimated_error"] == expected
+        (route_span,) = [span for span in root.children if span.name == "route.online_agg"]
+        assert route_span.attrs["predicted_error"] == expected
