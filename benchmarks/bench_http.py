@@ -104,7 +104,7 @@ def make_trace(tag: int, num_queries: int) -> list[str]:
     return queries
 
 
-def build_service(rows: int, sample_ratio: float, batches: int, workers: int):
+def build_service(rows: int, sample_ratio: float, batches: int):
     """The in-process twin of the subprocess server's tenant service."""
     table = make_sales_table(
         num_rows=rows, num_weeks=52, seed=tenant_seed(BASE_SEED, TENANT)
@@ -116,7 +116,6 @@ def build_service(rows: int, sample_ratio: float, batches: int, workers: int):
         sampling=SamplingConfig(sample_ratio=sample_ratio, num_batches=batches, seed=1),
         cost_model=CostModelConfig.scaled_for(int(rows * sample_ratio)),
         config=VerdictConfig(learn_length_scales=False),
-        max_workers=workers,
     )
 
 
@@ -196,7 +195,7 @@ def run_benchmark(
     tags = iter(range(4, 16))  # disjoint traces for the ungated warmup levels
 
     # ---- in-process baseline: same catalog, sampling, and worker count ----
-    with build_service(rows, sample_ratio, batches, workers) as service:
+    with build_service(rows, sample_ratio, batches) as service:
         for sql in TRAINING_SQL:
             service.record_answer(sql)
         service.train()
@@ -204,11 +203,12 @@ def run_benchmark(
         # trace first -- the server side is equally warm by the time the
         # gated level runs, having served the lower-concurrency levels.
         replay_trace_through_service(
-            service, make_trace(tag=3, num_queries=queries_per_level)
+            service, make_trace(tag=3, num_queries=queries_per_level), workers=workers
         )
         # Then one cache-cold pass per reserved trace (they are disjoint).
         baselines = [
-            replay_trace_through_service(service, trace) for trace in gate_traces
+            replay_trace_through_service(service, trace, workers=workers)
+            for trace in gate_traces
         ]
 
     # ---- wire replays at each concurrency level ---------------------------

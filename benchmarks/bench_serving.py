@@ -82,13 +82,14 @@ def run_benchmark(
         sampling=sampling,
         cost_model=cost_model,
         config=VerdictConfig(learn_length_scales=False),
-        max_workers=workers,
     )
     with service:
         for sql in training:
             service.record_answer(sql)
         service.train()
-        report = replay_trace_through_service(service, replay, budget=budget)
+        report = replay_trace_through_service(
+            service, replay, budget=budget, workers=workers
+        )
 
     # ---- exact-only replay: every query pays a full denormalised scan -----
     exact_catalog = workload.build_catalog()

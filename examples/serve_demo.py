@@ -40,7 +40,6 @@ def make_service(store: SynopsisStore | None) -> VerdictService:
         sampling=sampling,
         cost_model=CostModelConfig.scaled_for(int(NUM_ROWS * sampling.sample_ratio)),
         config=VerdictConfig(learn_length_scales=False),
-        max_workers=2,
     )
 
 

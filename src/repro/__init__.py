@@ -29,87 +29,60 @@ Quickstart::
     print(answers[-1].scalar_estimate())
 """
 
-from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
-from repro.errors import (
-    AQPError,
-    CatalogError,
-    ExpressionError,
-    InferenceError,
-    LearningError,
-    ReproError,
-    SchemaError,
-    SQLSyntaxError,
-    SynopsisError,
-    TableError,
-    UnsupportedQueryError,
-)
-from repro.db import Catalog, Column, ColumnKind, ColumnRole, ExactExecutor, Schema, Table
-from repro.aqp import CachingEngine, OnlineAggregationEngine, TimeBoundEngine
-from repro.core import (
-    AggregateKind,
-    AttributeDomains,
-    QuerySynopsis,
-    Snippet,
-    SnippetKey,
-    VerdictAnswer,
-    VerdictEngine,
-)
-from repro.sqlparser import parse_query, QueryTypeChecker
-from repro.serve import (
-    QueryPlanner,
-    Route,
-    ServedAnswer,
-    ServiceBudget,
-    ServiceMetrics,
-    SynopsisStore,
-    VerdictService,
-)
+from repro.exports import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "VerdictConfig",
-    "CostModelConfig",
-    "SamplingConfig",
-    "ReproError",
-    "SchemaError",
-    "TableError",
-    "CatalogError",
-    "ExpressionError",
-    "SQLSyntaxError",
-    "UnsupportedQueryError",
-    "AQPError",
-    "InferenceError",
-    "LearningError",
-    "SynopsisError",
-    "Catalog",
-    "Column",
-    "ColumnKind",
-    "ColumnRole",
-    "Schema",
-    "Table",
-    "ExactExecutor",
-    "OnlineAggregationEngine",
-    "TimeBoundEngine",
-    "CachingEngine",
-    "VerdictEngine",
-    "VerdictAnswer",
-    "QuerySynopsis",
-    "Snippet",
-    "SnippetKey",
-    "AggregateKind",
-    "AttributeDomains",
-    "parse_query",
-    "QueryTypeChecker",
-    "QueryPlanner",
-    "Route",
-    "ServedAnswer",
-    "ServiceBudget",
-    "ServiceMetrics",
-    "SynopsisStore",
-    "VerdictService",
-    "quickstart_catalog",
-]
+__getattr__, __dir__, _exported = lazy_exports(
+    __name__,
+    {
+        "repro.config": ("VerdictConfig", "CostModelConfig", "SamplingConfig"),
+        "repro.errors": (
+            "ReproError",
+            "SchemaError",
+            "TableError",
+            "CatalogError",
+            "ExpressionError",
+            "SQLSyntaxError",
+            "UnsupportedQueryError",
+            "AQPError",
+            "InferenceError",
+            "LearningError",
+            "SynopsisError",
+        ),
+        "repro.db": (
+            "Catalog",
+            "Column",
+            "ColumnKind",
+            "ColumnRole",
+            "Schema",
+            "Table",
+            "ExactExecutor",
+        ),
+        "repro.aqp": ("OnlineAggregationEngine", "TimeBoundEngine", "CachingEngine"),
+        "repro.core": (
+            "VerdictEngine",
+            "VerdictAnswer",
+            "QuerySynopsis",
+            "Snippet",
+            "SnippetKey",
+            "AggregateKind",
+            "AttributeDomains",
+        ),
+        "repro.sqlparser": ("parse_query", "QueryTypeChecker"),
+        "repro.serve": (
+            "QueryPlanner",
+            "Route",
+            "ServedAnswer",
+            "ServiceBudget",
+            "ServiceMetrics",
+            "SynopsisStore",
+            "VerdictService",
+        ),
+    },
+)
+
+__all__ = [*_exported, "quickstart_catalog"]
 
 
 def quickstart_catalog(num_rows: int = 20_000, seed: int = 0):
@@ -117,6 +90,7 @@ def quickstart_catalog(num_rows: int = 20_000, seed: int = 0):
 
     Returns ``(catalog, fact_table_name)``.
     """
+    from repro.db.catalog import Catalog
     from repro.workloads.synthetic import make_sales_table
 
     table = make_sales_table(num_rows=num_rows, seed=seed)

@@ -26,7 +26,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--serve", action="store_true", help="run the serving replay")
     parser.add_argument("--rows", type=int, default=20_000, help="fact table rows")
     parser.add_argument("--queries", type=int, default=60, help="trace length")
-    parser.add_argument("--workers", type=int, default=4, help="service worker threads")
+    parser.add_argument("--workers", type=int, default=4, help="replay threads")
     parser.add_argument(
         "--error-budget", type=float, default=0.05, help="max relative error bound"
     )
@@ -47,7 +47,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sampling=sampling,
         cost_model=CostModelConfig.scaled_for(int(args.rows * sampling.sample_ratio)),
         config=VerdictConfig(learn_length_scales=False),
-        max_workers=args.workers,
     )
     trace = workload.generate_trace(num_queries=args.queries, seed=22)
     split = len(trace) // 2
@@ -59,6 +58,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             service,
             [query.sql for query in trace[split:]],
             budget=ServiceBudget.interactive(args.error_budget),
+            workers=args.workers,
         )
     print(
         json.dumps(

@@ -320,13 +320,16 @@ def replay_trace_through_service(
     queries: Sequence[Union[str, ast.Query]],
     budget=None,
     record: bool = False,
+    workers: int = 4,
 ) -> ServeReplayReport:
-    """Replay a trace through a service's worker pool and report throughput.
+    """Replay a trace through a service from ``workers`` threads.
 
-    Every query is submitted to the service's bounded worker pool, so the
-    measured wall-clock throughput reflects the concurrency the service
-    actually provides.  Per-route latency histograms accumulate in
-    ``service.metrics`` (returned in the report as a plain dict).
+    Every query is a :meth:`~repro.serve.service.VerdictService.query` call
+    on a pool of ``workers`` threads, so the measured wall-clock throughput
+    reflects the concurrency the service sustains.  Per-route latency
+    histograms accumulate in ``service.metrics`` (returned in the report as
+    a plain dict).  A typed (:class:`~repro.errors.ReproError`) failure
+    counts as failed; any other exception propagates.
 
     Parameters
     ----------
@@ -340,21 +343,23 @@ def replay_trace_through_service(
     record:
         Whether served queries are recorded into the synopsis (off by
         default: replay measures serving, not ingestion).
+    workers:
+        Number of threads calling the service at once.
     """
     import time as _time
+    from concurrent.futures import ThreadPoolExecutor
 
     from repro.errors import ReproError
 
-    futures = []
-    started = _time.perf_counter()
-    for query in queries:
-        futures.append(service.submit(query, budget, record))
     failures = 0
-    for future in futures:
-        try:
-            future.result()
-        except ReproError:
-            failures += 1
+    started = _time.perf_counter()
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="replay") as pool:
+        futures = [pool.submit(service.query, query, budget, record) for query in queries]
+        for future in futures:
+            try:
+                future.result()
+            except ReproError:
+                failures += 1
     wall = _time.perf_counter() - started
     served = len(queries) - failures
     return ServeReplayReport(

@@ -48,7 +48,6 @@ KNOWN_POINTS = frozenset(
         "service.route.learned",  # executing the learned route
         "service.route.online_agg",  # executing the online-aggregation route
         "service.route.exact",  # executing the exact route
-        "service.submit",  # queueing a request on the worker pool
         "service.train",  # one background/foreground training round
         "service.flush",  # flushing learned state to the store
         # --- engines

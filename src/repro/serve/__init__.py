@@ -12,8 +12,8 @@ VerdictDB implementation):
   to meet its error/latency budget (cached -> learned -> online aggregation
   -> exact);
 * :mod:`repro.serve.service` -- :class:`VerdictService`, the thread-safe
-  front door: worker pool, per-fact-table reader/writer locks, versioned
-  answer cache, graceful shutdown;
+  front door: per-fact-table reader/writer locks, versioned answer cache,
+  graceful shutdown;
 * :mod:`repro.serve.metrics` -- :class:`ServiceMetrics`, per-route counters
   and latency histograms;
 * :mod:`repro.serve.http` -- the multi-tenant HTTP/JSON front door
@@ -24,22 +24,17 @@ VerdictDB implementation):
   HTTP client with retry-on-429 exponential backoff.
 """
 
-from repro.serve.client import VerdictClient
-from repro.serve.metrics import ServiceMetrics
-from repro.serve.planner import QueryPlanner, Route, RouteDecision, ServiceBudget
-from repro.serve.service import ReadWriteLock, ServedAnswer, ServedRow, VerdictService
-from repro.serve.store import SynopsisStore
+from repro.exports import lazy_exports
 
-__all__ = [
-    "QueryPlanner",
-    "ReadWriteLock",
-    "Route",
-    "RouteDecision",
-    "ServedAnswer",
-    "ServedRow",
-    "ServiceBudget",
-    "ServiceMetrics",
-    "SynopsisStore",
-    "VerdictClient",
-    "VerdictService",
-]
+# ``import repro.serve.client`` must not load the service, and with it the
+# engine, NumPy and SciPy.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.planner": ("QueryPlanner", "Route", "RouteDecision", "ServiceBudget"),
+        "repro.serve.service": ("ReadWriteLock", "ServedAnswer", "ServedRow", "VerdictService"),
+        "repro.serve.metrics": ("ServiceMetrics",),
+        "repro.serve.store": ("SynopsisStore",),
+        "repro.serve.client": ("VerdictClient",),
+    },
+)

@@ -105,21 +105,30 @@ class CircuitBreaker:
         :meth:`cancel` -- otherwise the probe slot leaks and the breaker
         can wedge half-open.
         """
-        with self._lock:
-            if not self._admits():
-                return False
-            if self._state == HALF_OPEN:
-                self._probes_inflight += 1
-            return True
+        return self.refusal(take=True) is None
 
-    def admits(self) -> bool:
-        """Whether :meth:`allow` would admit an attempt now, consuming nothing.
+    def refusal(self, take: bool) -> str | None:
+        """Why an attempt would be turned away now, or ``None`` if admitted.
 
-        EXPLAIN reads this: it reports what the next request would do
-        without taking a half-open probe slot.
+        The one admission rule: closed admits; open refuses for the rest
+        of its cooldown; half-open admits while a probe slot is free.  With
+        ``take`` an admitted half-open attempt takes its probe slot (what
+        :meth:`allow` does); without it nothing is consumed, which is how
+        EXPLAIN reports what the next request would do.
         """
         with self._lock:
-            return self._admits()
+            self._advance()
+            if self._state == OPEN:
+                return (
+                    "circuit breaker open for another "
+                    f"{self._cooldown_remaining_s():.3g}s"
+                )
+            if self._state == HALF_OPEN:
+                if self._probes_inflight >= self.probe_limit:
+                    return "circuit breaker half-open with its probe slots taken"
+                if take:
+                    self._probes_inflight += 1
+            return None
 
     def record_success(self) -> None:
         with self._lock:
@@ -161,20 +170,15 @@ class CircuitBreaker:
                 "recent_failures": sum(recent),
                 "transitions": self._transitions,
                 "cooldown_remaining_s": (
-                    max(0.0, self.cooldown_s - (self._clock() - self._opened_at))
-                    if self._state == OPEN
-                    else 0.0
+                    self._cooldown_remaining_s() if self._state == OPEN else 0.0
                 ),
             }
 
     # --------------------------------------------------------------- internals
 
-    def _admits(self) -> bool:
-        """Advance, then: closed, or half-open with a free probe slot (lock held)."""
-        self._advance()
-        if self._state == HALF_OPEN:
-            return self._probes_inflight < self.probe_limit
-        return self._state == CLOSED
+    def _cooldown_remaining_s(self) -> float:
+        """Seconds until an open breaker goes half-open (lock held)."""
+        return max(0.0, self.cooldown_s - (self._clock() - self._opened_at))
 
     def _advance(self) -> None:
         """Open -> half-open once the cooldown has elapsed (lock held)."""

@@ -17,27 +17,22 @@
 The matching blocking client lives in :mod:`repro.serve.client`.
 """
 
-from repro.serve.http.admission import AdmissionController, ShedLoad, ShuttingDown
-from repro.serve.http.audit import AuditLog
-from repro.serve.http.protocol import (
-    ApiError,
-    answer_fingerprint,
-    answer_to_state,
-    map_exception,
-)
-from repro.serve.http.server import VerdictHTTPServer
-from repro.serve.http.tenants import Tenant, TenantManager
+from repro.exports import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "ApiError",
-    "AuditLog",
-    "ShedLoad",
-    "ShuttingDown",
-    "Tenant",
-    "TenantManager",
-    "VerdictHTTPServer",
-    "answer_fingerprint",
-    "answer_to_state",
-    "map_exception",
-]
+# The client imports ``wire`` alone and must not load the server, the
+# tenants' services and the engine with it.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.http.admission": ("AdmissionController", "ShedLoad", "ShuttingDown"),
+        "repro.serve.http.audit": ("AuditLog",),
+        "repro.serve.http.protocol": (
+            "ApiError",
+            "answer_fingerprint",
+            "answer_to_state",
+            "map_exception",
+        ),
+        "repro.serve.http.server": ("VerdictHTTPServer",),
+        "repro.serve.http.tenants": ("Tenant", "TenantManager"),
+    },
+)

@@ -257,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
             sampling=sampling,
             cost_model=cost_model,
             config=config,
-            max_workers=2,
             # Training is a write: followers receive learned state via
             # replication, never produce it locally.
             auto_train_every=None if replication.is_follower else args.auto_train_every,

@@ -62,8 +62,7 @@ line are both written *before* the response is sent, so a client holding its
 answer can always look either up; a send that then fails appends a second
 audit line with ``client_gone`` under the same request id.
 
-Execution model: connection-handler threads run the query themselves (the
-per-tenant service's worker pool is for in-process ``submit()`` callers),
+Execution model: connection-handler threads run the query themselves,
 gated by one shared :class:`~repro.serve.http.admission.AdmissionController`
 so a burst cannot run unbounded engine work -- beyond ``max_active``
 concurrent requests and ``max_queued`` waiters, requests are shed with 429.

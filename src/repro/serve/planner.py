@@ -157,77 +157,85 @@ class QueryPlanner:
         """Ordered route preference (cheapest first) for one request.
 
         The cached route is not planned here: the service consults its answer
-        cache before calling the planner (a hit needs no plan at all).
+        cache before calling the planner (a hit needs no plan at all).  A
+        route is planned exactly when :meth:`excluded` gives no reason.
         """
         charge = self.engine.aqp.cost_model.charge
-        exact_scan = self._exact_scan(query)
-        exact_rows = sum(exact_scan)
-        exact_cost = charge(*exact_scan)
-        if budget.requires_exact:
-            return [
-                RouteDecision(
-                    route=Route.EXACT,
-                    reason="budget demands an exact answer",
-                    estimated_seconds=exact_cost,
-                    estimated_rows=exact_rows,
-                    estimated_error=0.0,
-                )
-            ]
-
         decisions: list[RouteDecision] = []
-        batch_scan = self._first_batch_scan(query)
-        batch_rows = sum(batch_scan)
-        batch_cost = charge(*batch_scan)
-        # Only the sample rows are sampled: a join reads its dimension
-        # tables whole, and their rows do not shrink the CLT bound.
-        batch_error = self.estimated_batch_error(batch_scan[0])
-        if check.supported:
-            ready = self.synopsis_snippets_for(query.table)
-            if ready > 0:
-                decisions.append(
-                    RouteDecision(
-                        route=Route.LEARNED,
-                        reason=(
-                            f"synopsis holds {ready} snippets for {query.table!r}; "
-                            "inference tightens the first-batch bound"
-                        ),
-                        estimated_seconds=batch_cost,
-                        estimated_rows=batch_rows,
-                        # Theorem 1: the improved bound is never larger than
-                        # the raw first-batch bound, so the raw proxy is a
-                        # (conservative) estimate for the learned route too.
-                        estimated_error=batch_error,
-                    )
+        sampled = [
+            route
+            for route in (Route.LEARNED, Route.ONLINE_AGG)
+            if self.excluded(route, query, check, budget) is None
+        ]
+        if sampled:
+            batch_scan = self._first_batch_scan(query)
+            batch_rows = sum(batch_scan)
+            batch_cost = charge(*batch_scan)
+            # Only the sample rows are sampled: a join reads its dimension
+            # tables whole, and their rows do not shrink the CLT bound.
+            # Theorem 1: the improved bound is never larger than the raw
+            # first-batch bound, so the raw proxy is a (conservative)
+            # estimate for the learned route too.
+            batch_error = self.estimated_batch_error(batch_scan[0])
+        for route in sampled:
+            if route is Route.LEARNED:
+                reason = (
+                    f"synopsis holds {self.synopsis_snippets_for(query.table)} "
+                    f"snippets for {query.table!r}; "
+                    "inference tightens the first-batch bound"
                 )
-        # Online aggregation stays in the plan even when the learned route
-        # precedes it, as the fallback for inference *errors* -- but the
-        # service skips it whenever the learned route produced an answer:
-        # the improved bound is never larger than the raw bound (Theorem 1),
-        # so a budget the learned route missed cannot be met by re-refining
-        # the same raw answers without inference.
-        decisions.append(
-            RouteDecision(
-                route=Route.ONLINE_AGG,
-                reason=(
-                    "online aggregation refines the raw CLT bound batch by batch"
-                    if budget.max_relative_error is not None
-                    else "no error budget given; cheapest raw approximation"
-                ),
-                estimated_seconds=batch_cost,
-                estimated_rows=batch_rows,
-                estimated_error=batch_error,
+            elif budget.max_relative_error is not None:
+                reason = "online aggregation refines the raw CLT bound batch by batch"
+            else:
+                reason = "no error budget given; cheapest raw approximation"
+            decisions.append(
+                RouteDecision(
+                    route=route,
+                    reason=reason,
+                    estimated_seconds=batch_cost,
+                    estimated_rows=batch_rows,
+                    estimated_error=batch_error,
+                )
             )
-        )
+        exact_scan = self._exact_scan(query)
         decisions.append(
             RouteDecision(
                 route=Route.EXACT,
-                reason="fallback: exact scan always meets any error budget",
-                estimated_seconds=exact_cost,
-                estimated_rows=exact_rows,
+                reason=(
+                    "budget demands an exact answer"
+                    if budget.requires_exact
+                    else "fallback: exact scan always meets any error budget"
+                ),
+                estimated_seconds=charge(*exact_scan),
+                estimated_rows=sum(exact_scan),
                 estimated_error=0.0,
             )
         )
         return decisions
+
+    def excluded(
+        self, route: Route, query: ast.Query, check: CheckResult, budget: ServiceBudget
+    ) -> str | None:
+        """Why :meth:`plan` leaves ``route`` out of this request, or ``None``.
+
+        An exact budget excludes both sampled routes before anything else is
+        looked at.  The learned route further needs a supported query class
+        and ready snippets for its table.  Online aggregation stays in the
+        plan even when the learned route precedes it, as the fallback for
+        inference *errors* -- the service skips it whenever the learned
+        route produced an answer, since the improved bound is never larger
+        than the raw bound (Theorem 1).  The exact route is never excluded.
+        """
+        if route is Route.EXACT:
+            return None
+        if budget.requires_exact:
+            return "budget demands an exact answer"
+        if route is Route.LEARNED:
+            if not check.supported:
+                return "query class is unsupported by the learned synopsis"
+            if self.synopsis_snippets_for(query.table) <= 0:
+                return f"synopsis holds no ready snippets for {query.table!r}"
+        return None
 
     # --------------------------------------------------------------- estimates
 

@@ -1,10 +1,10 @@
 """Thread-safe serving front door for concurrent Verdict queries.
 
 :class:`VerdictService` turns the single-threaded :class:`VerdictEngine`
-into a long-running, concurrent query service:
+into a long-running, concurrent query service.  Requests run on the
+caller's own thread (the HTTP front door's handler threads, a benchmark's
+client threads); the service adds:
 
-* a bounded worker pool (:meth:`VerdictService.submit`) so callers can fire
-  many requests at once;
 * per-fact-table reader/writer locks so reads of one table proceed in
   parallel while ``append`` / ``record`` on that table get exclusive
   access -- a request therefore always observes either the pre-append or
@@ -47,12 +47,9 @@ The service moves through three explicit lifecycle phases --
 ``serving -> draining -> closed``.  ``close()`` flips the phase to
 *draining* (new requests are rejected), then drains, strictly in order:
 
-1. the worker pool (queued ``submit`` requests run or fail fast);
-2. every **direct** in-flight ``query``/``append``/``record_answer``/
-   ``train`` call (callers such as the HTTP front door invoke these on
-   their own threads, so pool shutdown alone cannot see them) -- tracked
-   by an in-flight counter;
-3. the background trainer (its swap is cheap and its results belong in
+1. every in-flight ``query``/``explain``/``append``/``record_answer``/
+   ``train`` call -- tracked by an in-flight counter;
+2. the background trainer (its swap is cheap and its results belong in
    the final snapshot);
 
 and only then writes the single final store snapshot and flips the phase
@@ -240,8 +237,6 @@ class VerdictService:
     config, sampling, cost_model:
         Forwarded to the underlying engines.  ``config.confidence`` is the
         level of every reported error bound and budget check.
-    max_workers:
-        Size of the worker pool serving :meth:`submit`.
     record_queries:
         Whether served supported queries are recorded into the synopsis
         (step 4 of Figure 2).  Can be overridden per request.
@@ -279,7 +274,6 @@ class VerdictService:
         config: VerdictConfig | None = None,
         sampling: SamplingConfig | None = None,
         cost_model: CostModelConfig | None = None,
-        max_workers: int = 4,
         record_queries: bool = True,
         flush_every: int = 8,
         cache_capacity: int = 1_024,
@@ -289,8 +283,6 @@ class VerdictService:
         trainer_max_restarts: int = 3,
         trainer_restart_backoff_s: float = 0.05,
     ):
-        if max_workers <= 0:
-            raise ServiceError("max_workers must be positive")
         if cache_capacity <= 0:
             raise ServiceError("cache_capacity must be positive")
         if auto_train_every is not None and auto_train_every <= 0:
@@ -329,15 +321,12 @@ class VerdictService:
         # Lifecycle: "serving" -> "draining" (close() in progress; new
         # requests rejected, in-flight ones draining) -> "closed" (final
         # snapshot written).  Guarded by ``_lifecycle`` together with the
-        # count of direct in-flight requests.
+        # count of in-flight requests.
         self._phase = "serving"
         self._inflight = 0
         self._lifecycle = threading.Condition()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="verdict-serve"
-        )
-        # Background training runs on its own single worker (never on the
-        # request pool, so a long learn cannot starve request slots).
+        # Background training runs on its own single worker, off every
+        # request thread.
         self.auto_train_every = auto_train_every
         self._train_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="verdict-train"
@@ -385,9 +374,9 @@ class VerdictService:
     ) -> ServedAnswer:
         """Answer one request within its budget, via the cheapest able route.
 
-        Thread-safe; may be called from any thread (the worker pool uses this
-        method too).  Raises :class:`ServiceError` when the service is closed
-        and propagates parse errors to the caller.  The deadline starts now;
+        Thread-safe; may be called from any thread.  Raises
+        :class:`ServiceError` when the service is closed and propagates
+        parse errors to the caller.  The deadline starts now;
         the sample batch loop and the exact scan's morsel loop poll it and
         ``cancel``.  A traced caller passes its ``span``: the cache lookup,
         plan, route attempts and record open their spans under it.
@@ -417,15 +406,16 @@ class VerdictService:
         estimates, planning order, per-route reasons), whether the answer
         cache would hit, each breaker's state and the resulting skip
         decisions, and the cost-model inputs (estimated scan rows, sample
-        batch rows, synopsis readiness).  Breakers are read through
-        ``admits()``, which never consumes a half-open probe slot, and the
-        cache probe never touches LRU order -- EXPLAIN observes, it does not
-        perturb.
+        batch rows, synopsis readiness).  Every reason is read from the rule
+        :meth:`query` runs: the planner's :meth:`~QueryPlanner.excluded`,
+        the breaker's :meth:`~CircuitBreaker.refusal` (without taking a
+        half-open probe slot) and :meth:`_cache_lookup` (without evicting
+        or promoting) -- EXPLAIN observes, it does not perturb.
         """
         with self._request_scope():
             budget = budget or self.default_budget
             parsed, check = self.engine.check(sql)
-            cached = self._cache_probe(sql, budget)
+            cached = self._cache_lookup(sql, budget, touch=False)
             decisions = self.planner.plan(parsed, check, budget)
             order = {decision.route: index for index, decision in enumerate(decisions)}
             planned = {decision.route: decision for decision in decisions}
@@ -454,37 +444,18 @@ class VerdictService:
                 entry: dict = {"route": route.value, "planned": route in planned}
                 decision = planned.get(route)
                 if decision is None:
-                    # The planner's own order: an exact budget excludes the
-                    # sampled routes before anything else is looked at.
-                    if budget.requires_exact:
-                        entry["reason"] = "budget demands an exact answer"
-                    elif not check.supported:
-                        entry["reason"] = (
-                            "query class is unsupported by the learned synopsis"
-                        )
-                    else:
-                        entry["reason"] = (
-                            f"synopsis holds no ready snippets for {parsed.table!r}"
-                        )
+                    entry["reason"] = self.planner.excluded(route, parsed, check, budget)
                     entry["would_attempt"] = False
                     candidates.append(entry)
                     continue
                 entry.update(decision.as_dict())
                 entry["order"] = order[route]
                 breaker = self._breakers.get(route)
-                would_attempt = True
                 skip_reason = None
                 if breaker is not None:
-                    snapshot = breaker.snapshot()
-                    entry["breaker"] = snapshot
-                    if not breaker.admits():
-                        would_attempt = False
-                        skip_reason = (
-                            "circuit breaker open for another "
-                            f"{snapshot['cooldown_remaining_s']:.3g}s"
-                            if snapshot["state"] == "open"
-                            else "circuit breaker half-open with its probe slots taken"
-                        )
+                    entry["breaker"] = breaker.snapshot()
+                    skip_reason = breaker.refusal(take=False)
+                would_attempt = skip_reason is None
                 if route is Route.ONLINE_AGG and Route.LEARNED in planned:
                     entry["note"] = (
                         "skipped when the learned route answers: its improved "
@@ -624,17 +595,13 @@ class VerdictService:
                 )
                 continue
             breaker = self._breakers.get(decision.route)
-            if breaker is not None and not breaker.allow():
+            refusal = breaker.refusal(take=True) if breaker is not None else None
+            if refusal is not None:
                 # The breaker is open (or half-open with its probes taken):
                 # skip straight to the fallback instead of paying for
                 # another failure.
                 self.metrics.record_event(f"breaker.{decision.route.value}.skip")
-                event(
-                    limits.span,
-                    "route.skip",
-                    route=decision.route.value,
-                    reason="circuit breaker rejected the attempt",
-                )
+                event(limits.span, "route.skip", route=decision.route.value, reason=refusal)
                 fallback = True
                 continue
             try:
@@ -732,20 +699,6 @@ class VerdictService:
         answer = replace(best, budget_met=budget_met, recorded=recorded)
         self._cache_store(sql, answer, cache_versions)
         return answer, fallback
-
-    def submit(
-        self,
-        sql: Union[str, ast.Query],
-        budget: ServiceBudget | None = None,
-        record: bool | None = None,
-        cancel: CancelToken | None = None,
-        span: Span | None = None,
-    ) -> Future:
-        """Queue a request on the worker pool; returns a ``Future``."""
-        if self._phase != "serving":
-            raise ServiceError("service is closed")
-        faults.inject("service.submit")
-        return self._pool.submit(self.query, sql, budget, record, cancel, span)
 
     def append(self, table_name: str, appended: Table, adjust: bool = True) -> int:
         """Append tuples to a fact table with exclusive access (Appendix D).
@@ -941,12 +894,11 @@ class VerdictService:
         """Graceful shutdown: drain all work, then snapshot the learned state.
 
         The ordering is explicit (see the module docstring): reject new
-        requests, drain the worker pool, drain *direct* in-flight requests
-        (callers like the HTTP front door bypass the pool), drain the
-        background trainer, and only then write the final snapshot.  The
-        final write is always a *full snapshot* (not a delta): it captures
-        the prepared factorisations bit-for-bit, which is what makes a
-        restarted service answer byte-identically to one that never stopped.
+        requests, drain the in-flight ones, drain the background trainer,
+        and only then write the final snapshot.  The final write is always
+        a *full snapshot* (not a delta): it captures the prepared
+        factorisations bit-for-bit, which is what makes a restarted service
+        answer byte-identically to one that never stopped.
 
         Safe to call from many threads: exactly one closer performs the
         shutdown, and every other ``close()`` blocks until the snapshot is
@@ -958,7 +910,6 @@ class VerdictService:
                     self._lifecycle.wait()
                 return
             self._phase = "draining"
-        self._pool.shutdown(wait=True)
         with self._lifecycle:
             while self._inflight:
                 self._lifecycle.wait()
@@ -1109,7 +1060,7 @@ class VerdictService:
 
     @contextmanager
     def _request_scope(self) -> Iterator[None]:
-        """Count one direct request in flight; reject it unless serving.
+        """Count one request in flight; reject it unless serving.
 
         :meth:`close` drains these before the final snapshot, so a request
         that got past this gate always runs against a live engine and its
@@ -1176,7 +1127,9 @@ class VerdictService:
                     for row in estimate.rows
                 )
                 bound = estimate.mean_relative_error_bound(self.multiplier)
-                model_seconds = estimate.elapsed_seconds
+                # The cost model's charge for the batches read; a learned
+                # estimate's elapsed_seconds adds measured inference time.
+                model_seconds = raw.elapsed_seconds
             versions = self._versions()
             if models_version is not None:
                 # A learned answer carries the models version it was
@@ -1236,7 +1189,7 @@ class VerdictService:
                     or bound <= budget.max_relative_error
                     or (
                         budget.max_latency_s is not None
-                        and estimate.elapsed_seconds >= budget.max_latency_s
+                        and raw.elapsed_seconds >= budget.max_latency_s
                     )
                     or budget_hopeless(raw, bound, budget.max_relative_error)
                 ):
@@ -1309,8 +1262,7 @@ class VerdictService:
         """The current (synopsis, catalog, models) versions.
 
         Answers are stamped with this triple when computed and a cache entry
-        is current only while it still matches, in both the serving lookup
-        and the EXPLAIN probe.
+        is current only while it still matches.
         """
         return (
             self.engine.synopsis.version,
@@ -1319,35 +1271,26 @@ class VerdictService:
         )
 
     def _cache_lookup(
-        self, request: Union[str, ast.Query], budget: ServiceBudget
+        self, request: Union[str, ast.Query], budget: ServiceBudget, touch: bool = True
     ) -> ServedAnswer | None:
+        """The current cache entry for ``request`` within ``budget``, if any.
+
+        Serving lookups ``touch`` the cache: a stale entry is evicted and a
+        hit is promoted in the LRU order.  EXPLAIN passes ``touch=False``
+        and leaves the cache exactly as it found it.
+        """
         with self._cache_lock:
             entry: _CacheEntry | None = self._state.cache.get(request)
             if entry is None:
                 return None
             if entry.versions != self._versions():
-                del self._state.cache[request]
+                if touch:
+                    del self._state.cache[request]
                 return None
             if not budget.error_met(entry.answer.relative_error_bound):
                 return None
-            self._state.cache.move_to_end(request)
-            return entry.answer
-
-    def _cache_probe(
-        self, request: Union[str, ast.Query], budget: ServiceBudget
-    ) -> ServedAnswer | None:
-        """Read-only cache check for EXPLAIN: observes, never perturbs.
-
-        Unlike :meth:`_cache_lookup` this neither evicts stale entries nor
-        promotes hits in the LRU order -- an EXPLAIN must leave the service
-        exactly as it found it.
-        """
-        with self._cache_lock:
-            entry: _CacheEntry | None = self._state.cache.get(request)
-            if entry is None or entry.versions != self._versions():
-                return None
-            if not budget.error_met(entry.answer.relative_error_bound):
-                return None
+            if touch:
+                self._state.cache.move_to_end(request)
             return entry.answer
 
     def _cache_store(

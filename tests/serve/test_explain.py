@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
+from repro.obs.trace import Span
 from repro.serve import ServiceBudget, VerdictService
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.planner import Route
@@ -70,12 +71,6 @@ class TestDecisionRecord:
         assert learned["reason"] == "budget demands an exact answer"
         assert by_route["exact"]["estimated_error"] == 0.0
 
-    def test_explain_agrees_with_execution(self, service):
-        budget = ServiceBudget.interactive()
-        plan = service.explain(SQL, budget=budget)
-        answer = service.query(SQL, budget=budget)
-        assert answer.route.value == plan["chosen_route"]
-
     def test_open_breaker_reports_skip(self, service):
         breaker = service._breakers[Route.ONLINE_AGG]
         for _ in range(breaker.window):  # fill the window with failures
@@ -125,6 +120,66 @@ class TestDecisionRecord:
         assert plan["chosen_route"] == "cached"
         cached = plan["candidates"][0]
         assert cached["cached_error_bound"] is not None
+
+
+BUDGETS = {
+    "best_effort": ServiceBudget(),
+    "interactive": ServiceBudget.interactive(),
+    "exact": ServiceBudget.exact(),
+}
+
+TRAINING = [
+    f"SELECT AVG(revenue) FROM sales WHERE week >= {low} AND week <= {low + 14}"
+    for low in (1, 12, 25, 38)
+]
+
+
+class TestAgreesWithQuery:
+    @pytest.mark.parametrize("cache", ["miss", "hit"])
+    @pytest.mark.parametrize("breaker", ["closed", "open", "half_open_probe_taken"])
+    @pytest.mark.parametrize("synopsis", ["cold", "warm"])
+    @pytest.mark.parametrize("budget", list(BUDGETS))
+    def test_explain_agrees_with_query(self, service, budget, synopsis, breaker, cache):
+        """EXPLAIN first, then query: the route EXPLAIN chooses is the one
+        served, and a breaker skip gives the reason EXPLAIN gave."""
+        budget = BUDGETS[budget]
+        if synopsis == "warm":
+            for sql in TRAINING:
+                service.record_answer(sql)
+            service.train()
+        if cache == "hit":
+            service.query(SQL, budget=budget, record=False)
+        # Put the breaker in front of the first sampled route query tries.
+        first = Route.LEARNED if synopsis == "warm" else Route.ONLINE_AGG
+        clock = [0.0]
+        tripped = CircuitBreaker(
+            name=first.value, window=1, cooldown_s=10.0, clock=lambda: clock[0]
+        )
+        service._breakers[first] = tripped
+        if breaker != "closed":
+            tripped.record_failure()  # window of one: open
+        if breaker == "half_open_probe_taken":
+            clock[0] = 20.0  # past the cooldown: half-open
+            assert tripped.allow()  # an in-flight request holds the probe slot
+
+        plan = service.explain(SQL, budget=budget)
+        root = Span("request")
+        answer = service.query(SQL, budget=budget, record=False, span=root)
+
+        assert answer.route.value == plan["chosen_route"]
+        skip_reasons = {
+            candidate["route"]: candidate.get("skip_reason")
+            for candidate in plan["candidates"]
+        }
+        breaker_skips = [
+            span.attrs
+            for span in root.children
+            if span.name == "route.skip" and "breaker" in span.attrs["reason"]
+        ]
+        for skip in breaker_skips:
+            assert skip["reason"] == skip_reasons[skip["route"]]
+        if breaker != "closed" and cache == "miss" and not budget.requires_exact:
+            assert [skip["route"] for skip in breaker_skips] == [first.value]
 
 
 class TestNoPerturbation:

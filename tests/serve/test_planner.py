@@ -205,6 +205,35 @@ class TestPredictedEqualsCharged:
         assert answer.model_seconds == decision.estimated_seconds
         assert explained[route.value]["estimated_seconds"] == decision.estimated_seconds
 
+    def test_learned_one_batch_answer_costs_its_estimate(self):
+        """A learned answer serves the cost model's charge alone: the
+        inference step's measured time is wall time, not model time."""
+        table = make_sales_table(num_rows=3_000, num_weeks=52, seed=9)
+        catalog = Catalog()
+        catalog.add_table(table, fact=True)
+        sql = "SELECT AVG(revenue) FROM sales WHERE week >= 8 AND week <= 33"
+        with VerdictService(
+            catalog,
+            sampling=SamplingConfig(sample_ratio=0.25, num_batches=4, seed=2),
+            config=VerdictConfig(learn_length_scales=False),
+            record_queries=False,
+        ) as service:
+            for low in (1, 12, 25, 38):
+                service.record_answer(
+                    f"SELECT AVG(revenue) FROM sales WHERE week >= {low} AND week <= {low + 14}"
+                )
+            service.train()
+            parsed, check = service.engine.check(sql)
+            decision = service.planner.plan(parsed, check, ServiceBudget())[0]
+            root = Span("request")
+            answer = service.query(sql, ServiceBudget(), span=root)
+        assert decision.route is Route.LEARNED
+        assert answer.route is Route.LEARNED
+        assert answer.batches_processed == 1
+        assert answer.model_seconds == decision.estimated_seconds
+        (route_span,) = [span for span in root.children if span.name == "route.learned"]
+        assert route_span.attrs["observed_seconds"] == decision.estimated_seconds
+
     def test_join_error_proxy_counts_only_sampled_rows(self):
         # The dimension table is read whole, so its 40 rows are not sample
         # rows: the CLT proxy sees the first batch's sample alone.

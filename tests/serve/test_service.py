@@ -18,15 +18,15 @@ from __future__ import annotations
 import gc
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.config import SamplingConfig, VerdictConfig
 from repro.db.catalog import Catalog
-from repro.deadline import UNLIMITED, CancelToken
-from repro.errors import ExpressionError, QueryCancelled, SchemaError, ServiceError
-from repro.obs.trace import Span
+from repro.deadline import UNLIMITED
+from repro.errors import ExpressionError, SchemaError, ServiceError
 from repro.serve import ReadWriteLock, ServiceBudget, SynopsisStore, VerdictService
 from repro.serve.planner import Route
 from repro.sqlparser.parser import parse_query
@@ -93,45 +93,6 @@ class TestBasicServing:
             assert answer.route is Route.LEARNED
             assert answer.budget_met
 
-    def test_submit_runs_on_worker_pool(self):
-        with build_service(max_workers=2, record_queries=False) as service:
-            futures = [
-                service.submit("SELECT COUNT(*) FROM sales", ServiceBudget.exact())
-                for _ in range(8)
-            ]
-            values = {future.result().scalar() for future in futures}
-            assert values == {3_000.0}
-
-    def test_submit_forwards_the_cancel_token(self):
-        """A cancelled request stays cancelled on the worker pool: submit
-        hands its token to query on the worker thread."""
-        token = CancelToken()
-        token.cancel()
-        sql = "SELECT AVG(revenue) FROM sales WHERE week >= 5 AND week <= 30"
-        with build_service(record_queries=False) as service:
-            with pytest.raises(QueryCancelled):
-                service.query(sql, cancel=token)
-            future = service.submit(sql, cancel=token)
-            with pytest.raises(QueryCancelled):
-                future.result(timeout=30)
-            assert service.metrics.event_count("query.cancelled") == 2
-
-    def test_submit_forwards_the_span(self):
-        """The worker thread opens the request's spans under the span the
-        caller handed to submit; an untraced submit opens none."""
-        sql = "SELECT COUNT(*) FROM sales WHERE week >= 4"
-        root = Span("request")
-        with build_service(record_queries=False) as service:
-            service.submit(sql, ServiceBudget.exact(), span=root).result(timeout=30)
-            service.submit(sql + " AND week <= 40", ServiceBudget.exact()).result(timeout=30)
-        assert [span.name for span in root.children] == [
-            "cache.lookup",
-            "plan",
-            "route.exact",
-        ]
-        assert [span.name for span in root.children[2].children] == ["scan"]
-        assert root.attrs["route"] == "exact"
-
     @pytest.mark.parametrize("route", [Route.ONLINE_AGG, Route.LEARNED])
     def test_latency_only_budget_serves_the_first_batch(self, route):
         """No error budget means best effort: both sampled routes stop after
@@ -156,8 +117,6 @@ class TestBasicServing:
         service.close()
         with pytest.raises(ServiceError):
             service.query("SELECT COUNT(*) FROM sales")
-        with pytest.raises(ServiceError):
-            service.submit("SELECT COUNT(*) FROM sales")
         service.close()  # idempotent
 
     def test_unsupported_query_is_still_served(self):
@@ -293,7 +252,7 @@ class TestCacheInvalidation:
 class TestConcurrencyHammer:
     def test_no_torn_answers_under_concurrent_appends(self):
         """Exact COUNT(*) must always equal a row count at an append boundary."""
-        service = build_service(max_workers=4)
+        service = build_service()
         base_rows = 3_000
         batch_rows = 250
         num_appends = 4
@@ -354,7 +313,7 @@ class TestConcurrencyHammer:
     def test_cache_never_serves_stale_post_append_count(self):
         """Interleaved cached reads and appends: a count served after append
         ``i`` completed must reflect at least append ``i``."""
-        service = build_service(max_workers=4)
+        service = build_service()
         sql = "SELECT COUNT(*) FROM sales"
         floor = 3_000.0
         errors: list[Exception] = []
@@ -394,10 +353,10 @@ class TestConcurrencyHammer:
         assert not errors, errors
 
     def test_concurrent_identical_queries_agree(self):
-        with build_service(max_workers=4, record_queries=False) as service:
+        with build_service(record_queries=False) as service:
             sql = "SELECT AVG(revenue) FROM sales WHERE week >= 3 AND week <= 48"
-            futures = [service.submit(sql) for _ in range(16)]
-            answers = [future.result() for future in futures]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(lambda _: service.query(sql), range(16)))
             values = {answer.scalar() for answer in answers}
             assert len(values) == 1
             assert any(answer.from_cache for answer in answers[1:]) or len(answers) == 1
@@ -440,7 +399,7 @@ class TestBackgroundTraining:
     def test_queries_are_served_while_training_runs(self):
         """The hammer: with the compute phase artificially stalled, queries
         must keep completing -- training never blocks the request path."""
-        with build_service(max_workers=2) as service:
+        with build_service() as service:
             self._record_trace(service)
             entered = threading.Event()
             release = threading.Event()
@@ -494,8 +453,15 @@ class TestBackgroundTraining:
             trainer.start()
             try:
                 assert entered.wait(timeout=30)
-                future = service.submit("SELECT COUNT(*) FROM sales", ServiceBudget.exact())
-                assert future.result(timeout=10).scalar() == 3_000.0
+                served: list = []
+                reader = threading.Thread(
+                    target=lambda: served.append(
+                        service.query("SELECT COUNT(*) FROM sales", ServiceBudget.exact())
+                    )
+                )
+                reader.start()
+                reader.join(timeout=10)
+                assert [answer.scalar() for answer in served] == [3_000.0]
                 assert trainer.is_alive()
             finally:
                 release.set()
@@ -716,8 +682,7 @@ class TestShutdownOrdering:
         outcome: dict = {}
 
         def request():
-            # Direct call (not submit): the worker pool never sees it, so
-            # only the in-flight drain can make close() wait for it.
+            # Only the in-flight drain can make close() wait for it.
             outcome["answer"] = service.query(
                 "SELECT AVG(revenue) FROM sales WHERE week >= 3 AND week <= 40",
                 record=True,
