@@ -11,10 +11,25 @@ from successive restarts never interleave::
     <root>/audit/<session-id>.jsonl
 
 Record fields: ``ts`` (unix seconds), ``seq`` (per-session sequence
-number), ``session``, ``endpoint``, ``tenant``, ``status`` (HTTP),
-``latency_s`` (server-side wall clock), plus per-endpoint extras --
-``route`` and ``error_bound`` for answered asks, ``error`` (the machine
-code) for failures.
+number), ``session``, ``endpoint`` (``METHOD /path``), ``tenant`` (the one
+the request names, ``null`` if none -- failure lines keep it), ``status``
+(HTTP), ``latency_s`` (server-side wall clock), ``request_id``, and
+``role`` / ``epoch`` (the node's replication role and fencing epoch when
+it answered), plus per-endpoint extras:
+
+- ``route`` and ``error_bound`` -- an answered ask;
+- ``explain`` -- an EXPLAIN ask (``true``);
+- ``brownout_level`` -- an ask whose budget brownout widened (on its
+  failure line too);
+- ``cancelled`` -- an ask cancelled mid-flight: ``requested`` or
+  ``disconnected``;
+- ``cancel_target`` -- ``POST /v1/cancel``: the request id it named;
+- ``rows`` -- ``feedback/append``: rows appended;
+- ``records`` -- ``replication/deltas``: WAL records shipped;
+- ``error`` -- any failure: the machine code;
+- ``client_gone`` -- the follow-up line of a response whose send failed.
+
+``tests/serve/http/audit_lines_golden.json`` pins every endpoint's line.
 
 Writes are serialized by a lock and flushed per record (no fsync: the audit
 log is an operational trace, not the durability story -- that is the

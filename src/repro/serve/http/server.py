@@ -60,7 +60,10 @@ payload, recorded on the audit line, and (with a tracer) keying the
 request's span tree in the trace ring and JSONL trace log.  Trace and audit
 line are both written *before* the response is sent, so a client holding its
 answer can always look either up; a send that then fails appends a second
-audit line with ``client_gone`` under the same request id.
+audit line with ``client_gone`` under the same request id.  A request's
+facts move as values: ``_route`` binds the parsed input (and the request id
+and span an endpoint needs) to its endpoint, which returns one ``_Outcome``
+that the audit line and the response are both written from.
 
 Execution model: connection-handler threads run the query themselves,
 gated by one shared :class:`~repro.serve.http.admission.AdmissionController`
@@ -85,7 +88,10 @@ import socket
 import threading
 import time
 from contextlib import ExitStack
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 from urllib.parse import parse_qs
 
 from repro import faults
@@ -93,7 +99,7 @@ from repro.core.linalg import blas_threads
 from repro.deadline import CancelToken
 from repro.errors import QueryCancelled
 from repro.obs.metrics import Registry, render_prometheus
-from repro.obs.trace import Tracer, child, mint_request_id, valid_request_id
+from repro.obs.trace import Span, Tracer, child, mint_request_id, valid_request_id
 from repro.serve.governor import BrownoutController, ResourceGovernor
 from repro.serve.http import protocol
 from repro.serve.http.admission import AdmissionController, ShedLoad
@@ -109,6 +115,29 @@ from repro.sqlparser.parser import parse_query
 MAX_SHIP_RECORDS = 1024
 
 _VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+class _Outcome(NamedTuple):
+    """What one request came to: its response, audit facts and aftermath."""
+
+    status: int
+    payload: dict | str
+    #: Audit-line fields beyond the request's identity (tenant, route, ...).
+    facts: Mapping[str, object] = MappingProxyType({})
+    retry_after_s: float | None = None
+    #: Set by a fired "torn" ship fault: the (mangled) response is sent
+    #: first, then the process dies -- modelling a leader that crashed
+    #: mid-ship after the bytes left the socket.
+    die_after_send: bool = False
+
+
+def _failure(error: Exception, **facts) -> _Outcome:
+    """The typed response to a failure, after the ``facts`` learned first."""
+    mapped = protocol.map_exception(error)
+    if mapped.code == "cancelled":
+        facts["cancelled"] = mapped.extra["reason"]
+    facts["error"] = mapped.code
+    return _Outcome(mapped.status, mapped.body(), facts, mapped.retry_after_s)
 
 
 def _check_tables(catalog, parsed) -> None:
@@ -154,10 +183,6 @@ class VerdictHTTPServer(ThreadingHTTPServer):
         self.replication = (
             replication if replication is not None else ReplicationManager()
         )
-        # Set by a fired "torn" ship fault: the handler sends the (mangled)
-        # response first, then the process dies -- modelling a leader that
-        # crashed mid-ship after the bytes left the socket.
-        self._kill_after_response = False
         self.admission = AdmissionController(
             max_active=max_active,
             max_queued=max_queued,
@@ -365,26 +390,16 @@ class _Handler(BaseHTTPRequestHandler):
         # keys the trace in the ring/trace log.
         offered = self.headers.get("X-Request-Id") or ""
         request_id = offered if valid_request_id(offered) else mint_request_id()
-        # Stashed so _ask can register its cancel token under the same id
-        # the client saw in the response header, and so the endpoints open
-        # their spans under this request's root (None when untraced).
-        self.active_request_id = request_id
-        self.active_span = None
-        audit_fields: dict = {}
         tracer = self.server.tracer
         if tracer is None:
-            status, payload, retry_after = self._handle(
-                method, path, query, audit_fields, failure
-            )
+            outcome = self._handle(method, path, query, failure, request_id, None)
         else:
             with tracer.request(request_id, name=f"{method} {path}") as root:
-                self.active_span = root
-                status, payload, retry_after = self._handle(
-                    method, path, query, audit_fields, failure
-                )
-                root.set(status=status)
-                if "error" in audit_fields:
-                    root.set(error_code=audit_fields["error"])
+                outcome = self._handle(method, path, query, failure, request_id, root)
+                root.set(status=outcome.status)
+                if "error" in outcome.facts:
+                    root.set(error_code=outcome.facts["error"])
+        status, payload, facts, retry_after, die_after_send = outcome
         if isinstance(payload, dict):
             payload = {**payload, "request_id": request_id}
         latency = time.perf_counter() - started
@@ -400,7 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "role": replication.role,
                 "epoch": replication.epoch.number,
             }
-            audit.record(latency_s=latency, **identity, **audit_fields)
+            audit.record(latency_s=latency, **identity, **facts)
         try:
             self._respond(
                 status, payload, retry_after_s=retry_after, request_id=request_id
@@ -409,11 +424,11 @@ class _Handler(BaseHTTPRequestHandler):
             if audit is not None:
                 audit.record(
                     latency_s=time.perf_counter() - started,
-                    tenant=audit_fields.get("tenant"),
+                    tenant=facts["tenant"],
                     client_gone=True,
                     **identity,
                 )
-        if self.server._kill_after_response:
+        if die_after_send:
             faults.hard_exit()
 
     def _handle(
@@ -421,67 +436,77 @@ class _Handler(BaseHTTPRequestHandler):
         method: str,
         path: str,
         query: str,
-        audit_fields: dict,
         failure: ApiError | None,
-    ) -> tuple[int, dict | str, float | None]:
-        """Route one request, mapping every failure to a typed response."""
+        request_id: str,
+        span: Span | None,
+    ) -> _Outcome:
+        """Route one request, mapping every failure to a typed outcome."""
+        tenant = None  # named by the input: a failure's audit line keeps it
         try:
             if failure is not None:
                 raise failure
             faults.inject("http.handler", method=method, path=path)
-            status, payload = self._route(method, path, query, audit_fields)
-            return status, payload, None
-        except ApiError as error:
-            audit_fields["error"] = error.code
-            return error.status, error.body(), error.retry_after_s
+            tenant, endpoint = self._route(method, path, query, request_id, span)
+            outcome = endpoint()
         except Exception as error:  # engine failures -> typed mapping
-            mapped = protocol.map_exception(error)
-            audit_fields["error"] = mapped.code
-            return mapped.status, mapped.body(), mapped.retry_after_s
+            outcome = _failure(error)
+        return outcome._replace(facts={"tenant": tenant, **outcome.facts})
 
     def _route(
-        self, method: str, path: str, query: str, audit_fields: dict
-    ) -> tuple[int, dict]:
+        self, method: str, path: str, query: str, request_id: str, span: Span | None
+    ) -> tuple[str | None, Callable[[], _Outcome]]:
+        """Parse the request's input; bind it to the endpoint that serves it."""
         if method == "POST" and path == "/v1/ask":
-            return self._ask(self._read_json(), audit_fields)
+            request = protocol.parse_ask(self._read_json())
+            return request.tenant, partial(self._ask, request, request_id, span)
         if method == "POST" and path == "/v1/feedback/append":
-            return self._append(self._read_json(), audit_fields)
+            request = protocol.parse_append(self._read_json())
+            return request.tenant, partial(self._append, request, span)
         if method == "POST" and path == "/v1/feedback/record":
-            return self._record(self._read_json(), audit_fields)
+            request = protocol.parse_record(self._read_json())
+            return request.tenant, partial(self._record, request, span)
         if method == "POST" and path.startswith("/v1/cancel/"):
             # Cancellation bypasses admission: it must land on a saturated
             # server -- that is exactly when cancelling matters most.
-            return self._cancel(path[len("/v1/cancel/"):], audit_fields)
+            return None, partial(self._cancel, path[len("/v1/cancel/"):])
         if method == "GET" and path == "/v1/metrics":
             params = parse_qs(query)
             tenant = params.get("tenant", [None])[0]
-            audit_fields["tenant"] = tenant
-            return self._metrics(tenant, params.get("format", [None])[0])
+            return tenant, partial(self._metrics, tenant, params.get("format", [None])[0])
         if method == "GET" and path.startswith("/v1/trace/"):
-            return self._trace(path[len("/v1/trace/"):])
+            return None, partial(self._trace, path[len("/v1/trace/"):])
         if method == "POST" and path == "/v1/admin/train":
-            return self._train(self._read_json(), audit_fields)
+            request = protocol.parse_train(self._read_json())
+            return request.tenant, partial(self._train, request)
         if method == "POST" and path == "/v1/admin/snapshot":
-            return self._snapshot(self._read_json(), audit_fields)
+            request = protocol.parse_tenant_only(self._read_json())
+            return request.tenant, partial(self._snapshot, request.tenant)
         if method == "POST" and path == "/v1/admin/tenants":
-            return self._create_tenant(self._read_json(), audit_fields)
+            request = protocol.parse_tenant_only(self._read_json())
+            return request.tenant, partial(self._create_tenant, request.tenant)
         if method == "GET" and path == "/v1/admin/tenants":
-            return 200, {"tenants": self.server.tenants.list_tenants()}
+            return None, lambda: _Outcome(200, {"tenants": self.server.tenants.list_tenants()})
         if method == "POST" and path == "/v1/admin/promote":
-            return self._promote(self._read_json(), audit_fields)
+            protocol.parse_promote(self._read_json())
+            return None, self._promote
         if method == "GET" and path == "/v1/replication/deltas":
-            return self._replication_deltas(parse_qs(query), audit_fields)
+            self._require_leader()
+            params = parse_qs(query)
+            tenant = self._query_param(params, "tenant")
+            return tenant, partial(self._replication_deltas, tenant, params)
         if method == "GET" and path == "/v1/replication/snapshot":
-            return self._replication_snapshot(parse_qs(query), audit_fields)
+            self._require_leader()
+            tenant = self._query_param(parse_qs(query), "tenant")
+            return tenant, partial(self._replication_snapshot, tenant)
         if method == "GET" and path == "/v1/replication/status":
-            return self._replication_status()
+            return None, self._replication_status
         if method == "POST" and path == "/v1/replication/fence":
-            return self._fence(self._read_json(), audit_fields)
+            return None, partial(self._fence, protocol.parse_fence(self._read_json()))
         if method == "GET" and path == "/v1/healthz":
-            return self._healthz()
+            return None, self._healthz
         raise protocol.unknown_route(method, path)
 
-    def _healthz(self) -> tuple[int, dict]:
+    def _healthz(self) -> _Outcome:
         """Aggregate health: the server itself plus every resident tenant.
 
         Always 200 (the process is alive and answering); the *status* field
@@ -521,127 +546,125 @@ class _Handler(BaseHTTPRequestHandler):
         }
         if brownout is not None:
             payload["brownout"] = brownout.snapshot()
-        return 200, payload
+        return _Outcome(200, payload)
 
     # -------------------------------------------------------------- endpoints
 
-    def _ask(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
+    def _ask(self, request: protocol.AskRequest, request_id: str, span: Span | None) -> _Outcome:
         server = self.server
-        request = protocol.parse_ask(payload)
-        audit_fields["tenant"] = request.tenant
-        # Client-fault errors (bad SQL, unknown table) must not reach the
-        # routing layer, where they would surface as opaque 500s.
-        parsed = parse_query(request.sql)
-        if request.explain:
-            # EXPLAIN never executes (no scan, no engine work), so like
-            # metrics and health it bypasses admission: the plan must be
-            # inspectable on a saturated server.
-            with server.tenants.lease(request.tenant) as tenant:
-                _check_tables(tenant.service.catalog, parsed)
-                effective = self._effective_budget(tenant, request.budget, audit_fields)
-                plan = tenant.service.explain(request.sql, budget=effective)
-                plan["governance"] = self._governance_explain(
-                    tenant, parsed, request.budget, effective, request.tenant
-                )
-            audit_fields["explain"] = True
-            return 200, {"tenant": request.tenant, "explain": plan}
-        with ExitStack() as stack:
-            # The lease comes first: pricing a request needs the tenant's
-            # planner, and a lease only pins residency (it is safe to hold
-            # across an admission queue wait).
-            with server.tenants.lease(request.tenant) as tenant:
-                _check_tables(tenant.service.catalog, parsed)
-                effective = self._effective_budget(tenant, request.budget, audit_fields)
-                # Tenant governance before the shared gate: a tenant over
-                # its quota is shed in microseconds with its own Retry-After
-                # and never occupies a global queue slot.
-                cost = server.governor.price_query(
-                    tenant.service.planner,
-                    parsed,
-                    effective or tenant.service.default_budget,
-                )
-                with child(self.active_span, "governance") as governance_span:
-                    stack.enter_context(
-                        server.governor.admit(request.tenant, cost, span=governance_span)
+        widened: dict = {}
+        try:
+            # Client-fault errors (bad SQL, unknown table) must not reach the
+            # routing layer, where they would surface as opaque 500s.
+            parsed = parse_query(request.sql)
+            if request.explain:
+                # EXPLAIN never executes (no scan, no engine work), so like
+                # metrics and health it bypasses admission: the plan must be
+                # inspectable on a saturated server.
+                with server.tenants.lease(request.tenant) as tenant:
+                    _check_tables(tenant.service.catalog, parsed)
+                    effective, widened = self._effective_budget(tenant, request.budget)
+                    plan = tenant.service.explain(request.sql, budget=effective)
+                    plan["governance"] = self._governance_explain(
+                        tenant, parsed, request.budget, effective, request.tenant
                     )
-                # The admission span covers only the wait for a slot (its
-                # outcome/queue-wait attrs are set inside the controller);
-                # the slot itself is held for the whole execution.  The
-                # measured wait feeds the brownout saturation detector; a
-                # shed counts as a full-horizon observation (the queue was
-                # saturated enough to refuse us).
-                wait_started = time.perf_counter()
-                try:
-                    with child(self.active_span, "admission") as admission_span:
-                        stack.enter_context(server.admission.admit(span=admission_span))
-                except ShedLoad:
-                    if server.brownout is not None:
-                        horizon = server.admission.queue_timeout_s
-                        server.brownout.observe(
-                            horizon
-                            if horizon is not None
-                            else 2.0 * server.brownout.threshold_s
+                facts = {**widened, "explain": True}
+                return _Outcome(200, {"tenant": request.tenant, "explain": plan}, facts)
+            with ExitStack() as stack:
+                # The lease comes first: pricing a request needs the tenant's
+                # planner, and a lease only pins residency (it is safe to hold
+                # across an admission queue wait).
+                with server.tenants.lease(request.tenant) as tenant:
+                    _check_tables(tenant.service.catalog, parsed)
+                    effective, widened = self._effective_budget(tenant, request.budget)
+                    # Tenant governance before the shared gate: a tenant over
+                    # its quota is shed in microseconds with its own Retry-After
+                    # and never occupies a global queue slot.
+                    cost = server.governor.price_query(
+                        tenant.service.planner,
+                        parsed,
+                        effective or tenant.service.default_budget,
+                    )
+                    with child(span, "governance") as governance_span:
+                        stack.enter_context(
+                            server.governor.admit(request.tenant, cost, span=governance_span)
                         )
-                    raise
-                if server.brownout is not None:
-                    server.brownout.observe(time.perf_counter() - wait_started)
-                # Degraded read-only mode: followers (and fenced leaders)
-                # still answer asks, but never record snippets -- recording
-                # is a write and writes arrive via replication only.
-                record = request.record
-                if not server.replication.is_writable:
-                    record = False
-                # The cancel token rides the whole execution: a POST
-                # /v1/cancel under this request id (or the disconnect probe
-                # noticing the client hung up) arms it, and the next
-                # scan/online-agg checkpoint raises QueryCancelled.
-                token = CancelToken(probe=self._disconnect_probe())
-                with server.governor.cancels.track(
-                    self.active_request_id, token, request.tenant
-                ):
+                    # The admission span covers only the wait for a slot (its
+                    # outcome/queue-wait attrs are set inside the controller);
+                    # the slot itself is held for the whole execution.  The
+                    # measured wait feeds the brownout saturation detector; a
+                    # shed counts as a full-horizon observation (the queue was
+                    # saturated enough to refuse us).
+                    wait_started = time.perf_counter()
                     try:
-                        answer = tenant.service.query(
-                            request.sql,
-                            budget=effective,
-                            record=record,
-                            cancel=token,
-                            span=self.active_span,
-                        )
-                    except QueryCancelled as error:
-                        server.governor.record_cancel(request.tenant, error.reason)
-                        audit_fields["cancelled"] = error.reason
+                        with child(span, "admission") as admission_span:
+                            stack.enter_context(server.admission.admit(span=admission_span))
+                    except ShedLoad:
+                        if server.brownout is not None:
+                            horizon = server.admission.queue_timeout_s
+                            server.brownout.observe(
+                                horizon
+                                if horizon is not None
+                                else 2.0 * server.brownout.threshold_s
+                            )
                         raise
+                    if server.brownout is not None:
+                        server.brownout.observe(time.perf_counter() - wait_started)
+                    # Degraded read-only mode: followers (and fenced leaders)
+                    # still answer asks, but never record snippets -- recording
+                    # is a write and writes arrive via replication only.
+                    record = request.record
+                    if not server.replication.is_writable:
+                        record = False
+                    # The cancel token rides the whole execution: a POST
+                    # /v1/cancel under this request id (or the disconnect probe
+                    # noticing the client hung up) arms it, and the next
+                    # scan/online-agg checkpoint raises QueryCancelled.
+                    token = CancelToken(probe=self._disconnect_probe())
+                    with server.governor.cancels.track(request_id, token, request.tenant):
+                        try:
+                            answer = tenant.service.query(
+                                request.sql,
+                                budget=effective,
+                                record=record,
+                                cancel=token,
+                                span=span,
+                            )
+                        except QueryCancelled as error:
+                            server.governor.record_cancel(request.tenant, error.reason)
+                            raise
+        except Exception as error:
+            # The brownout level that widened the budget stays on the line.
+            return _failure(error, **widened)
         state = protocol.answer_to_state(answer)
-        audit_fields["route"] = state["route"]
-        audit_fields["error_bound"] = state["relative_error_bound"]
         response = {"tenant": request.tenant, "answer": state}
         if request.trace:
             # The root span is still open (it closes in _dispatch after the
             # response is rendered), so the attached tree reports the wall
             # time accumulated so far; the ring holds the finished version.
-            root = self.active_span
-            response["trace"] = None if root is None else root.to_dict()
-        return 200, response
+            response["trace"] = None if span is None else span.to_dict()
+        facts = {**widened, "route": state["route"], "error_bound": state["relative_error_bound"]}
+        return _Outcome(200, response, facts)
 
-    def _effective_budget(self, tenant, requested, audit_fields: dict):
+    def _effective_budget(self, tenant, requested) -> tuple[object, dict]:
         """The budget this request runs under after brownout widening.
 
         With brownout disabled (or at level 0) the requested budget passes
         through untouched -- including ``None`` (the service default).  At
         a positive level the default is resolved so it can be widened too,
-        and the audit record is stamped with the level that did it.
+        and the audit facts returned beside it name the level that did it.
         """
         brownout = self.server.brownout
         if brownout is None:
-            return requested
+            return requested, {}
         brownout.tick()
         if brownout.level == 0:
-            return requested
+            return requested, {}
         base = requested if requested is not None else tenant.service.default_budget
         effective = brownout.effective_budget(base)
-        if effective is not base:
-            audit_fields["brownout_level"] = brownout.level
-        return effective
+        if effective is base:
+            return effective, {}
+        return effective, {"brownout_level": brownout.level}
 
     def _governance_explain(
         self, tenant, parsed, requested, effective, tenant_name: str
@@ -668,24 +691,23 @@ class _Handler(BaseHTTPRequestHandler):
             ),
         }
 
-    def _cancel(self, request_id: str, audit_fields: dict) -> tuple[int, dict]:
+    def _cancel(self, request_id: str) -> _Outcome:
         """Arm the cancel token of an in-flight ask by request id."""
         # The (empty) body must be drained or the keep-alive stream desyncs.
         self._read_body(required=False)
         if not valid_request_id(request_id):
             raise protocol.bad_request(f"invalid request id {request_id!r}")
         found, tenant = self.server.governor.cancels.cancel(request_id)
-        audit_fields["cancel_target"] = request_id
         if not found:
-            raise ApiError(
+            missing = ApiError(
                 404,
                 "unknown_request",
                 f"no in-flight request {request_id!r} (already finished, "
                 "never admitted, or served elsewhere)",
             )
-        if tenant:
-            audit_fields["tenant"] = tenant
-        return 200, {"cancelled": True, "request": request_id}
+            return _failure(missing, cancel_target=request_id)
+        facts = {"cancel_target": request_id, "tenant": tenant or None}
+        return _Outcome(200, {"cancelled": True, "request": request_id}, facts)
 
     def _disconnect_probe(self):
         """A rate-limited peek that reports whether the client hung up.
@@ -715,14 +737,12 @@ class _Handler(BaseHTTPRequestHandler):
 
         return probe
 
-    def _append(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
+    def _append(self, request: protocol.AppendRequest, span: Span | None) -> _Outcome:
         from repro.db.table import Table
 
-        request = protocol.parse_append(payload)
-        audit_fields["tenant"] = request.tenant
         self.server.replication.require_writable()
         with ExitStack() as stack:
-            with child(self.active_span, "admission") as admission_span:
+            with child(span, "admission") as admission_span:
                 stack.enter_context(self.server.admission.admit(span=admission_span))
             with self.server.tenants.lease(request.tenant) as tenant:
                 catalog = tenant.service.catalog
@@ -735,33 +755,31 @@ class _Handler(BaseHTTPRequestHandler):
                 adjusted = tenant.service.append(
                     request.table, appended, adjust=request.adjust
                 )
-                self._sync_ack(tenant)
-        audit_fields["rows"] = len(appended)
-        return 200, {
+                self._sync_ack(tenant, span)
+        payload = {
             "tenant": request.tenant,
             "table": request.table,
             "appended_rows": len(appended),
             "snippets_adjusted": adjusted,
         }
+        return _Outcome(200, payload, {"rows": len(appended)})
 
-    def _record(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
-        request = protocol.parse_record(payload)
-        audit_fields["tenant"] = request.tenant
+    def _record(self, request: protocol.RecordRequest, span: Span | None) -> _Outcome:
         self.server.replication.require_writable()
         # Parse errors are the client's fault and must not burn a full
         # sample scan: surface them before admission.
         parsed = parse_query(request.sql)
         with ExitStack() as stack:
-            with child(self.active_span, "admission") as admission_span:
+            with child(span, "admission") as admission_span:
                 stack.enter_context(self.server.admission.admit(span=admission_span))
             with self.server.tenants.lease(request.tenant) as tenant:
                 _check_tables(tenant.service.catalog, parsed)
-                recorded = tenant.service.record_answer(request.sql, span=self.active_span)
+                recorded = tenant.service.record_answer(request.sql, span=span)
                 if recorded:
-                    self._sync_ack(tenant)
-        return 200, {"tenant": request.tenant, "recorded": recorded}
+                    self._sync_ack(tenant, span)
+        return _Outcome(200, {"tenant": request.tenant, "recorded": recorded})
 
-    def _sync_ack(self, tenant) -> None:
+    def _sync_ack(self, tenant, span: Span | None) -> None:
         """In sync-ack mode, block the ack until a follower confirms the write.
 
         The write is first flushed (its WAL record must exist to ship), then
@@ -776,24 +794,22 @@ class _Handler(BaseHTTPRequestHandler):
             return
         tenant.service.flush()
         seq = tenant.store.sequence
-        with child(self.active_span, "replication.ack") as span:
+        with child(span, "replication.ack") as ack_span:
             confirmed = replication.wait_replicated(tenant.name, seq)
-            if span is not None:
-                span.set(seq=seq, confirmed=confirmed)
+            if ack_span is not None:
+                ack_span.set(seq=seq, confirmed=confirmed)
         if not confirmed:
             raise protocol.replication_timeout(
                 f"write is durable locally at seq {seq} but no follower "
                 f"confirmed it within {replication.ack_timeout_s:g}s"
             )
 
-    def _metrics(
-        self, tenant_name: str | None, format: str | None = None
-    ) -> tuple[int, dict | str]:
+    def _metrics(self, tenant_name: str | None, format: str | None = None) -> _Outcome:
         server = self.server
         if format is not None and format != "prometheus":
             raise protocol.bad_request(f"unknown metrics format {format!r}")
         if format == "prometheus":
-            return 200, self._prometheus(tenant_name)
+            return _Outcome(200, self._prometheus(tenant_name))
         if tenant_name is None:
             state = {
                 "uptime_s": time.time() - server.started_ts,
@@ -811,10 +827,10 @@ class _Handler(BaseHTTPRequestHandler):
                 state["brownout"] = server.brownout.snapshot()
             if server.tracer is not None:
                 state["tracer"] = server.tracer.stats()
-            return 200, state
+            return _Outcome(200, state)
         with server.tenants.lease(tenant_name) as tenant:
             service = tenant.service
-            return 200, {
+            payload = {
                 "tenant": tenant_name,
                 "restored": service.restored,
                 "cache_size": service.cache_size(),
@@ -823,6 +839,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # background trainer, and the store's recovery counters.
                 "metrics": service.observability(),
             }
+            return _Outcome(200, payload)
 
     def _prometheus(self, tenant_name: str | None) -> str:
         """Prometheus text exposition: server-wide or one tenant's families.
@@ -855,7 +872,7 @@ class _Handler(BaseHTTPRequestHandler):
                 continue  # evicted or deleted between the snapshot and lease
         return render_prometheus(sources)
 
-    def _trace(self, request_id: str) -> tuple[int, dict]:
+    def _trace(self, request_id: str) -> _Outcome:
         tracer = self.server.tracer
         if tracer is None:
             raise ApiError(
@@ -869,33 +886,26 @@ class _Handler(BaseHTTPRequestHandler):
                 f"no trace for request {request_id!r} (expired from the "
                 f"ring, or the id was never served)",
             )
-        return 200, {"trace": trace}
+        return _Outcome(200, {"trace": trace})
 
-    def _train(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
-        request = protocol.parse_train(payload)
-        audit_fields["tenant"] = request.tenant
+    def _train(self, request: protocol.TrainRequest) -> _Outcome:
         self.server.replication.require_writable()
         with self.server.tenants.lease(request.tenant) as tenant:
             if request.wait:
                 tenant.service.train(request.learn)
-                return 200, {"tenant": request.tenant, "trained": True}
+                return _Outcome(200, {"tenant": request.tenant, "trained": True})
             tenant.service.train_async(request.learn)
-            return 200, {"tenant": request.tenant, "scheduled": True}
+            return _Outcome(200, {"tenant": request.tenant, "scheduled": True})
 
-    def _snapshot(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
-        request = protocol.parse_tenant_only(payload)
-        audit_fields["tenant"] = request.tenant
+    def _snapshot(self, tenant_name: str) -> _Outcome:
         self.server.replication.require_writable()
-        with self.server.tenants.lease(request.tenant) as tenant:
+        with self.server.tenants.lease(tenant_name) as tenant:
             outcome = tenant.service.snapshot()
-        return 200, {"tenant": request.tenant, "snapshot": outcome}
+        return _Outcome(200, {"tenant": tenant_name, "snapshot": outcome})
 
-    def _create_tenant(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
-        request = protocol.parse_tenant_only(payload)
-        audit_fields["tenant"] = request.tenant
+    def _create_tenant(self, tenant_name: str) -> _Outcome:
         self.server.replication.require_writable()
-        record = self.server.tenants.create(request.tenant)
-        return 201, record
+        return _Outcome(201, self.server.tenants.create(tenant_name))
 
     # ------------------------------------------------------------- replication
 
@@ -916,9 +926,7 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return values[0]
 
-    def _replication_deltas(
-        self, params: dict, audit_fields: dict
-    ) -> tuple[int, dict]:
+    def _replication_deltas(self, tenant_name: str, params: dict) -> _Outcome:
         """Ship the WAL tail past ``from`` -- and treat the pull as an ack.
 
         ``from=N`` is the follower's statement that it has *durably applied*
@@ -927,9 +935,6 @@ class _Handler(BaseHTTPRequestHandler):
         A ``from`` behind the snapshot horizon cannot be served from the
         delta log and gets a typed 409 pointing at the snapshot endpoint.
         """
-        self._require_leader()
-        tenant_name = self._query_param(params, "tenant")
-        audit_fields["tenant"] = tenant_name
         try:
             from_seq = int(self._query_param(params, "from"))
             max_records = int(self._query_param(params, "max_records", False) or 256)
@@ -961,18 +966,18 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             lines = store.delta_tail(from_seq, max_records)
             state = store.replication_state()
+        torn = False
         if lines:
             directive = faults.inject(
                 "repl.ship.deltas", tenant=tenant_name, records=len(lines)
             )
-            if directive is not None and directive.action == "torn":
+            torn = directive is not None and directive.action == "torn"
+            if torn:
                 # Ship a half-written last record and die once the response
                 # is flushed: the canonical torn-tail crash, as seen by a
                 # follower instead of a local restart.
                 lines = lines[:-1] + [lines[-1][: max(1, len(lines[-1]) // 2)]]
-                self.server._kill_after_response = True
-        audit_fields["records"] = len(lines)
-        return 200, {
+        payload = {
             "tenant": tenant_name,
             "from": from_seq,
             "lines": lines,
@@ -981,19 +986,15 @@ class _Handler(BaseHTTPRequestHandler):
             "epoch": state["epoch"],
             "lineage": state["lineage"],
         }
+        return _Outcome(200, payload, {"records": len(lines)}, die_after_send=torn)
 
-    def _replication_snapshot(
-        self, params: dict, audit_fields: dict
-    ) -> tuple[int, dict]:
+    def _replication_snapshot(self, tenant_name: str) -> _Outcome:
         """Ship a full snapshot for follower bootstrap.
 
         Pending learned state is flushed first; if the delta log is
         non-empty, a fresh snapshot is written so the shipped document alone
         reproduces the leader's current state.
         """
-        self._require_leader()
-        tenant_name = self._query_param(params, "tenant")
-        audit_fields["tenant"] = tenant_name
         with self.server.tenants.lease(tenant_name) as tenant:
             store = tenant.store
             tenant.service.flush()
@@ -1002,47 +1003,44 @@ class _Handler(BaseHTTPRequestHandler):
             document = store.snapshot_path.read_text()
             state = store.replication_state()
         directive = faults.inject("repl.ship.snapshot", tenant=tenant_name)
-        if directive is not None and directive.action == "torn":
+        torn = directive is not None and directive.action == "torn"
+        if torn:
             document = document[: max(1, len(document) // 2)]
-            self.server._kill_after_response = True
-        return 200, {
+        payload = {
             "tenant": tenant_name,
             "document": document,
             "seq": state["snapshot_sequence"],
             "epoch": state["epoch"],
             "lineage": state["lineage"],
         }
+        return _Outcome(200, payload, die_after_send=torn)
 
-    def _replication_status(self) -> tuple[int, dict]:
+    def _replication_status(self) -> _Outcome:
         server = self.server
-        return 200, {
+        payload = {
             "replication": server.replication.status(),
             "stores": {
                 name: store.replication_state()
                 for name, store in server.tenants.resident_stores()
             },
         }
+        return _Outcome(200, payload)
 
-    def _fence(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
-        request = protocol.parse_fence(payload)
+    def _fence(self, request: protocol.FenceRequest) -> _Outcome:
         epoch = self.server.replication.fence(request.epoch, request.lineage)
         # Stamp resident stores too so even in-process flushes (auto-train,
         # shutdown snapshots) carry the new epoch from here on.
         for _, store in self.server.tenants.resident_stores():
             store.adopt_epoch(epoch.number, epoch.lineage)
-        return 200, {
-            "fenced": True,
-            "epoch": epoch.number,
-            "lineage": epoch.lineage,
-        }
+        return _Outcome(
+            200, {"fenced": True, "epoch": epoch.number, "lineage": epoch.lineage}
+        )
 
-    def _promote(self, payload: object, audit_fields: dict) -> tuple[int, dict]:
-        protocol.parse_promote(payload)
+    def _promote(self) -> _Outcome:
         status = self.server.replication.promote()
-        return 200, {
-            "promoted": self.server.replication.is_leader,
-            "replication": status,
-        }
+        return _Outcome(
+            200, {"promoted": self.server.replication.is_leader, "replication": status}
+        )
 
     # ----------------------------------------------------------------- plumbing
 

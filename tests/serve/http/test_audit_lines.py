@@ -101,9 +101,9 @@ def ask(tenant: str, sql: str, **fields) -> dict:
     return {"tenant": tenant, "sql": sql, **fields}
 
 
-def wait_in_flight(server, count: int = 1) -> None:
+def wait_in_flight(server) -> None:
     for _ in range(4_000):
-        if server.governor.cancels.in_flight() == count:
+        if server.governor.cancels.in_flight() == 1:
             return
         time.sleep(0.005)
     raise AssertionError("ask never became cancellable")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import time
 
 import pytest
 
@@ -365,3 +366,35 @@ class TestServerShutdown:
         with pytest.raises(Exception):  # refused or reset: socket is gone
             with VerdictClient(port=server.port, tenant="solo") as client:
                 client.health()
+
+
+class TestTornShip:
+    def test_only_the_torn_response_kills_the_process(self, tmp_path, monkeypatch):
+        # A torn snapshot ship sends its mangled bytes and then dies; the
+        # requests served after it must not inherit the death sentence.
+        from repro import faults
+        from repro.faults import FaultPlan, FaultRule
+
+        exits = []
+        monkeypatch.setattr(faults, "hard_exit", lambda *args: exits.append(args))
+        server = start_server(tmp_path, {"acme": 1_200})
+        faults.install(
+            FaultPlan([FaultRule(point="repl.ship.snapshot", action="torn", times=1)])
+        )
+        try:
+            connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+            connection.request("GET", "/v1/replication/snapshot?tenant=acme")
+            shipped = json.loads(connection.getresponse().read())
+            connection.close()
+            assert shipped["tenant"] == "acme"
+            for _ in range(1_000):  # the exit follows the send on the server
+                if exits:
+                    break
+                time.sleep(0.01)
+            with VerdictClient(port=server.port, tenant="acme") as client:
+                client.health()
+                client.health()
+            assert len(exits) == 1
+        finally:
+            faults.clear()
+            server.close()
