@@ -40,6 +40,7 @@ from repro.core.regions import (
     CategoricalConstraint,
     NumericDomain,
     NumericRange,
+    Region,
 )
 from repro.core.snippet import Snippet, SnippetKey
 from repro.errors import InferenceError
@@ -122,20 +123,36 @@ class _NumericColumn:
     highs: np.ndarray  # (r,) distinct upper bounds
     index: np.ndarray  # (size,) int64 slot of every snippet
 
-    def extended(self, ranges: Sequence[tuple[float, float]]) -> "_NumericColumn":
-        """This column followed by one row per range (``self`` is not modified)."""
-        slots = dict(self.slots)
+    @classmethod
+    def of(cls, ranges: Sequence[tuple[float, float]]) -> "_NumericColumn":
+        """The column of one row per range."""
+        slots: dict[tuple[float, float], int] = {}
         index = np.fromiter(
             (slots.setdefault(bounds, len(slots)) for bounds in ranges),
             dtype=np.int64,
             count=len(ranges),
         )
-        added = np.array(list(slots)[len(self.slots) :], dtype=np.float64).reshape(-1, 2)
+        lows, highs = np.array(list(slots), dtype=np.float64).reshape(-1, 2).T.copy()
+        return cls(slots, lows, highs, index)
+
+    def appended(self, other: "_NumericColumn") -> "_NumericColumn":
+        """This column followed by ``other``'s rows (neither is modified).
+
+        ``other``'s distinct ranges take their slots here in first-seen
+        order, so the result equals the column of both row lists at once.
+        """
+        slots = dict(self.slots)
+        remap = np.fromiter(
+            (slots.setdefault(bounds, len(slots)) for bounds in other.slots),
+            dtype=np.int64,
+            count=len(other.slots),
+        )
+        added = remap >= len(self.slots)
         return _NumericColumn(
             slots,
-            np.concatenate([self.lows, added[:, 0]]),
-            np.concatenate([self.highs, added[:, 1]]),
-            np.concatenate([self.index, index]),
+            np.concatenate([self.lows, other.lows[added]]),
+            np.concatenate([self.highs, other.highs[added]]),
+            np.concatenate([self.index, remap[other.index]]),
         )
 
 
@@ -147,21 +164,41 @@ class _CategoricalColumn:
     constraints: tuple[CategoricalConstraint, ...]  # distinct, first-seen order
     index: np.ndarray  # (size,) int64 slot of every snippet
 
-    def extended(
-        self, constraints: Sequence[CategoricalConstraint]
-    ) -> "_CategoricalColumn":
-        """This column followed by one row per constraint (``self`` is not modified)."""
+    @classmethod
+    def of(cls, constraints: Sequence[CategoricalConstraint]) -> "_CategoricalColumn":
+        """The column of one row per constraint."""
+        slots: dict[frozenset | None, int] = {}
+        distinct: list[CategoricalConstraint] = []
+        index = _slot_constraints(slots, distinct, constraints)
+        return cls(slots, tuple(distinct), index)
+
+    def appended(self, other: "_CategoricalColumn") -> "_CategoricalColumn":
+        """This column followed by ``other``'s rows (neither is modified).
+
+        ``other``'s distinct value sets take their slots here in first-seen
+        order, so the result equals the column of both row lists at once.
+        """
         slots = dict(self.slots)
         distinct = list(self.constraints)
-        index = np.empty(len(constraints), dtype=np.int64)
-        for position, constraint in enumerate(constraints):
-            slot = slots.setdefault(constraint.values, len(slots))
-            if slot == len(distinct):
-                distinct.append(constraint)
-            index[position] = slot
+        remap = _slot_constraints(slots, distinct, other.constraints)
         return _CategoricalColumn(
-            slots, tuple(distinct), np.concatenate([self.index, index])
+            slots, tuple(distinct), np.concatenate([self.index, remap[other.index]])
         )
+
+
+def _slot_constraints(
+    slots: dict[frozenset | None, int],
+    distinct: list[CategoricalConstraint],
+    constraints: Sequence[CategoricalConstraint],
+) -> np.ndarray:
+    """The slot of every constraint, adding unseen value sets to both maps."""
+    index = np.empty(len(constraints), dtype=np.int64)
+    for position, constraint in enumerate(constraints):
+        slot = slots.setdefault(constraint.values, len(slots))
+        if slot == len(distinct):
+            distinct.append(constraint)
+        index[position] = slot
+    return index
 
 
 def _categorical_block(row: _CategoricalColumn, col: _CategoricalColumn) -> np.ndarray:
@@ -176,11 +213,6 @@ def _categorical_block(row: _CategoricalColumn, col: _CategoricalColumn) -> np.n
 def _spans_categorical_domain(column: _CategoricalColumn) -> bool:
     """Whether every snippet of ``column`` leaves the attribute unconstrained."""
     return len(column.constraints) == 1 and column.constraints[0].values is None
-
-
-_NO_ROWS = np.empty(0, dtype=np.int64)
-_EMPTY_NUMERIC = _NumericColumn({}, np.empty(0), np.empty(0), _NO_ROWS)
-_EMPTY_CATEGORICAL = _CategoricalColumn({}, (), _NO_ROWS)
 
 
 @dataclass(frozen=True)
@@ -198,6 +230,22 @@ class RegionEncoding:
     size: int
     numeric: dict[str, _NumericColumn]  # in sorted attribute order
     categorical: dict[str, _CategoricalColumn]  # in sorted attribute order
+
+    def appended(self, other: "RegionEncoding") -> "RegionEncoding":
+        """The encoding of this list followed by ``other``'s (neither is
+        modified): equal to encoding both lists at once, without touching a
+        region again."""
+        return RegionEncoding(
+            size=self.size + other.size,
+            numeric={
+                name: column.appended(other.numeric[name])
+                for name, column in self.numeric.items()
+            },
+            categorical={
+                name: column.appended(other.categorical[name])
+                for name, column in self.categorical.items()
+            },
+        )
 
 
 class SnippetCovariance:
@@ -231,38 +279,35 @@ class SnippetCovariance:
     # ------------------------------------------------------------------ public
 
     def encode(
-        self,
-        snippets: Sequence[Snippet] | RegionEncoding,
-        base: RegionEncoding | None = None,
+        self, snippets: Sequence[Snippet] | Sequence[Region] | RegionEncoding
     ) -> RegionEncoding:
-        """Encode ``snippets``; with ``base``, the encoding of ``base``'s
-        snippets followed by ``snippets`` (``base`` itself is not modified).
+        """Encode the regions of ``snippets`` (snippets or bare regions).
 
         An encoding passed as ``snippets`` is returned as it is, which is
         what lets the factor methods take either form.
         """
         if isinstance(snippets, RegionEncoding):
             return snippets
-        numeric_rows = [snippet.region.numeric_by_name() for snippet in snippets]
-        categorical_rows = [snippet.region.categorical_by_name() for snippet in snippets]
-        numeric: dict[str, _NumericColumn] = {}
-        for name, domain in sorted(self.domains.numeric.items()):
-            column = _EMPTY_NUMERIC if base is None else base.numeric[name]
-            numeric[name] = column.extended(
+        regions = [
+            item if isinstance(item, Region) else item.region for item in snippets
+        ]
+        numeric_rows = [region.numeric_by_name() for region in regions]
+        categorical_rows = [region.categorical_by_name() for region in regions]
+        numeric = {
+            name: _NumericColumn.of(
                 [self._numeric_range(row.get(name), domain) for row in numeric_rows]
             )
+            for name, domain in sorted(self.domains.numeric.items())
+        }
         categorical: dict[str, _CategoricalColumn] = {}
         for name, domain in sorted(self.domains.categorical.items()):
-            column = _EMPTY_CATEGORICAL if base is None else base.categorical[name]
             # An unconstrained region spans the attribute's whole domain.
             full = CategoricalConstraint(name=name, values=None, domain_size=domain.size)
-            categorical[name] = column.extended(
+            categorical[name] = _CategoricalColumn.of(
                 [row.get(name, full) for row in categorical_rows]
             )
         return RegionEncoding(
-            size=len(numeric_rows) + (0 if base is None else base.size),
-            numeric=numeric,
-            categorical=categorical,
+            size=len(regions), numeric=numeric, categorical=categorical
         )
 
     def factor_matrix(

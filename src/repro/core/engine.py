@@ -45,20 +45,20 @@ from repro.core.append import (
     apply_append_adjustment,
 )
 from repro.core.covariance import AggregateModel, SnippetCovariance
-from repro.core.inference import GaussianInference, PreparedInference
+from repro.core.inference import GaussianInference, PreparedInference, condition
 from repro.core.learning import LearnedParameters, learn_length_scales
-from repro.core.prior import estimate_prior
+from repro.core.prior import estimate_prior, observation_scale
 from repro.core.regions import AttributeDomains, Region, RegionBuilder
 from repro.core.snippet import AggregateKind, Snippet, SnippetKey
 from repro.core.synopsis import QuerySynopsis
-from repro.core.validation import validate_model_answer
+from repro.core.validation import REASONS, validate_cells
 from repro.db.catalog import Catalog
 from repro.db.table import Table
 from repro.errors import ReproError
 from repro.obs.trace import Span, child
 from repro.sqlparser import ast
 from repro.sqlparser.checker import CheckResult, QueryTypeChecker
-from repro.sqlparser.decompose import SnippetSpec, decompose_query
+from repro.sqlparser.decompose import decompose_query
 from repro.sqlparser.parser import parse_query
 
 Value = Union[int, float, str]
@@ -149,16 +149,120 @@ class VerdictAnswer:
         )
 
 
-@dataclass
-class _CellPlan:
-    """Internal bookkeeping for one (row, aggregate) cell to improve."""
+# Reasons past validation's: a key with no model yet, and a cell the
+# Theorem-1 cap sent back to its raw answer.  A SUM cell joins its AVG and
+# FREQ parts' reasons (a code pair); other cells repeat one code.
+_EMPTY_SYNOPSIS, _NOT_TIGHTER = len(REASONS), len(REASONS) + 1
+_TEXTS = REASONS + ("empty synopsis", "recombination not tighter than raw")
+_CELL_REASONS = {
+    (one, other): "; ".join(sorted({_TEXTS[one], _TEXTS[other]}))
+    for one in range(len(_TEXTS)) for other in range(len(_TEXTS))
+}
+# How _recombine builds a cell from its parts; other functions stay raw (-1).
+_AVG, _FREQ, _COUNT, _SUM = range(4)
+_RECOMBINE = {
+    ast.AggregateFunction[name]: code for code, name in enumerate(("AVG", "FREQ", "COUNT", "SUM"))
+}
 
-    row_index: int
-    name: str
-    function: ast.AggregateFunction
-    raw: AggregateEstimate
-    avg_snippet: Snippet | None = None
-    freq_snippet: Snippet | None = None
+
+class AskPlan:
+    """What every online-aggregation batch of one ask shares.
+
+    Decomposition (Section 2.3) depends on the query, the group rows and the
+    attribute domains, never on a batch's numbers.  So the first batch lays
+    out the cells -- ``(row, output name, function)``, region, AVG / FREQ
+    snippet keys, recombination -- and one entry per (key, cell); later
+    batches and the final record pass only raw values and errors through
+    it.  :meth:`bind` lays it out again when the group rows or the domains
+    object change (an append replaces the latter).  Nothing here depends on
+    a factor: each batch asks the engine for the current ones.
+    """
+
+    def __init__(self, query: ast.Query):
+        self.query = query
+        self._stamp: tuple | None = None
+
+    def bind(
+        self, raw: AQPAnswer, domains: AttributeDomains, max_snippets_per_query: int
+    ) -> "AskPlan":
+        """This plan, laid out for ``raw``'s cells (again only if needed)."""
+        stamp = (domains, max_snippets_per_query, raw.group_rows())
+        if self._stamp is not None and self._stamp[0] is domains and self._stamp[1:] == stamp[1:]:
+            return self
+        self._stamp, query, builder = stamp, self.query, RegionBuilder(domains)
+        aggregates = max(sum(1 for item in query.select if item.is_aggregate), 1)
+        self.cells: list[tuple[int, str, ast.AggregateFunction]] = []
+        self.regions: list[Region] = []
+        self.snippet_keys: list[tuple[SnippetKey | None, SnippetKey | None]] = []
+        self.codes: list[int] = []  # how each cell recombines (_RECOMBINE, -1 raw)
+        positions: dict[SnippetKey, list[int]] = {}
+        for spec in decompose_query(
+            query, group_rows=stamp[2], max_snippets=max_snippets_per_query * aggregates
+        ):
+            if spec.group_index >= len(raw.rows):
+                continue
+            name = query.select[spec.aggregate_index].output_name
+            estimate = raw.rows[spec.group_index].estimates.get(name)
+            if estimate is None:
+                continue
+            region, function = builder.build(spec.predicate), spec.aggregate.function
+            code = _RECOMBINE.get(function, -1)
+            avg_key = freq_key = None
+            if code in (_FREQ, _COUNT, _SUM):
+                freq_key = SnippetKey(AggregateKind.FREQ, query.table, None, region.residual)
+            if code in (_AVG, _SUM):
+                # Only ``*`` aggregates lack an AVG part, in every batch alike.
+                if estimate.internal.avg_value is None:
+                    code = -1
+                else:
+                    attribute = _expression_label(spec.aggregate.argument)
+                    avg_key = SnippetKey(AggregateKind.AVG, query.table, attribute, region.residual)
+            for key in (avg_key, freq_key):
+                if key is not None:
+                    positions.setdefault(key, []).append(len(self.cells))
+            self.codes.append(code)
+            self.cells.append((spec.group_index, name, function))
+            self.regions.append(region)
+            self.snippet_keys.append((avg_key, freq_key))
+        self.keys = [(key, [self.regions[c] for c in cells]) for key, cells in positions.items()]
+        self._positions, self._domains, self._entries = positions, domains, None
+        return self
+
+    def entries(self) -> tuple[np.ndarray, ...]:
+        """Per (key, cell) entry in key order: is it FREQ, where :meth:`gather`
+        puts its raw value (the error follows), its observation scale; per
+        cell: the entry its value comes from, the one a SUM joins it with,
+        is it a COUNT; the SUM cells.  Laid out by a batch, never a record."""
+        if self._entries is None:
+            pairs = [(c, key.kind is AggregateKind.FREQ)
+                     for key, cells in self._positions.items() for c in cells]
+            parts = [[0, 0] for _ in self.cells]  # each cell's AVG and FREQ entry
+            for entry, (cell, freq) in enumerate(pairs):
+                parts[cell][freq] = entry
+            first = [part[code not in (_AVG, _SUM)] for part, code in zip(parts, self.codes)]
+            second = [part[1] if code == _SUM else entry
+                      for part, code, entry in zip(parts, self.codes, first)]
+            scales = [observation_scale(self.regions[c], self._domains) if freq else 1.0
+                      for c, freq in pairs]
+            self._entries = (
+                np.array([freq for _, freq in pairs], dtype=bool),
+                np.array([6 * c + (2 if freq else 4) for c, freq in pairs], dtype=np.int64),
+                np.array(scales, dtype=np.float64),
+                np.array(first, dtype=np.int64),
+                np.array(second, dtype=np.int64),
+                np.array([code == _COUNT for code in self.codes], dtype=bool),
+                np.array([i for i, code in enumerate(self.codes) if code == _SUM], dtype=np.int64),
+            )
+        return self._entries
+
+    def gather(self, raw: AQPAnswer) -> tuple[list[AggregateEstimate], np.ndarray]:
+        """Each cell's raw estimate, and its numbers flattened: value, error,
+        FREQ value, FREQ error, AVG value, AVG error."""
+        estimates = [raw.rows[row].estimates[name] for row, name, _ in self.cells]
+        numbers = [(e.value, e.error, i.freq_value, i.freq_error,
+                    0.0 if i.avg_value is None else i.avg_value, i.avg_error or 0.0)
+                   for e in estimates for i in (e.internal,)]
+        return estimates, np.array(numbers, dtype=np.float64).ravel()
 
 
 # --------------------------------------------------------------------------- #
@@ -339,8 +443,9 @@ class VerdictEngine:
             example an unknown table).
         """
         parsed, check = self.check(query)
+        plan = AskPlan(parsed)
         for raw in self.aqp.run(parsed):
-            yield self.process_answer(parsed, raw, check)
+            yield self.process_answer(parsed, raw, check, plan=plan)
 
     def execute(
         self,
@@ -377,14 +482,15 @@ class VerdictEngine:
             If the underlying AQP engine cannot answer the query.
         """
         parsed, check = self.check(query)
+        plan = AskPlan(parsed)
         answers: list[VerdictAnswer] = []
         for raw in self.aqp.run(parsed):
-            answer = self.process_answer(parsed, raw, check)
+            answer = self.process_answer(parsed, raw, check, plan=plan)
             answers.append(answer)
             if max_batches is not None and raw.batches_processed >= max_batches:
                 break
         if record and answers and check.supported:
-            self.record(parsed, answers[-1].raw)
+            self.record(parsed, answers[-1].raw, plan=plan)
         self.queries_processed += 1
         if answers and answers[-1].improvement_count() > 0:
             self.queries_improved += 1
@@ -407,9 +513,10 @@ class VerdictEngine:
         parsed, check = self.check(query)
         inner_budget = max(time_budget_s - inference_epsilon_s, 1e-3)
         raw = self.time_bound.execute(parsed, inner_budget)
-        answer = self.process_answer(parsed, raw, check)
+        plan = AskPlan(parsed)
+        answer = self.process_answer(parsed, raw, check, plan=plan)
         if record and check.supported:
-            self.record(parsed, raw)
+            self.record(parsed, raw, plan=plan)
         self.queries_processed += 1
         return answer
 
@@ -421,71 +528,52 @@ class VerdictEngine:
         raw: AQPAnswer,
         check: CheckResult | None = None,
         span: Span | None = None,
+        plan: AskPlan | None = None,
     ) -> VerdictAnswer:
         """Improve one raw AQP answer (Algorithm 2, without the synopsis update).
 
-        A traced caller passes its ``span``; the GP step opens an
-        ``inference`` span under it.
+        The batches of one ask pass one :class:`AskPlan` of ``query``: the
+        first builds it (decomposition, regions, snippet keys), the later
+        ones reuse it and carry only their raw values and errors.  Without a
+        ``plan`` a one-shot plan is built.  A traced caller passes its
+        ``span``; the GP step opens an ``inference`` span under it.
         """
         if check is None:
             check = self.checker.check(query)
         started = time.perf_counter()
         if not check.supported:
             rows = [self._passthrough_row(row) for row in raw.rows]
-            overhead = time.perf_counter() - started
-            self.total_overhead_seconds += overhead
-            return VerdictAnswer(
-                query=query,
-                raw=raw,
-                rows=rows,
-                supported=False,
-                unsupported_reasons=check.reasons,
-                overhead_seconds=overhead,
-            )
-
-        domains = self.domains_for(query.table)
-        with child(span, "inference", table=query.table) as inference_span:
-            plans = self._build_cell_plans(query, raw, domains)
-            improved_rows: list[dict[str, ImprovedEstimate]] = [
-                {} for _ in range(len(raw.rows))
-            ]
-            inferred = self._infer_snippets(plans)
-            for index, plan in enumerate(plans):
-                improved_rows[plan.row_index][plan.name] = self._assemble_cell(
-                    plan,
-                    raw,
-                    inferred.get((index, "avg")),
-                    inferred.get((index, "freq")),
+        else:
+            with child(span, "inference", table=query.table) as inference_span:
+                plan = (plan or AskPlan(query)).bind(
+                    raw, self.domains_for(query.table), self.config.max_snippets_per_query
                 )
-            if inference_span is not None:
-                inference_span.set(cells=len(plans), synopsis_size=self.synopsis_size())
-
-        rows: list[VerdictRow] = []
-        for row_index, raw_row in enumerate(raw.rows):
-            estimates = dict(improved_rows[row_index])
-            for name, estimate in raw_row.estimates.items():
-                if name not in estimates:
-                    estimates[name] = _raw_passthrough(estimate)
-            rows.append(VerdictRow(group_values=raw_row.group_values, estimates=estimates))
+                rows = self._improve(plan, raw)
+                if inference_span is not None:
+                    inference_span.set(cells=len(plan.cells), synopsis_size=self.synopsis_size())
         overhead = time.perf_counter() - started
         self.total_overhead_seconds += overhead
         return VerdictAnswer(
             query=query,
             raw=raw,
             rows=rows,
-            supported=True,
-            unsupported_reasons=(),
+            supported=check.supported,
+            unsupported_reasons=() if check.supported else check.reasons,
             overhead_seconds=overhead,
         )
 
-    def record(self, query: ast.Query, raw: AQPAnswer) -> int:
+    def record(
+        self, query: ast.Query, raw: AQPAnswer, plan: AskPlan | None = None
+    ) -> int:
         """Add the raw snippets of a processed query to the synopsis.
 
         This is step 4 of Figure 2's workflow: the final raw answer of a
         finished query is decomposed into AVG / FREQ snippets and stored so
         that *future* queries can be improved by it.  Only supported queries
         should be recorded (Section 2.2: the class of queries that can be
-        improved is the class that can improve others).
+        improved is the class that can improve others).  Passing the ask's
+        ``plan`` reuses its decomposition; without one a one-shot plan is
+        built.
 
         Recording does not discard the prepared covariance factorisations:
         the next :meth:`process_answer` extends each affected factor with
@@ -499,20 +587,30 @@ class VerdictEngine:
             The parsed query whose answer is being recorded.
         raw:
             The final raw AQP answer of that query.
+        plan:
+            The :class:`AskPlan` the query's batches were improved through.
 
         Returns
         -------
         The number of snippets added to the synopsis.
         """
-        domains = self.domains_for(query.table)
-        plans = self._build_cell_plans(query, raw, domains)
-        added = 0
-        for plan in plans:
-            for snippet in (plan.avg_snippet, plan.freq_snippet):
-                if snippet is not None:
-                    self.synopsis.add(snippet)
-                    added += 1
-        return added
+        plan = (plan or AskPlan(query)).bind(
+            raw, self.domains_for(query.table), self.config.max_snippets_per_query
+        )
+        snippets: list[Snippet] = []
+        for (row, name, _), region, (avg_key, freq_key) in zip(
+            plan.cells, plan.regions, plan.snippet_keys
+        ):
+            internal = raw.rows[row].estimates[name].internal
+            if avg_key is not None:
+                answer, error = float(internal.avg_value), float(internal.avg_error or 0.0)
+                snippets.append(Snippet(avg_key, region, answer, error))
+            if freq_key is not None:
+                answer, error = float(internal.freq_value), float(internal.freq_error)
+                snippets.append(Snippet(freq_key, region, answer, error))
+        for snippet in snippets:
+            self.synopsis.add(snippet)
+        return len(snippets)
 
     # ---------------------------------------------------------------- training
 
@@ -937,178 +1035,58 @@ class VerdictEngine:
         self.state_epoch = epoch
         self._restart_factor_schedule()
 
-    def _build_cell_plans(
-        self, query: ast.Query, raw: AQPAnswer, domains: AttributeDomains
-    ) -> list[_CellPlan]:
-        aggregate_items = [item for item in query.select if item.is_aggregate]
-        limit = self.config.max_snippets_per_query * max(len(aggregate_items), 1)
-        specs = decompose_query(query, group_rows=raw.group_rows(), max_snippets=limit)
-        builder = RegionBuilder(domains)
-        plans: list[_CellPlan] = []
-        select_items = list(query.select)
-        for spec in specs:
-            if spec.group_index >= len(raw.rows):
-                continue
-            raw_row = raw.rows[spec.group_index]
-            item = select_items[spec.aggregate_index]
-            name = item.output_name
-            estimate = raw_row.estimates.get(name)
-            if estimate is None:
-                continue
-            region = builder.build(spec.predicate)
-            plan = _CellPlan(
-                row_index=spec.group_index,
-                name=name,
-                function=spec.aggregate.function,
-                raw=estimate,
-            )
-            self._attach_snippets(plan, spec, region, query.table, estimate)
-            plans.append(plan)
-        return plans
-
-    def _attach_snippets(
-        self,
-        plan: _CellPlan,
-        spec: SnippetSpec,
-        region: Region,
-        table: str,
-        estimate: AggregateEstimate,
-    ) -> None:
-        function = spec.aggregate.function
-        internal = estimate.internal
-        needs_avg = function in (ast.AggregateFunction.AVG, ast.AggregateFunction.SUM)
-        needs_freq = function in (
-            ast.AggregateFunction.COUNT,
-            ast.AggregateFunction.SUM,
-            ast.AggregateFunction.FREQ,
-        )
-        if needs_avg and internal.avg_value is not None:
-            attribute = _expression_label(spec.aggregate.argument)
-            key = SnippetKey(
-                kind=AggregateKind.AVG,
-                table=table,
-                attribute=attribute,
-                residual=region.residual,
-            )
-            plan.avg_snippet = Snippet(
-                key=key,
-                region=region,
-                raw_answer=float(internal.avg_value),
-                raw_error=float(internal.avg_error or 0.0),
-            )
-        if needs_freq:
-            key = SnippetKey(
-                kind=AggregateKind.FREQ, table=table, residual=region.residual
-            )
-            plan.freq_snippet = Snippet(
-                key=key,
-                region=region,
-                raw_answer=float(internal.freq_value),
-                raw_error=float(internal.freq_error),
-            )
-
-    def _infer_snippets(
-        self, plans: list[_CellPlan]
-    ) -> dict[tuple[int, str], tuple[float, float, bool, str]]:
-        """Improve every snippet of every cell plan, batched per aggregate key.
-
-        All snippets sharing one aggregate function (typically every cell of
-        a group-by answer) are conditioned in a single blocked matrix solve
-        (:meth:`GaussianInference.infer_batch`); model validation then runs
-        per cell on the vectorised results.  Returns a mapping from
-        ``(plan index, "avg" | "freq")`` to the ``(value, error, improved,
-        reason)`` tuple that :meth:`_assemble_cell` consumes.
-        """
-        jobs: dict[SnippetKey, list[tuple[int, str, Snippet]]] = {}
-        for index, plan in enumerate(plans):
-            for role, snippet in (("avg", plan.avg_snippet), ("freq", plan.freq_snippet)):
-                if snippet is not None:
-                    jobs.setdefault(snippet.key, []).append((index, role, snippet))
-
-        results: dict[tuple[int, str], tuple[float, float, bool, str]] = {}
-        for key, entries in jobs.items():
+    def _improve(self, plan: AskPlan, raw: AQPAnswer) -> list[VerdictRow]:
+        """``raw``'s rows with every planned cell through Equations 11 / 12,
+        validation and recombination, as array rules over all the cells."""
+        estimates, numbers = plan.gather(raw)
+        frequencies, numbers_at, scales, *layout = plan.entries()
+        posteriors: list[tuple[float, float]] = []
+        unmodelled: list[slice] = []
+        for key, regions in plan.keys:
             prepared = self._prepared_for(key)
             if prepared is None:
-                for index, role, snippet in entries:
-                    results[(index, role)] = (
-                        snippet.raw_answer,
-                        snippet.raw_error,
-                        False,
-                        "empty synopsis",
-                    )
+                unmodelled.append(slice(len(posteriors), len(posteriors) + len(regions)))
+                posteriors += [(0.0, math.nan)] * len(regions)
                 continue
-            inferred = self.inference.infer_batch(
-                prepared, [snippet for _, _, snippet in entries]
-            )
+            posteriors += self.inference.posteriors(prepared, regions)
             self.synopsis.mark_used(key, prepared.snippet_ids)
-            for (index, role, snippet), result in zip(entries, inferred):
-                decision = validate_model_answer(
-                    result,
-                    key.kind,
-                    validation_confidence=self.config.validation_confidence,
-                    enabled=self.config.enable_model_validation,
-                    conservative=self.config.conservative_validation,
-                )
-                improved = decision.accepted and decision.improved_error < snippet.raw_error
-                results[(index, role)] = (
-                    decision.improved_answer,
-                    decision.improved_error,
-                    improved,
-                    decision.reason,
-                )
-        return results
-
-    def _assemble_cell(
-        self,
-        plan: _CellPlan,
-        raw: AQPAnswer,
-        avg_result: tuple[float, float, bool, str] | None,
-        freq_result: tuple[float, float, bool, str] | None,
-    ) -> ImprovedEstimate:
-        """Recombine improved AVG / FREQ snippets into the user-facing cell."""
-        population = raw.population_size
-        function = plan.function
-
-        if function is ast.AggregateFunction.AVG and avg_result is not None:
-            value, error, improved, reason = avg_result
-        elif function is ast.AggregateFunction.FREQ and freq_result is not None:
-            value, error, improved, reason = freq_result
-        elif function is ast.AggregateFunction.COUNT and freq_result is not None:
-            freq_value, freq_error, improved, reason = freq_result
-            value = freq_value * population
-            error = freq_error * population
-        elif function is ast.AggregateFunction.SUM and avg_result is not None and freq_result is not None:
-            avg_value, avg_error, avg_improved, avg_reason = avg_result
-            freq_value, freq_error, freq_improved, freq_reason = freq_result
-            count_value = freq_value * population
-            count_error = freq_error * population
-            value = avg_value * count_value
-            error = math.sqrt(
-                (count_value * avg_error) ** 2 + (avg_value * count_error) ** 2
-            )
-            improved = avg_improved or freq_improved
-            reason = "; ".join(sorted({avg_reason, freq_reason}))
-        else:
-            return _raw_passthrough(plan.raw)
-
-        # Never report an improved error larger than the raw error: the
-        # recombination of SUM from two improved components uses an
-        # independence approximation, so cap it for safety (Theorem 1 applies
-        # per snippet, and the cap keeps it true per user-facing aggregate).
-        if error > plan.raw.error and plan.raw.error > 0:
-            value, error = plan.raw.value, plan.raw.error
-            improved = False
-            reason = "recombination not tighter than raw"
-        return ImprovedEstimate(
-            name=plan.name,
-            function=function,
-            value=value,
-            error=error,
-            raw_value=plan.raw.value,
-            raw_error=plan.raw.error,
-            improved=improved,
-            validation_reason=reason,
+        raw_values, raw_errors = numbers[numbers_at], numbers[numbers_at + 1]
+        gp_mean, gamma2 = np.array(posteriors, dtype=np.float64).reshape(-1, 2).T
+        model_values, model_errors = condition(gp_mean, gamma2, raw_values, raw_errors, scales)
+        config = self.config
+        decisions = validate_cells(
+            model_values, model_errors, raw_values, raw_errors, frequencies,
+            config.validation_confidence, config.enable_model_validation,
+            config.conservative_validation,
         )
+        values, errors, reasons = decisions.answers, decisions.errors, decisions.reasons
+        improved = decisions.accepted & (errors < raw_errors)
+        for empty in unmodelled:
+            values[empty], errors[empty] = raw_values[empty], raw_errors[empty]
+            improved[empty], reasons[empty] = False, _EMPTY_SYNOPSIS
+        cells = _recombine(
+            layout, raw.population_size, (values, errors, improved, reasons), numbers
+        )
+        improved_rows: list[dict[str, ImprovedEstimate]] = [{} for _ in raw.rows]
+        for (row, name, function), code, estimate, value, error, better, one, other in zip(
+            plan.cells, plan.codes, estimates, *(part.tolist() for part in cells)
+        ):
+            improved_rows[row][name] = (
+                _raw_passthrough(estimate)
+                if code < 0
+                else ImprovedEstimate(
+                    name=name, function=function, value=value, error=error,
+                    raw_value=estimate.value, raw_error=estimate.error, improved=better,
+                    validation_reason=_CELL_REASONS[one, other],
+                )
+            )
+        rows = []
+        for raw_row, estimates_of_row in zip(raw.rows, improved_rows):
+            for name, estimate in raw_row.estimates.items():
+                if name not in estimates_of_row:
+                    estimates_of_row[name] = _raw_passthrough(estimate)
+            rows.append(VerdictRow(raw_row.group_values, estimates_of_row))
+        return rows
 
     def _passthrough_row(self, row: AQPRow) -> VerdictRow:
         estimates = {name: _raw_passthrough(est) for name, est in row.estimates.items()}
@@ -1276,6 +1254,42 @@ def _prepared_state(prepared: PreparedInference) -> dict:
         "inverse_diagonal": encode_array(prepared.inverse_diagonal),
         "base_size": prepared.base_size,
     }
+
+
+def _recombine(
+    layout: list[np.ndarray], population: int, entries: tuple, numbers: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Each cell's ``(value, error, improved, reason, other reason)`` from its
+    entries' ``(value, error, improved, reason)`` and the tail of
+    :meth:`AskPlan.entries` (``layout``); meaningless for a raw cell.  COUNT
+    scales FREQ by the population (other cells by an exact 1.0); SUM
+    multiplies AVG by that COUNT with independent errors."""
+    first, second, counts, sums = layout
+    values, errors, improved, reasons = entries
+    raw_values, raw_errors = numbers[0::6], numbers[1::6]
+    with np.errstate(all="ignore"):
+        scale = np.where(counts, population, 1.0)
+        value, error = values[first] * scale, errors[first] * scale
+        if len(sums):
+            avg_values, avg_errors = values[first[sums]], errors[first[sums]]
+            count_values = values[second[sums]] * population
+            count_errors = errors[second[sums]] * population
+            value[sums] = avg_values * count_values
+            # ``np.float_power`` is C ``pow``, as Python's ``x ** 2`` is;
+            # ``x * x`` can differ in the last bit.
+            error[sums] = np.sqrt(
+                np.float_power(count_values * avg_errors, 2)
+                + np.float_power(avg_values * count_errors, 2)
+            )
+    better = improved[first] | improved[second]
+    one, other = reasons[first], reasons[second]
+    # Never report an error above the raw one: Theorem 1 holds per snippet,
+    # and SUM's independence assumption could break it per cell.
+    capped = (error > raw_errors) & (raw_errors > 0)
+    if capped.any():
+        value[capped], error[capped], better[capped] = raw_values[capped], raw_errors[capped], False
+        one[capped] = other[capped] = _NOT_TIGHTER
+    return value, error, better, one, other
 
 
 def _raw_passthrough(estimate: AggregateEstimate) -> ImprovedEstimate:

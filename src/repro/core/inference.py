@@ -39,10 +39,11 @@ from repro.core.prior import (
     error_from_observation,
     estimate_prior,
     observation_error,
+    observation_scale,
     observation_value,
 )
 from repro.core.regions import AttributeDomains, Region
-from repro.core.snippet import Snippet, SnippetKey
+from repro.core.snippet import AggregateKind, Snippet, SnippetKey
 
 _MIN_VARIANCE = 1e-18
 # Regions whose GP posterior one PreparedInference remembers; the memo is
@@ -334,7 +335,7 @@ class GaussianInference:
             jitter=prepared.jitter,
             inverse_diagonal=inverse_diagonal,
             base_size=prepared.base_size,
-            encoding=prepared.covariance.encode(fresh, base=past_encoding),
+            encoding=past_encoding.appended(fresh_encoding),
         )
 
     # ------------------------------------------------------------------- infer
@@ -353,13 +354,8 @@ class GaussianInference:
         All ``m`` cells sharing one aggregate function are conditioned with a
         single ``(n, m)`` blocked solve on the prepared factor -- one BLAS
         call instead of a Python loop, which is what makes wide group-by
-        queries cheap.
-
-        The GP posterior ``(theta, gamma^2)`` of Equation (11) depends on the
-        past evidence and the cell's region only, so it is remembered per
-        region on ``prepared``: the later online-aggregation batches of one
-        query, which re-ask the same regions with tighter raw answers, pay
-        only for Equation (12)'s precision-weighted combine.
+        queries cheap: Equation (11) from :meth:`posteriors`, then
+        Equation (12) from :func:`condition`.
 
         Parameters
         ----------
@@ -388,57 +384,65 @@ class GaussianInference:
                 )
                 for snippet in news
             ]
-
-        domains = prepared.covariance.domains
-        posteriors = self._posteriors(prepared, news)
-        results: list[InferenceResult] = []
-        for snippet, (gp_mean, gamma2) in zip(news, posteriors):
-            observed_error = observation_error(snippet, domains)
-            model_obs, model_var = _combine(
-                gp_mean,
-                gamma2,
-                observation_value(snippet, domains),
-                observed_error * observed_error,
+        regions = [snippet.region for snippet in news]
+        scales = np.ones(len(news))
+        if prepared.key.kind is AggregateKind.FREQ:
+            domains = prepared.covariance.domains
+            scales = np.array([observation_scale(region, domains) for region in regions])
+        gp_mean, gamma2 = np.array(self.posteriors(prepared, regions)).T
+        model_answer, model_error = condition(
+            gp_mean,
+            gamma2,
+            np.array([snippet.raw_answer for snippet in news], dtype=np.float64),
+            np.array([snippet.raw_error for snippet in news], dtype=np.float64),
+            scales,
+        )
+        return [
+            InferenceResult(
+                model_answer=answer,
+                model_error=error,
+                gp_mean=mean,
+                gp_error=deviation,
+                raw_answer=snippet.raw_answer,
+                raw_error=snippet.raw_error,
+                past_snippets_used=prepared.size,
             )
-            results.append(
-                InferenceResult(
-                    model_answer=answer_from_observation(model_obs, snippet, domains),
-                    model_error=error_from_observation(
-                        math.sqrt(model_var), snippet, domains
-                    ),
-                    gp_mean=answer_from_observation(gp_mean, snippet, domains),
-                    gp_error=error_from_observation(
-                        math.sqrt(gamma2), snippet, domains
-                    ),
-                    raw_answer=snippet.raw_answer,
-                    raw_error=snippet.raw_error,
-                    past_snippets_used=prepared.size,
-                )
+            for snippet, answer, error, mean, deviation in zip(
+                news,
+                model_answer.tolist(),
+                model_error.tolist(),
+                (gp_mean * scales).tolist(),
+                (np.sqrt(gamma2) * scales).tolist(),
             )
-        return results
+        ]
 
     @staticmethod
-    def _posteriors(
-        prepared: PreparedInference, news: Sequence[Snippet]
+    def posteriors(
+        prepared: PreparedInference, regions: Sequence[Region]
     ) -> list[tuple[float, float]]:
-        """Equation (11) at every new snippet's region, through the memo.
+        """Equation (11) ``(theta, gamma^2)`` at every region, through the memo.
 
-        Regions not seen before on this ``prepared`` share one ``(n, m)``
-        cross-covariance block and one triangular solve: with ``A = L L^T``,
-        ``gamma^2 = kappa^2 - c^T A^{-1} c = kappa^2 - ||L^{-1} c||^2``.
+        The GP posterior depends on the past evidence and the region only,
+        so it is remembered per region on ``prepared``: the later
+        online-aggregation batches of one query, which re-ask the same
+        regions with tighter raw answers, pay only for Equation (12)
+        (:func:`condition`).  Regions not seen before share one ``(n, m)``
+        cross-covariance block and one triangular solve: with
+        ``A = L L^T``, ``gamma^2 = kappa^2 - c^T A^{-1} c = kappa^2 -
+        ||L^{-1} c||^2``.
         """
         memo = prepared.posterior_memo
-        posteriors = [memo.get(snippet.region) for snippet in news]
+        posteriors = [memo.get(region) for region in regions]
         if None in posteriors:
             if len(memo) + posteriors.count(None) > _POSTERIOR_MEMO_LIMIT:
                 memo.clear()
-                posteriors = [None] * len(news)
+                posteriors = [None] * len(regions)
             unseen = list(
-                {
-                    snippet.region: snippet
-                    for snippet, known in zip(news, posteriors)
+                dict.fromkeys(
+                    region
+                    for region, known in zip(regions, posteriors)
                     if known is None
-                }.values()
+                )
             )
             covariance = prepared.covariance
             encoding = covariance.encode(unseen)
@@ -452,9 +456,9 @@ class GaussianInference:
             gamma2 = np.clip(gamma2, _MIN_VARIANCE, np.maximum(kappa2, _MIN_VARIANCE))
             # Leave-one-out variance calibration (see PreparedInference).
             gamma2 *= prepared.calibration
-            for snippet, mean, variance in zip(unseen, gp_means.tolist(), gamma2.tolist()):
-                memo[snippet.region] = (mean, variance)
-            posteriors = [memo[snippet.region] for snippet in news]
+            for region, mean, variance in zip(unseen, gp_means.tolist(), gamma2.tolist()):
+                memo[region] = (mean, variance)
+            posteriors = [memo[region] for region in regions]
         return posteriors
 
     def infer_direct(
@@ -571,20 +575,32 @@ def _loo_calibration(alpha: np.ndarray, inverse_diagonal: np.ndarray) -> float:
     return float(min(max(calibration, 1.0), 100.0))
 
 
-def _combine(
-    gp_mean: float, gamma2: float, observed: float, observed_variance: float
-) -> tuple[float, float]:
-    """Equation (12): precision-weighted combination of model and raw answer.
+def condition(
+    gp_mean: np.ndarray,
+    gamma2: np.ndarray,
+    raw_answers: np.ndarray,
+    raw_errors: np.ndarray,
+    scales: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equation (12) per cell: the model-based answers and errors.
 
-    With a zero raw error the raw answer is exact and is returned unchanged
-    (the equality case of Theorem 1); with an unbounded model variance the raw
-    answer passes through as well.
+    Each raw answer and error is divided by its cell's observation scale
+    (a FREQ cell's :func:`~repro.core.prior.observation_scale`, 1.0 for AVG,
+    which leaves every bit alone), combined with the posterior
+    ``(gp_mean, gamma2)`` by precision weighting, and multiplied back.  With
+    a zero raw error the raw answer is exact and is returned unchanged (the
+    equality case of Theorem 1); with a non-finite or non-positive model
+    variance the raw answer passes through as well.  Element-wise, with the
+    one-cell formula's arithmetic: overflow and NaN propagate silently, as
+    they do in scalar arithmetic.
     """
-    if observed_variance <= 0.0:
-        return observed, 0.0
-    if not math.isfinite(gamma2) or gamma2 <= 0.0:
-        return observed, observed_variance
-    denominator = observed_variance + gamma2
-    value = (observed_variance * gp_mean + gamma2 * observed) / denominator
-    variance = (observed_variance * gamma2) / denominator
-    return value, variance
+    with np.errstate(all="ignore"):
+        observed, observed_error = raw_answers / scales, raw_errors / scales
+        variance = observed_error * observed_error
+        weighed = ~(variance <= 0.0) & np.isfinite(gamma2) & (gamma2 > 0.0)
+        denominator = variance + gamma2
+        value = np.where(
+            weighed, (variance * gp_mean + gamma2 * observed) / denominator, observed
+        )
+        variance = np.where(weighed, (variance * gamma2) / denominator, variance)
+        return value * scales, np.sqrt(variance) * scales

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.regions import AttributeDomains
+from repro.core.regions import AttributeDomains, Region
 from repro.core.snippet import AggregateKind, Snippet
 
 
@@ -39,6 +39,12 @@ class PriorEstimate:
     count: int
 
 
+def observation_scale(region: Region, domains: AttributeDomains) -> float:
+    """What a FREQ answer over ``region`` is divided by in observation space:
+    the region's volume fraction, floored at ``1e-12``."""
+    return max(region.volume_fraction(domains), 1e-12)
+
+
 def observation_value(snippet: Snippet, domains: AttributeDomains) -> float:
     """Map a snippet's raw answer into observation (inference) space.
 
@@ -47,16 +53,14 @@ def observation_value(snippet: Snippet, domains: AttributeDomains) -> float:
     predicate regions are directly comparable.
     """
     if snippet.key.kind is AggregateKind.FREQ:
-        fraction = snippet.region.volume_fraction(domains)
-        return snippet.raw_answer / max(fraction, 1e-12)
+        return snippet.raw_answer / observation_scale(snippet.region, domains)
     return snippet.raw_answer
 
 
 def observation_error(snippet: Snippet, domains: AttributeDomains) -> float:
     """Map a snippet's raw error into observation space (same scaling)."""
     if snippet.key.kind is AggregateKind.FREQ:
-        fraction = snippet.region.volume_fraction(domains)
-        return snippet.raw_error / max(fraction, 1e-12)
+        return snippet.raw_error / observation_scale(snippet.region, domains)
     return snippet.raw_error
 
 
@@ -65,8 +69,7 @@ def answer_from_observation(
 ) -> float:
     """Inverse of :func:`observation_value` for a given snippet's region."""
     if snippet.key.kind is AggregateKind.FREQ:
-        fraction = snippet.region.volume_fraction(domains)
-        return value * max(fraction, 1e-12)
+        return value * observation_scale(snippet.region, domains)
     return value
 
 
@@ -75,8 +78,7 @@ def error_from_observation(
 ) -> float:
     """Inverse of :func:`observation_error` for a given snippet's region."""
     if snippet.key.kind is AggregateKind.FREQ:
-        fraction = snippet.region.volume_fraction(domains)
-        return error * max(fraction, 1e-12)
+        return error * observation_scale(snippet.region, domains)
     return error
 
 

@@ -24,9 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.aqp.estimators import confidence_multiplier
 from repro.core.inference import InferenceResult
 from repro.core.snippet import AggregateKind
+
+#: The reason of every decision; :class:`CellDecisions` carries indices.
+REASONS = (
+    "model accepted",
+    "raw answer outside likely region",
+    "negative FREQ estimate",
+    "negative FREQ clipped",
+    "validation disabled",
+)
+ACCEPTED, OUTSIDE, NEGATIVE, CLIPPED, DISABLED = range(len(REASONS))
 
 
 @dataclass(frozen=True)
@@ -38,6 +50,17 @@ class ValidationDecision:
     improved_answer: float
     improved_error: float
     likely_region_halfwidth: float
+
+
+@dataclass(frozen=True)
+class CellDecisions:
+    """Outcomes of validating many cells: one entry per cell."""
+
+    accepted: np.ndarray  # bool
+    reasons: np.ndarray  # index into REASONS
+    answers: np.ndarray
+    errors: np.ndarray
+    halfwidths: np.ndarray
 
 
 def validate_model_answer(
@@ -71,59 +94,73 @@ def validate_model_answer(
         extension of the Appendix B validation (see "Deviations from the
         paper" in docs/ARCHITECTURE.md).
     """
-    multiplier = confidence_multiplier(validation_confidence)
-    halfwidth = multiplier * result.raw_error
-
-    if kind is AggregateKind.FREQ and result.model_answer < 0.0:
-        if enabled:
-            return ValidationDecision(
-                accepted=False,
-                reason="negative FREQ estimate",
-                improved_answer=result.raw_answer,
-                improved_error=result.raw_error,
-                likely_region_halfwidth=halfwidth,
-            )
-        # Even without validation a frequency cannot be negative.
-        return ValidationDecision(
-            accepted=True,
-            reason="negative FREQ clipped",
-            improved_answer=0.0,
-            improved_error=result.model_error,
-            likely_region_halfwidth=halfwidth,
-        )
-
-    if not enabled:
-        return ValidationDecision(
-            accepted=True,
-            reason="validation disabled",
-            improved_answer=result.model_answer,
-            improved_error=result.model_error,
-            likely_region_halfwidth=halfwidth,
-        )
-
-    # If the model-based answer were exact, the AQP answer would fall within
-    # +- t of it with probability delta_v; t is driven by the raw error.
-    disagreement = abs(result.raw_answer - result.model_answer)
-    if disagreement > halfwidth and result.raw_error > 0:
-        return ValidationDecision(
-            accepted=False,
-            reason="raw answer outside likely region",
-            improved_answer=result.raw_answer,
-            improved_error=result.raw_error,
-            likely_region_halfwidth=halfwidth,
-        )
-
-    improved_error = result.model_error
-    if conservative and multiplier > 0:
-        # Inside the likely region, disagreement / multiplier <= raw_error, so
-        # this floor never weakens Theorem 1.
-        improved_error = max(improved_error, disagreement / multiplier)
-        if result.raw_error > 0:
-            improved_error = min(improved_error, result.raw_error)
+    decisions = validate_cells(
+        np.array([result.model_answer], dtype=np.float64),
+        np.array([result.model_error], dtype=np.float64),
+        np.array([result.raw_answer], dtype=np.float64),
+        np.array([result.raw_error], dtype=np.float64),
+        kind is AggregateKind.FREQ,
+        validation_confidence=validation_confidence,
+        enabled=enabled,
+        conservative=conservative,
+    )
     return ValidationDecision(
-        accepted=True,
-        reason="model accepted",
-        improved_answer=result.model_answer,
-        improved_error=improved_error,
-        likely_region_halfwidth=halfwidth,
+        accepted=bool(decisions.accepted[0]),
+        reason=REASONS[decisions.reasons[0]],
+        improved_answer=float(decisions.answers[0]),
+        improved_error=float(decisions.errors[0]),
+        likely_region_halfwidth=float(decisions.halfwidths[0]),
+    )
+
+
+def validate_cells(
+    model_answers: np.ndarray,
+    model_errors: np.ndarray,
+    raw_answers: np.ndarray,
+    raw_errors: np.ndarray,
+    frequencies: np.ndarray | bool,
+    validation_confidence: float = 0.99,
+    enabled: bool = True,
+    conservative: bool = True,
+) -> CellDecisions:
+    """:func:`validate_model_answer` for cells given as arrays.
+
+    ``frequencies`` marks the FREQ cells (one flag per cell, or one for all),
+    which undergo the non-negativity check.  Element-wise, with the scalar
+    rule's comparisons: ``max`` and ``min`` keep their first argument on a
+    tie or a NaN, as Python's do.
+    """
+    multiplier = confidence_multiplier(validation_confidence)
+    with np.errstate(all="ignore"):
+        halfwidths = multiplier * raw_errors
+        negative = (model_answers < 0.0) & frequencies
+        if not enabled:
+            # Even without validation a frequency cannot be negative.
+            return CellDecisions(
+                accepted=np.ones(len(model_answers), dtype=bool),
+                reasons=np.where(negative, CLIPPED, DISABLED),
+                answers=np.where(negative, 0.0, model_answers),
+                errors=model_errors,
+                halfwidths=halfwidths,
+            )
+        # If the model-based answer were exact, the AQP answer would fall
+        # within +- t of it with probability delta_v; t is driven by the raw
+        # error.
+        disagreements = np.abs(raw_answers - model_answers)
+        positive = raw_errors > 0
+        outside = (disagreements > halfwidths) & positive
+        errors = model_errors
+        if conservative and multiplier > 0:
+            # Inside the likely region, disagreement / multiplier <= raw_error,
+            # so this floor never weakens Theorem 1.
+            floors = disagreements / multiplier
+            errors = np.where(floors > errors, floors, errors)
+            errors = np.where(positive & (raw_errors < errors), raw_errors, errors)
+    rejected = negative | outside
+    return CellDecisions(
+        accepted=~rejected,
+        reasons=np.where(negative, NEGATIVE, np.where(outside, OUTSIDE, ACCEPTED)),
+        answers=np.where(rejected, raw_answers, model_answers),
+        errors=np.where(rejected, raw_errors, errors),
+        halfwidths=halfwidths,
     )

@@ -27,7 +27,7 @@ from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.aqp.time_bound import TimeBoundEngine
 from repro.aqp.types import AQPAnswer
 from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
-from repro.core.engine import VerdictAnswer, VerdictEngine
+from repro.core.engine import AskPlan, VerdictAnswer, VerdictEngine
 from repro.db.catalog import Catalog
 from repro.db.executor import ExactExecutor, QueryResult
 from repro.experiments.metrics import actual_relative_error
@@ -124,6 +124,7 @@ class ExperimentRunner:
             sql=parsed.text or "", supported=check.supported
         )
         last_raw: AQPAnswer | None = None
+        plan = AskPlan(parsed)
         for raw in self.aqp.run(parsed):
             last_raw = raw
             baseline_cells = self._aqp_cells(raw, exact)
@@ -134,7 +135,7 @@ class ExperimentRunner:
                     actual_relative_error=actual_relative_error(baseline_cells),
                 )
             )
-            verdict_answer = self.verdict.process_answer(parsed, raw, check)
+            verdict_answer = self.verdict.process_answer(parsed, raw, check, plan=plan)
             verdict_cells = self._verdict_cells(verdict_answer, exact)
             result.verdict.append(
                 ProfilePoint(
@@ -153,7 +154,7 @@ class ExperimentRunner:
             if max_batches is not None and raw.batches_processed >= max_batches:
                 break
         if record and check.supported and last_raw is not None:
-            self.verdict.record(parsed, last_raw)
+            self.verdict.record(parsed, last_raw, plan=plan)
         return result
 
     def evaluate_time_bound(

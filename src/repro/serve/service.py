@@ -75,7 +75,7 @@ from repro.aqp.estimators import confidence_multiplier
 from repro.aqp.online_agg import OnlineAggregationEngine, budget_hopeless
 from repro.aqp.types import AQPAnswer
 from repro.config import CostModelConfig, SamplingConfig, VerdictConfig
-from repro.core.engine import VerdictAnswer, VerdictEngine
+from repro.core.engine import AskPlan, VerdictAnswer, VerdictEngine
 from repro.db.catalog import Catalog
 from repro.db.executor import ExactExecutor
 from repro.db.scan import ScanCounters
@@ -555,6 +555,8 @@ class VerdictService:
         """
         should_record = self.record_queries if record is None else record
         parsed, check = self.engine.check(sql)
+        # One decomposition for every batch inference runs on and the record.
+        ask_plan = AskPlan(parsed)
         with child(limits.span, "plan") as plan_span:
             decisions = self.planner.plan(parsed, check, budget)
             if plan_span is not None:
@@ -613,7 +615,7 @@ class VerdictService:
                     predicted_error=decision.estimated_error,
                 ) as route_span:
                     candidate, raw, versions = self._execute_route(
-                        decision, parsed, check, budget, limits.under(route_span)
+                        decision, parsed, check, budget, limits.under(route_span), ask_plan
                     )
                     if route_span is not None:
                         route_span.set(
@@ -686,7 +688,9 @@ class VerdictService:
         cache_versions = best_versions
         if should_record and check.supported and best_raw is not None:
             with child(limits.span, "record") as record_span:
-                recorded, pre_version, post_versions = self._record(parsed, best_raw)
+                recorded, pre_version, post_versions = self._record(
+                    parsed, best_raw, ask_plan
+                )
                 if record_span is not None:
                     record_span.set(recorded=recorded)
             if recorded and (pre_version, post_versions[1], post_versions[2]) == best_versions:
@@ -1087,6 +1091,7 @@ class VerdictService:
         check: CheckResult,
         budget: ServiceBudget,
         limits: Limits,
+        plan: AskPlan,
     ) -> tuple[ServedAnswer, AQPAnswer | None, tuple[int, int, int]]:
         """Run one route; returns (answer, raw, versions-at-execution).
 
@@ -1113,7 +1118,7 @@ class VerdictService:
                 bound, model_seconds = 0.0, decision.estimated_seconds
             else:
                 estimate, raw, models_version, cut = self._run_sampled(
-                    decision.route, parsed, check, budget, limits
+                    decision.route, parsed, check, budget, limits, plan
                 )
                 rows = tuple(
                     ServedRow(
@@ -1156,6 +1161,7 @@ class VerdictService:
         check: CheckResult,
         budget: ServiceBudget,
         limits: Limits,
+        plan: AskPlan,
     ) -> tuple[Union[AQPAnswer, VerdictAnswer], AQPAnswer, int | None, str]:
         """Online aggregation, plus one inference step per batch when learned.
 
@@ -1181,7 +1187,9 @@ class VerdictService:
                     # ran under -- reading it later could tag a pre-train
                     # answer as post-train.
                     with self._engine_lock:
-                        estimate = self.engine.process_answer(parsed, raw, check, limits.span)
+                        estimate = self.engine.process_answer(
+                            parsed, raw, check, limits.span, plan=plan
+                        )
                         models_version = self.engine.models_version
                 bound = estimate.mean_relative_error_bound(self.multiplier)
                 if (
@@ -1206,9 +1214,12 @@ class VerdictService:
     # ----------------------------------------------------------------- writes
 
     def _record(
-        self, parsed: ast.Query, raw: AQPAnswer
+        self, parsed: ast.Query, raw: AQPAnswer, plan: AskPlan | None = None
     ) -> tuple[bool, int, tuple[int, int, int]]:
         """Record a raw answer's snippets; returns version bookkeeping.
+
+        ``plan`` is the ask's :class:`AskPlan`, whose decomposition the
+        record reuses (it rebuilds itself if an append moved the domains).
 
         The return value is ``(recorded, synopsis version immediately before
         the record, (synopsis, catalog, models) versions immediately
@@ -1219,7 +1230,7 @@ class VerdictService:
         with self._table_lock(parsed.table).write():
             with self._engine_lock:
                 pre_version = self.engine.synopsis.version
-                added = self.engine.record(parsed, raw)
+                added = self.engine.record(parsed, raw, plan=plan)
                 post_versions = self._versions()
         if added:
             self._note_mutation()

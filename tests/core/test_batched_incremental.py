@@ -8,7 +8,9 @@ The acceptance bar for the batched/incremental refactor:
   the same covariance matrix after appends;
 * the engine answers as a reference engine does that conditions one cell at
   a time and refactorises before every ask, and it actually extends (rather
-  than rebuilds) its prepared factorisations as queries are recorded.
+  than rebuilds) its prepared factorisations as queries are recorded;
+* an ask decomposes once: its later batches and its record reuse one
+  ``AskPlan`` and answer bit for bit as batches without a plan do.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.config import SamplingConfig, VerdictConfig
 from repro.core import linalg
 from repro.core.covariance import AggregateModel
-from repro.core.engine import VerdictEngine
+from repro.core.engine import AskPlan, VerdictEngine
 from repro.core.inference import GaussianInference
 from repro.core.prior import observation_error
 from repro.core.regions import AttributeDomains, NumericDomain, NumericRange, Region
@@ -377,8 +379,8 @@ class TestPosteriorReuseAcrossBatches:
             assert row.group_values == expected_row.group_values
             for name, cell in row.estimates.items():
                 other = expected_row.estimates[name]
-                assert cell.value == pytest.approx(other.value, rel=1e-12, abs=0.0)
-                assert cell.error == pytest.approx(other.error, rel=1e-12, abs=0.0)
+                assert float(cell.value).hex() == float(other.value).hex()
+                assert float(cell.error).hex() == float(other.error).hex()
                 assert cell.improved == other.improved
                 assert cell.validation_reason == other.validation_reason
 
@@ -448,3 +450,174 @@ class TestPosteriorReuseAcrossBatches:
             for row, stale_row in zip(answer.rows, stale_answer.rows)
             for name, cell in row.estimates.items()
         )
+
+
+def stored(engine):
+    """The synopsis contents, key by key, with identities."""
+    return [
+        (s.key, s.region, s.raw_answer, s.raw_error, s.snippet_id)
+        for key in engine.synopsis.keys()
+        for s in engine.synopsis.snippets_for(key)
+    ]
+
+
+def cell_bits(answer):
+    """Every cell of an answer as exact bits: value, error, improved, reason."""
+    return [
+        (
+            row.group_values,
+            name,
+            float(cell.value).hex(),
+            float(cell.error).hex(),
+            cell.improved,
+            cell.validation_reason,
+        )
+        for row in answer.rows
+        for name, cell in row.estimates.items()
+    ]
+
+
+class TestAskPlan:
+    """One ask decomposes once; its batches and its record reuse the plan."""
+
+    GROUPED = (
+        "SELECT region, AVG(revenue), SUM(revenue), COUNT(*), FREQ(*) FROM sales "
+        "WHERE week >= 5 AND week <= 25 GROUP BY region"
+    )
+    # The HAVING filter keeps a different set of groups as the batches come in.
+    SHIFTING = (
+        "SELECT region, COUNT(*), SUM(revenue) FROM sales WHERE week >= 2 AND week <= 20 "
+        "GROUP BY region HAVING count_star > 200"
+    )
+    SCALAR = "SELECT SUM(revenue), AVG(price) FROM sales WHERE week >= 10 AND week <= 30"
+
+    @staticmethod
+    def trained(sales_catalog, config=None):
+        engine = build_engine(sales_catalog, config or VerdictConfig(learn_length_scales=False))
+        for sql in TRAINING_QUERIES:
+            engine.execute(sql, max_batches=2)
+        engine.train()
+        return engine
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count ``decompose_query`` and ``RegionBuilder.build`` calls."""
+        from repro.core import engine as engine_module
+
+        counts = {"decompose": 0, "build": 0}
+        decompose, build = engine_module.decompose_query, engine_module.RegionBuilder.build
+
+        def counted_decompose(*args, **kwargs):
+            counts["decompose"] += 1
+            return decompose(*args, **kwargs)
+
+        def counted_build(self, predicate):
+            counts["build"] += 1
+            return build(self, predicate)
+
+        monkeypatch.setattr(engine_module, "decompose_query", counted_decompose)
+        monkeypatch.setattr(engine_module.RegionBuilder, "build", counted_build)
+        return counts
+
+    def test_one_decomposition_per_ask_and_none_for_its_record(
+        self, sales_catalog, monkeypatch
+    ):
+        engine = self.trained(sales_catalog)
+        parsed, check = engine.check(self.GROUPED)
+        raws = list(engine.aqp.run(parsed))
+        assert len(raws) >= 3
+        counts = self.counting(monkeypatch)
+        plan = AskPlan(parsed)
+        for raw in raws:
+            engine.process_answer(parsed, raw, check, plan=plan)
+        rows = len(raws[-1].rows)
+        assert counts == {"decompose": 1, "build": 4 * rows}
+        # AVG, COUNT and FREQ record one snippet per row, SUM two.
+        assert engine.record(parsed, raws[-1], plan=plan) == 5 * rows
+        assert counts == {"decompose": 1, "build": 4 * rows}
+
+    def test_changed_group_rows_rebuild_exactly_once(self, sales_catalog, monkeypatch):
+        from dataclasses import replace
+
+        engine = self.trained(sales_catalog)
+        parsed, check = engine.check(self.GROUPED)
+        raws = list(engine.aqp.run(parsed))
+        fewer = replace(raws[1], rows=raws[1].rows[:-1])
+        counts = self.counting(monkeypatch)
+        plan = AskPlan(parsed)
+        for raw in (raws[0], raws[1], fewer, fewer):
+            engine.process_answer(parsed, raw, check, plan=plan)
+        assert counts["decompose"] == 2
+        assert counts["build"] == 4 * (len(raws[1].rows) + len(fewer.rows))
+        # A new domains object (an append replaces it) rebuilds too.
+        engine.invalidate_domains("sales")
+        engine.process_answer(parsed, fewer, check, plan=plan)
+        assert counts["decompose"] == 3
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"enable_model_validation": False},
+            {"conservative_validation": False},
+        ],
+    )
+    @pytest.mark.parametrize("sql", [GROUPED, SHIFTING, SCALAR])
+    def test_planned_batches_equal_the_unplanned_bit_for_bit(
+        self, sales_catalog, sql, options
+    ):
+        config = VerdictConfig(learn_length_scales=False, **options)
+        planned = self.trained(sales_catalog, config)
+        unplanned = self.trained(sales_catalog, config)
+        parsed, check = planned.check(sql)
+        raws = list(planned.aqp.run(parsed))
+        if sql == self.SHIFTING:
+            assert len({tuple(raw.group_rows()) for raw in raws}) > 1
+        plan = AskPlan(parsed)
+        for raw in raws:
+            assert cell_bits(planned.process_answer(parsed, raw, check, plan=plan)) == cell_bits(
+                unplanned.process_answer(parsed, raw, check)
+            )
+        assert planned.record(parsed, raws[-1], plan=plan) == unplanned.record(parsed, raws[-1])
+        assert stored(planned) == stored(unplanned)
+        for sql_after in TEST_QUERIES:
+            after = planned.check(sql_after)[0]
+            raw = next(iter(planned.aqp.run(after)))
+            assert cell_bits(planned.process_answer(after, raw)) == cell_bits(
+                unplanned.process_answer(after, raw)
+            )
+
+    @pytest.mark.parametrize("mutation", ["record", "train", "set_model"])
+    def test_mutation_mid_ask_answers_like_a_fresh_engine(self, sales_catalog, mutation):
+        """A plan holds no factor: after a record, a training round or a
+        model override between two batches, the next batch equals what a
+        fresh engine holding the new evidence answers."""
+        recorded_sql = (
+            "SELECT region, AVG(revenue) FROM sales WHERE week >= 12 AND week <= 40 "
+            "GROUP BY region"
+        )
+
+        def mutate(engine):
+            if mutation == "set_model":
+                key = SnippetKey(kind=AggregateKind.AVG, table="sales", attribute="revenue")
+                engine.set_model(key, AggregateModel(key=key, length_scales={"week": 4.0}))
+                return
+            recorded = engine.check(recorded_sql)[0]
+            engine.record(recorded, engine.aqp.final_answer(recorded))
+            if mutation == "train":
+                engine.train()
+
+        engine = self.trained(sales_catalog)
+        parsed, check = engine.check(self.GROUPED)
+        raws = list(engine.aqp.run(parsed))
+        plan = AskPlan(parsed)
+        before = engine.process_answer(parsed, raws[0], check, plan=plan)
+        mutate(engine)
+        answer = engine.process_answer(parsed, raws[1], check, plan=plan)
+
+        fresh = self.trained(sales_catalog)
+        mutate(fresh)
+        assert cell_bits(answer) == cell_bits(fresh.process_answer(parsed, raws[1]))
+        stale = self.trained(sales_catalog).process_answer(parsed, raws[1])
+        assert cell_bits(answer) != cell_bits(stale)
+        assert cell_bits(before) != cell_bits(answer)

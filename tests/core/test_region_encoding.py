@@ -3,9 +3,10 @@
 ``SnippetCovariance.encode`` turns a snippet list into per-attribute distinct
 constraints plus index arrays; every factor method accepts either form.
 These tests hold the three ways of saying "these snippets" -- a plain list,
-its encoding, and an encoding grown from a prefix -- to *bit-identical*
-factors, and hold all of them to a pairwise scalar oracle written straight
-from Equation 10 / Appendix F.2.
+its encoding, and an encoding grown from a prefix (``appended``) -- to
+*bit-identical* factors, pin the grown encoding to the one-shot encoding
+column by column, and hold all of them to a pairwise scalar oracle written
+straight from Equation 10 / Appendix F.2.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class TestEncodingEquivalence:
         covariance = COVARIANCE
         everything = past + fresh
         encoded = covariance.encode(everything)
-        grown = covariance.encode(fresh, base=covariance.encode(past))
+        grown = covariance.encode(past).appended(covariance.encode(fresh))
         assert encoded.size == grown.size == len(everything)
 
         symmetric = covariance.factor_matrix(everything)
@@ -144,6 +145,29 @@ class TestEncodingEquivalence:
             atol=0.0,
         )
 
+    @given(past=snippet_lists, fresh=snippet_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_grown_encoding_equals_the_one_shot_encoding(self, past, fresh):
+        """``appended`` re-slots the fresh columns exactly as encoding the
+        whole list at once would: same slots, same distinct constraints in
+        the same order, same index arrays."""
+        grown = COVARIANCE.encode(past).appended(COVARIANCE.encode(fresh))
+        encoded = COVARIANCE.encode(past + fresh)
+        assert grown.size == encoded.size
+        assert list(grown.numeric) == list(encoded.numeric)
+        for name, column in encoded.numeric.items():
+            other = grown.numeric[name]
+            assert list(other.slots.items()) == list(column.slots.items())
+            assert_identical(other.lows, column.lows)
+            assert_identical(other.highs, column.highs)
+            assert_identical(other.index, column.index)
+        assert list(grown.categorical) == list(encoded.categorical)
+        for name, column in encoded.categorical.items():
+            other = grown.categorical[name]
+            assert list(other.slots.items()) == list(column.slots.items())
+            assert other.constraints == column.constraints
+            assert_identical(other.index, column.index)
+
     def test_encoding_an_encoding_is_the_identity(self):
         encoded = COVARIANCE.encode([])
         assert isinstance(encoded, RegionEncoding) and encoded.size == 0
@@ -159,7 +183,7 @@ class TestEncodingEquivalence:
             name: (dict(column.slots), column.index.copy())
             for name, column in {**base.numeric, **base.categorical}.items()
         }
-        COVARIANCE.encode(fresh, base=base)
+        base.appended(COVARIANCE.encode(fresh))
         for name, column in {**base.numeric, **base.categorical}.items():
             slots, index = before[name]
             assert column.slots == slots

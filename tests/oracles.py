@@ -8,8 +8,10 @@ the array estimators over all groups at once), a per-row Python decision of ever
 over decoded values (vs. dictionary-code predicates), and the covariance
 factor product taken
 attribute by attribute as full arrays (vs. one memoised scalar for an
-attribute neither side constrains).  The production paths must reproduce
-them byte for byte.
+attribute neither side constrains), and one learned answer cell at a time
+through Equation 12, Appendix B's validation and the COUNT / SUM
+recombination (vs. the array rules over all of a key's cells).  The
+production paths must reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -295,3 +297,86 @@ def factor_diagonal(covariance, snippets) -> np.ndarray:
         sizes = np.array([c.size for c in column.constraints], dtype=np.float64)
         result *= (sizes / np.square(np.maximum(sizes, 1.0)))[column.index]
     return result
+
+
+# --------------------------------------------------------------------------- #
+# One learned answer cell at a time
+# --------------------------------------------------------------------------- #
+
+
+def combine(gp_mean, gamma2, observed, observed_variance):
+    """Equation 12 for one cell: precision-weighted model and raw answer."""
+    if observed_variance <= 0.0:
+        return observed, 0.0
+    if not math.isfinite(gamma2) or gamma2 <= 0.0:
+        return observed, observed_variance
+    denominator = observed_variance + gamma2
+    value = (observed_variance * gp_mean + gamma2 * observed) / denominator
+    variance = (observed_variance * gamma2) / denominator
+    return value, variance
+
+
+def condition(gp_mean, gamma2, raw_answer, raw_error, scale):
+    """One cell's model answer and error; ``scale`` is ``None`` for AVG."""
+    observed = raw_answer if scale is None else raw_answer / scale
+    observed_error = raw_error if scale is None else raw_error / scale
+    value, variance = combine(gp_mean, gamma2, observed, observed_error * observed_error)
+    error = math.sqrt(variance)
+    if scale is None:
+        return value, error
+    return value * scale, error * scale
+
+
+def validate(model_answer, model_error, raw_answer, raw_error, is_freq, confidence,
+             enabled, conservative):
+    """Appendix B for one cell: ``(accepted, reason, answer, error, halfwidth)``."""
+    from repro.aqp.estimators import confidence_multiplier
+
+    multiplier = confidence_multiplier(confidence)
+    halfwidth = multiplier * raw_error
+    if is_freq and model_answer < 0.0:
+        if enabled:
+            return False, "negative FREQ estimate", raw_answer, raw_error, halfwidth
+        return True, "negative FREQ clipped", 0.0, model_error, halfwidth
+    if not enabled:
+        return True, "validation disabled", model_answer, model_error, halfwidth
+    disagreement = abs(raw_answer - model_answer)
+    if disagreement > halfwidth and raw_error > 0:
+        return False, "raw answer outside likely region", raw_answer, raw_error, halfwidth
+    improved_error = model_error
+    if conservative and multiplier > 0:
+        improved_error = max(improved_error, disagreement / multiplier)
+        if raw_error > 0:
+            improved_error = min(improved_error, raw_error)
+    return True, "model accepted", model_answer, improved_error, halfwidth
+
+
+def assemble_cell(function, population, raw_value, raw_error, avg_result, freq_result):
+    """One user-facing cell from its ``(value, error, improved, reason)``
+    parts; ``None`` where the cell passes its raw estimate through."""
+    if function is ast.AggregateFunction.AVG and avg_result is not None:
+        value, error, improved, reason = avg_result
+    elif function is ast.AggregateFunction.FREQ and freq_result is not None:
+        value, error, improved, reason = freq_result
+    elif function is ast.AggregateFunction.COUNT and freq_result is not None:
+        freq_value, freq_error, improved, reason = freq_result
+        value = freq_value * population
+        error = freq_error * population
+    elif (
+        function is ast.AggregateFunction.SUM
+        and avg_result is not None
+        and freq_result is not None
+    ):
+        avg_value, avg_error, avg_improved, avg_reason = avg_result
+        freq_value, freq_error, freq_improved, freq_reason = freq_result
+        count_value = freq_value * population
+        count_error = freq_error * population
+        value = avg_value * count_value
+        error = math.sqrt((count_value * avg_error) ** 2 + (avg_value * count_error) ** 2)
+        improved = avg_improved or freq_improved
+        reason = "; ".join(sorted({avg_reason, freq_reason}))
+    else:
+        return None
+    if error > raw_error and raw_error > 0:
+        return raw_value, raw_error, False, "recombination not tighter than raw"
+    return value, error, improved, reason

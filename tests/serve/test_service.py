@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.config import SamplingConfig, VerdictConfig
+from repro.core.engine import AskPlan
 from repro.db.catalog import Catalog
 from repro.deadline import UNLIMITED
 from repro.errors import ExpressionError, SchemaError, ServiceError
@@ -230,7 +231,7 @@ class TestCacheInvalidation:
             parsed, check = service.engine.check(sql)
             decision = service.planner.plan(parsed, check, ServiceBudget.exact())[0]
             _, _, versions = service._execute_route(
-                decision, parsed, check, ServiceBudget.exact(), UNLIMITED
+                decision, parsed, check, ServiceBudget.exact(), UNLIMITED, AskPlan(parsed)
             )
             # A mutation lands between execution and the cache store.
             service.append("sales", make_sales_table(num_rows=100, num_weeks=52, seed=4))
@@ -673,10 +674,10 @@ class TestShutdownOrdering:
         release = threading.Event()
         original_record = service.engine.record
 
-        def slow_record(parsed, raw):
+        def slow_record(parsed, raw, **options):
             started.set()
             assert release.wait(timeout=10)
-            return original_record(parsed, raw)
+            return original_record(parsed, raw, **options)
 
         service.engine.record = slow_record
         outcome: dict = {}
