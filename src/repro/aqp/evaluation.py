@@ -89,11 +89,12 @@ def _aggregate_cells(
         estimate = sum_estimate(avg, count)
 
     # Cells hold plain floats: one ``tolist`` per array, not a NumPy
-    # scalar per cell.
+    # scalar per cell; the output name is derived once per aggregate.
     no_avg = [None] * grouped.num_groups
+    name = item.output_name
     return [
         AggregateEstimate(
-            name=item.output_name,
+            name=name,
             function=function,
             value=value,
             error=error,

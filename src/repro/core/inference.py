@@ -75,6 +75,23 @@ class InferenceResult:
         return self.model_error < self.raw_error
 
 
+@dataclass(frozen=True)
+class SolvedBlock:
+    """The regions one :meth:`GaussianInference.posteriors` call solved.
+
+    ``cross`` is ``sigma^2`` times their factors against the past snippets
+    and ``half_solved`` is ``L^{-1} cross``.  An ask records exactly the
+    cells it inferred, so the next :meth:`GaussianInference.extend` of the
+    same factor usually appends these regions, in this order, and takes the
+    block instead of computing it again.
+    """
+
+    regions: tuple[Region, ...]
+    encoding: RegionEncoding
+    cross: np.ndarray
+    half_solved: np.ndarray
+
+
 @dataclass
 class PreparedInference:
     """Precomputed quantities for one aggregate function's synopsis.
@@ -109,9 +126,14 @@ class PreparedInference:
     ``prepare``, grown by ``extend`` and rebuilt on first use after a
     restore; ``posterior_memo`` maps a new snippet's region to the GP
     posterior ``(mean, gamma^2)`` there, which depends on the past evidence
-    only.  Every mutation of that evidence produces a *new*
-    ``PreparedInference`` whose memo starts empty, so the memo needs no
-    invalidation of its own.
+    only; ``solved_block`` is the last block of regions the memo missed
+    (:class:`SolvedBlock`).  Every mutation of that evidence produces a
+    *new* ``PreparedInference`` whose memo and block start empty, so neither
+    needs invalidation of its own.
+
+    An extended factor's ``cho`` is a
+    :class:`~repro.core.linalg.BufferedFactor`: the leading block of a
+    buffer that the next extension of this factor grows in place.
     """
 
     key: SnippetKey
@@ -133,6 +155,7 @@ class PreparedInference:
     posterior_memo: dict[Region, tuple[float, float]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    solved_block: SolvedBlock | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -141,7 +164,8 @@ class PreparedInference:
     @functools.cached_property
     def snippet_ids(self) -> tuple[int, ...]:
         """Synopsis ids of ``snippets``, in order (``snippets`` is never
-        mutated in place, so the tuple is built once)."""
+        mutated in place, so the tuple is built once; ``extend`` hands the
+        new factor this tuple plus the appended ids)."""
         return tuple(snippet.snippet_id for snippet in self.snippets)
 
     def past_encoding(self) -> RegionEncoding:
@@ -250,10 +274,17 @@ class GaussianInference:
         prior mean, the dual weights ``alpha``, the inverse diagonal and the
         leave-one-out calibration are all refreshed exactly.
 
+        When the appended snippets' regions are ``prepared.solved_block``'s,
+        in order -- an ask recording the cells it just inferred -- the
+        block's encoding, cross covariances and (on a clean factor) its
+        triangular solve are taken as they are; only the corner is new.
+
         Parameters
         ----------
         prepared:
-            The factorisation to extend (not modified).
+            The factorisation to extend (not modified: when it is the newest
+            factor of its buffer, the extension writes the buffer's rows
+            below it, which no older factor reads).
         new_snippets:
             Snippets appended to the synopsis since ``prepared`` was built.
         synopsis_version:
@@ -269,10 +300,22 @@ class GaussianInference:
             return prepared
         domains = prepared.covariance.domains
         past_encoding = prepared.past_encoding()
-        fresh_encoding = prepared.covariance.encode(fresh)
-        cross = prepared.sigma2 * prepared.covariance.factor_matrix(
-            past_encoding, fresh_encoding
-        )
+        # A factor that was extended before has a zero upper triangle.
+        clean = prepared.appended_since_base > 0
+        block = prepared.solved_block
+        solved = None
+        if block is not None and block.regions == tuple(s.region for s in fresh):
+            fresh_encoding, cross = block.encoding, block.cross
+            if clean:
+                # ``posteriors`` solved on this very factor.  A first
+                # extension solves on the factor's zeroed copy instead,
+                # whose bits can differ from a solve on the factor itself.
+                solved = block.half_solved
+        else:
+            fresh_encoding = prepared.covariance.encode(fresh)
+            cross = prepared.sigma2 * prepared.covariance.factor_matrix(
+                past_encoding, fresh_encoding
+            )
         corner_factors = prepared.covariance.factor_matrix(fresh_encoding)
         new_noise = np.array(
             [observation_error(snippet, domains) ** 2 for snippet in fresh],
@@ -281,9 +324,8 @@ class GaussianInference:
         corner = prepared.sigma2 * corner_factors + np.diag(new_noise)
         corner[np.diag_indices_from(corner)] += prepared.jitter
         try:
-            # A factor that was extended before has a zero upper triangle.
             cho, schur = linalg.extend_cholesky(
-                prepared.cho, cross, corner, clean=prepared.appended_since_base > 0
+                prepared.cho, cross, corner, clean=clean, solved=solved
             )
         except np.linalg.LinAlgError:
             return None
@@ -319,7 +361,7 @@ class GaussianInference:
         else:
             inverse_diagonal = None
             calibration = 1.0
-        return PreparedInference(
+        extended = PreparedInference(
             key=prepared.key,
             snippets=prepared.snippets + fresh,
             covariance=prepared.covariance,
@@ -337,6 +379,10 @@ class GaussianInference:
             base_size=prepared.base_size,
             encoding=past_encoding.appended(fresh_encoding),
         )
+        extended.snippet_ids = prepared.snippet_ids + tuple(
+            snippet.snippet_id for snippet in fresh
+        )
+        return extended
 
     # ------------------------------------------------------------------- infer
 
@@ -429,7 +475,8 @@ class GaussianInference:
         (:func:`condition`).  Regions not seen before share one ``(n, m)``
         cross-covariance block and one triangular solve: with
         ``A = L L^T``, ``gamma^2 = kappa^2 - c^T A^{-1} c = kappa^2 -
-        ||L^{-1} c||^2``.
+        ||L^{-1} c||^2``.  That block is kept as ``prepared.solved_block``
+        for the extension that records these regions.
         """
         memo = prepared.posterior_memo
         posteriors = [memo.get(region) for region in regions]
@@ -458,6 +505,7 @@ class GaussianInference:
             gamma2 *= prepared.calibration
             for region, mean, variance in zip(unseen, gp_means.tolist(), gamma2.tolist()):
                 memo[region] = (mean, variance)
+            prepared.solved_block = SolvedBlock(tuple(unseen), encoding, cross, half_solved)
             posteriors = [memo[region] for region in regions]
         return posteriors
 

@@ -21,12 +21,17 @@ recorded query.  This module collects those primitives so that
   *extension* when k new snippets are appended to the synopsis: O(n^2 k)
   instead of the O(n^3) of a fresh factorisation.  A factor only ever grows
   this way or is rebuilt (evictions, appends to the data, training), so
-  there are no rank-1 update / downdate rotations;
+  there are no rank-1 update / downdate rotations.  An extended factor is
+  the leading block of a :class:`FactorBuffer` (a :class:`BufferedFactor`),
+  so growing the newest one writes only its k new rows;
 * :func:`symmetrize` -- numerical hygiene for matrices that are symmetric by
   construction but not bit-for-bit symmetric after float accumulation.
 
 All factors use the ``(matrix, lower)`` convention of
 :func:`scipy.linalg.cho_factor` so they interoperate with existing callers.
+Every solve on a factor goes through this module: a buffered factor's
+solves call LAPACK on the buffer's column block, which SciPy's wrappers
+would instead copy.
 
 One thread per query: importing this module pins every OpenBLAS the process
 has mapped (NumPy's and SciPy's) to one thread.  A second BLAS thread buys no
@@ -44,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from repro.errors import InferenceError
 
@@ -158,6 +164,78 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
+# -------------------------------------------------------------- factor buffer
+
+
+class FactorBuffer:
+    """A Fortran-ordered ``capacity x capacity`` array whose leading blocks
+    are factors.
+
+    Every factor grown here is a leading ``n x n`` block, and ``used`` is
+    the order of the newest one.  Extending the newest writes only its k
+    new rows -- below every older factor and to the right of none -- so the
+    older blocks, and the ``PreparedInference`` objects holding them, stay
+    valid.  The array comes zeroed from ``calloc``: capacity no factor has
+    reached is never written, and costs address space, not resident memory.
+    """
+
+    __slots__ = ("array", "used")
+
+    def __init__(self, capacity: int):
+        self.array = np.zeros((capacity, capacity), dtype=np.float64, order="F")
+        self.used = 0
+
+    def claim(self, size: int, rows: int) -> bool:
+        """Take the ``rows`` after the newest factor for growing it.
+
+        True when a factor of order ``size`` is the newest here and the
+        rows fit.  Check and claim are one step under the caller's lock
+        (the engine lock for every extension), so two extensions of one
+        factor cannot both write the same rows.
+        """
+        if self.used != size or size + rows > len(self.array):
+            return False
+        self.used = size + rows
+        return True
+
+
+class BufferedFactor(tuple):
+    """A lower factor ``(L, True)`` whose ``L`` is the leading ``n x n``
+    block of ``buffer``; it unpacks and indexes like a
+    :data:`CholeskyFactor`."""
+
+    buffer: FactorBuffer
+
+    def __new__(cls, buffer: FactorBuffer, size: int) -> "BufferedFactor":
+        factor = super().__new__(cls, (buffer.array[:size, :size], True))
+        factor.buffer = buffer
+        return factor
+
+
+def _trtrs(factor: BufferedFactor, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """``L^{-1} rhs`` (``trans=0``) or ``L^{-T} rhs`` (``trans=1``) by LAPACK
+    on the buffer's ``(capacity, n)`` column block with ``lda = capacity``:
+    no copy of the factor, and the bits ``solve_triangular`` gets on an
+    exact-size copy of it."""
+    columns = factor.buffer.array[:, : len(factor[0])]
+    solution, info = dtrtrs(columns, rhs, lower=1, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    return solution
+
+
+def _solve_triangular(cho: CholeskyFactor, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """One triangular solve on ``cho``'s lower factor; reads one triangle."""
+    if isinstance(cho, BufferedFactor):
+        return _trtrs(cho, rhs, trans)
+    matrix, lower = cho
+    return solve_triangular(
+        matrix, rhs, lower=lower, trans=trans if lower else 1 - trans, check_finite=False
+    )
+
+
 # --------------------------------------------------------------- factor/solve
 
 
@@ -202,8 +280,22 @@ def solve_factored(cho: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     all ``m`` solves in one pair of triangular BLAS calls, which is the
     primitive behind batched group-by inference.  Only ``rhs`` is checked
     for NaN / inf (see :func:`_require_finite`).
+
+    A buffered factor solves by two LAPACK triangular solves, which equal
+    ``cho_solve``'s bits for two or more columns.  One column alone takes
+    OpenBLAS's vector path and differs, but ``cho_solve``'s one-column bits
+    are column 0 of the two-column solve on ``[rhs, rhs]``, so that is how
+    one column is solved.
     """
-    return cho_solve(cho, _require_finite(rhs), check_finite=False)
+    rhs = _require_finite(rhs)
+    if not isinstance(cho, BufferedFactor):
+        return cho_solve(cho, rhs, check_finite=False)
+    block = rhs.reshape(len(rhs), -1)
+    columns = block.shape[1]
+    if columns == 1:
+        block = np.concatenate([block, block], axis=1)
+    solution = _trtrs(cho, _trtrs(cho, block, 0), 1)
+    return solution[:, :columns].reshape(rhs.shape)
 
 
 def solve_lower(cho: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
@@ -214,14 +306,7 @@ def solve_lower(cho: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     reads the lower triangle only, so a ``cho_factor`` factor goes in as it
     is, junk upper triangle and all.
     """
-    matrix, lower = cho
-    return solve_triangular(
-        matrix,
-        _require_finite(rhs),
-        lower=lower,
-        trans="N" if lower else "T",
-        check_finite=False,
-    )
+    return _solve_triangular(cho, _require_finite(rhs), 0)
 
 
 def lower_triangle(cho: CholeskyFactor) -> np.ndarray:
@@ -239,8 +324,12 @@ def lower_triangle(cho: CholeskyFactor) -> np.ndarray:
 
 
 def extend_cholesky(
-    cho: CholeskyFactor, cross: np.ndarray, corner: np.ndarray, clean: bool = False
-) -> tuple[CholeskyFactor, CholeskyFactor]:
+    cho: CholeskyFactor,
+    cross: np.ndarray,
+    corner: np.ndarray,
+    clean: bool = False,
+    solved: np.ndarray | None = None,
+) -> tuple[BufferedFactor, CholeskyFactor]:
     """Extend a factor of ``A`` to the factor of ``[[A, B], [B^T, C]]``.
 
     Given the lower factor ``L`` of the existing ``n x n`` block ``A``, the
@@ -256,8 +345,15 @@ def extend_cholesky(
 
     ``clean`` says the unused triangle of ``cho`` is already zero -- true of
     every factor this function returned -- which saves the O(n^2) copy that
-    zeroes it.  The extended factor is Fortran-ordered like the ones LAPACK
-    makes, so the triangular solves take it without copying it first.
+    zeroes it.  ``solved`` is ``S`` when the caller already has it from
+    :func:`solve_lower` on this clean factor (same call, same bits); it is
+    not solved again.
+
+    The extended factor is the leading block of a :class:`FactorBuffer`.
+    When ``cho`` is the newest factor of a buffer with room for k more rows,
+    only ``S^T`` and ``D`` are written, into that buffer; any other factor
+    (an older tenant, a ``cho_factor`` result, a restored exact-size array)
+    is copied into a new buffer of twice the extended order.
 
     Returns
     -------
@@ -271,21 +367,26 @@ def extend_cholesky(
         If the Schur complement is not positive definite (callers fall back
         to a fresh factorisation).
     """
-    lower = cho[0] if clean and cho[1] else lower_triangle(cho)
+    clean = clean and cho[1]
+    lower = cho[0] if clean else lower_triangle(cho)
     n = lower.shape[0]
     cross = _require_finite(cross)
     corner = _require_finite(corner)
     if cross.ndim == 1:
         cross = cross.reshape(n, 1)
     k = corner.shape[0]
-    solved = solve_triangular(lower, cross, lower=True, check_finite=False)
+    if solved is None:
+        solved = solve_lower(cho if clean else (lower, True), cross)
     schur = symmetrize(corner - solved.T @ solved)
     schur_lower = np.linalg.cholesky(schur)
-    extended = np.zeros((n + k, n + k), dtype=np.float64, order="F")
-    extended[:n, :n] = lower
-    extended[n:, :n] = solved.T
-    extended[n:, n:] = schur_lower
-    return (extended, True), (schur_lower, True)
+    buffer = cho.buffer if isinstance(cho, BufferedFactor) else None
+    if buffer is None or not buffer.claim(n, k):
+        buffer = FactorBuffer(2 * (n + k))
+        buffer.array[:n, :n] = lower
+        buffer.used = n + k
+    buffer.array[n : n + k, :n] = solved.T
+    buffer.array[n : n + k, n : n + k] = schur_lower
+    return BufferedFactor(buffer, n + k), (schur_lower, True)
 
 
 def extend_inverse_diagonal(
@@ -326,11 +427,8 @@ def extend_inverse_diagonal(
     """
     k = schur[0].shape[0]
     if half_solved is not None:
-        # The solve reads one triangle only: a lower factor goes in as it is.
-        lower = cho[0] if cho[1] else lower_triangle(cho)
-        solved = solve_triangular(
-            lower, half_solved, lower=True, trans="T", check_finite=False
-        )
+        # The solve reads one triangle only: a factor goes in as it is.
+        solved = _solve_triangular(cho, half_solved, 1)
     else:
         solved = solve_factored(cho, cross if cross.ndim == 2 else cross.reshape(-1, 1))
     schur_inverse = solve_factored(schur, np.eye(k))

@@ -13,6 +13,8 @@ The acceptance bar for the batched/incremental refactor:
   ``AskPlan`` and answer bit for bit as batches without a plan do.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
@@ -164,6 +166,18 @@ class TestIncrementalExtension:
         np.testing.assert_allclose(
             extended.inverse_diagonal, np.diag(np.linalg.inv(matrix)), rtol=1e-6
         )
+
+    def test_extended_factors_carry_the_snippet_ids(self):
+        inference = GaussianInference()
+        snippets = [
+            s.with_identity(100 + index, index)
+            for index, s in enumerate(synthetic_snippets(14, seed=12))
+        ]
+        prepared = inference.prepare(KEY, snippets[:8], MODEL, DOMAINS)
+        extended = inference.extend(prepared, snippets[8:11])
+        grown = inference.extend(extended, snippets[11:])
+        assert grown.snippet_ids == tuple(s.snippet_id for s in snippets)
+        assert grown.snippet_ids == tuple(range(100, 114))
 
     def test_extend_with_no_snippets_returns_same_object(self):
         inference = GaussianInference()
@@ -450,6 +464,137 @@ class TestPosteriorReuseAcrossBatches:
             for row, stale_row in zip(answer.rows, stale_answer.rows)
             for name, cell in row.estimates.items()
         )
+
+
+def counting_extension(monkeypatch):
+    """Count factor-matrix builds and ``L^{-1} B`` solves from here on."""
+    from repro.core.covariance import SnippetCovariance
+
+    counts = {"factor_matrix": 0, "solve_lower": 0}
+    factor_matrix, solve_lower = SnippetCovariance.factor_matrix, linalg.solve_lower
+
+    def counted_factor_matrix(self, *args, **kwargs):
+        counts["factor_matrix"] += 1
+        return factor_matrix(self, *args, **kwargs)
+
+    def counted_solve_lower(*args, **kwargs):
+        counts["solve_lower"] += 1
+        return solve_lower(*args, **kwargs)
+
+    monkeypatch.setattr(SnippetCovariance, "factor_matrix", counted_factor_matrix)
+    monkeypatch.setattr(linalg, "solve_lower", counted_solve_lower)
+    return counts
+
+
+def factor_bits(prepared):
+    return (
+        prepared.cho[0].tobytes(),
+        prepared.alpha.tobytes(),
+        prepared.inverse_diagonal.tobytes(),
+        float(prepared.calibration).hex(),
+    )
+
+
+def without_block(prepared):
+    """``prepared`` as it was before any ask: no memo, no solved block."""
+    return replace(prepared, posterior_memo={}, solved_block=None)
+
+
+class TestRecordReusesTheAsksBlock:
+    """An ask's first batch solves its cells' cross block against the
+    factor; the extension that records those cells takes the block (its
+    encoding, ``sigma^2`` cross covariances and ``L^{-1}`` solve) instead of
+    computing it again, and grows the factor in its buffer, to the bits the
+    block-free extension gives."""
+
+    ASKS = [
+        "SELECT region, AVG(revenue) FROM sales WHERE week >= 10 AND week <= 30 GROUP BY region",
+        "SELECT region, AVG(revenue) FROM sales WHERE week >= 14 AND week <= 36 GROUP BY region",
+    ]
+
+    @staticmethod
+    def ask_and_record(engine, sql):
+        parsed, check = engine.check(sql)
+        plan = AskPlan(parsed)
+        raws = list(engine.aqp.run(parsed))
+        for raw in raws:
+            engine.process_answer(parsed, raw, check, plan=plan)
+        assert engine.record(parsed, raws[-1], plan=plan) > 0
+
+    def test_the_record_after_an_ask_extends_with_the_asks_block(
+        self, sales_catalog, monkeypatch
+    ):
+        engine = build_engine(
+            sales_catalog,
+            VerdictConfig(learn_length_scales=False, incremental_rebuild_ratio=10.0),
+        )
+        for sql in TRAINING_QUERIES:
+            engine.execute(sql, max_batches=2)
+        engine.train()
+        # The second ask extends the trained factor by the first one's
+        # record; the extension below grows that extension's factor, whose
+        # solve the block can carry, in its buffer.
+        for sql in self.ASKS:
+            self.ask_and_record(engine, sql)
+        key = next(k for k in engine.synopsis.keys() if k.kind is AggregateKind.AVG)
+        stale = engine._prepared[key]
+        assert stale.appended_since_base > 0 and stale.solved_block is not None
+        appended = engine.synopsis.changes_since(stale.synopsis_version).appended[key]
+        assert tuple(s.region for s in appended) == stale.solved_block.regions
+
+        counts = counting_extension(monkeypatch)
+        current = engine._prepared_for(key)
+        assert counts == {"factor_matrix": 1, "solve_lower": 0}
+        assert current.size == stale.size + len(appended)
+        assert current.cho.buffer is stale.cho.buffer
+
+        recomputed = engine.inference.extend(
+            without_block(stale), appended, synopsis_version=current.synopsis_version
+        )
+        assert counts == {"factor_matrix": 3, "solve_lower": 1}
+        assert recomputed.cho.buffer is not stale.cho.buffer
+        assert factor_bits(current) == factor_bits(recomputed)
+        assert current.snippet_ids == recomputed.snippet_ids
+
+    def test_a_first_extension_takes_the_cross_block_but_solves_again(self, monkeypatch):
+        """A ``cho_factor`` factor's extension solves on its zeroed copy,
+        whose bits can differ from the ask's solve on the factor itself."""
+        inference = GaussianInference(VerdictConfig())
+        prepared = inference.prepare(KEY, synthetic_snippets(40, seed=25), MODEL, DOMAINS)
+        cells = synthetic_snippets(6, seed=26)
+        inference.posteriors(prepared, [s.region for s in cells])
+        counts = counting_extension(monkeypatch)
+        extended = inference.extend(prepared, cells)
+        assert counts == {"factor_matrix": 1, "solve_lower": 1}
+        recomputed = inference.extend(without_block(prepared), cells)
+        assert factor_bits(extended) == factor_bits(recomputed)
+
+    @pytest.mark.parametrize("case", ["same", "changed_group_rows", "duplicate_regions"])
+    def test_reused_and_recomputed_blocks_give_the_same_bits(self, case, monkeypatch):
+        inference = GaussianInference(VerdictConfig())
+        prepared = inference.prepare(KEY, synthetic_snippets(40, seed=21), MODEL, DOMAINS)
+        first = inference.extend(prepared, synthetic_snippets(6, seed=22))
+        cells = synthetic_snippets(6, seed=23)
+        if case == "duplicate_regions":
+            # Two cells of one ask share a region: the block holds it once.
+            cells = cells[:1] + cells[:4]
+        inference.posteriors(first, [s.region for s in cells])
+        if case == "changed_group_rows":
+            # A later batch's group rows differ: the block holds the new
+            # regions alone, but the record appends every cell it answered.
+            cells = cells[:3] + synthetic_snippets(2, seed=24)
+            inference.posteriors(first, [s.region for s in cells])
+            assert len(first.solved_block.regions) == 2
+        elif case == "duplicate_regions":
+            assert len(first.solved_block.regions) == 4
+
+        counts = counting_extension(monkeypatch)
+        reused = inference.extend(first, cells)
+        expected = (1, 0) if case == "same" else (2, 1)
+        assert (counts["factor_matrix"], counts["solve_lower"]) == expected
+        assert reused.cho.buffer is first.cho.buffer
+        recomputed = inference.extend(without_block(first), cells)
+        assert factor_bits(reused) == factor_bits(recomputed)
 
 
 def stored(engine):

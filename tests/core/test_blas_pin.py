@@ -17,8 +17,10 @@ from repro.core import linalg
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-# Prepare, extend and infer over one seeded synopsis large enough for LAPACK
-# to block (n = 700 -> 800), then hash every factor and answer.
+# Prepare -> infer -> extend -> infer -> extend -> infer over one seeded
+# synopsis large enough for LAPACK to block (n = 700 -> 750 -> 800), each
+# extension recording the cells just inferred, the second one in place in
+# the first one's buffer; then hash every factor and answer.
 SCRIPT = """
 import hashlib
 import numpy as np
@@ -31,12 +33,16 @@ snippets, domains, key = make_gp_snippets(num_snippets=900, true_length_scale=1.
 inference = GaussianInference(VerdictConfig())
 model = AggregateModel(key=key, length_scales={"x": 1.5})
 prepared = inference.prepare(key, snippets[:700], model, domains)
-inference.infer_batch(prepared, snippets[700:760])
-extended = inference.extend(prepared, snippets[700:800])
-results = inference.infer_batch(extended, snippets[800:])
+inference.infer_batch(prepared, snippets[700:750])
+extended = inference.extend(prepared, snippets[700:750])
+inference.infer_batch(extended, snippets[750:800])
+grown = inference.extend(extended, snippets[750:800])
+assert grown.cho.buffer is extended.cho.buffer
+results = inference.infer_batch(grown, snippets[800:])
 digest = hashlib.sha256()
 for array in (
     prepared.cho[0], prepared.alpha, extended.cho[0], extended.alpha,
+    grown.cho[0], grown.alpha, grown.inverse_diagonal,
     np.array([(r.model_answer, r.model_error) for r in results]),
 ):
     digest.update(np.ascontiguousarray(array).tobytes())

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from repro.core import linalg
 from repro.errors import InferenceError
@@ -130,6 +130,104 @@ class TestExtendCholesky:
             cho_base, inverse_diag, full[:n, n:], schur
         )
         np.testing.assert_allclose(updated, np.diag(np.linalg.inv(full)), rtol=1e-8)
+
+
+def grown_chain(sizes, seed):
+    """``(full, factors)``: one SPD matrix and its factor grown through
+    ``sizes`` -- a ``robust_cholesky`` base, then one extension per step."""
+    full = random_spd(sizes[-1], seed=seed)
+    factor, _ = linalg.robust_cholesky(full[: sizes[0], : sizes[0]])
+    factors = [factor]
+    for old, new in zip(sizes, sizes[1:]):
+        factor, _ = linalg.extend_cholesky(
+            factor, full[:old, old:new], full[old:new, old:new], clean=len(factors) > 1
+        )
+        factors.append(factor)
+    return full, factors
+
+
+class TestFactorBuffer:
+    """An extended factor is the leading block of a buffer; the newest one
+    grows in place and every solve on it keeps SciPy's exact-size bits."""
+
+    def test_the_newest_factor_grows_in_place(self):
+        _, (base, first, second, third) = grown_chain([60, 70, 75, 90], seed=61)
+        assert not isinstance(base, linalg.BufferedFactor)
+        assert first.buffer is second.buffer is third.buffer
+        assert third.buffer.used == 90 and len(third.buffer.array) == 140
+        assert third[0].base is third.buffer.array
+
+    def test_a_full_buffer_moves_to_one_twice_the_size(self):
+        _, (_, first, second) = grown_chain([10, 12, 30], seed=62)
+        assert len(first.buffer.array) == 24
+        assert second.buffer is not first.buffer
+        assert len(second.buffer.array) == 60 and second.buffer.used == 30
+        np.testing.assert_array_equal(second[0][:12, :12], first[0])
+
+    @pytest.mark.parametrize("columns", [1, 2, 9])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_triangular_solves_equal_scipy_on_an_exact_size_copy(self, columns, trans):
+        _, (*_, grown) = grown_chain([150, 170, 179, 201], seed=63 + columns)
+        exact = np.asfortranarray(np.tril(grown[0]))
+        rhs = np.random.default_rng(columns).normal(size=(201, columns))
+        for block in (rhs, rhs[:, 0]) if columns == 1 else (rhs,):
+            assert (
+                linalg._solve_triangular(grown, block, trans).tobytes()
+                == solve_triangular(exact, block, lower=True, trans=trans, check_finite=False)
+                .tobytes()
+            )
+        if trans == 0:
+            assert linalg.solve_lower(grown, rhs).tobytes() == linalg.solve_lower(
+                (exact, True), rhs
+            ).tobytes()
+
+    @pytest.mark.parametrize("columns", [1, 2, 9])
+    def test_cho_solve_bits_including_one_column(self, columns):
+        _, (*_, grown) = grown_chain([150, 170, 179, 201], seed=73 + columns)
+        exact = np.asfortranarray(np.tril(grown[0]))
+        rhs = np.random.default_rng(columns).normal(size=(201, columns))
+        blocks = (rhs, rhs[:, 0].copy()) if columns == 1 else (rhs,)
+        for block in blocks:
+            solved = linalg.solve_factored(grown, block)
+            assert solved.shape == block.shape
+            assert (
+                solved.tobytes()
+                == cho_solve((exact, True), block, check_finite=False).tobytes()
+            )
+
+    def test_extending_an_older_factor_leaves_every_tenant_alone(self):
+        _, (_, first, second) = grown_chain([90, 100, 110], seed=81)
+        buffer = second.buffer
+        assert first.buffer is buffer
+        first_bytes, second_bytes = first[0].tobytes(), second[0].tobytes()
+        # Other snippets after the first 100: same leading block, new rows.
+        basis = np.random.default_rng(81).normal(size=(110, 110))
+        basis[100:] = np.random.default_rng(82).normal(size=(10, 110))
+        other = basis @ basis.T + 1e-3 * 110 * np.eye(110)
+        # ``first`` is no longer the buffer's newest factor (a rewind).
+        rewound, _ = linalg.extend_cholesky(
+            first, other[:100, 100:], other[100:, 100:], clean=True
+        )
+        assert rewound.buffer is not buffer and buffer.used == 110
+        assert first[0].tobytes() == first_bytes
+        assert second[0].tobytes() == second_bytes
+        np.testing.assert_array_equal(rewound[0][:100, :100], first[0])
+
+    def test_a_restored_exact_size_factor_extends_to_the_same_bytes(self):
+        full, (_, first, second) = grown_chain([150, 170, 190], seed=91)
+        restored = (np.asfortranarray(np.array(first[0])), True)
+        replayed, _ = linalg.extend_cholesky(
+            restored, full[:170, 170:], full[170:, 170:], clean=True
+        )
+        assert replayed.buffer is not second.buffer
+        assert replayed[0].tobytes() == second[0].tobytes()
+
+    def test_a_failed_extension_claims_no_rows(self):
+        _, (_, first) = grown_chain([4, 5], seed=92)
+        cross = np.full((5, 1), 100.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.extend_cholesky(first, cross, np.eye(1), clean=True)
+        assert first.buffer.used == 5
 
 
 class TestHelpers:
