@@ -1123,7 +1123,6 @@ class VerdictEngine:
             "counters": {
                 "queries_processed": self.queries_processed,
                 "queries_improved": self.queries_improved,
-                "total_overhead_seconds": self.total_overhead_seconds,
                 "state_epoch": self.state_epoch,
             },
             "prepared": [
@@ -1155,11 +1154,12 @@ class VerdictEngine:
         counters = state["counters"]
         self.queries_processed = counters["queries_processed"]
         self.queries_improved = counters["queries_improved"]
-        self.total_overhead_seconds = counters["total_overhead_seconds"]
         self.state_epoch = counters["state_epoch"]
         self._restart_factor_schedule()
-        # Warm-start / skip bookkeeping is process-local (not persisted): a
-        # restored engine retrains from scratch on its first train().
+        # Wall-clock and warm-start / skip bookkeeping is process-local (not
+        # persisted, so one history always writes the same snapshot bytes):
+        # a restored engine retrains from scratch on its first train().
+        self.total_overhead_seconds = 0.0
         self._learned = {}
         self._last_training = None
         self._trained_marker = None
@@ -1176,7 +1176,7 @@ class VerdictEngine:
     def _prepared_from_state(self, state: dict) -> PreparedInference | None:
         """Rebuild one prepared factorisation; ``None`` when unresolvable."""
         from repro.core.prior import PriorEstimate
-        from repro.core.serialize import decode_array
+        from repro.core.serialize import decode_array, decode_lower_triangle
 
         key = SnippetKey.from_state(state["key"])
         by_id = {s.snippet_id: s for s in self.synopsis.snippets_for(key)}
@@ -1203,10 +1203,7 @@ class VerdictEngine:
             centered=decode_array(state["centered"]),
             # Fortran order, as LAPACK made it: the triangular solves would
             # otherwise copy the whole factor on every call.
-            cho=(
-                np.asfortranarray(decode_array(state["cho_matrix"])),
-                state["cho_lower"],
-            ),
+            cho=(decode_lower_triangle(state["cho_matrix"]), state["cho_lower"]),
             alpha=decode_array(state["alpha"]),
             calibration=state["calibration"],
             synopsis_version=state["synopsis_version"],
@@ -1230,8 +1227,9 @@ class VerdictEngine:
 
 
 def _prepared_state(prepared: PreparedInference) -> dict:
-    """JSON-safe state of one prepared factorisation (exact array payloads)."""
-    from repro.core.serialize import encode_array
+    """JSON-safe state of one prepared factorisation (exact array payloads;
+    the factor, which is lower and clean, as its packed lower triangle)."""
+    from repro.core.serialize import encode_array, encode_lower_triangle
 
     return {
         "key": prepared.key.to_state(),
@@ -1245,7 +1243,7 @@ def _prepared_state(prepared: PreparedInference) -> dict:
         "observations": encode_array(prepared.observations),
         "noise_variances": encode_array(prepared.noise_variances),
         "centered": encode_array(prepared.centered),
-        "cho_matrix": encode_array(prepared.cho[0]),
+        "cho_matrix": encode_lower_triangle(prepared.cho[0]),
         "cho_lower": bool(prepared.cho[1]),
         "alpha": encode_array(prepared.alpha),
         "calibration": prepared.calibration,

@@ -29,6 +29,9 @@ recorded query.  This module collects those primitives so that
 
 All factors use the ``(matrix, lower)`` convention of
 :func:`scipy.linalg.cho_factor` so they interoperate with existing callers.
+Every factor is lower with a zero strict upper triangle, so a factor is
+exactly its lower triangle: that is what the store persists, and a restored
+factor has the same bytes as the one that never left memory.
 Every solve on a factor goes through this module: a buffered factor's
 solves call LAPACK on the buffer's column block, which SciPy's wrappers
 would instead copy.
@@ -48,7 +51,7 @@ import ctypes
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from repro.errors import InferenceError
@@ -244,9 +247,12 @@ def robust_cholesky(
 ) -> tuple[CholeskyFactor, float]:
     """Lower-Cholesky factorise ``matrix`` with escalating diagonal jitter.
 
-    The input is copied (never mutated).  The relative ``jitter`` is applied
-    first; if the factorisation still fails, the jitter is escalated by two
-    orders of magnitude up to ``max_attempts`` times before giving up.
+    The input is copied (never mutated).  The factor's strict upper
+    triangle is zero: this is ``cho_factor``'s ``potrf`` call with SciPy's
+    ``clean`` on, so the lower triangle has the same bits.  The relative
+    ``jitter`` is applied first; if the factorisation still fails, the
+    jitter is escalated by two orders of magnitude up to ``max_attempts``
+    times before giving up.
 
     Returns
     -------
@@ -264,7 +270,7 @@ def robust_cholesky(
     bump = max(jitter, 1e-12)
     for _ in range(max(max_attempts, 1)):
         try:
-            return cho_factor(work, lower=True), added
+            return (cholesky(work, lower=True), True), added
         except np.linalg.LinAlgError:
             bump *= 100.0
             extra = bump * scale
@@ -303,8 +309,7 @@ def solve_lower(cho: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
 
     One triangular solve -- half of :func:`solve_factored` -- which is all a
     quadratic form needs: ``rhs^T A^{-1} rhs = ||L^{-1} rhs||^2``.  The solve
-    reads the lower triangle only, so a ``cho_factor`` factor goes in as it
-    is, junk upper triangle and all.
+    reads the lower triangle only.
     """
     return _solve_triangular(cho, _require_finite(rhs), 0)
 
@@ -312,9 +317,9 @@ def solve_lower(cho: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
 def lower_triangle(cho: CholeskyFactor) -> np.ndarray:
     """Extract the clean lower-triangular factor ``L`` (``A = L L^T``).
 
-    :func:`scipy.linalg.cho_factor` leaves junk from the input matrix in the
-    unused triangle; this returns a copy with that triangle zeroed, suitable
-    for block composition.
+    A C-ordered copy with the unused triangle zeroed.  Every factor made
+    here is already clean, but a solve on this copy takes SciPy's other
+    (transposed) LAPACK path, whose bits a first extension keeps.
     """
     matrix, lower = cho
     return np.tril(matrix) if lower else np.triu(matrix).T
@@ -352,7 +357,7 @@ def extend_cholesky(
     The extended factor is the leading block of a :class:`FactorBuffer`.
     When ``cho`` is the newest factor of a buffer with room for k more rows,
     only ``S^T`` and ``D`` are written, into that buffer; any other factor
-    (an older tenant, a ``cho_factor`` result, a restored exact-size array)
+    (an older tenant, a fresh factorisation, a restored exact-size array)
     is copied into a new buffer of twice the extended order.
 
     Returns

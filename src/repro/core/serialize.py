@@ -11,8 +11,11 @@ never-stopped one, which rules out any lossy round-trip.
   statistics are stored as plain JSON numbers.
 * NumPy arrays are stored as base64 of their raw little-endian bytes together
   with dtype and shape (:func:`encode_array` / :func:`decode_array`), which is
-  both exact and compact -- factor matrices dominate snapshot size and base64
-  beats a JSON list of floats by ~4x.
+  both exact and compact -- base64 beats a JSON list of floats by ~4x.
+* A Cholesky factor is stored as its lower triangle, column by column
+  (:func:`encode_lower_triangle` / :func:`decode_lower_triangle`): n(n+1)/2
+  floats instead of n^2.  Every factor in memory has a zero strict upper
+  triangle, so the unpacked factor is ``tobytes()``-equal to the packed one.
 * Snippet regions may constrain categorical attributes with mixed value types
   (ints from numeric IN-lists, strings from categorical equality); frozensets
   are stored as sorted lists with a type-aware order so equal sets always
@@ -21,9 +24,12 @@ never-stopped one, which rules out any lossy round-trip.
 * Every delta-log line is wrapped in a CRC32 envelope and every snapshot
   carries a checksum footer; the decoders accept only that format, so a line
   without its envelope or a snapshot without its footer reads as corrupt.
+  A snapshot document is bytes end to end: one JSON encode, one CRC and one
+  write on the way out; one read, one CRC and one JSON decode on the way in.
 
-All functions here are dependency-free building blocks; the composition into
-snapshot files lives in :mod:`repro.serve.store`.
+This module is the only one in ``src/`` that turns arrays into bytes (a CI
+lint step holds that).  All functions here are dependency-free building
+blocks; the composition into snapshot files lives in :mod:`repro.serve.store`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 Value = Union[int, float, str]
 
 #: Bumped when the on-disk layout of encoded state changes incompatibly.
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
 
 
 def encode_array(array: np.ndarray | None) -> dict[str, Any] | None:
@@ -61,6 +67,40 @@ def decode_array(state: dict[str, Any] | None) -> np.ndarray | None:
     dtype = np.dtype(state["dtype"]).newbyteorder("<")
     array = np.frombuffer(base64.b64decode(state["data"]), dtype=dtype)
     return array.reshape(tuple(state["shape"])).astype(dtype.newbyteorder("="), copy=True)
+
+
+def encode_lower_triangle(factor: np.ndarray) -> dict[str, Any]:
+    """Encode the lower triangle of a square ``factor`` as ``{order, data}``.
+
+    The payload is ``factor[j:, j]`` for j = 0..n-1 as little-endian float64,
+    n(n+1)/2 values; each piece is contiguous in a Fortran-ordered factor.
+    The strict upper triangle is not stored: it must be zero (every factor
+    :mod:`repro.core.linalg` makes is), or the round trip is not exact.
+    """
+    order = len(factor)
+    pieces = [factor[j:, j] for j in range(order)]
+    packed = np.concatenate(pieces) if pieces else np.empty(0)
+    return {
+        "order": order,
+        "data": base64.b64encode(packed.astype("<f8", copy=False).tobytes()).decode("ascii"),
+    }
+
+
+def decode_lower_triangle(state: dict[str, Any]) -> np.ndarray:
+    """Inverse of :func:`encode_lower_triangle`: an exact-size Fortran-ordered
+    factor with a zero strict upper triangle."""
+    order = state["order"]
+    packed = np.frombuffer(base64.b64decode(state["data"]), dtype="<f8")
+    if len(packed) != order * (order + 1) // 2:
+        raise ValueError(
+            f"packed factor of order {order} holds {len(packed)} values"
+        )
+    factor = np.zeros((order, order), dtype=np.float64, order="F")
+    start = 0
+    for j in range(order):
+        factor[j:, j] = packed[start : start + order - j]
+        start += order - j
+    return factor
 
 
 def encode_values(values: Iterable[Value]) -> list[Value]:
@@ -127,36 +167,40 @@ def decode_checked_record(line: str) -> Any | None:
 SNAPSHOT_FOOTER_KEY = "snapshot_crc"
 
 
-def encode_snapshot_document(payload: Any) -> str:
-    """A snapshot file: one JSON body line plus a checksum footer line.
+def encode_snapshot_document(payload: Any) -> tuple[bytes, bytes]:
+    """A snapshot file as ``(body, footer)``: one JSON body line, then a
+    checksum footer line.
 
     The footer CRC covers the exact bytes of the body line, so *any*
     corruption of the body -- truncation, a flipped byte, an interleaved
-    write -- is detected before a single field is trusted.
+    write -- is detected before a single field is trusted.  The two parts
+    are written one after the other, never joined: the body is the whole
+    snapshot, and a joined copy would double it.
     """
-    body = json.dumps(payload)
-    footer = json.dumps({SNAPSHOT_FOOTER_KEY: checksum_text(body)})
-    return body + "\n" + footer + "\n"
+    body = json.dumps(payload).encode("utf-8")
+    footer = json.dumps({SNAPSHOT_FOOTER_KEY: zlib.crc32(body) & 0xFFFFFFFF})
+    return body, b"\n" + footer.encode("utf-8") + b"\n"
 
 
-def decode_snapshot_document(text: str) -> Any:
-    """Inverse of :func:`encode_snapshot_document`.
+def decode_snapshot_document(document: bytes) -> Any:
+    """Inverse of :func:`encode_snapshot_document`, from the file's bytes.
 
-    Raises ``ValueError`` on any parse or checksum failure, a missing
-    footer included: nothing in the body is trusted unverified.
+    The body is the first non-blank line and the footer the last.  Raises
+    ``ValueError`` on any parse or checksum failure, a missing footer
+    included: nothing in the body is trusted unverified.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
+    body, _, rest = document.lstrip().partition(b"\n")
+    footers = [line for line in rest.splitlines() if line.strip()]
+    if not body or not footers:
         raise ValueError("snapshot file lacks its checksum footer")
-    body, footer_line = lines[0], lines[-1]
     try:
-        footer = json.loads(footer_line)
-    except json.JSONDecodeError as error:
+        footer = json.loads(footers[-1])
+    except ValueError as error:
         raise ValueError(f"unparsable snapshot footer: {error}") from error
     if not isinstance(footer, dict) or SNAPSHOT_FOOTER_KEY not in footer:
         raise ValueError("snapshot footer lacks a checksum")
     expected = footer[SNAPSHOT_FOOTER_KEY]
-    actual = checksum_text(body)
+    actual = zlib.crc32(body) & 0xFFFFFFFF
     if actual != expected:
         raise ValueError(
             f"snapshot checksum mismatch (stored {expected}, computed {actual})"

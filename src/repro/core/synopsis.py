@@ -259,6 +259,11 @@ class QuerySynopsis:
         :meth:`changes_since` for that version and *extend* the factor
         incrementally -- the same O(n^2 k) path, producing the same
         floating-point bits, as the process that never stopped.
+
+        An append event stores its snippet's id, not the snippet: the groups
+        hold it already.  An id the groups no longer hold (evicted, cleared)
+        and a snippet transformed since are both followed by a ``dirty``
+        event for the key, so :meth:`changes_since` never extends with them.
         """
         return {
             "capacity_per_key": self.capacity_per_key,
@@ -279,7 +284,7 @@ class QuerySynopsis:
                     "version": version,
                     "kind": kind,
                     "key": key.to_state(),
-                    "snippet": None if snippet is None else snippet.to_state(),
+                    "snippet_id": None if snippet is None else snippet.snippet_id,
                 }
                 for version, kind, key, snippet in self._log
             ],
@@ -306,16 +311,14 @@ class QuerySynopsis:
         synopsis._version = state["version"]
         synopsis._log_floor = state["log_floor"]
         for event in state["log"]:
-            synopsis._log.append(
-                (
-                    event["version"],
-                    event["kind"],
-                    SnippetKey.from_state(event["key"]),
-                    None
-                    if event["snippet"] is None
-                    else Snippet.from_state(event["snippet"]),
-                )
+            key = SnippetKey.from_state(event["key"])
+            snippet_id = event["snippet_id"]
+            snippet = (
+                None
+                if snippet_id is None
+                else synopsis._groups.get(key, {}).get(snippet_id)
             )
+            synopsis._log.append((event["version"], event["kind"], key, snippet))
         return synopsis
 
     # ------------------------------------------------------------------ stats

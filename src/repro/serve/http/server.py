@@ -1000,7 +1000,9 @@ class _Handler(BaseHTTPRequestHandler):
             tenant.service.flush()
             if store.delta_log_length > 0:
                 tenant.service.snapshot()
-            document = store.snapshot_path.read_text()
+            # The JSON document is ASCII; a damaged byte is replaced, and
+            # the follower's checksum refuses it.
+            document = store.snapshot_path.read_bytes().decode("utf-8", "replace")
             state = store.replication_state()
         directive = faults.inject("repl.ship.snapshot", tenant=tenant_name)
         torn = directive is not None and directive.action == "torn"

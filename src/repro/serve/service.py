@@ -1059,6 +1059,11 @@ class VerdictService:
             "1 when the store quarantined a corrupt snapshot.",
             fn=lambda: int(store.quarantined),
         )
+        registry.gauge(
+            "verdict_store_snapshot_bytes",
+            "Size of the last snapshot the store wrote or loaded, in bytes.",
+            fn=lambda: store.snapshot_bytes,
+        )
 
     # -------------------------------------------------------------- lifecycle
 

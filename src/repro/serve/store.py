@@ -11,6 +11,7 @@ Layout (all JSON, human-inspectable)::
 
     <directory>/
         snapshot.json        full engine state + CRC32 checksum footer
+                             (written and read as bytes)
         snapshot.prev.json   the retained previous snapshot generation
         deltas.jsonl         one CRC32-wrapped record per append-only flush
         quarantine/          corrupt files set aside during recovery
@@ -156,6 +157,8 @@ class SynopsisStore:
         self.snapshots_written = 0
         self.deltas_written = 0
         self.factor_events_written = 0
+        #: Size of the last snapshot document written or loaded.
+        self.snapshot_bytes = 0
         #: Recovery accounting, surfaced through the serving metrics.
         self.counters: dict[str, int] = {
             "deltas_replayed": 0,
@@ -267,7 +270,8 @@ class SynopsisStore:
             if not path.is_file():
                 continue
             try:
-                payload = decode_snapshot_document(path.read_text())
+                document = path.read_bytes()
+                payload = decode_snapshot_document(document)
             except (OSError, ValueError) as error:
                 self._quarantine(path, f"{generation} snapshot unreadable: {error}")
                 self.counters["snapshots_quarantined"] += 1
@@ -290,6 +294,7 @@ class SynopsisStore:
                 self.recovery_notes.append(
                     "recovered from the previous snapshot generation"
                 )
+            self.snapshot_bytes = len(document)
             return payload
         return None
 
@@ -507,16 +512,18 @@ class SynopsisStore:
                 "lineage": self.fencing_lineage,
             },
         }
-        document = encode_snapshot_document(payload)
+        body, footer = encode_snapshot_document(payload)
+        del payload  # the body is the state now; holding both would double it
         temporary = self.snapshot_path.with_suffix(".json.tmp")
         directive = faults.inject("store.snapshot.write")
-        with open(temporary, "w", encoding="utf-8") as handle:
+        with open(temporary, "wb") as handle:
             if directive is not None and directive.action == "torn":
-                handle.write(document[: max(1, len(document) // 2)])
+                handle.write(body[: max(1, len(body) // 2)])
                 handle.flush()
                 os.fsync(handle.fileno())
                 faults.hard_exit()
-            handle.write(document)
+            handle.write(body)
+            handle.write(footer)
             handle.flush()
             faults.inject("store.snapshot.fsync")
             os.fsync(handle.fileno())
@@ -537,6 +544,7 @@ class SynopsisStore:
         self._delta_records = 0
         self.sequence = sequence
         self.snapshot_sequence = sequence
+        self.snapshot_bytes = len(body) + len(footer)
         self.snapshots_written += 1
         # A successful snapshot supersedes whatever was quarantined.
         self.quarantined = False
@@ -653,7 +661,9 @@ class SynopsisStore:
         self.deltas_written += 1
         return record
 
-    def install_shipped_snapshot(self, engine: VerdictEngine, document: str) -> dict:
+    def install_shipped_snapshot(
+        self, engine: VerdictEngine, document: bytes | str
+    ) -> dict:
         """Install a leader snapshot document verbatim (follower bootstrap).
 
         The document is checksum-verified, fence-checked, published through
@@ -663,6 +673,8 @@ class SynopsisStore:
         sequence is exactly the snapshot's.
         """
         faults.inject("repl.apply.snapshot")
+        if isinstance(document, str):
+            document = document.encode("utf-8")
         try:
             payload = decode_snapshot_document(document)
         except ValueError as error:
@@ -677,7 +689,7 @@ class SynopsisStore:
         self.adopt_epoch(number, lineage)
         self.directory.mkdir(parents=True, exist_ok=True)
         temporary = self.snapshot_path.with_suffix(".json.tmp")
-        with open(temporary, "w", encoding="utf-8") as handle:
+        with open(temporary, "wb") as handle:
             handle.write(document)
             handle.flush()
             os.fsync(handle.fileno())
@@ -689,6 +701,7 @@ class SynopsisStore:
         engine.load_state_dict(payload["engine"])
         self.sequence = int(replication.get("seq", 0))
         self.snapshot_sequence = self.sequence
+        self.snapshot_bytes = len(document)
         self._mark_persisted(engine)
         self._delta_records = 0
         self.snapshots_written += 1
@@ -768,6 +781,7 @@ class SynopsisStore:
             "snapshots_written": self.snapshots_written,
             "deltas_written": self.deltas_written,
             "factor_events_written": self.factor_events_written,
+            "snapshot_bytes": self.snapshot_bytes,
             "delta_log_length": self._delta_records,
             "quarantined": self.quarantined,
             "recovery_notes": list(self.recovery_notes),

@@ -115,7 +115,7 @@ class TestEnvelope:
         assert store.compact(engine) == "snapshot"
         assert store.sequence == before + 1
         assert store.snapshot_sequence == store.sequence
-        payload = decode_snapshot_document(store.snapshot_path.read_text())
+        payload = decode_snapshot_document(store.snapshot_path.read_bytes())
         assert payload["replication"]["seq"] == store.sequence
         assert store.delta_log_length == 0
 

@@ -600,6 +600,18 @@ class TestRestartEquivalence:
         assert len(reborn.engine.synopsis) == recorded
         reborn.close()
 
+    def test_snapshot_size_gauge_reads_the_last_snapshot(self, tmp_path):
+        from repro.obs.metrics import render_prometheus
+
+        with build_service(store=SynopsisStore(tmp_path)) as service:
+            service.record_answer("SELECT AVG(revenue) FROM sales WHERE week >= 1 AND week <= 13")
+        written = (tmp_path / "snapshot.json").stat().st_size
+        assert service.store.state_snapshot()["snapshot_bytes"] == written
+        reborn = build_service(store=SynopsisStore(tmp_path))
+        exposition = render_prometheus([(reborn.metrics.registry, {})])
+        assert f"\nverdict_store_snapshot_bytes {written}\n" in exposition
+        reborn.close()
+
 
 class TestReadWriteLock:
     def test_readers_are_concurrent_and_writers_exclusive(self):

@@ -11,13 +11,16 @@ flush point.
 from __future__ import annotations
 
 import json
+import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.config import SamplingConfig, VerdictConfig
 from repro.core.engine import VerdictEngine
-from repro.core.serialize import decode_checked_record
+from repro.core.regions import NumericRange, Region
+from repro.core.serialize import canonical_json, decode_checked_record
+from repro.core.snippet import Snippet
 from repro.core.synopsis import QuerySynopsis
 from repro.db.catalog import Catalog
 from repro.serve.store import SynopsisStore
@@ -160,6 +163,23 @@ class TestSnapshotRoundTrip:
         assert_identical_engines(engine, restored)
         assert all(p.appended_since_base > 0 for p in restored._prepared.values())
 
+    def test_one_history_writes_one_state(self, tmp_path):
+        """No wall-clock counter reaches the state: two engines driven
+        through the same calls snapshot the same JSON, and a restored one
+        starts its overhead clock at zero."""
+        engines = [build_engine(), build_engine()]
+        for engine in engines:
+            for sql in TRAINING:
+                engine.execute(sql)
+            engine.train()
+            probe_results(engine)
+        first, second = (canonical_json(engine.state_dict()) for engine in engines)
+        assert first == second
+        assert "total_overhead_seconds" not in first
+        store = SynopsisStore(tmp_path)
+        store.flush(engines[0])
+        assert reload(store).total_overhead_seconds == 0.0
+
     def test_snapshot_rotation_is_atomic(self, tmp_path):
         engine = build_engine()
         for sql in TRAINING[:2]:
@@ -209,14 +229,69 @@ class TestSnapshotRoundTrip:
         store.flush(engine)
         from repro.core.serialize import decode_snapshot_document, encode_snapshot_document
 
-        payload = decode_snapshot_document(store.snapshot_path.read_text())
+        payload = decode_snapshot_document(store.snapshot_path.read_bytes())
         payload["format"] = 999
-        store.snapshot_path.write_text(encode_snapshot_document(payload))
+        store.snapshot_path.write_bytes(b"".join(encode_snapshot_document(payload)))
         fresh = SynopsisStore(tmp_path)
         assert not fresh.load_into(build_engine())
         assert fresh.quarantined
         assert fresh.counters["snapshots_quarantined"] == 1
         assert any("format" in note for note in fresh.recovery_notes)
+
+    def test_version_one_snapshot_is_quarantined(self, tmp_path):
+        engine = build_engine()
+        engine.execute(TRAINING[0])
+        store = SynopsisStore(tmp_path)
+        store.flush(engine)
+        from repro.core.serialize import decode_snapshot_document, encode_snapshot_document
+
+        payload = decode_snapshot_document(store.snapshot_path.read_bytes())
+        payload["format"] = 1
+        store.snapshot_path.write_bytes(b"".join(encode_snapshot_document(payload)))
+        fresh = SynopsisStore(tmp_path)
+        assert not fresh.load_into(build_engine())
+        assert fresh.quarantined
+        assert (
+            "quarantined snapshot.json: current snapshot format 1 unsupported "
+            "(expected 2)" in fresh.recovery_notes
+        )
+
+    def test_snapshot_bytes_are_what_was_written_and_loaded(self, tmp_path):
+        engine = build_engine()
+        for sql in TRAINING:
+            engine.execute(sql)
+        store = SynopsisStore(tmp_path)
+        assert store.state_snapshot()["snapshot_bytes"] == 0
+        store.flush(engine)
+        size = store.snapshot_path.stat().st_size
+        assert store.state_snapshot()["snapshot_bytes"] == size
+        fresh = SynopsisStore(tmp_path)
+        fresh.load_into(build_engine())
+        assert fresh.snapshot_bytes == size
+
+    def test_factor_costs_its_packed_triangle_plus_linear_bytes(self, tmp_path):
+        """A factor of order n adds at most ceil(n(n+1)/2 * 8 * 4/3) bytes
+        (its base64 lower triangle) plus O(n) to the snapshot."""
+        engine = build_engine()
+        engine.execute(TRAINING[0])
+        (key,) = engine.synopsis.keys()
+        template = engine.synopsis.snippets_for(key)[0]
+        for step in range(239):
+            region = Region(numeric_ranges=(NumericRange("week", 1 + step * 0.2, 11 + step * 0.2),))
+            engine.synopsis.add(
+                Snippet(key, region, template.raw_answer + step * 1e-3, template.raw_error)
+            )
+        order = engine._prepared_for(key).size
+        assert order == 240
+        store = SynopsisStore(tmp_path)
+        store.save_snapshot(engine)
+        with_factor = store.snapshot_bytes
+        engine._prepared.clear()
+        store.save_snapshot(engine)
+        factor_bytes = with_factor - store.snapshot_bytes
+        triangle = math.ceil(order * (order + 1) / 2 * 8 * 4 / 3)
+        assert factor_bytes <= triangle + 96 * order + 1024
+        assert factor_bytes > triangle  # the square form would be twice it
 
     def test_snapshot_without_checksum_footer_is_quarantined(self, tmp_path):
         engine = build_engine()
@@ -240,9 +315,9 @@ class TestSnapshotRoundTrip:
         store.save_snapshot(engine)
         from repro.core.serialize import decode_snapshot_document, encode_snapshot_document
 
-        payload = decode_snapshot_document(store.snapshot_path.read_text())
+        payload = decode_snapshot_document(store.snapshot_path.read_bytes())
         del payload["replication"]
-        store.snapshot_path.write_text(encode_snapshot_document(payload))
+        store.snapshot_path.write_bytes(b"".join(encode_snapshot_document(payload)))
         fresh = SynopsisStore(tmp_path)
         restored = build_engine()
         assert fresh.load_into(restored)  # from the previous generation
