@@ -22,7 +22,7 @@ from repro.aqp.evaluation import estimate_answer
 from repro.aqp.types import AQPAnswer
 from repro.config import CostModelConfig, SamplingConfig
 from repro.db.catalog import Catalog
-from repro.db.sampling import SampleStore
+from repro.db.sampling import JoinedSample, SampleStore, TableSample
 from repro.db.scan import ScanCounters
 from repro.db.table import Table
 from repro.deadline import UNLIMITED, Limits
@@ -147,18 +147,13 @@ class OnlineAggregationEngine:
 
         Each batch polls ``limits``, passes the ``aqp.batch`` fault
         point and charges the cost model before it is joined.  The dimension
-        joins are computed *incrementally*: each batch joins only its newly
-        scanned sample rows and appends them to the joined prefix of the
-        previous batches.  The foreign-key join is row-wise and
-        order-preserving, so the concatenation equals joining the whole
-        prefix -- but the per-batch cost is O(batch) instead of O(prefix),
-        keeping late batches as cheap as early ones.
-
-        Joined batch prefixes are additionally memoised in the catalog's
-        denormalization cache, keyed by (sample identity, prefix rows, join
-        clauses): later queries with the same joins skip the join work
-        entirely.  Sample invalidation (after a data append) issues a fresh
-        sample identity, so stale prefixes can never be served.
+        joins are computed once per (sample identity, join clauses) over the
+        whole sample and memoised in the catalog's denormalization cache as
+        a :class:`~repro.db.sampling.JoinedSample`; every batch's joined
+        prefix is a view of it.  The foreign-key join is row-wise and
+        order-preserving, so that view equals joining the batch prefix.
+        Sample invalidation (after a data append) issues a fresh sample
+        identity, so stale prefixes can never be served.
         """
         if not self.catalog.has_table(query.table):
             raise AQPError(f"unknown table {query.table!r}")
@@ -168,7 +163,7 @@ class OnlineAggregationEngine:
 
         elapsed = 0.0
         previous_rows = 0
-        joined: Table | None = None
+        joined_sample: JoinedSample | None = None
         for batch_number, (rows, prefix) in enumerate(sample.iter_batch_prefixes(), start=1):
             # Cooperative cancellation: one poll per batch.  Callers holding
             # a previous batch's estimate catch a DeadlineExceeded and serve
@@ -184,22 +179,9 @@ class OnlineAggregationEngine:
             if not query.joins:
                 joined = prefix
             else:
-                prefix_token = (sample.cache_token, rows)
-                cached = self.catalog.cached_join(prefix_token, query.joins)
-                if cached is not None:
-                    joined = cached
-                elif joined is None:
-                    joined = self._apply_joins(query, prefix)
-                    self.catalog.store_join(prefix_token, query.joins, joined)
-                else:
-                    # Zero-copy view of the newly scanned batch; the append
-                    # records lineage, so the grown prefix reuses the prior
-                    # prefix's zone maps and only builds those of the new
-                    # tail partitions.  Both joins share the dimensions'
-                    # dictionaries, so the codes concatenate as they are.
-                    delta = prefix.slice_rows(previous_rows, rows)
-                    joined = joined.append(self._apply_joins(query, delta))
-                    self.catalog.store_join(prefix_token, query.joins, joined)
+                if joined_sample is None:
+                    joined_sample = self._joined_sample(query, sample)
+                joined = joined_sample.prefix(rows)
             previous_rows = rows
             yield _Prefix(joined, elapsed, batch_number, sample.sample_size, population_size)
 
@@ -218,8 +200,10 @@ class OnlineAggregationEngine:
 
     # ----------------------------------------------------------------- helpers
 
-    def _apply_joins(self, query: ast.Query, prefix: Table) -> Table:
-        joined = prefix
-        for join_clause in query.joins:
-            joined = self.catalog.join(joined, join_clause)
+    def _joined_sample(self, query: ast.Query, sample: TableSample) -> JoinedSample:
+        """``sample`` joined along ``query``'s joins, from the catalog's cache."""
+        joined = self.catalog.cached_join(sample.cache_token, query.joins)
+        if joined is None:
+            joined = JoinedSample(*self.catalog.join_origins(sample.sample, query.joins))
+            self.catalog.store_join(sample.cache_token, query.joins, joined)
         return joined

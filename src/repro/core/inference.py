@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.config import VerdictConfig
 from repro.core import linalg
-from repro.core.covariance import AggregateModel, RegionEncoding, SnippetCovariance
+from repro.core.covariance import AggregateModel, RegionLayout, SnippetCovariance
 from repro.core.prior import (
     PriorEstimate,
     answer_from_observation,
@@ -79,17 +79,22 @@ class InferenceResult:
 class SolvedBlock:
     """The regions one :meth:`GaussianInference.posteriors` call solved.
 
-    ``cross`` is ``sigma^2`` times their factors against the past snippets
-    and ``half_solved`` is ``L^{-1} cross``.  An ask records exactly the
-    cells it inferred, so the next :meth:`GaussianInference.extend` of the
-    same factor usually appends these regions, in this order, and takes the
-    block instead of computing it again.
+    ``grown`` is the past snippets' layout followed by these regions,
+    ``cross`` is ``sigma^2`` times their factors against the past snippets,
+    ``half_solved`` is ``L^{-1} cross`` and ``corner`` is their factor
+    matrix among themselves (whose diagonal gave the prior variances); one
+    kernel call made ``cross`` and ``corner``, as the block of ``grown``
+    against these regions.  An ask records exactly the cells it inferred,
+    so the next :meth:`GaussianInference.extend` of the same factor usually
+    appends these regions, in this order, and takes the block instead of
+    computing it again.
     """
 
     regions: tuple[Region, ...]
-    encoding: RegionEncoding
+    grown: RegionLayout
     cross: np.ndarray
     half_solved: np.ndarray
+    corner: np.ndarray
 
 
 @dataclass
@@ -121,11 +126,12 @@ class PreparedInference:
     ``jitter`` frozen until the next full rebuild (see
     ``VerdictConfig.incremental_rebuild_ratio``).
 
-    Derived state (never serialised): ``encoding`` is the columnar
-    :class:`~repro.core.covariance.RegionEncoding` of ``snippets``, built by
-    ``prepare``, grown by ``extend`` and rebuilt on first use after a
-    restore; ``posterior_memo`` maps a new snippet's region to the GP
-    posterior ``(mean, gamma^2)`` there, which depends on the past evidence
+    Derived state (never serialised): ``layout`` is the
+    :class:`~repro.core.covariance.RegionLayout` of ``snippets`` (the past
+    side of every block the covariance kernel computes for this model),
+    built by ``prepare``, grown in O(k) by ``extend`` and rebuilt on first
+    use after a restore; ``posterior_memo`` maps a new snippet's region to
+    the GP posterior ``(mean, gamma^2)`` there, which depends on the past evidence
     only; ``solved_block`` is the last block of regions the memo missed
     (:class:`SolvedBlock`).  Every mutation of that evidence produces a
     *new* ``PreparedInference`` whose memo and block start empty, so neither
@@ -151,7 +157,7 @@ class PreparedInference:
     jitter: float = 0.0
     inverse_diagonal: np.ndarray | None = None
     base_size: int = 0
-    encoding: RegionEncoding | None = field(default=None, repr=False, compare=False)
+    layout: RegionLayout | None = field(default=None, repr=False, compare=False)
     posterior_memo: dict[Region, tuple[float, float]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -168,11 +174,11 @@ class PreparedInference:
         new factor this tuple plus the appended ids)."""
         return tuple(snippet.snippet_id for snippet in self.snippets)
 
-    def past_encoding(self) -> RegionEncoding:
-        """The region encoding of ``snippets`` (built once, then reused)."""
-        if self.encoding is None:
-            self.encoding = self.covariance.encode(self.snippets)
-        return self.encoding
+    def past_layout(self) -> RegionLayout:
+        """The region layout of ``snippets`` (built once, then reused)."""
+        if self.layout is None:
+            self.layout = self.covariance.layout(self.snippets)
+        return self.layout
 
     @property
     def appended_since_base(self) -> int:
@@ -209,8 +215,8 @@ class GaussianInference:
         covariance = SnippetCovariance(domains, model)
         prior = estimate_prior(past, domains)
 
-        encoding = covariance.encode(past)
-        factors = covariance.factor_matrix(encoding)
+        layout = covariance.layout(past)
+        factors = covariance.factor_matrix(layout)
         mean_diagonal = float(np.mean(np.diag(factors)))
         if mean_diagonal <= 0:
             mean_diagonal = 1.0
@@ -223,7 +229,11 @@ class GaussianInference:
             [observation_error(snippet, domains) ** 2 for snippet in past],
             dtype=np.float64,
         )
-        matrix = sigma2 * factors + np.diag(noise)
+        # sigma2 * F + diag(noise), in the kernel's fresh array: an
+        # off-diagonal entry gains + 0.0, which keeps its bits.
+        matrix = factors
+        matrix *= sigma2
+        matrix[np.diag_indices(len(past))] += noise
         cho, jitter = linalg.robust_cholesky(matrix, self.config.jitter)
         centered = observations - prior.mean
         alpha = linalg.solve_factored(cho, centered)
@@ -251,7 +261,7 @@ class GaussianInference:
             jitter=jitter,
             inverse_diagonal=inverse_diagonal,
             base_size=len(past),
-            encoding=encoding,
+            layout=layout,
         )
 
     def extend(
@@ -276,8 +286,8 @@ class GaussianInference:
 
         When the appended snippets' regions are ``prepared.solved_block``'s,
         in order -- an ask recording the cells it just inferred -- the
-        block's encoding, cross covariances and (on a clean factor) its
-        triangular solve are taken as they are; only the corner is new.
+        block's layout, cross covariances, corner factors and (on a clean
+        factor) its triangular solve are taken as they are.
 
         Parameters
         ----------
@@ -299,24 +309,21 @@ class GaussianInference:
         if not fresh:
             return prepared
         domains = prepared.covariance.domains
-        past_encoding = prepared.past_encoding()
         # A factor that was extended before has a zero upper triangle.
         clean = prepared.appended_since_base > 0
         block = prepared.solved_block
         solved = None
         if block is not None and block.regions == tuple(s.region for s in fresh):
-            fresh_encoding, cross = block.encoding, block.cross
+            layout, cross, corner_factors = block.grown, block.cross, block.corner
             if clean:
                 # ``posteriors`` solved on this very factor.  A first
                 # extension solves on the factor's zeroed copy instead,
                 # whose bits can differ from a solve on the factor itself.
                 solved = block.half_solved
         else:
-            fresh_encoding = prepared.covariance.encode(fresh)
-            cross = prepared.sigma2 * prepared.covariance.factor_matrix(
-                past_encoding, fresh_encoding
+            layout, cross, corner_factors = _fresh_block(
+                prepared, prepared.covariance.layout(fresh)
             )
-        corner_factors = prepared.covariance.factor_matrix(fresh_encoding)
         new_noise = np.array(
             [observation_error(snippet, domains) ** 2 for snippet in fresh],
             dtype=np.float64,
@@ -377,7 +384,7 @@ class GaussianInference:
             jitter=prepared.jitter,
             inverse_diagonal=inverse_diagonal,
             base_size=prepared.base_size,
-            encoding=past_encoding.appended(fresh_encoding),
+            layout=layout,
         )
         extended.snippet_ids = prepared.snippet_ids + tuple(
             snippet.snippet_id for snippet in fresh
@@ -472,11 +479,15 @@ class GaussianInference:
         so it is remembered per region on ``prepared``: the later
         online-aggregation batches of one query, which re-ask the same
         regions with tighter raw answers, pay only for Equation (12)
-        (:func:`condition`).  Regions not seen before share one ``(n, m)``
-        cross-covariance block and one triangular solve: with
-        ``A = L L^T``, ``gamma^2 = kappa^2 - c^T A^{-1} c = kappa^2 -
-        ||L^{-1} c||^2``.  That block is kept as ``prepared.solved_block``
-        for the extension that records these regions.
+        (:func:`condition`).  Regions not seen before share one kernel call
+        -- the block of the past snippets followed by them, against them,
+        whose top ``(n, m)`` is the cross covariances and bottom ``(m, m)``
+        their corner -- and one triangular solve: with ``A = L L^T``,
+        ``gamma^2 = kappa^2 - c^T A^{-1} c = kappa^2 - ||L^{-1} c||^2``,
+        where ``kappa^2`` is ``sigma^2`` times the corner's diagonal (a
+        symmetric matrix's diagonal has the bits of the diagonal alone).
+        The block is kept as ``prepared.solved_block`` for the extension
+        that records these regions.
         """
         memo = prepared.posterior_memo
         posteriors = [memo.get(region) for region in regions]
@@ -491,12 +502,10 @@ class GaussianInference:
                     if known is None
                 )
             )
-            covariance = prepared.covariance
-            encoding = covariance.encode(unseen)
-            cross = prepared.sigma2 * covariance.factor_matrix(
-                prepared.past_encoding(), encoding
+            grown, cross, corner = _fresh_block(
+                prepared, prepared.covariance.layout(unseen)
             )
-            kappa2 = prepared.sigma2 * covariance.factor_diagonal(encoding)
+            kappa2 = prepared.sigma2 * np.diag(corner)
             gp_means = prepared.prior.mean + cross.T @ prepared.alpha
             half_solved = linalg.solve_lower(prepared.cho, cross)
             gamma2 = kappa2 - np.einsum("ij,ij->j", half_solved, half_solved)
@@ -505,7 +514,9 @@ class GaussianInference:
             gamma2 *= prepared.calibration
             for region, mean, variance in zip(unseen, gp_means.tolist(), gamma2.tolist()):
                 memo[region] = (mean, variance)
-            prepared.solved_block = SolvedBlock(tuple(unseen), encoding, cross, half_solved)
+            prepared.solved_block = SolvedBlock(
+                tuple(unseen), grown, cross, half_solved, corner
+            )
             posteriors = [memo[region] for region in regions]
         return posteriors
 
@@ -593,6 +604,23 @@ class GaussianInference:
             raw_error=raw_error,
             past_snippets_used=len(past),
         )
+
+
+def _fresh_block(
+    prepared: PreparedInference, fresh: RegionLayout
+) -> tuple[RegionLayout, np.ndarray, np.ndarray]:
+    """``(grown, sigma^2 * cross, corner)`` of regions new to ``prepared``.
+
+    One kernel call: the block of the past snippets followed by ``fresh``
+    (``grown``, the layout an extension by them has) against ``fresh``.  Its
+    top ``n`` rows are the cross factors, its bottom ``(m, m)`` the corner,
+    symmetrised as ``factor_matrix(fresh)`` would be -- the same bits, as
+    every entry depends only on its two regions.
+    """
+    grown = prepared.past_layout().appended(fresh)
+    factors = prepared.covariance.factor_matrix(grown, fresh)
+    size = prepared.size
+    return grown, prepared.sigma2 * factors[:size], linalg.symmetrize(factors[size:])
 
 
 def _loo_calibration(alpha: np.ndarray, inverse_diagonal: np.ndarray) -> float:

@@ -13,7 +13,9 @@ antiderivative form), together with the single integral needed when one range
 is degenerate and the plain kernel value needed when both are.
 
 All functions are vectorised over NumPy arrays so the covariance of an entire
-synopsis can be assembled without Python-level loops over snippet pairs.
+synopsis can be assembled without Python-level loops over snippet pairs;
+:func:`se_average_factors` evaluates the normalised factor of any number of
+range pairs, of any number of attributes, in one pass.
 """
 
 from __future__ import annotations
@@ -111,40 +113,132 @@ def se_double_integral(
     return np.maximum(value, 0.0)
 
 
+def se_coefficients(length_scales) -> np.ndarray:
+    """``(3, k)``: each length scale ``l`` with its ``(sqrt(pi)/2) l`` and
+    ``l^2 / 2``, computed as the Python floats the one-pair formula
+    multiplies by, so a batched evaluation repeats its bits."""
+    scales = [float(scale) for scale in length_scales]
+    return np.array(
+        [
+            scales,
+            [0.5 * _SQRT_PI * scale for scale in scales],
+            [0.5 * scale**2 for scale in scales],
+        ],
+        dtype=np.float64,
+    ).reshape(3, len(scales))
+
+
+def se_average_factors(
+    low_1: np.ndarray,
+    high_1: np.ndarray,
+    low_2: np.ndarray,
+    high_2: np.ndarray,
+    coefficients: np.ndarray,
+    with_grad: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The normalised double integral of many range pairs in one pass.
+
+    Every argument is flat with one entry per pair; ``coefficients`` is
+    :func:`se_coefficients` of each pair's length scale, so pairs of
+    different attributes (different scales) share one ``erf`` and one
+    ``exp`` call.  This is the one evaluator of the squared-exponential
+    factor: the covariance kernel, the likelihood workspace and
+    :func:`se_average_factor` all call it.
+
+    Each entry is ``G(b - c) - G(b - d) - G(a - c) + G(a - d)`` (``G`` the
+    twice-integrated kernel, see :func:`se_double_integral`), floored at
+    zero against cancellation, divided by both widths and clipped to
+    ``[0, 1]``; a pair with a zero width product takes the point kernel of
+    the midpoints instead.  Every element goes through the same IEEE
+    operations in the same order whatever the batch around it, so a factor
+    has the same bits evaluated alone or with thousands of others.
+
+    With ``with_grad`` it also returns ``d factor / d log l``: with
+    ``u = t / l``, ``dG / dlog l = G + (l^2 / 2) exp(-u^2)``, so the
+    derivative shares every ``erf`` / ``exp`` term with the value.  Where
+    a clamp is active (the zero floor or the clip at one) the derivative is
+    zero, the exact subgradient of the clamped factor.
+    """
+    length_scale, erf_coef, gauss_coef = coefficients
+    # The calls below write into their own temporaries (``out=``): the same
+    # element-wise operations as the one-pair formula, fewer allocations.
+    t = np.empty((4, len(low_1)), dtype=np.float64)
+    np.subtract(high_1, low_2, out=t[0])
+    np.subtract(high_1, high_2, out=t[1])
+    np.subtract(low_1, low_2, out=t[2])
+    np.subtract(low_1, high_2, out=t[3])
+    u = t / length_scale
+    half_gaussian = np.square(u)
+    np.negative(half_gaussian, out=half_gaussian)
+    np.exp(half_gaussian, out=half_gaussian)
+    np.multiply(gauss_coef, half_gaussian, out=half_gaussian)
+    second = erf_coef * t
+    second *= erf(u, out=u)
+    second += half_gaussian
+    raw = second[0] - second[1]
+    raw -= second[2]
+    raw += second[3]
+    denominator = high_1 - low_1
+    denominator *= high_2 - low_2
+    degenerate = None
+    if np.count_nonzero(denominator) < len(denominator):
+        # Guard the division; these entries take the point kernel below.
+        degenerate = np.flatnonzero(denominator <= 0.0)
+        denominator[degenerate] = 1.0
+    factor = np.maximum(raw, 0.0)
+    factor /= denominator
+    if degenerate is not None:
+        difference = 0.5 * (low_1[degenerate] + high_1[degenerate]) - 0.5 * (
+            low_2[degenerate] + high_2[degenerate]
+        )
+        squared = np.square(difference / length_scale[degenerate])
+        point_kernel = np.exp(-squared)
+        factor[degenerate] = point_kernel
+    clipped = np.clip(factor, 0.0, 1.0)
+    if not with_grad:
+        return clipped
+    grad = raw + (half_gaussian[0] - half_gaussian[1] - half_gaussian[2] + half_gaussian[3])
+    grad = np.where(raw < 0.0, 0.0, grad) / denominator
+    if degenerate is not None:
+        # d/dlog l of exp(-(diff/l)^2) = 2 (diff/l)^2 exp(-(diff/l)^2).
+        grad[degenerate] = 2.0 * squared * point_kernel
+    return clipped, np.where(factor > 1.0, 0.0, grad)
+
+
+def _one_scale(low_1, high_1, low_2, high_2, length_scale, with_grad):
+    """:func:`se_average_factors` over broadcast arrays sharing one scale."""
+    if length_scale <= 0:
+        raise ValueError("length_scale must be positive")
+    a, b, c, d = np.broadcast_arrays(
+        *(np.asarray(bound, dtype=np.float64) for bound in (low_1, high_1, low_2, high_2))
+    )
+    if np.any(b - a < 0) or np.any(d - c < 0):
+        raise ValueError("ranges must have non-negative width")
+    coefficients = np.repeat(se_coefficients([length_scale]), a.size, axis=1)
+    result = se_average_factors(
+        a.ravel(), b.ravel(), c.ravel(), d.ravel(), coefficients, with_grad
+    )
+    if with_grad:
+        return tuple(np.asarray(part).reshape(a.shape) for part in result)
+    return result.reshape(a.shape)
+
+
 def se_average_factor(
     low_1: np.ndarray | float,
     high_1: np.ndarray | float,
     low_2: np.ndarray | float,
     high_2: np.ndarray | float,
     length_scale: float,
-) -> np.ndarray | float:
+) -> np.ndarray:
     """The double integral normalised by both range widths.
 
     This is the per-attribute covariance factor between two *averages* over
     ranges ``[low_1, high_1]`` and ``[low_2, high_2]``; it lies in ``[0, 1]``
     and tends to ``exp(-(x_1 - x_2)^2 / l^2)`` as both ranges shrink to
-    points.
+    points.  The bounds broadcast against each other; the values are
+    :func:`se_average_factors`'.
     """
-    a = np.asarray(low_1, dtype=np.float64)
-    b = np.asarray(high_1, dtype=np.float64)
-    c = np.asarray(low_2, dtype=np.float64)
-    d = np.asarray(high_2, dtype=np.float64)
-    width_1 = b - a
-    width_2 = d - c
-    if np.any(width_1 < 0) or np.any(width_2 < 0):
-        raise ValueError("ranges must have non-negative width")
-    integral = se_double_integral(a, b, c, d, length_scale)
-    denominator = width_1 * width_2
-    # Degenerate widths are handled by the callers (regions always carry a
-    # positive resolution), but guard against zero anyway.
-    safe = np.where(denominator <= 0.0, 1.0, denominator)
-    factor = integral / safe
-    factor = np.where(
-        denominator <= 0.0,
-        se_kernel(0.5 * (a + b) - 0.5 * (c + d), length_scale),
-        factor,
-    )
-    return np.clip(factor, 0.0, 1.0)
+    return _one_scale(low_1, high_1, low_2, high_2, length_scale, False)
 
 
 def se_average_factor_with_grad(
@@ -154,72 +248,6 @@ def se_average_factor_with_grad(
     high_2: np.ndarray | float,
     length_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(f, df/d log l)`` of :func:`se_average_factor` in one pass.
-
-    The factor is computed exactly as :func:`se_average_factor` does (same
-    antiderivative combination, same clamps), and the derivative with respect
-    to the *log* length scale -- the parameterisation the likelihood
-    optimiser works in -- comes from the closed form of
-    :func:`_antiderivative_second_dlog`.  Where a clamp is active (the
-    ``max(integral, 0)`` cancellation guard or the ``[0, 1]`` clip) the
-    derivative is zeroed, so the returned gradient is the exact subgradient
-    of the clamped objective rather than of the unclamped formula.
-
-    Sharing this one entry point between value and gradient keeps the two in
-    lockstep: the likelihood workspace evaluates each per-attribute factor
-    matrix and its derivative with a single set of ``erf`` / ``exp`` terms
-    per distinct-range pair.
-
-    NOTE: the batched path in
-    :meth:`repro.core.learning.LikelihoodWorkspace._variable_factors` inlines
-    this same computation over the flattened grids of *all* attributes at
-    once (per-attribute scalar coefficients, shared ``erf``/``exp``).  Any
-    change to the formula here must be mirrored there; the bit-identity
-    property tests (workspace NLL vs :func:`repro.core.learning
-    .negative_log_likelihood`) fail loudly if the copies drift.
-    """
-    if length_scale <= 0:
-        raise ValueError("length_scale must be positive")
-    a = np.asarray(low_1, dtype=np.float64)
-    b = np.asarray(high_1, dtype=np.float64)
-    c = np.asarray(low_2, dtype=np.float64)
-    d = np.asarray(high_2, dtype=np.float64)
-    width_1 = b - a
-    width_2 = d - c
-    if np.any(width_1 < 0) or np.any(width_2 < 0):
-        raise ValueError("ranges must have non-negative width")
-
-    # One stacked evaluation of the four antiderivative arguments shares the
-    # erf / exp terms between the value and the gradient: with u = t/l,
-    # dG/dl = (sqrt(pi)/2) t erf(u) + l exp(-u^2) (the erf'/exp' chain-rule
-    # terms from u cancel up to the surviving l exp(-u^2)), so G and its
-    # log-derivative differ only by the extra half-Gaussian term,
-    # dG/dlog l = l dG/dl = G + (l^2/2) exp(-u^2).
-    t = np.stack(np.broadcast_arrays(b - c, b - d, a - c, a - d))
-    u = t / length_scale
-    half_gaussian = 0.5 * length_scale**2 * np.exp(-np.square(u))
-    second = 0.5 * _SQRT_PI * length_scale * t * erf(u) + half_gaussian
-    second_dlog = second + half_gaussian
-    raw_integral = second[0] - second[1] - second[2] + second[3]
-    integral = np.maximum(raw_integral, 0.0)
-    gradient = second_dlog[0] - second_dlog[1] - second_dlog[2] + second_dlog[3]
-    gradient = np.where(raw_integral < 0.0, 0.0, gradient)
-
-    denominator = width_1 * width_2
-    safe = np.where(denominator <= 0.0, 1.0, denominator)
-    factor = integral / safe
-    grad = gradient / safe
-
-    degenerate = denominator <= 0.0
-    if np.any(degenerate):
-        midpoint_diff = 0.5 * (a + b) - 0.5 * (c + d)
-        u2 = np.square(midpoint_diff / length_scale)
-        point_kernel = np.exp(-u2)
-        factor = np.where(degenerate, point_kernel, factor)
-        # d/dlog l of exp(-(diff/l)^2) = 2 (diff/l)^2 exp(-(diff/l)^2).
-        grad = np.where(degenerate, 2.0 * u2 * point_kernel, grad)
-
-    clipped = (factor < 0.0) | (factor > 1.0)
-    factor = np.clip(factor, 0.0, 1.0)
-    grad = np.where(clipped, 0.0, grad)
-    return np.asarray(factor, dtype=np.float64), np.asarray(grad, dtype=np.float64)
+    """``(f, df/d log l)`` of :func:`se_average_factor` in one pass (see
+    :func:`se_average_factors`)."""
+    return _one_scale(low_1, high_1, low_2, high_2, length_scale, True)

@@ -28,11 +28,11 @@ Two implementations of the objective coexist:
   the oracle the workspace must match bit for bit.
 * :class:`LikelihoodWorkspace` -- what the optimiser runs on.  Everything the
   objective needs that does *not* depend on the candidate length scales is
-  computed once per :func:`learn_length_scales` call: deduplicated
-  per-attribute distinct-range arrays with their scatter indices, the
-  categorical factor matrices, the factor matrices of numeric attributes the
-  optimiser does not vary, the observation-noise diagonal, the centred
-  observations and the analytic prior.  Each objective evaluation then only
+  computed once per :func:`learn_length_scales` call: the distinct range
+  pairs of the optimised attributes with their scatter indices, the
+  covariance kernel's terms of every other attribute, the observation-noise
+  diagonal, the centred observations and the analytic prior.  Each
+  objective evaluation then only
   recomputes the per-attribute numeric factor matrices ``F_k(l_k)`` on the
   distinct ranges and assembles ``Sigma_n = sigma^2 C (*) prod_k F_k`` (with
   ``(*)`` the elementwise product).  The workspace also supplies the
@@ -52,19 +52,17 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
-from scipy.special import erf
 
 from repro.config import VerdictConfig
 from repro.core import linalg
 from repro.core.covariance import AggregateModel, SnippetCovariance
-from repro.core.kernel import se_average_factor_with_grad
+from repro.core.kernel import se_average_factors, se_coefficients
 from repro.core.prior import estimate_prior, observation_error, observation_value
 from repro.core.regions import AttributeDomains
 from repro.core.snippet import Snippet, SnippetKey
 from repro.errors import InferenceError, LearningError
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -154,9 +152,8 @@ def negative_log_likelihood(
 class _VariableAttribute:
     """Distinct-range data of one numeric attribute the optimiser varies."""
 
-    name: str
-    lows: np.ndarray  # (r,) distinct range lower bounds
-    highs: np.ndarray  # (r,) distinct range upper bounds
+    position: int  # in the kernel's product order
+    bounds: np.ndarray  # (4, r*r) low_1, high_1, low_2, high_2 of every distinct pair
     scatter: np.ndarray  # (n*n,) flat gather indices into the (r, r) block
 
 
@@ -164,18 +161,20 @@ class LikelihoodWorkspace:
     """Precomputed, length-scale-independent pieces of the Eq. 13 likelihood.
 
     Built once per :func:`learn_length_scales` call.  The factor matrix of
-    the candidate length scales is assembled in exactly the order
-    :meth:`repro.core.covariance.SnippetCovariance.factor_matrix` uses
-    (sorted numeric attributes, then sorted categorical attributes, then
-    symmetrisation), with the matrices of attributes the optimiser does not
-    vary cached verbatim -- so the workspace NLL is *bit-identical* to
+    the candidate length scales is the covariance kernel's product
+    (:meth:`repro.core.covariance.SnippetCovariance.product`: sorted numeric
+    attributes, then sorted categorical attributes, then symmetrisation)
+    with the terms of attributes the optimiser does not vary taken once from
+    the kernel -- so the workspace NLL is *bit-identical* to
     :func:`negative_log_likelihood` at the same scales, not merely close.
 
     Per objective evaluation the workspace computes, for each optimised
     attribute ``k``, the factor matrix ``F_k(l_k)`` (and, on the gradient
     path, its derivative ``F'_k = dF_k / d log l_k``) on the attribute's
-    *distinct* ranges only, scattering back through the precomputed
-    ``np.ix_`` grids.  The gradient uses the product structure
+    *distinct* range pairs only -- every attribute in one call of the
+    kernel's evaluator, :func:`repro.core.kernel.se_average_factors` --
+    scattering back through precomputed flat gather indices.  The gradient
+    uses the product structure
 
         dK/d log l_k = dsigma^2/d log l_k * F  +  sigma^2 * C (*) F'_k (*) prod_{j != k} F_j
 
@@ -216,16 +215,9 @@ class LikelihoodWorkspace:
         # output of ``dpotri`` without two O(n^2) ``np.tril`` copies.
         self._strict_lower = np.tril(np.ones((self.n, self.n), dtype=np.float64), -1)
 
-        # The assembly plan: one entry per attribute, in the exact order the
-        # reference factor_matrix multiplies them.  Constant entries hold the
-        # precomputed (n, n) factor matrix; variable entries hold the index
-        # into self._variable.
-        defaults = domains.default_length_scales()
-        default_model = AggregateModel(key=key, length_scales=defaults)
-        covariance = SnippetCovariance(domains, default_model)
         # Scale k of nll(log_scales) belongs to self.attributes[k], whatever
-        # order the caller chose; the plan below still *multiplies* in the
-        # reference's sorted order, so the two orders must be decoupled.
+        # order the caller chose; the product still multiplies in the
+        # kernel's order, so the two orders must be decoupled.
         optimized = {name: k for k, name in enumerate(self.attributes)}
         if len(optimized) != len(self.attributes):
             raise LearningError("duplicate attribute in workspace attributes")
@@ -234,149 +226,67 @@ class LikelihoodWorkspace:
             raise LearningError(
                 f"workspace attributes not in the numeric domains: {sorted(unknown)}"
             )
-        self._variable: list[_VariableAttribute | None] = [None] * len(self.attributes)
-        self._plan: list[np.ndarray | int] = []
-        constant_product: np.ndarray | None = None
+        defaults = domains.default_length_scales()
+        covariance = SnippetCovariance(domains, AggregateModel(key=key, length_scales=defaults))
+        layout = covariance.layout(self.snippets)
+        # Every attribute's term at the default scales; an optimised
+        # attribute's is replaced per evaluation.
+        self._terms = covariance.terms(layout, layout)
+        self._variable: list[_VariableAttribute] = []
+        for name in self.attributes:
+            position = covariance.attributes.index(name)
+            bounds = layout.slots[position].bounds
+            distinct = bounds.shape[1]
+            index = layout.index[position]
+            self._variable.append(_VariableAttribute(
+                position=position,
+                bounds=np.concatenate(
+                    [np.repeat(bounds, distinct, axis=1), np.tile(bounds, distinct)]
+                ),
+                # block[np.ix_(index, index)] as one flat take: the (i, j)
+                # output entry reads block cell (index[i], index[j]).
+                scatter=(index[:, None] * distinct + index[None, :]).ravel(),
+            ))
+        variable = {v.position for v in self._variable}
 
-        encoding = covariance.encode(self.snippets)
-        for name, column in encoding.numeric.items():
-            if name in optimized:
-                distinct = len(column.lows)
-                self._plan.append(optimized[name])
-                self._variable[optimized[name]] = _VariableAttribute(
-                    name=name,
-                    lows=column.lows,
-                    highs=column.highs,
-                    # base[np.ix_(index, index)] as one flat take: the
-                    # (i, j) output entry reads block cell
-                    # (index[i], index[j]).
-                    scatter=(
-                        column.index[:, None] * distinct + column.index[None, :]
-                    ).ravel(),
-                )
-            else:
-                self._plan.append(covariance.numeric_factor(name, encoding, encoding))
-        for name in encoding.categorical:
-            self._plan.append(covariance.categorical_factor(name, encoding, encoding))
-
-        # Collapsed product of every constant factor, used by the gradient
+        # Collapsed product of every constant term, used by the gradient
         # path (where bit-exact multiplication order does not matter).
-        for item in self._plan:
-            if isinstance(item, np.ndarray):
-                if constant_product is None:
-                    constant_product = item.copy()
-                else:
-                    constant_product *= item
+        constant_product: float | np.ndarray | None = None
+        for position, term in enumerate(self._terms):
+            if position not in variable:
+                constant_product = term if constant_product is None else constant_product * term
         self._has_constant = constant_product is not None
-        if constant_product is None:
-            constant_product = np.ones((self.n, self.n), dtype=np.float64)
         self._constant_product = constant_product
-        self._build_batched_kernel()
-
-    def _build_batched_kernel(self) -> None:
-        """Precompute the flattened antiderivative arguments of every
-        optimised attribute, so one objective evaluation calls ``erf`` /
-        ``exp`` once over all attributes' distinct-range grids instead of
-        eight times per attribute.
-
-        Only the length-scale-independent pieces are stored: the stacked
-        ``(b-c, b-d, a-c, a-d)`` argument matrices, the width-product
-        denominators, and the flat segment layout.  Degenerate (zero-width)
-        ranges never occur here -- regions carry a positive resolution -- but
-        if one does appear the workspace falls back to the per-attribute
-        kernel path, which handles them.
-        """
-        self._batched = False
-        if not self._variable:
-            return
-        blocks: list[np.ndarray] = []
-        safes: list[np.ndarray] = []
-        layout: list[tuple[slice, tuple[int, int]]] = []
-        offset = 0
-        for variable in self._variable:
-            a = variable.lows[:, None]
-            b = variable.highs[:, None]
-            c = variable.lows[None, :]
-            d = variable.highs[None, :]
-            denominator = (b - a) * (d - c)
-            if np.any(denominator <= 0.0):
-                return  # keep the (degenerate-aware) per-attribute path
-            stacked = np.stack(np.broadcast_arrays(b - c, b - d, a - c, a - d))
-            r = len(variable.lows)
-            blocks.append(stacked.reshape(4, -1))
-            safes.append(denominator.reshape(-1))
-            layout.append((slice(offset, offset + r * r), (r, r)))
-            offset += r * r
-        self._flat_t = np.concatenate(blocks, axis=1)
-        self._flat_safe = np.concatenate(safes)
-        self._flat_layout = layout
-        segment = np.empty(offset, dtype=np.intp)
-        for k, (segment_slice, _) in enumerate(layout):
-            segment[segment_slice] = k
-        self._flat_segment = segment
-        self._batched = True
+        sizes = [v.bounds.shape[1] for v in self._variable]
+        self._flat_bounds = (
+            np.concatenate([v.bounds for v in self._variable], axis=1)
+            if self._variable
+            else np.zeros((4, 0))
+        )
+        self._flat_slices = np.cumsum([0] + sizes)
+        self._flat_segment = np.repeat(np.arange(len(sizes)), sizes)
 
     def _variable_factors(
         self, log_scales: np.ndarray, with_grad: bool
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-attribute factor matrices (and log-scale derivatives),
-        scattered to full ``(n, n)`` shape.
-
-        The batched path evaluates all attributes' kernels in one flattened
-        pass; the per-attribute coefficients are computed with the same
-        scalar float expressions as :func:`repro.core.kernel
-        .se_average_factor`, so the scattered values are bit-identical to
-        the reference factor matrices.
-        """
+        scattered to full ``(n, n)`` shape, from one evaluation over every
+        optimised attribute's distinct pairs."""
         values: list[np.ndarray] = []
         grads: list[np.ndarray] = []
-        n = self.n
-        if not self._batched:
-            for variable, theta in zip(self._variable, log_scales):
-                scale = float(np.exp(theta))
-                base, dbase = se_average_factor_with_grad(
-                    variable.lows[:, None],
-                    variable.highs[:, None],
-                    variable.lows[None, :],
-                    variable.highs[None, :],
-                    scale,
-                )
-                values.append(base.ravel().take(variable.scatter).reshape(n, n))
-                if with_grad:
-                    grads.append(dbase.ravel().take(variable.scatter).reshape(n, n))
+        if not self._variable:
             return values, grads
-
-        scales = [float(np.exp(theta)) for theta in log_scales]
-        segment = self._flat_segment
-        scale_vector = np.array(scales, dtype=np.float64)[segment]
-        erf_coef = np.array(
-            [0.5 * _SQRT_PI * scale for scale in scales], dtype=np.float64
-        )[segment]
-        gauss_coef = np.array(
-            [0.5 * scale**2 for scale in scales], dtype=np.float64
-        )[segment]
-        u = self._flat_t / scale_vector
-        half_gaussian = gauss_coef * np.exp(-np.square(u))
-        second = erf_coef * self._flat_t * erf(u) + half_gaussian
-        raw = second[0] - second[1] - second[2] + second[3]
-        integral = np.maximum(raw, 0.0)
-        unclipped = integral / self._flat_safe
-        factor_flat = np.clip(unclipped, 0.0, 1.0)
-        if with_grad:
-            # d/dlog l of the antiderivative is G + (l^2/2) exp(-u^2), so the
-            # four-term combination shares every expensive piece with `raw`.
-            grad_flat = raw + (
-                half_gaussian[0] - half_gaussian[1] - half_gaussian[2] + half_gaussian[3]
-            )
-            grad_flat = np.where(raw < 0.0, 0.0, grad_flat) / self._flat_safe
-            grad_flat = np.where(unclipped > 1.0, 0.0, grad_flat)
-        for variable, (segment_slice, _shape) in zip(self._variable, self._flat_layout):
-            base = factor_flat[segment_slice]
-            values.append(base.take(variable.scatter).reshape(n, n))
+        n = self.n
+        coefficients = se_coefficients([np.exp(theta) for theta in log_scales])
+        evaluated = se_average_factors(
+            *self._flat_bounds, coefficients[:, self._flat_segment], with_grad
+        )
+        factor_flat, grad_flat = evaluated if with_grad else (evaluated, None)
+        for k, variable in enumerate(self._variable):
+            segment = slice(self._flat_slices[k], self._flat_slices[k + 1])
+            values.append(factor_flat[segment].take(variable.scatter).reshape(n, n))
             if with_grad:
-                grads.append(
-                    grad_flat[segment_slice].take(variable.scatter).reshape(n, n)
-                )
+                grads.append(grad_flat[segment].take(variable.scatter).reshape(n, n))
         return values, grads
 
     # ------------------------------------------------------------- objective
@@ -407,20 +317,10 @@ class LikelihoodWorkspace:
             )
 
         values, grads = self._variable_factors(log_scales, with_grad)
-
-        # Multiplying into an all-ones matrix is exact, so starting from a
-        # copy of the first factor matches the reference accumulation
-        # bit-for-bit while saving one n^2 pass.
-        factors: np.ndarray | None = None
-        for item in self._plan:
-            term = values[item] if isinstance(item, int) else item
-            if factors is None:
-                factors = term.copy()
-            else:
-                factors *= term
-        if factors is None:  # no domain attributes at all
-            factors = np.ones((self.n, self.n), dtype=np.float64)
-        factors = linalg.symmetrize(factors)
+        terms = list(self._terms)
+        for variable, value in zip(self._variable, values):
+            terms[variable.position] = value
+        factors = linalg.symmetrize(SnippetCovariance.product(terms, (self.n, self.n)))
 
         mean_diagonal = float(np.mean(np.diag(factors)))
         sigma2 = self.prior.variance / (mean_diagonal if mean_diagonal > 0 else 1.0)

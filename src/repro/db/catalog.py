@@ -68,6 +68,10 @@ def match_foreign_keys(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndar
 class JoinCache:
     """Bounded memo of joined tables keyed by arbitrary hashable keys.
 
+    A value is a :class:`~repro.db.table.Table` (a denormalization) or a
+    :class:`~repro.db.sampling.JoinedSample` (a sample joined once, keyed
+    by the sample's identity).
+
     Keys embed the identity *and version* of every input (see
     :meth:`Catalog.denormalize` and the AQP engines' prefix tokens), so a
     stale entry can only be reached through a stale key; eviction is LRU, so
@@ -102,6 +106,10 @@ class JoinCache:
             self._entries[key] = table
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
+
+    def discard(self, key: Hashable) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:
@@ -198,6 +206,8 @@ class Catalog:
             for join_clause in joins:
                 delta_joined = self.join(delta_joined, join_clause)
             self.store_join(new_token, joins, cached.append(delta_joined))
+            # The old version's key can never be asked for again.
+            self.join_cache.discard(key)
         return updated
 
     def table(self, name: str) -> Table:
@@ -273,6 +283,24 @@ class Catalog:
         most one dimension row; unmatched base rows are dropped (inner join),
         which is what Verdict's supported join class produces.
         """
+        return self._join_kept(base, join_clause)[0]
+
+    def join_origins(
+        self, base: Table, joins: tuple[ast.JoinClause, ...]
+    ) -> tuple[Table, np.ndarray]:
+        """``base`` joined along every clause, and the ``base`` row of every
+        joined row (ascending: an inner join keeps the rows in order)."""
+        origins = np.arange(len(base), dtype=np.int64)
+        joined = base
+        for join_clause in joins:
+            joined, kept = self._join_kept(joined, join_clause)
+            origins = origins[kept]
+        return joined, origins
+
+    def _join_kept(
+        self, base: Table, join_clause: ast.JoinClause
+    ) -> tuple[Table, np.ndarray]:
+        """:meth:`join`, and the mask of the ``base`` rows it kept."""
         dimension = self.table(join_clause.table)
         left_name, right_name = self._resolve_join_columns(base, dimension, join_clause)
         left_keys = base.column(left_name)
@@ -283,7 +311,7 @@ class Catalog:
         # Gathering the dimension's stored arrays gathers its categorical
         # codes and shares its dictionaries: a joined sample never re-hashes.
         added = [name for name in dimension.column_names() if not base.has_column(name)]
-        return base.filter(keep).hstack(dimension.select(added).take(matches[keep]))
+        return base.filter(keep).hstack(dimension.select(added).take(matches[keep])), keep
 
     def join_all(
         self,

@@ -8,8 +8,9 @@ dimension tables are used whole (which is why TPC-H-style joins of unsampled
 tables incur an extra cost penalty in the paper's SSD experiments).
 
 :class:`TableSample` holds the shuffled sample of one fact table together with
-its batch boundaries; :class:`SampleStore` builds and caches samples for a
-catalog.
+its batch boundaries; :class:`JoinedSample` is a sample joined to dimension
+tables, whose batch prefixes are views; :class:`SampleStore` builds and
+caches samples for a catalog.
 """
 
 from __future__ import annotations
@@ -98,6 +99,32 @@ class TableSample:
         for batch_index in range(1, self.num_batches + 1):
             rows = self.rows_after_batches(batch_index)
             yield rows, self.prefix(rows)
+
+
+class JoinedSample:
+    """A sample joined to its dimension tables once, with views for batches.
+
+    ``origins[i]`` is the sample row of joined row ``i``; an inner join
+    keeps rows in order, so the join of the sample's first ``rows`` rows is
+    the joined table's first ``searchsorted(origins, rows)`` rows -- even
+    when the join drops rows.  :meth:`prefix` returns that range as a
+    zero-copy view, memoised per row count like :meth:`TableSample.prefix`,
+    so the batches of every query with these joins share one joined copy
+    of the sample instead of one concatenated copy per batch.
+    """
+
+    def __init__(self, joined: Table, origins: np.ndarray):
+        self.joined = joined
+        self.origins = origins
+        self._prefix_views: dict[int, Table] = {}
+
+    def prefix(self, rows: int) -> Table:
+        """The join of the sample's first ``rows`` rows."""
+        view = self._prefix_views.get(rows)
+        if view is None:
+            kept = int(np.searchsorted(self.origins, rows))
+            view = self._prefix_views[rows] = self.joined.slice_rows(0, kept)
+        return view
 
 
 def build_table_sample(

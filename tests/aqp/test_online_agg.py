@@ -1,10 +1,15 @@
 """Unit tests for the online aggregation engine (NoLearn)."""
 
+import numpy as np
 import pytest
 
 from repro import faults
 from repro.aqp.online_agg import OnlineAggregationEngine
 from repro.config import CostModelConfig, SamplingConfig
+from repro.db.catalog import Catalog
+from repro.db.schema import ColumnKind, Schema, categorical_dimension, key, measure
+from repro.db.schema import numeric_dimension
+from repro.db.table import Table
 from repro.db.executor import ExactExecutor
 from repro.deadline import CancelToken, Deadline, Limits
 from repro.errors import AQPError, DeadlineExceeded, FaultInjectedError, QueryCancelled
@@ -243,3 +248,94 @@ class TestFinalAnswerEstimatesOnePrefix:
         faults.install(FaultPlan([FaultRule(point="aqp.batch", action="error", after=3)]))
         with pytest.raises(FaultInjectedError):
             engine.final_answer(query)
+
+
+def dropping_star_catalog(rows: int = 200) -> Catalog:
+    """Orders joined to stores and to regions, where some orders name a
+    store and some stores a region that does not exist (the inner join drops
+    those rows)."""
+    rng = np.random.default_rng(4)
+    orders = Table(
+        "orders",
+        Schema.of([
+            numeric_dimension("day", ColumnKind.INT), key("store_id"), measure("amount"),
+        ]),  # fmt: skip
+        {
+            "day": rng.integers(1, 30, rows).tolist(),
+            "store_id": rng.integers(0, 7, rows).tolist(),  # stores 5 and 6 do not exist
+            "amount": rng.normal(50.0, 10.0, rows).tolist(),
+        },
+    )
+    stores = Table(
+        "stores",
+        Schema.of([key("store_id"), key("region_id"), categorical_dimension("kind")]),
+        {
+            "store_id": [0, 1, 2, 3, 4],
+            "region_id": [0, 1, 0, 9, 1],  # region 9 does not exist
+            "kind": ["mall", "street", "mall", "outlet", "street"],
+        },
+    )
+    regions = Table(
+        "regions",
+        Schema.of([key("region_id"), categorical_dimension("region")]),
+        {"region_id": [0, 1], "region": ["east", "west"]},
+    )
+    catalog = Catalog()
+    catalog.add_table(orders, fact=True)
+    catalog.add_table(stores)
+    catalog.add_table(regions)
+    catalog.add_foreign_key("orders", "store_id", "stores", "store_id")
+    catalog.add_foreign_key("stores", "region_id", "regions", "region_id")
+    return catalog
+
+
+JOINED_SQL = (
+    "SELECT region, AVG(amount) FROM orders JOIN stores ON store_id = store_id "
+    "JOIN regions ON region_id = region_id GROUP BY region"
+)
+
+
+class TestJoinedPrefixViews:
+    """A sample is joined once per (sample, joins); every batch's joined
+    prefix is a memoised view of that join."""
+
+    @staticmethod
+    def assert_same_table(view: Table, joined: Table) -> None:
+        assert view.column_names() == joined.column_names()
+        assert len(view) == len(joined)
+        for name in joined.column_names():
+            if name in joined._dictionaries:
+                assert view._dictionaries[name] is joined._dictionaries[name]
+                assert np.array_equal(view.codes(name), joined.codes(name))
+            else:
+                assert view._data[name].tobytes() == joined._data[name].tobytes()
+
+    def test_each_view_equals_the_join_of_its_batch_prefix(self):
+        catalog = dropping_star_catalog()
+        engine = OnlineAggregationEngine(
+            catalog, sampling=SamplingConfig(sample_ratio=0.6, num_batches=5, seed=2)
+        )
+        query = parse_query(JOINED_SQL)
+        sample = engine.samples.sample_for("orders")
+        prefixes = list(engine._prefixes(query, Limits()))
+        assert len(prefixes) == sample.num_batches
+        dropped = 0
+        for batch, prefix in enumerate(prefixes, start=1):
+            rows = sample.rows_after_batches(batch)
+            joined = catalog.join_all(sample.prefix(rows), query.joins)
+            self.assert_same_table(prefix.joined, joined)
+            dropped = rows - len(joined)
+        assert dropped > 0  # the join really drops rows
+
+    def test_one_join_per_sample_and_views_are_shared(self):
+        catalog = dropping_star_catalog()
+        engine = OnlineAggregationEngine(
+            catalog, sampling=SamplingConfig(sample_ratio=0.6, num_batches=5, seed=2)
+        )
+        query = parse_query(JOINED_SQL)
+        first = [prefix.joined for prefix in engine._prefixes(query, Limits())]
+        assert len(catalog.join_cache) == 1
+        second = [prefix.joined for prefix in engine._prefixes(query, Limits())]
+        assert all(a is b for a, b in zip(first, second))
+        answers = list(engine.run(query))
+        assert answers[-1].rows_scanned == len(first[-1])

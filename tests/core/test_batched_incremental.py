@@ -503,9 +503,9 @@ def without_block(prepared):
 class TestRecordReusesTheAsksBlock:
     """An ask's first batch solves its cells' cross block against the
     factor; the extension that records those cells takes the block (its
-    encoding, ``sigma^2`` cross covariances and ``L^{-1}`` solve) instead of
-    computing it again, and grows the factor in its buffer, to the bits the
-    block-free extension gives."""
+    layout, ``sigma^2`` cross covariances, corner factors and ``L^{-1}``
+    solve) instead of computing it again, and grows the factor in its
+    buffer, to the bits the block-free extension gives."""
 
     ASKS = [
         "SELECT region, AVG(revenue) FROM sales WHERE week >= 10 AND week <= 30 GROUP BY region",
@@ -544,14 +544,14 @@ class TestRecordReusesTheAsksBlock:
 
         counts = counting_extension(monkeypatch)
         current = engine._prepared_for(key)
-        assert counts == {"factor_matrix": 1, "solve_lower": 0}
+        assert counts == {"factor_matrix": 0, "solve_lower": 0}
         assert current.size == stale.size + len(appended)
         assert current.cho.buffer is stale.cho.buffer
 
         recomputed = engine.inference.extend(
             without_block(stale), appended, synopsis_version=current.synopsis_version
         )
-        assert counts == {"factor_matrix": 3, "solve_lower": 1}
+        assert counts == {"factor_matrix": 1, "solve_lower": 1}
         assert recomputed.cho.buffer is not stale.cho.buffer
         assert factor_bits(current) == factor_bits(recomputed)
         assert current.snippet_ids == recomputed.snippet_ids
@@ -565,7 +565,7 @@ class TestRecordReusesTheAsksBlock:
         inference.posteriors(prepared, [s.region for s in cells])
         counts = counting_extension(monkeypatch)
         extended = inference.extend(prepared, cells)
-        assert counts == {"factor_matrix": 1, "solve_lower": 1}
+        assert counts == {"factor_matrix": 0, "solve_lower": 1}
         recomputed = inference.extend(without_block(prepared), cells)
         assert factor_bits(extended) == factor_bits(recomputed)
 
@@ -590,7 +590,7 @@ class TestRecordReusesTheAsksBlock:
 
         counts = counting_extension(monkeypatch)
         reused = inference.extend(first, cells)
-        expected = (1, 0) if case == "same" else (2, 1)
+        expected = (0, 0) if case == "same" else (1, 1)
         assert (counts["factor_matrix"], counts["solve_lower"]) == expected
         assert reused.cho.buffer is first.cho.buffer
         recomputed = inference.extend(without_block(first), cells)

@@ -69,7 +69,7 @@ class TestFactors:
         vector = covariance.factor_matrix(snippets, [new]).ravel()
         full = covariance.factor_matrix(snippets + [new])
         np.testing.assert_allclose(vector, full[:-1, -1], rtol=1e-10)
-        assert covariance.factor_diagonal([new])[0] == pytest.approx(full[-1, -1])
+        assert covariance.factor_matrix([new])[0, 0] == full[-1, -1]
 
     def test_matrix_positive_semidefinite(self, covariance, key, rng):
         snippets = []
@@ -137,7 +137,7 @@ class TestVectorizedCategoricalFactor:
         )
 
     def test_matches_pairwise_reference(self):
-        from repro.core.covariance import _intersection_counts
+        from repro.core.covariance import _SetSlots
 
         rng = np.random.default_rng(17)
         universe = [f"v{i}" for i in range(9)] + [3, 7.5]
@@ -150,18 +150,29 @@ class TestVectorizedCategoricalFactor:
                 self._random_constraint(rng, universe, 11)
                 for _ in range(int(rng.integers(1, 7)))
             ]
-            counts = _intersection_counts(rows, cols)
-            for i, first in enumerate(rows):
-                for j, second in enumerate(cols):
-                    assert counts[i, j] == first.intersection_size(second)
+            row_slots = _SetSlots.empty(11).slotted([c.values for c in rows])[0]
+            col_slots = _SetSlots.empty(11).slotted([c.values for c in cols])[0]
+            factors = row_slots.factors(col_slots)
+            for first_slot, first in enumerate(row_slots.keys):
+                for second_slot, second in enumerate(col_slots.keys):
+                    one = CategoricalConstraint("c", first, 11)
+                    two = CategoricalConstraint("c", second, 11)
+                    expected = one.intersection_size(two) / (
+                        max(one.size, 1) * max(two.size, 1)
+                    )
+                    assert factors[first_slot, second_slot] == expected
 
-    def test_factor_diagonal_self_intersection_is_the_size(self, domains, key):
+    def test_self_intersection_is_the_size(self, domains, key):
+        """A set meets itself in its size: the diagonal is ``size / size^2``
+        times the numeric factor, and each entry has the bits of that
+        snippet's block alone."""
         constrained = snippet(key, (0.0, 2.0), categories={"a", "b"})
         unconstrained = snippet(key, (0.0, 2.0))
         covariance = SnippetCovariance(domains, AggregateModel(key=key))
-        diagonal = covariance.factor_diagonal([constrained, unconstrained])
         matrix = covariance.factor_matrix([constrained, unconstrained])
-        assert diagonal == pytest.approx(np.diag(matrix))
+        assert matrix[0, 0] / matrix[1, 1] == pytest.approx((2 / 4) / (5 / 25))
+        for position, one in enumerate([constrained, unconstrained]):
+            assert matrix[position, position] == covariance.factor_matrix([one])[0, 0]
 
 
 class TestAggregateModel:

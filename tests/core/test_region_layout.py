@@ -1,12 +1,13 @@
-"""The region encoding behind the covariance factors.
+"""The region layout behind the covariance factors.
 
-``SnippetCovariance.encode`` turns a snippet list into per-attribute distinct
-constraints plus index arrays; every factor method accepts either form.
-These tests hold the three ways of saying "these snippets" -- a plain list,
-its encoding, and an encoding grown from a prefix (``appended``) -- to
-*bit-identical* factors, pin the grown encoding to the one-shot encoding
-column by column, and hold all of them to a pairwise scalar oracle written
-straight from Equation 10 / Appendix F.2.
+``SnippetCovariance.layout`` turns a snippet list into per-attribute distinct
+constraints plus an (attribute x snippet) slot array; every factor method
+accepts either form.  These tests hold the three ways of saying "these
+snippets" -- a plain list, its layout, and a layout grown from a prefix
+(``appended``, how a prepared model's past side grows) -- to
+*bit-identical* factors, pin the grown layout to the one-shot layout
+attribute by attribute, and hold all of them to a pairwise scalar oracle
+written straight from Equation 10 / Appendix F.2.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.covariance import AggregateModel, RegionEncoding, SnippetCovariance
-from repro.core.kernel import se_average_factor
+from repro.core.covariance import AggregateModel, RegionLayout, SnippetCovariance
 from repro.core.regions import (
     AttributeDomains,
     CategoricalConstraint,
@@ -25,6 +25,7 @@ from repro.core.regions import (
     Region,
 )
 from repro.core.snippet import AggregateKind, Snippet, SnippetKey
+from tests.oracles import se_average_factor
 
 KEY = SnippetKey(kind=AggregateKind.AVG, table="t", attribute="m")
 DOMAINS = AttributeDomains(
@@ -101,32 +102,28 @@ def assert_identical(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.tobytes() == expected.tobytes()
 
 
-class TestEncodingEquivalence:
+class TestLayoutEquivalence:
     @given(past=snippet_lists, fresh=snippet_lists)
     @settings(max_examples=150, deadline=None)
     def test_three_forms_give_bit_identical_factors(self, past, fresh):
         covariance = COVARIANCE
         everything = past + fresh
-        encoded = covariance.encode(everything)
-        grown = covariance.encode(past).appended(covariance.encode(fresh))
-        assert encoded.size == grown.size == len(everything)
+        laid_out = covariance.layout(everything)
+        grown = covariance.layout(past).appended(covariance.layout(fresh))
+        assert laid_out.size == grown.size == len(everything)
 
         symmetric = covariance.factor_matrix(everything)
-        assert_identical(covariance.factor_matrix(encoded), symmetric)
+        assert_identical(covariance.factor_matrix(laid_out), symmetric)
         assert_identical(covariance.factor_matrix(grown), symmetric)
-
-        diagonal = covariance.factor_diagonal(everything)
-        assert_identical(covariance.factor_diagonal(encoded), diagonal)
-        assert_identical(covariance.factor_diagonal(grown), diagonal)
 
         # The rectangular (past x fresh) block -- the query-time shape --
         # with every mix of forms on the two sides.
         cross = covariance.factor_matrix(past, fresh)
-        past_encoded, fresh_encoded = covariance.encode(past), covariance.encode(fresh)
-        assert_identical(covariance.factor_matrix(past_encoded, fresh), cross)
-        assert_identical(covariance.factor_matrix(past, fresh_encoded), cross)
-        assert_identical(covariance.factor_matrix(past_encoded, fresh_encoded), cross)
-        assert_identical(covariance.factor_matrix(grown, fresh_encoded)[: len(past)], cross)
+        past_laid, fresh_laid = covariance.layout(past), covariance.layout(fresh)
+        assert_identical(covariance.factor_matrix(past_laid, fresh), cross)
+        assert_identical(covariance.factor_matrix(past, fresh_laid), cross)
+        assert_identical(covariance.factor_matrix(past_laid, fresh_laid), cross)
+        assert_identical(covariance.factor_matrix(grown, fresh_laid)[: len(past)], cross)
 
     @given(rows=snippet_lists, cols=snippet_lists)
     @settings(max_examples=100, deadline=None)
@@ -139,52 +136,58 @@ class TestEncodingEquivalence:
             covariance.factor_matrix(rows, cols), expected, rtol=1e-13, atol=0.0
         )
         np.testing.assert_allclose(
-            covariance.factor_diagonal(rows),
+            np.diag(covariance.factor_matrix(rows)),
             [oracle_factor(row, row) for row in rows],
             rtol=1e-13,
             atol=0.0,
         )
 
-    @given(past=snippet_lists, fresh=snippet_lists)
+
+def assert_same_layout(grown: RegionLayout, laid_out: RegionLayout) -> None:
+    """Same slots in the same order, same distinct arrays, same index."""
+    assert grown.size == laid_out.size
+    assert len(grown.slots) == len(laid_out.slots)
+    for mine, theirs in zip(grown.slots, laid_out.slots):
+        assert type(mine) is type(theirs)
+        assert list(mine.keys.items()) == list(theirs.keys.items())
+        if hasattr(theirs, "bounds"):
+            assert_identical(mine.bounds, theirs.bounds)
+        else:
+            assert mine.values == theirs.values
+            assert_identical(mine.membership, theirs.membership)
+            assert_identical(mine.sizes, theirs.sizes)
+    assert_identical(grown.index, laid_out.index)
+
+
+class TestGrowingALayout:
+    @given(past=snippet_lists, fresh=st.lists(snippet_lists, max_size=4))
     @settings(max_examples=150, deadline=None)
-    def test_grown_encoding_equals_the_one_shot_encoding(self, past, fresh):
-        """``appended`` re-slots the fresh columns exactly as encoding the
-        whole list at once would: same slots, same distinct constraints in
-        the same order, same index arrays."""
-        grown = COVARIANCE.encode(past).appended(COVARIANCE.encode(fresh))
-        encoded = COVARIANCE.encode(past + fresh)
-        assert grown.size == encoded.size
-        assert list(grown.numeric) == list(encoded.numeric)
-        for name, column in encoded.numeric.items():
-            other = grown.numeric[name]
-            assert list(other.slots.items()) == list(column.slots.items())
-            assert_identical(other.lows, column.lows)
-            assert_identical(other.highs, column.highs)
-            assert_identical(other.index, column.index)
-        assert list(grown.categorical) == list(encoded.categorical)
-        for name, column in encoded.categorical.items():
-            other = grown.categorical[name]
-            assert list(other.slots.items()) == list(column.slots.items())
-            assert other.constraints == column.constraints
-            assert_identical(other.index, column.index)
+    def test_a_grown_layout_equals_the_one_shot_layout(self, past, fresh):
+        """``appended`` re-slots the fresh regions exactly as laying the
+        whole list out at once would, however many steps it grows in."""
+        grown = COVARIANCE.layout(past)
+        everything = list(past)
+        for batch in fresh:
+            grown = grown.appended(COVARIANCE.layout(batch))
+            everything += batch
+            assert_same_layout(grown, COVARIANCE.layout(everything))
 
-    def test_encoding_an_encoding_is_the_identity(self):
-        encoded = COVARIANCE.encode([])
-        assert isinstance(encoded, RegionEncoding) and encoded.size == 0
-        assert COVARIANCE.encode(encoded) is encoded
-        assert COVARIANCE.factor_matrix(encoded).shape == (0, 0)
-        assert COVARIANCE.factor_diagonal(encoded).shape == (0,)
+    def test_an_empty_layout(self):
+        laid_out = COVARIANCE.layout([])
+        assert isinstance(laid_out, RegionLayout) and laid_out.size == 0
+        assert laid_out.appended(laid_out) is laid_out
+        assert COVARIANCE.factor_matrix(laid_out).shape == (0, 0)
 
-    @given(past=snippet_lists, fresh=snippet_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_growing_leaves_the_base_untouched(self, past, fresh):
-        base = COVARIANCE.encode(past)
-        before = {
-            name: (dict(column.slots), column.index.copy())
-            for name, column in {**base.numeric, **base.categorical}.items()
-        }
-        base.appended(COVARIANCE.encode(fresh))
-        for name, column in {**base.numeric, **base.categorical}.items():
-            slots, index = before[name]
-            assert column.slots == slots
-            assert np.array_equal(column.index, index)
+    @given(past=snippet_lists, first=snippet_lists, second=snippet_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_growing_leaves_every_older_layout_untouched(self, past, first, second):
+        """The newest layout grows in its buffer; a second growth of an
+        older one copies, so both branches stay whole."""
+        base = COVARIANCE.layout(past)
+        before = (base.index.copy(), [dict(slots.keys) for slots in base.slots])
+        newer = base.appended(COVARIANCE.layout(first))
+        branch = base.appended(COVARIANCE.layout(second))
+        for layout, expected in ((base, past), (newer, past + first), (branch, past + second)):
+            assert_same_layout(layout, COVARIANCE.layout(expected))
+        assert_identical(base.index, before[0])
+        assert [dict(slots.keys) for slots in base.slots] == before[1]

@@ -291,6 +291,16 @@ class TestAppendRows:
         for name in extended.column_names():
             assert extended.column(name).tolist() == recomputed.column(name).tolist()
 
+    def test_append_drops_the_superseded_denormalization(self, star_catalog):
+        query = self._denorm_query()
+        star_catalog.denormalize(query)
+        assert len(star_catalog.join_cache) == 1
+        star_catalog.append_rows("orders", self._delta())
+        # Only the new version's entry is left: the old key is unreachable.
+        assert len(star_catalog.join_cache) == 1
+        assert star_catalog.join_cache.entries_for_token(("denorm", "orders", 0)) == []
+        assert len(star_catalog.join_cache.entries_for_token(("denorm", "orders", 1))) == 1
+
     def test_append_without_cached_join_is_lazy(self, star_catalog):
         star_catalog.append_rows("orders", self._delta())
         assert star_catalog.denormalize(self._denorm_query()).num_rows == 8

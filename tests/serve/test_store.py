@@ -125,7 +125,7 @@ class TestSnapshotRoundTrip:
         assert_identical_engines(engine, reload(store))
 
     def test_derived_inference_state_stays_out_of_the_snapshot(self, tmp_path):
-        """The region encoding and the posterior memo are rebuilt, never
+        """The region layout and the posterior memo are rebuilt, never
         persisted: the state dict keeps its fields, and a restored engine
         -- asked directly, and asked again after both sides record more --
         still answers byte-identically."""
@@ -133,9 +133,9 @@ class TestSnapshotRoundTrip:
         for sql in TRAINING:
             engine.execute(sql)
         engine.train()
-        probe_results(engine)  # fills every encoding and memo
+        probe_results(engine)  # fills every layout and memo
         assert all(
-            p.encoding is not None and p.posterior_memo
+            p.layout is not None and p.posterior_memo
             for p in engine._prepared.values()
         )
         state = engine.state_dict()
@@ -152,11 +152,11 @@ class TestSnapshotRoundTrip:
         assert store.flush(engine) == "snapshot"
         restored = reload(store)
         assert all(
-            p.encoding is None and not p.posterior_memo
+            p.layout is None and not p.posterior_memo
             for p in restored._prepared.values()
         )
         assert_identical_engines(engine, restored)
-        # Extending a restored factor grows an encoding it first has to
+        # Extending a restored factor grows a layout it first has to
         # rebuild; the result must not differ from the never-stopped one.
         for side in (engine, restored):
             side.execute("SELECT AVG(revenue), COUNT(*) FROM sales WHERE week >= 3 AND week <= 33")
